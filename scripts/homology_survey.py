@@ -12,7 +12,7 @@ import sys
 import time
 
 from rackhom.complexes import boundary_matrix
-from rackhom.linalg import homology
+from rackhom.linalg import ChainComplex
 from rackhom.racks import builtin, orbits
 from rackhom.rings import ZZ
 from rackhom.verify import BUILTIN_SPECS
@@ -25,14 +25,12 @@ def survey(spec, max_degree):
     variants = [False, True] if rack.is_quandle() else [False]
     for quandle in variants:
         tag = "quandle complex" if quandle else "rack complex"
-        mats = {
+        complex_ = ChainComplex({
             n: boundary_matrix(rack, n, ZZ, quandle)
             for n in range(1, max_degree + 2)
-        }
-        cells = []
-        for n in range(1, max_degree + 1):
-            h = homology(mats[n + 1], mats[n], ZZ, n)
-            cells.append(f"H_{n} = {h.describe()}")
+        }, ZZ)
+        cells = [f"H_{n} = {complex_.homology(n).describe()}"
+                 for n in range(1, max_degree + 1)]
         print(f"  {tag}: " + ",  ".join(cells))
 
 

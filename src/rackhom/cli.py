@@ -9,7 +9,8 @@ Commands:
   exit code 1 on any failure.
 
 Exit codes: 0 success, 1 validation or identity failure (including usage
-errors), 2 resource limit.
+errors, and a stdout closed before the report was written, which prints
+nothing more), 2 resource limit.
 
 JSON reports are byte-identical across runs for identical inputs and
 configuration; wall-clock timings are reported only when ``--timings`` is
@@ -23,6 +24,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import os
 import sys
 import time
 from fractions import Fraction
@@ -41,7 +43,7 @@ from .errors import (
     RackhomError,
     ResourceLimit,
 )
-from .linalg import homology
+from .linalg import ChainComplex
 from .racks import Rack, XSet, builtin, validate_rack, validate_xset, xset_self, xset_singleton
 from .rings import ring_by_name
 from .cup import ring_structure
@@ -56,6 +58,17 @@ class _Parser(argparse.ArgumentParser):
     # usage problems are validation failures, not resource failures
     def error(self, message):
         self.exit(EXIT_FAIL, f"{self.prog}: error: {message}\n")
+
+
+def _int_at_least(low):
+    def parse(text):
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        return value
+
+    parse.__name__ = "int"  # argparse names the type in its messages
+    return parse
 
 
 def parse_rack_text(text: str) -> Rack:
@@ -204,31 +217,26 @@ def cmd_homology(args) -> int:
     t0 = time.perf_counter()
     if args.cohomology:
         module = module_from_xset(xs) if xs else None
-        mats = {
+        complex_ = ChainComplex({
             p: cochain_differential_matrix(
                 rack, p, ring, args.quandle, module, max_basis=args.max_basis
             )
             for p in range(args.max_degree + 1)
-        }
-        for n in range(1, args.max_degree + 1):
-            h = homology(mats[n - 1], mats[n], ring, degree=n)
-            results.append(
-                {"kind": "cohomology", "degree": n, "betti": h.betti,
-                 "torsion": list(h.torsion)}
-            )
-            human.append(f"H^{n} over {ring.name}: {shown(h)}")
+        }, ring, cochain=True)
+        kind, label = "cohomology", "H^{}"
     else:
-        mats = {
+        complex_ = ChainComplex({
             n: boundary_matrix(rack, n, ring, args.quandle, xs, max_basis=args.max_basis)
             for n in range(1, args.max_degree + 2)
-        }
-        for n in range(1, args.max_degree + 1):
-            h = homology(mats[n + 1], mats[n], ring, degree=n)
-            results.append(
-                {"kind": "homology", "degree": n, "betti": h.betti,
-                 "torsion": list(h.torsion)}
-            )
-            human.append(f"H_{n} over {ring.name}: {shown(h)}")
+        }, ring)
+        kind, label = "homology", "H_{}"
+    for n in range(1, args.max_degree + 1):
+        h = complex_.homology(n)
+        results.append(
+            {"kind": kind, "degree": n, "betti": h.betti,
+             "torsion": list(h.torsion)}
+        )
+        human.append(f"{label.format(n)} over {ring.name}: {shown(h)}")
     if timings is not None:
         timings["total_s"] = round(time.perf_counter() - t0, 6)
     options = {
@@ -326,7 +334,7 @@ def build_parser() -> _Parser:
     p_hom = sub.add_parser("homology", help="homology / cohomology tables")
     add_rack_source(p_hom)
     p_hom.add_argument("--ring", default="Z", help="Z, Q, or Fp:p (default Z)")
-    p_hom.add_argument("--max-degree", type=int, default=3)
+    p_hom.add_argument("--max-degree", type=_int_at_least(1), default=3)
     p_hom.add_argument("--cohomology", action="store_true")
     p_hom.add_argument("--coefficients", metavar="SPEC",
                        help="trivial (default), self, singleton, or a rack-set JSON path")
@@ -335,7 +343,7 @@ def build_parser() -> _Parser:
     p_ring = sub.add_parser("ring", help="cohomology ring structure constants")
     add_rack_source(p_ring)
     p_ring.add_argument("--ring", default="Q", help="Q or Fp:p (default Q)")
-    p_ring.add_argument("--max-degree", type=int, default=2)
+    p_ring.add_argument("--max-degree", type=_int_at_least(0), default=2)
     p_ring.set_defaults(func=cmd_ring)
 
     p_ver = sub.add_parser("verify", help="run identity suites")
@@ -351,7 +359,14 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader closed stdout: stop quietly, and point stdout at devnull
+        # so that the interpreter's final flush does not fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_FAIL
     except (DimensionOverflow, ResourceLimit, OrbitLimitExceeded) as err:
         print(f"rackhom: resource limit: {err}", file=sys.stderr)
         return EXIT_RESOURCE

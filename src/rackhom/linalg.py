@@ -1,15 +1,23 @@
-"""Exact sparse linear algebra: ranks, kernels, images, Smith normal form.
+"""Exact sparse linear algebra: ranks, kernels, images, Smith normal form,
+and the homology of a chain complex.
 
-Field computations (Q, F_p) use sparse Gaussian elimination to reduced
-echelon form; integer diagonalization uses the classical Smith reduction
-with minimal-absolute-value pivoting, which is the standard guard against
-coefficient explosion at this scale.  Arbitrary-precision integers
+Rank and Smith normal form start with a sparse pivot elimination in
+Markowitz order (shortest vector, then least shared pivot index), without
+back-substitution.  Over a field every nonzero entry is a pivot, so that
+elimination alone gives the rank.  Over Z only +-1 entries are taken;
+those steps are unimodular, hence exact, and the classical dense Smith
+reduction (minimal-absolute-value pivoting, the standard guard against
+coefficient explosion at this scale) runs on the residual alone, under a
+cap on the residual's dense size.  ``ChainComplex`` reduces each
+differential once.  Kernels, images and solves use sparse Gaussian
+elimination to reduced echelon form.  Arbitrary-precision integers
 throughout; nothing here is probabilistic and nothing floats.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from heapq import heapify, heappop, heappush
 
 from .errors import NotAComplex, ResourceLimit, ShapeError
 from .rings import ZZ
@@ -198,10 +206,82 @@ def _rref(rows, ring):
     return pivots, [pivot_of[p] for p in pivots]
 
 
+def _eliminate_pivots(vecs, ring, units_only):
+    """Sparse pivot elimination on ``vecs`` (``{id: {index: value}}``), in
+    place; returns the number of pivots taken.
+
+    A pivot is any entry, or only a +-1 entry when ``units_only`` (a +-1
+    step is unimodular, hence exact over Z).  Markowitz order: the
+    shortest vector holding a pivot, then in it the pivot index shared by
+    the fewest other vectors.  The pivot index is cleared from every other vector, then the
+    pivot vector drops out; nothing is normalized or back-substituted.
+    Vectors that become empty are deleted, so what is left in ``vecs`` is
+    the residual, which holds no pivot.
+    """
+    p = ring.char
+    div = ring.div
+    holders: dict[int, set] = {}
+    for k, vec in vecs.items():
+        for j in vec:
+            holders.setdefault(j, set()).add(k)
+    heap = [(len(vec), k) for k, vec in vecs.items()]
+    heapify(heap)
+    pivots = 0
+    while heap:
+        size, k = heappop(heap)
+        vec = vecs.get(k)
+        if vec is None or len(vec) != size:
+            continue  # stale entry: the vector changed or dropped out since
+        pc = -1
+        best = 0
+        for j, v in vec.items():
+            if units_only and v != 1 and v != -1:
+                continue
+            c = len(holders[j])
+            if pc < 0 or c < best:
+                pc, best = j, c
+        if pc < 0:
+            continue  # no unit now; it is queued again if an update gives it one
+        del vecs[k]
+        for j in vec:
+            holders[j].discard(k)
+        pv = vec.pop(pc)
+        for m in holders.pop(pc):
+            other = vecs[m]
+            f = div(other.pop(pc), pv)
+            for j, v in vec.items():
+                old = other.get(j)
+                if old is None:
+                    u = -f * v
+                    other[j] = u % p if p else u
+                    holders[j].add(m)
+                    continue
+                u = old - f * v
+                if p:
+                    u %= p
+                if u:
+                    other[j] = u
+                else:
+                    del other[j]
+                    holders[j].discard(m)
+            if other:
+                heappush(heap, (len(other), m))
+            else:
+                del vecs[m]
+        pivots += 1
+    return pivots
+
+
+def _column_vectors(mat: SparseMat) -> dict:
+    # rank and invariant factors are invariant under transposition, so the
+    # eliminations work on copies of the stored columns
+    return {j: dict(col) for j, col in enumerate(mat.cols) if col}
+
+
 def rank(mat: SparseMat) -> int:
+    """Rank over a field by sparse elimination alone."""
     _require_field(mat.ring)
-    pivots, _ = _rref(mat.rows_as_dicts(), mat.ring)
-    return len(pivots)
+    return _eliminate_pivots(_column_vectors(mat), mat.ring, units_only=False)
 
 
 def kernel_basis(mat: SparseMat) -> list[list]:
@@ -312,20 +392,53 @@ class SmithForm:
 
 
 def smith_normal_form(mat: SparseMat, max_entries: int = 4_000_000) -> SmithForm:
-    """Diagonalize over Z by unimodular row/column operations.
+    """Invariant factors over Z.
 
-    Pivot choice: nonzero entry of least absolute value in the remaining
-    block.  Python ints make overflow impossible; the entry cap is a
-    resource guard, not a correctness bound.
+    The +-1 pivots are eliminated sparsely first; each one is a unimodular
+    step that contributes a factor 1.  The dense Smith reduction then runs
+    on the residual only, and ``max_entries`` caps that residual's dense
+    size.  Python ints make overflow impossible; the cap is a resource
+    guard, not a correctness bound.
     """
     if mat.ring is not ZZ:
         raise ShapeError("Smith normal form requires integer scalars")
-    if mat.nrows * mat.ncols > max_entries:
+    vecs = _column_vectors(mat)
+    units = _eliminate_pivots(vecs, ZZ, units_only=True)
+    rows = sorted({i for vec in vecs.values() for i in vec})
+    if len(rows) * len(vecs) > max_entries:
         raise ResourceLimit(
-            f"dense Smith reduction on {mat.nrows}x{mat.ncols} exceeds cap"
+            f"dense Smith reduction on the {len(rows)}x{len(vecs)} residual "
+            f"of a {mat.nrows}x{mat.ncols} matrix exceeds the cap of "
+            f"{max_entries} entries"
         )
-    A = [row[:] for row in mat.to_dense()]
-    nr, nc = mat.nrows, mat.ncols
+    where = {i: t for t, i in enumerate(rows)}
+    dense = []
+    for vec in vecs.values():
+        line = [0] * len(rows)
+        for i, v in vec.items():
+            line[where[i]] = v
+        dense.append(line)
+    factors = (1,) * units + _dense_smith(dense, len(rows))
+    _check_divisibility_chain(factors)
+    return SmithForm(factors)
+
+
+def _check_divisibility_chain(factors):
+    for a, b in zip(factors, factors[1:]):
+        if b % a:
+            raise ArithmeticError(
+                f"invariant factors {a} and {b} break the divisibility chain"
+            )
+
+
+def _dense_smith(A, nc) -> tuple[int, ...]:
+    """Diagonalize the dense integer rows ``A`` (``nc`` columns each) in
+    place by unimodular row/column operations.
+
+    Pivot choice: nonzero entry of least absolute value in the remaining
+    block.
+    """
+    nr = len(A)
     factors = []
     k = 0
     while k < min(nr, nc):
@@ -396,9 +509,7 @@ def smith_normal_form(mat: SparseMat, max_entries: int = 4_000_000) -> SmithForm
             A[k] = [a + b for a, b in zip(rk, rb)]
         factors.append(abs(A[k][k]))
         k += 1
-    for a, b in zip(factors, factors[1:]):
-        assert b % a == 0, "divisibility chain violated"
-    return SmithForm(tuple(factors))
+    return tuple(factors)
 
 
 # ---------------------------------------------------------------------------
@@ -427,26 +538,63 @@ class HomologyGroup:
         return " + ".join(parts) if parts else "0"
 
 
+class ChainComplex:
+    """The differentials of one complex over ``ring``, by degree.
+
+    ``differentials[n]`` is the matrix of the differential leaving degree
+    ``n``: ``C_n -> C_{n-1}`` for a chain complex, ``C^n -> C^{n+1}`` for a
+    cochain complex.  Shapes and d o d = 0 are checked once per consecutive
+    pair on construction.  Each differential is reduced at most once (rank
+    over a field, Smith form over Z) and the reduction is cached.
+    """
+
+    def __init__(self, differentials: dict, ring, cochain: bool = False):
+        self.ring = ring
+        self.step = 1 if cochain else -1
+        self.differentials = dict(differentials)
+        self._reductions: dict[int, tuple] = {}
+        for n, d in self.differentials.items():
+            after = self.differentials.get(n + self.step)
+            if after is None:
+                continue
+            pair = f"differentials at degrees {n} and {n + self.step}"
+            if after.ncols != d.nrows:
+                raise ShapeError(f"{pair} do not compose")
+            if not after.mul(d).is_zero():
+                raise NotAComplex(f"{pair} do not compose to zero")
+
+    def _reduce(self, n) -> tuple[int, tuple[int, ...]]:
+        """``(rank, torsion factors)`` of the differential leaving degree n."""
+        if n not in self._reductions:
+            if n not in self.differentials:
+                raise ShapeError(f"no differential at degree {n}")
+            d = self.differentials[n]
+            ring = self.ring
+            if ring.is_field:
+                m = d if d.ring is ring else d.change_ring(ring)
+                self._reductions[n] = (rank(m), ())
+            else:
+                snf = smith_normal_form(d)
+                self._reductions[n] = (snf.rank, snf.torsion())
+        return self._reductions[n]
+
+    def homology(self, n) -> HomologyGroup:
+        """(Co)homology at degree ``n``.
+
+        The betti number is dim C_n - rank(out) - rank(in).  Over Z the
+        torsion is read from the Smith form of the incoming differential
+        alone: its image already lies in the kernel of the outgoing one,
+        and that kernel is a saturated (pure) submodule, so restricting to
+        it does not change the invariant factors.
+        """
+        rank_out, _ = self._reduce(n)
+        rank_in, torsion = self._reduce(n - self.step)
+        betti = self.differentials[n].ncols - rank_out - rank_in
+        return HomologyGroup(n, betti, torsion)
+
+
 def homology(boundary_in: SparseMat, boundary_out: SparseMat, ring,
              degree: int = -1) -> HomologyGroup:
     """Homology at ``C_n`` given ``boundary_in`` = d_{n+1} and
-    ``boundary_out`` = d_n.
-
-    Over a field: betti = dim ker(out) - rank(in).  Over Z the torsion is
-    read from the Smith form of d_{n+1} alone: its image already lies in
-    the kernel of d_n, and that kernel is a saturated (pure) submodule, so
-    restricting to it does not change the invariant factors.
-    """
-    if boundary_out.ncols != boundary_in.nrows:
-        raise ShapeError("boundary matrices do not compose")
-    if not boundary_out.mul(boundary_in).is_zero():
-        raise NotAComplex("consecutive boundaries do not compose to zero")
-    if ring.is_field:
-        m_out = boundary_out if boundary_out.ring is ring else boundary_out.change_ring(ring)
-        m_in = boundary_in if boundary_in.ring is ring else boundary_in.change_ring(ring)
-        betti = (m_out.ncols - rank(m_out)) - rank(m_in)
-        return HomologyGroup(degree, betti, ())
-    snf_out = smith_normal_form(boundary_out)
-    snf_in = smith_normal_form(boundary_in)
-    betti = boundary_out.ncols - snf_out.rank - snf_in.rank
-    return HomologyGroup(degree, betti, snf_in.torsion())
+    ``boundary_out`` = d_n: the two-differential case of ``ChainComplex``."""
+    return ChainComplex({degree: boundary_out, degree + 1: boundary_in}, ring).homology(degree)

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -153,6 +157,51 @@ def test_verify_command(capsys):
 def test_verify_unknown_suite(capsys):
     code, _, err = run(capsys, "verify", "--suite", "nope")
     assert code == EXIT_FAIL
+
+
+def test_homology_dihedral4_degree5_over_z(capsys):
+    # its 1024x4096 top boundary is past the dense Smith cap as a whole;
+    # only the residual after the unit pivots is reduced densely
+    code, out, _ = run(capsys, "homology", "--builtin", "dihedral:4",
+                       "--ring", "Z", "--max-degree", "5", "--json")
+    assert code == EXIT_OK
+    h5 = json.loads(out)["results"][4]
+    assert (h5["degree"], h5["betti"], h5["torsion"]) == (5, 32, [2] * 66)
+
+
+@pytest.mark.parametrize("degree", ["-2", "0"])
+def test_homology_rejects_max_degree_below_one(capsys, degree):
+    with pytest.raises(SystemExit) as exc:
+        main(["homology", "--builtin", "trivial:1", "--max-degree", degree])
+    assert exc.value.code == EXIT_FAIL
+    assert "--max-degree: must be >= 1" in capsys.readouterr().err
+
+
+def test_ring_rejects_negative_max_degree(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["ring", "--builtin", "trivial:1", "--max-degree", "-1"])
+    assert exc.value.code == EXIT_FAIL
+    assert "--max-degree: must be >= 0" in capsys.readouterr().err
+    code, out, _ = run(capsys, "ring", "--builtin", "trivial:1", "--max-degree", "0")
+    assert code == EXIT_OK
+
+
+def test_closed_stdout_ends_quietly():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    read_end, write_end = os.pipe()
+    os.close(read_end)  # the reader is gone before anything is written
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "rackhom", "homology", "--builtin", "dihedral:3",
+             "--max-degree", "2", "--json"],
+            stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=60,
+        )
+    finally:
+        os.close(write_end)
+    assert proc.returncode == EXIT_FAIL
+    assert proc.stderr == b""
 
 
 def test_exit_code_validation(capsys):

@@ -8,12 +8,15 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from sympy.matrices.normalforms import smith_normal_form as sympy_snf
+from sympy.polys.matrices import DomainMatrix
 
 from rackhom.complexes import boundary_matrix, cochain_differential_matrix
 from rackhom.errors import NotAComplex, ResourceLimit, ShapeError
 from rackhom.linalg import (
+    ChainComplex,
     HomologyGroup,
     SparseMat,
+    _check_divisibility_chain,
     homology,
     image_basis,
     in_span,
@@ -119,8 +122,16 @@ def test_snf_requires_integers():
 
 
 def test_snf_resource_cap():
-    with pytest.raises(ResourceLimit):
-        smith_normal_form(SparseMat.zero(3000, 3000, ZZ))
+    # 2*I has no unit pivot, so the whole matrix is the dense residual
+    twice = SparseMat.identity(2001, ZZ).scaled(2)
+    with pytest.raises(ResourceLimit, match="2001x2001 residual.*4000000"):
+        smith_normal_form(twice)
+
+
+def test_divisibility_chain_check_raises():
+    _check_divisibility_chain((1, 2, 6, 12))
+    with pytest.raises(ArithmeticError):
+        _check_divisibility_chain((1, 2, 3))
 
 
 def test_snf_divisibility_chain_and_oracle_fixed_cases():
@@ -152,6 +163,30 @@ def test_snf_matches_sympy_oracle(nr, nc, data):
     assert ours == sympy_invariant_factors(dense)
 
 
+def sparse_dense(data, nr, nc):
+    """Mostly 0 and +-1, a few +-2/+-3: both the unit-pivot and the
+    residual phases of the reductions run."""
+    entry = st.sampled_from([0] * 8 + [1, -1] * 3 + [2, -2, 3, -3])
+    return [[data.draw(entry) for _ in range(nc)] for _ in range(nr)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 8), st.integers(1, 8), st.data())
+def test_sparse_snf_matches_sympy_oracle(nr, nc, data):
+    dense = sparse_dense(data, nr, nc)
+    ours = smith_normal_form(SparseMat.from_dense(dense, ZZ)).factors
+    assert ours == sympy_invariant_factors(dense)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 8), st.integers(1, 8), st.sampled_from([0, 2, 3, 5]), st.data())
+def test_sparse_rank_matches_sympy_oracle(nr, nc, p, data):
+    dense = sparse_dense(data, nr, nc)
+    domain = sympy.GF(p) if p else sympy.QQ
+    expected = DomainMatrix.from_list_sympy(nr, nc, dense).convert_to(domain).rank()
+    assert rank(SparseMat.from_dense(dense, GF(p) if p else QQ)) == expected
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.integers(2, 4), st.data())
 def test_rational_rank_counts_invariant_factors(n, data):
@@ -167,6 +202,30 @@ def test_homology_checks_composition():
     a = SparseMat.identity(2, ZZ)
     with pytest.raises(NotAComplex):
         homology(a, a, ZZ)
+
+
+def test_chain_complex_matches_pairwise_homology():
+    for quandle in (False, True):
+        for ring in (ZZ, QQ, GF(3)):
+            mats = {n: boundary_matrix(R3, n, ring, quandle) for n in range(1, 6)}
+            cx = ChainComplex(mats, ring)
+            for n in (1, 2, 3, 4):
+                assert cx.homology(n) == homology(mats[n + 1], mats[n], ring, n)
+        dmats = {n: cochain_differential_matrix(R3, n, ZZ, quandle) for n in range(5)}
+        cx = ChainComplex(dmats, ZZ, cochain=True)
+        for n in (1, 2, 3):
+            assert cx.homology(n) == homology(dmats[n - 1], dmats[n], ZZ, n)
+
+
+def test_chain_complex_rejects_non_complex():
+    d2 = SparseMat.from_dense([[1], [1]], ZZ)
+    d1 = SparseMat.from_dense([[1, 0]], ZZ)
+    with pytest.raises(NotAComplex):
+        ChainComplex({1: d1, 2: d2}, ZZ)
+    with pytest.raises(NotAComplex):
+        ChainComplex({0: d2, 1: d1}, ZZ, cochain=True)
+    with pytest.raises(ShapeError):
+        ChainComplex({1: d1, 2: SparseMat.identity(3, ZZ)}, ZZ)
 
 
 def test_single_point_trivial_rack():
