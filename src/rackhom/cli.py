@@ -30,12 +30,7 @@ import time
 from fractions import Fraction
 
 from . import __version__
-from .complexes import (
-    DEFAULT_MAX_BASIS,
-    boundary_matrix,
-    cochain_differential_matrix,
-    module_from_xset,
-)
+from .complexes import DEFAULT_MAX_BASIS, boundary_matrix
 from .errors import (
     DimensionOverflow,
     OrbitLimitExceeded,
@@ -145,6 +140,8 @@ def parse_xset_file(path: str, rack: Rack) -> XSet:
             obj = json.load(fh)
         except json.JSONDecodeError as err:
             raise ParseError(f"bad JSON: {err.msg}", line=err.lineno, column=err.colno) from None
+    if not isinstance(obj, dict):
+        raise ParseError("JSON rack-set must be an object with an 'act' array")
     act = obj.get("act")
     if not isinstance(act, list):
         raise ParseError("JSON rack-set needs an 'act' array")
@@ -215,23 +212,16 @@ def cmd_homology(args) -> int:
         return h.describe()
 
     t0 = time.perf_counter()
+    complex_ = ChainComplex({
+        n: boundary_matrix(rack, n, ring, args.quandle, xs, max_basis=args.max_basis)
+        for n in range(1, args.max_degree + 2)
+    }, ring)
     if args.cohomology:
-        module = module_from_xset(xs) if xs else None
-        complex_ = ChainComplex({
-            p: cochain_differential_matrix(
-                rack, p, ring, args.quandle, module, max_basis=args.max_basis
-            )
-            for p in range(args.max_degree + 1)
-        }, ring, cochain=True)
-        kind, label = "cohomology", "H^{}"
+        group, kind, label = complex_.cohomology, "cohomology", "H^{}"
     else:
-        complex_ = ChainComplex({
-            n: boundary_matrix(rack, n, ring, args.quandle, xs, max_basis=args.max_basis)
-            for n in range(1, args.max_degree + 2)
-        }, ring)
-        kind, label = "homology", "H_{}"
+        group, kind, label = complex_.homology, "homology", "H_{}"
     for n in range(1, args.max_degree + 1):
-        h = complex_.homology(n)
+        h = group(n)
         results.append(
             {"kind": kind, "degree": n, "betti": h.betti,
              "torsion": list(h.torsion)}

@@ -4,31 +4,36 @@ Bases are tuples over the rack, enumerated in mixed-radix order with the
 last coordinate varying fastest; the quandle variant keeps exactly the
 tuples with no adjacent equal entries.  Degree 0 is one empty tuple.
 
-Two sign conventions coexist on purpose:
+``face`` / ``face_set`` are the only code that turns a tuple into its
+faces, and one private builder assembles the boundary from them:
 
-* ``boundary_matrix`` implements the alternating-sum boundary verbatim:
-      bd(x_1..x_n) = sum_i (-1)^i [ delete_i - delete_i-with-conjugation ]
-  This is what homology reports use.
+    bd(x_1..x_n) = sum_i (-1)^i [ delete_i - delete_i-with-conjugation ]
 
-* ``cochain_differential`` precomposes with the word-engine differential
-  ``d`` and multiplies by the Koszul dualization sign (-1)^{degree}.  The
-  sign makes the differential a super-derivation for the cup product in
-  the standard form  d*(f.g) = d*f.g + (-1)^{|f|} f.d*g;  without it the
-  law holds only in a twisted form.  Projecting the engine to chains gives
-  exactly ``-bd`` in every positive degree; both operators are exposed and
-  the equality is a tested invariant, not an assumption.  Kernels and
-  images agree under every per-degree sign choice, so homology and
-  cohomology are identical throughout.
+Everything else derives from that matrix.  The cochain differential is
+
+    d*^p = (-1)^{p+1} bd_{p+1}^T,
+
+which is precomposition with the word-engine differential ``d`` times the
+Koszul dualization sign (-1)^p: projecting ``d`` to chains gives exactly
+``-bd``.  The sign makes d* a super-derivation for the cup product in the
+standard form  d*(f.g) = d*f.g + (-1)^{|f|} f.d*g;  without it the law
+holds only in a twisted form.  Transposition and per-degree signs change
+no rank and no invariant factor, so cohomology is read from the same
+reductions of the boundary matrices as homology
+(``linalg.ChainComplex.cohomology``).
 
 Coefficients: trivial (the base ring) or the permutation module of a
 validated rack-set action.  Chains use the right action; cochains use the
-left action obtained by inverting each right translation.
+left action obtained by inverting each right translation, so the boundary
+that a cochain module transposes is built with the module's inverse
+permutations as its right action.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 from .errors import (
     CoefficientMismatch,
@@ -40,7 +45,9 @@ from .errors import (
 from .linalg import SparseMat
 from .racks import Rack, XSet
 from .rings import ZZ
-from .words import BElement
+
+if TYPE_CHECKING:
+    from .words import BElement
 
 DEFAULT_MAX_BASIS = 200_000
 
@@ -69,7 +76,9 @@ def tuple_basis(rack: Rack, n: int, quandle: bool = False,
         raise IndexOutOfRange("degree must be >= 0")
     if quandle and not rack.is_quandle():
         raise NotAQuandle(f"{rack.label} is not a quandle")
-    if rack.size ** n > max_basis:
+    # the quandle basis drops every tuple with an adjacent equal pair
+    count = rack.size * (rack.size - 1) ** (n - 1) if quandle and n else rack.size ** n
+    if count > max_basis:
         raise DimensionOverflow(
             f"basis of degree {n} over size-{rack.size} rack exceeds cap {max_basis}"
         )
@@ -96,7 +105,7 @@ def face(t, i, eps, rack: Rack):
         return None, t[:j] + t[j + 1 :]
     op = rack.table
     x = t[j]
-    return x, tuple(op[t[k]][x] for k in range(j)) + t[j + 1 :]
+    return x, tuple([op[y][x] for y in t[:j]]) + t[j + 1 :]
 
 
 def face_set(t, indices, eps, rack: Rack):
@@ -111,6 +120,21 @@ def face_set(t, indices, eps, rack: Rack):
         if p is not None:
             prefix.append(p)
     return tuple(prefix), t
+
+
+def signed_subsets(n, q):
+    """Every size-``q`` subset ``A`` of 1..n as ``(A, complement, eps)``.
+
+    ``eps`` is the signature of the unshuffle that lists ``A`` before its
+    complement, times (-1)^{q (n - q)}: the sign of the term
+    (delete A) (x) (conjugating-delete the complement) of the coproduct.
+    """
+    out = []
+    for A in itertools.combinations(range(1, n + 1), q):
+        comp = tuple(i for i in range(1, n + 1) if i not in A)
+        inversions = sum(1 for a in A for c in comp if a > c)
+        out.append((A, comp, -1 if (inversions + q * (n - q)) & 1 else 1))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -130,9 +154,6 @@ class LeftModule:
     dim: int
     perms: tuple[tuple[int, ...], ...]
     label: str = "module"
-
-    def act_index(self, x, i):
-        return self.perms[x][i]
 
     def act_word_index(self, word, i):
         # f(a_1 .. a_k m) = L(a_1)(... L(a_k) f(m)): apply the last letter first
@@ -169,14 +190,8 @@ def trivial_module(rack: Rack) -> LeftModule:
 def module_from_xset(xset: XSet) -> LeftModule:
     """Left permutation module of a rack-set: generators act by the
     inverses of the right translations."""
-    rack = xset.over
-    perms = []
-    for x in range(rack.size):
-        inv = [0] * xset.size
-        for y in range(xset.size):
-            inv[xset.act[y][x]] = y
-        perms.append(tuple(inv))
-    return LeftModule(xset.size, tuple(perms), f"k[{xset.label}]")
+    right = LeftModule(xset.size, tuple(zip(*xset.act)))
+    return LeftModule(xset.size, right.inverse_perms(), f"k[{xset.label}]")
 
 
 # ---------------------------------------------------------------------------
@@ -221,6 +236,36 @@ def basis_cochain(rack: Rack, p: int, ring, t, j=0, quandle=False, module=None) 
     return f
 
 
+def _boundary(rack: Rack, n: int, ring, quandle: bool, dim: int, right,
+              max_basis: int) -> SparseMat:
+    """The degree-``n`` boundary with coefficients in a permutation module
+    of dimension ``dim``; ``right[x][y]`` is the point ``y`` moved by the
+    right action of ``x`` (``None`` for trivial coefficients, ``dim`` 1)."""
+    if n < 1:
+        raise IndexOutOfRange("boundary defined for degree >= 1")
+    src = tuple_basis(rack, n, quandle, max_basis)
+    tgt = tuple_basis(rack, n - 1, quandle, max_basis)
+    of, is_zero = ring.of, ring.is_zero
+    cols = []
+    for t in src.tuples:
+        faces = []
+        for i in range(1, n + 1):
+            _, t0 = face(t, i, 0, rack)
+            x, t1 = face(t, i, 1, rack)
+            faces.append((-1 if i % 2 else 1, tgt.index.get(t0), x, tgt.index.get(t1)))
+        for y in range(dim):
+            col: dict = {}  # integer coefficients, (-1)^i per face
+            for s, r0, x, r1 in faces:
+                if r0 is not None:
+                    r = r0 * dim + y
+                    col[r] = col.get(r, 0) + s
+                if r1 is not None:
+                    r = r1 * dim + (right[x][y] if right is not None else y)
+                    col[r] = col.get(r, 0) - s
+            cols.append({r: w for r, v in col.items() if not is_zero(w := of(v))})
+    return SparseMat(len(tgt) * dim, len(src) * dim, ring, cols)
+
+
 def boundary_matrix(rack: Rack, n: int, ring=ZZ, quandle: bool = False,
                     xset: XSet | None = None,
                     max_basis: int = DEFAULT_MAX_BASIS) -> SparseMat:
@@ -232,102 +277,44 @@ def boundary_matrix(rack: Rack, n: int, ring=ZZ, quandle: bool = False,
     move the point by the right action.  The quandle variant is the induced
     map on the non-degenerate basis (degenerate images are dropped).
     """
-    if n < 1:
-        raise IndexOutOfRange("boundary defined for degree >= 1")
     if xset is not None and xset.over != rack:
         raise CoefficientMismatch("rack-set is over a different rack")
-    src = tuple_basis(rack, n, quandle, max_basis)
-    tgt = tuple_basis(rack, n - 1, quandle, max_basis)
-    ydim = xset.size if xset is not None else 1
-    mat = SparseMat.zero(len(tgt) * ydim, len(src) * ydim, ring)
-    one = ring.one
-    neg = ring.neg
-    for col_t, t in enumerate(src.tuples):
-        for i in range(1, n + 1):
-            s = neg(one) if i % 2 else one  # (-1)^i, i 1-based
-            _, t0 = face(t, i, 0, rack)
-            x, t1 = face(t, i, 1, rack)
-            r0 = tgt.index.get(t0)
-            r1 = tgt.index.get(t1)
-            for y in range(ydim):
-                col = col_t * ydim + y
-                if r0 is not None:
-                    mat.add_at(r0 * ydim + y, col, s)
-                if r1 is not None:
-                    yx = xset.act[y][x] if xset is not None else y
-                    mat.add_at(r1 * ydim + yx, col, neg(s))
-    return mat
-
-
-def cochain_differential(f: Cochain, rack: Rack) -> Cochain:
-    """Signed precomposition with the word-engine differential.
-
-    On tuples:
-      (d*f)(t) = (-1)^p sum_i (-1)^{i+1} [ f(delete_i t)
-                                           - x_i . f(conjugate-delete_i t) ]
-    where p is the cochain degree and the action is trivial unless the
-    cochain is module-valued.  The leading (-1)^p is the dualization sign
-    (see the module docstring); it never changes kernels or images.
-    """
-    ring = f.ring
-    p = f.degree
-    src = tuple_basis(rack, p, f.quandle)
-    tgt = tuple_basis(rack, p + 1, f.quandle)
-    module = f.module
-    mdim = module.dim if module else 1
-    if len(f.values) != len(src) * mdim:
-        raise CoefficientMismatch("cochain length does not match its basis")
-    inv_perms = module.inverse_perms() if module else None
-    out = [ring.zero] * (len(tgt) * mdim)
-    add, sub = ring.add, ring.sub
-    flip = p % 2 == 1
-    for row_t, t in enumerate(tgt.tuples):
-        for i in range(1, p + 2):
-            positive = (i % 2 == 1) != flip  # (-1)^{p+i+1}
-            _, t0 = face(t, i, 0, rack)
-            x, t1 = face(t, i, 1, rack)
-            c0 = src.index.get(t0)
-            c1 = src.index.get(t1)
-            for j in range(mdim):
-                acc = out[row_t * mdim + j]
-                if c0 is not None:
-                    v = f.values[c0 * mdim + j]
-                    acc = add(acc, v) if positive else sub(acc, v)
-                if c1 is not None:
-                    jj = inv_perms[x][j] if module else j
-                    v = f.values[c1 * mdim + jj]
-                    acc = sub(acc, v) if positive else add(acc, v)
-                out[row_t * mdim + j] = acc
-    return Cochain(p + 1, ring, out, f.quandle, module)
+    dim, right = (xset.size, tuple(zip(*xset.act))) if xset else (1, None)
+    return _boundary(rack, n, ring, quandle, dim, right, max_basis)
 
 
 def cochain_differential_matrix(rack: Rack, p: int, ring, quandle=False,
                                 module: LeftModule | None = None,
                                 max_basis: int = DEFAULT_MAX_BASIS) -> SparseMat:
-    """Matrix of the degree-``p`` cochain differential C^p -> C^{p+1}."""
-    src = tuple_basis(rack, p, quandle, max_basis)
-    tgt = tuple_basis(rack, p + 1, quandle, max_basis)
-    mdim = module.dim if module else 1
-    inv_perms = module.inverse_perms() if module else None
-    mat = SparseMat.zero(len(tgt) * mdim, len(src) * mdim, ring)
-    one = ring.one
-    neg = ring.neg
-    flip = p % 2 == 1
-    for row_t, t in enumerate(tgt.tuples):
-        for i in range(1, p + 2):
-            s = one if (i % 2 == 1) != flip else neg(one)  # (-1)^{p+i+1}
-            _, t0 = face(t, i, 0, rack)
-            x, t1 = face(t, i, 1, rack)
-            c0 = src.index.get(t0)
-            c1 = src.index.get(t1)
-            for j in range(mdim):
-                row = row_t * mdim + j
-                if c0 is not None:
-                    mat.add_at(row, c0 * mdim + j, s)
-                if c1 is not None:
-                    jj = inv_perms[x][j] if module else j
-                    mat.add_at(row, c1 * mdim + jj, neg(s))
-    return mat
+    """Matrix of the degree-``p`` cochain differential C^p -> C^{p+1}:
+    (-1)^{p+1} times the transpose of the degree-``p+1`` boundary.
+
+    On tuples this is
+      (d*f)(t) = (-1)^p sum_i (-1)^{i+1} [ f(delete_i t)
+                                           - x_i . f(conjugate-delete_i t) ]
+    where the action is trivial unless the cochains are module-valued.  The
+    leading (-1)^p is the dualization sign (see the module docstring).
+    """
+    dim, right = (module.dim, module.inverse_perms()) if module else (1, None)
+    mat = _boundary(rack, p + 1, ring, quandle, dim, right, max_basis).transpose()
+    return mat.scaled(ring.neg(ring.one)) if p % 2 == 0 else mat
+
+
+def cochain_differential(f: Cochain, rack: Rack) -> Cochain:
+    """The cochain differential applied to ``f``: the matrix of
+    :func:`cochain_differential_matrix` times ``f.values``."""
+    ring = f.ring
+    mat = cochain_differential_matrix(rack, f.degree, ring, f.quandle, f.module)
+    if len(f.values) != mat.ncols:
+        raise CoefficientMismatch("cochain length does not match its basis")
+    add, mul, is_zero = ring.add, ring.mul, ring.is_zero
+    out = [ring.zero] * mat.nrows
+    for v, col in zip(f.values, mat.cols):
+        if is_zero(v):
+            continue
+        for i, c in col.items():
+            out[i] = add(out[i], mul(c, v))
+    return Cochain(f.degree + 1, ring, out, f.quandle, f.module)
 
 
 def project_to_chain(u: BElement, ring=ZZ, xset: XSet | None = None,

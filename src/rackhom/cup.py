@@ -33,18 +33,20 @@ diagonal action, flattened row-major, so nested products compare strictly.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 
 from .complexes import (
+    DEFAULT_MAX_BASIS,
     Cochain,
     LeftModule,
     cochain_differential,
     cochain_differential_matrix,
+    face_set,
+    signed_subsets,
     trivial_module,
     tuple_basis,
 )
-from .errors import ContextMismatch, NotACocycle, NotAQuandle, ResourceLimit
+from .errors import ContextMismatch, NotACocycle, NotAQuandle
 from .linalg import SparseMat, image_basis, in_span, kernel_basis, solve, solve_many
 from .racks import Rack
 from .words import WordAlgebra
@@ -52,7 +54,8 @@ from .words import WordAlgebra
 
 @dataclass
 class CupContext:
-    """Shared data for cup-product computations over one rack.
+    """Shared data for cup-product computations over one rack: the word
+    algebra, and the face stencils of the closed formula, built on first use.
 
     ``module_f`` / ``module_g`` are the coefficient modules of the two
     factors (``None`` means trivial coefficients); the product lands in
@@ -65,6 +68,7 @@ class CupContext:
     module_f: LeftModule | None = None
     module_g: LeftModule | None = None
     algebra: WordAlgebra = field(default=None, repr=False)
+    _stencils: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.quandle and not self.rack.is_quandle():
@@ -87,24 +91,36 @@ class CupContext:
         if f.module != self.module_f or g.module != self.module_g:
             raise ContextMismatch("cochain coefficients do not match context")
 
+    def stencil(self, p, q):
+        """The faces of the closed formula, built once per ``(p, q)``.
 
-def _unshuffle_sign(subset, n):
-    comp = [i for i in range(1, n + 1) if i not in subset]
-    inversions = sum(1 for a in subset for c in comp if a > c)
-    return -1 if inversions & 1 else 1
-
-
-def _subsets_with_sign(n, q):
-    """All size-q subsets of 1..n with eps(A), complements included."""
-    out = []
-    for A in itertools.combinations(range(1, n + 1), q):
-        sA = set(A)
-        comp = tuple(i for i in range(1, n + 1) if i not in sA)
-        eps = _unshuffle_sign(sA, n)
-        if (q * (n - q)) & 1:
-            eps = -eps
-        out.append((A, comp, eps))
-    return out
+        Entry ``t`` lists, for the degree-``p+q`` basis tuple ``t``, the
+        terms ``(f index, g index, prefix, negative)`` that survive in the
+        bases: f is read on ``t`` with the positions ``A`` deleted, g on the
+        conjugating face over the complement, whose prefix acts on g's
+        value; ``negative`` carries eps(A) (-1)^{pq}.
+        """
+        key = (p, q)
+        if key not in self._stencils:
+            rack, quandle = self.rack, self.quandle
+            f_idx = tuple_basis(rack, p, quandle).index
+            g_idx = tuple_basis(rack, q, quandle).index
+            subsets = signed_subsets(p + q, q)
+            global_neg = bool((p * q) & 1)
+            stencil = []
+            for t in tuple_basis(rack, p + q, quandle).tuples:
+                terms = []
+                for A, comp, eps in subsets:
+                    li = f_idx.get(face_set(t, A, 0, rack)[1])
+                    if li is None:
+                        continue
+                    prefix, right = face_set(t, comp, 1, rack)
+                    ri = g_idx.get(right)
+                    if ri is not None:
+                        terms.append((li, ri, prefix, (eps < 0) != global_neg))
+                stencil.append(terms)
+            self._stencils[key] = stencil
+        return self._stencils[key]
 
 
 def _value(f: Cochain, basis_index, tuple_, prefix, module, mdim):
@@ -127,65 +143,28 @@ def cup(f: Cochain, g: Cochain, ctx: CupContext) -> Cochain:
     """Closed-formula cup product; bilinear and strictly associative."""
     ctx.check(f, g)
     ring = ctx.ring
-    rack = ctx.rack
-    p, q = f.degree, g.degree
-    n = p + q
-    src_f = tuple_basis(rack, p, ctx.quandle)
-    src_g = tuple_basis(rack, q, ctx.quandle)
-    tgt = tuple_basis(rack, n, ctx.quandle)
+    stencil = ctx.stencil(f.degree, g.degree)
     mf = f.module.dim if f.module else 1
     mg = g.module.dim if g.module else 1
-    target = ctx.target_module()
-    tdim = target.dim if target else 1
-    values = [ring.zero] * (len(tgt) * tdim)
-    global_neg = (p * q) & 1
-    subsets = _subsets_with_sign(n, q)
-    op = rack.table
+    act = g.module.act_word_index if g.module else None
+    tdim = mf * mg
+    values = [ring.zero] * (len(stencil) * tdim)
     add, sub, mul, is_zero = ring.add, ring.sub, ring.mul, ring.is_zero
-    scalar = f.module is None and g.module is None
-    f_idx, g_idx = src_f.index, src_g.index
     fvals, gvals = f.values, g.values
-    for t_idx, t in enumerate(tgt.tuples):
-        for A, comp, eps in subsets:
-            left = tuple(t[i - 1] for i in comp)  # delete positions A
-            li = f_idx.get(left)
-            if li is None:
-                continue
-            if scalar and is_zero(fvals[li]):
-                continue
-            # conjugating faces over A^c, largest first, collecting prefixes
-            cur = t
-            prefix = []
-            for i in sorted(comp, reverse=True):
-                x = cur[i - 1]
-                cur = tuple(op[cur[k]][x] for k in range(i - 1)) + cur[i:]
-                prefix.append(x)
-            negative = (eps < 0) != bool(global_neg)
-            if scalar:
-                ri = g_idx.get(cur)
-                if ri is None:
-                    continue
-                w = mul(fvals[li], gvals[ri])
-                if is_zero(w):
-                    continue
-                values[t_idx] = sub(values[t_idx], w) if negative else add(values[t_idx], w)
-                continue
-            fv = _value(f, f_idx, left, (), f.module, mf)
-            gv = _value(g, g_idx, cur, tuple(prefix), g.module, mg)
-            if gv is None:
-                continue
-            base = t_idx * tdim
+    for t_idx, terms in enumerate(stencil):
+        for li, ri, prefix, negative in terms:
             for a in range(mf):
-                va = fv[a]
+                va = fvals[li * mf + a]
                 if is_zero(va):
                     continue
+                base = (t_idx * mf + a) * mg
                 for b in range(mg):
-                    w = mul(va, gv[b])
+                    w = mul(va, gvals[ri * mg + b])
                     if is_zero(w):
                         continue
-                    k = base + a * mg + b
+                    k = base + (act(prefix, b) if act else b)
                     values[k] = sub(values[k], w) if negative else add(values[k], w)
-    return Cochain(n, ring, values, ctx.quandle, target)
+    return Cochain(f.degree + g.degree, ring, values, ctx.quandle, ctx.target_module())
 
 
 def _pair_against_tensor(f, g, ctx, tensor_terms):
@@ -325,7 +304,7 @@ def _vectors_to_mat(vectors, length, ring) -> SparseMat:
 
 
 def ring_structure(rack: Rack, ring, max_degree: int, quandle: bool = False,
-                   max_basis: int = 200_000) -> RingStructure:
+                   max_basis: int = DEFAULT_MAX_BASIS) -> RingStructure:
     """Cohomology ring with trivial coefficients up to ``max_degree``.
 
     Per degree: a representative cocycle basis of H^p, obtained by
@@ -335,10 +314,6 @@ def ring_structure(rack: Rack, ring, max_degree: int, quandle: bool = False,
     """
     if not ring.is_field:
         raise ContextMismatch("ring structure requires field scalars")
-    if rack.size ** (max_degree + 1) > max_basis:
-        raise ResourceLimit(
-            f"degree {max_degree} over size-{rack.size} rack exceeds basis cap"
-        )
     ctx = CupContext(rack, ring, quandle)
     dmat = {
         p: cochain_differential_matrix(rack, p, ring, quandle, max_basis=max_basis)

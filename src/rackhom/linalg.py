@@ -9,7 +9,7 @@ those steps are unimodular, hence exact, and the classical dense Smith
 reduction (minimal-absolute-value pivoting, the standard guard against
 coefficient explosion at this scale) runs on the residual alone, under a
 cap on the residual's dense size.  ``ChainComplex`` reduces each
-differential once.  Kernels, images and solves use sparse Gaussian
+differential once and reads homology and cohomology from that reduction.  Kernels, images and solves use sparse Gaussian
 elimination to reduced echelon form.  Arbitrary-precision integers
 throughout; nothing here is probabilistic and nothing floats.
 """
@@ -539,32 +539,31 @@ class HomologyGroup:
 
 
 class ChainComplex:
-    """The differentials of one complex over ``ring``, by degree.
+    """The boundary matrices of one chain complex over ``ring``, by degree.
 
-    ``differentials[n]`` is the matrix of the differential leaving degree
-    ``n``: ``C_n -> C_{n-1}`` for a chain complex, ``C^n -> C^{n+1}`` for a
-    cochain complex.  Shapes and d o d = 0 are checked once per consecutive
-    pair on construction.  Each differential is reduced at most once (rank
-    over a field, Smith form over Z) and the reduction is cached.
+    ``differentials[n]`` is the matrix of ``d_n: C_n -> C_{n-1}``.  Shapes
+    and d o d = 0 are checked once per consecutive pair on construction.
+    Each differential is reduced at most once (rank over a field, Smith
+    form over Z) and the reduction is cached; homology and the cohomology
+    of the dual complex are both read from it.
     """
 
-    def __init__(self, differentials: dict, ring, cochain: bool = False):
+    def __init__(self, differentials: dict, ring):
         self.ring = ring
-        self.step = 1 if cochain else -1
         self.differentials = dict(differentials)
         self._reductions: dict[int, tuple] = {}
         for n, d in self.differentials.items():
-            after = self.differentials.get(n + self.step)
+            after = self.differentials.get(n - 1)
             if after is None:
                 continue
-            pair = f"differentials at degrees {n} and {n + self.step}"
+            pair = f"differentials at degrees {n} and {n - 1}"
             if after.ncols != d.nrows:
                 raise ShapeError(f"{pair} do not compose")
             if not after.mul(d).is_zero():
                 raise NotAComplex(f"{pair} do not compose to zero")
 
     def _reduce(self, n) -> tuple[int, tuple[int, ...]]:
-        """``(rank, torsion factors)`` of the differential leaving degree n."""
+        """``(rank, torsion factors)`` of ``d_n``."""
         if n not in self._reductions:
             if n not in self.differentials:
                 raise ShapeError(f"no differential at degree {n}")
@@ -578,19 +577,30 @@ class ChainComplex:
                 self._reductions[n] = (snf.rank, snf.torsion())
         return self._reductions[n]
 
-    def homology(self, n) -> HomologyGroup:
-        """(Co)homology at degree ``n``.
+    def _betti(self, n) -> int:
+        # dim C_n - rank d_n - rank d_{n+1}; transposing keeps both ranks
+        return self.differentials[n].ncols - self._reduce(n)[0] - self._reduce(n + 1)[0]
 
-        The betti number is dim C_n - rank(out) - rank(in).  Over Z the
-        torsion is read from the Smith form of the incoming differential
-        alone: its image already lies in the kernel of the outgoing one,
-        and that kernel is a saturated (pure) submodule, so restricting to
-        it does not change the invariant factors.
+    def homology(self, n) -> HomologyGroup:
+        """Homology at degree ``n``.
+
+        Over Z the torsion is read from the Smith form of ``d_{n+1}``
+        alone: its image already lies in the kernel of ``d_n``, and that
+        kernel is a saturated (pure) submodule, so restricting to it does
+        not change the invariant factors.
         """
-        rank_out, _ = self._reduce(n)
-        rank_in, torsion = self._reduce(n - self.step)
-        betti = self.differentials[n].ncols - rank_out - rank_in
-        return HomologyGroup(n, betti, torsion)
+        return HomologyGroup(n, self._betti(n), self._reduce(n + 1)[1])
+
+    def cohomology(self, n) -> HomologyGroup:
+        """Cohomology at degree ``n`` of the dual complex, whose coboundary
+        leaving degree ``n`` is +-``d_{n+1}^T``.
+
+        The betti number is the homology one.  Over Z the torsion is that
+        of ``d_n``: the incoming coboundary is +-``d_n^T``, which has the
+        invariant factors of ``d_n``, and the same saturation argument as
+        in :meth:`homology` applies.
+        """
+        return HomologyGroup(n, self._betti(n), self._reduce(n)[1])
 
 
 def homology(boundary_in: SparseMat, boundary_out: SparseMat, ring,

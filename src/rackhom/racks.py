@@ -19,11 +19,15 @@ from .errors import (
     BijectivityViolation,
     CompatibilityViolation,
     InvalidGroupTable,
-    NotAQuandle,
     R1Violation,
     R2Violation,
+    ResourceLimit,
     ShapeError,
 )
+
+# builtin tables are validated exhaustively, in O(n^3) (dihedral:500 takes
+# about 20 s), so larger builtin sizes are refused before a table is built
+MAX_BUILTIN_SIZE = 500
 
 
 @dataclass(frozen=True)
@@ -57,9 +61,6 @@ class XSet:
     act: tuple[tuple[int, ...], ...]
     label: str = "xset"
 
-    def star(self, y, x):
-        return self.act[y][x]
-
 
 @dataclass(frozen=True)
 class OrbitPartition:
@@ -81,6 +82,8 @@ def _check_shape(table):
     if n == 0:
         raise ShapeError("empty table")
     for row in table:
+        if not isinstance(row, (list, tuple)):
+            raise ShapeError(f"table row {row!r} is not a list")
         if len(row) != n:
             raise ShapeError(f"table is not square: row of length {len(row)} in size-{n} table")
         for v in row:
@@ -167,6 +170,8 @@ def validate_xset(rack: Rack, act, label="xset") -> XSet:
     if m == 0:
         raise ShapeError("empty action table")
     for row in act:
+        if not isinstance(row, (list, tuple)):
+            raise ShapeError(f"action row {row!r} is not a list")
         if len(row) != rack.size:
             raise ShapeError("action table width must equal rack size")
         for v in row:
@@ -280,19 +285,17 @@ def builtin(spec: str) -> Rack:
     3
     """
     kind, _, arg = spec.partition(":")
-    if kind == "trivial":
-        return trivial_rack(int(arg))
-    if kind == "dihedral":
-        return dihedral_rack(int(arg))
-    if kind == "cyclic":
-        return cyclic_rack(int(arg))
+    sized = {"trivial": trivial_rack, "dihedral": dihedral_rack, "cyclic": cyclic_rack}
+    if kind in sized:
+        try:
+            n = int(arg)
+        except ValueError:
+            raise ShapeError(f"builtin {spec!r}: size {arg!r} is not an integer") from None
+        if n > MAX_BUILTIN_SIZE:
+            raise ResourceLimit(f"builtin {spec!r}: size exceeds the limit {MAX_BUILTIN_SIZE}")
+        return sized[kind](n)
     if kind == "conjugation":
         if arg.lower() == "s3":
             return conjugation_rack(symmetric_group_table(3), label="conjugation:s3")
         raise ShapeError(f"unknown conjugation group {arg!r} (use a group table file)")
     raise ShapeError(f"unknown builtin kind {kind!r}")
-
-
-def require_quandle(rack: Rack):
-    if not rack.is_quandle():
-        raise NotAQuandle(f"{rack.label} is not a quandle")

@@ -38,9 +38,6 @@ class IntegerRing:
     def is_zero(self, a):
         return a == 0
 
-    def eq(self, a, b):
-        return a == b
-
     def inv(self, a):
         raise ArithmeticError("Z is not a field")
 
@@ -49,9 +46,6 @@ class IntegerRing:
         if r:
             raise ArithmeticError(f"{a} not divisible by {b} in Z")
         return q
-
-    def to_str(self, a):
-        return str(a)
 
     def __repr__(self):
         return "Z"
@@ -82,17 +76,11 @@ class RationalField:
     def is_zero(self, a):
         return a == 0
 
-    def eq(self, a, b):
-        return a == b
-
     def inv(self, a):
         return 1 / a
 
     def div(self, a, b):
         return a / b
-
-    def to_str(self, a):
-        return str(a)
 
     def __repr__(self):
         return "Q"
@@ -130,9 +118,6 @@ class PrimeField:
     def is_zero(self, a):
         return a % self.p == 0
 
-    def eq(self, a, b):
-        return (a - b) % self.p == 0
-
     def inv(self, a):
         if a % self.p == 0:
             raise ZeroDivisionError(f"inverse of 0 in F_{self.p}")
@@ -140,9 +125,6 @@ class PrimeField:
 
     def div(self, a, b):
         return (a * self.inv(b)) % self.p
-
-    def to_str(self, a):
-        return str(a % self.p)
 
     def __repr__(self):
         return self.name

@@ -36,9 +36,9 @@ floating point.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import NamedTuple
 
+from .complexes import face, face_set, no_adjacent_equal, signed_subsets
 from .errors import (
     IndexOutOfRange,
     NotAQuandle,
@@ -47,7 +47,7 @@ from .errors import (
     RingMismatch,
 )
 from .racks import Rack, inverse_op
-from .rings import QQ, ZZ
+from .rings import ZZ
 
 
 class BMonomial(NamedTuple):
@@ -70,10 +70,6 @@ def _acc(acc, key, c):
         acc[key] = v
     elif key in acc:
         del acc[key]
-
-
-def _degenerate(e):
-    return any(a == b for a, b in zip(e, e[1:]))
 
 
 def _sort_key(m):
@@ -411,15 +407,10 @@ class WordAlgebra:
         appends the deleted letter to the group-like prefix.
         """
         a, e = m
-        if not 1 <= i <= len(e):
-            raise IndexOutOfRange(f"face index {i} for degree {len(e)}")
-        j = i - 1
-        if eps == 0:
-            return BMonomial(a, e[:j] + e[j + 1 :])
-        op = self.rack.table
-        x = e[j]
-        conj = tuple(op[t][x] for t in e[:j])
-        return BMonomial(self.canonical_a_word(a + (x,)), conj + e[j + 1 :])
+        x, e = face(e, i, eps, self.rack)
+        if x is None:
+            return BMonomial(a, e)
+        return BMonomial(self.canonical_a_word(a + (x,)), e)
 
     def face_set(self, m: BMonomial, indices, eps: int) -> BMonomial:
         """Composite face over an index set, largest index first.
@@ -428,17 +419,8 @@ class WordAlgebra:
         satisfy the cube-set exchange identities); largest-first keeps the
         original indices valid.
         """
-        for i in sorted(indices, reverse=True):
-            m = self.face_monomial(m, i, eps)
-        return m
-
-    @staticmethod
-    def unshuffle_sign(subset, n):
-        """Signature of the permutation listing ``subset`` then its complement."""
-        inside = set(subset)
-        comp = [i for i in range(1, n + 1) if i not in inside]
-        inversions = sum(1 for a in subset for c in comp if a > c)
-        return -1 if inversions & 1 else 1
+        prefix, e = face_set(m.e, indices, eps, self.rack)
+        return BMonomial(self.canonical_a_word(m.a + prefix), e)
 
     def coproduct_formula(self, m, ring=ZZ) -> TensorElement:
         """Closed form of the coproduct of a pure e-word.
@@ -461,18 +443,11 @@ class WordAlgebra:
             e = m.e
         else:
             e = tuple(m)
-        n = len(e)
         base = BMonomial((), e)
         out = {}
-        for bits in range(1 << n):
-            A = [i + 1 for i in range(n) if bits >> i & 1]
-            Ac = [i + 1 for i in range(n) if not bits >> i & 1]
-            eps = self.unshuffle_sign(A, n)
-            if (len(A) * len(Ac)) & 1:
-                eps = -eps
-            left = self.face_set(base, A, 0)
-            right = self.face_set(base, Ac, 1)
-            _acc(out, (left, right), eps)
+        for q in range(len(e) + 1):
+            for A, comp, eps in signed_subsets(len(e), q):
+                _acc(out, (self.face_set(base, A, 0), self.face_set(base, comp, 1)), eps)
         return TensorElement(self, out, ring)
 
     # -- homotopy ---------------------------------------------------------------
@@ -529,7 +504,7 @@ class WordAlgebra:
         if not self.rack.is_quandle():
             raise NotAQuandle(f"{self.rack.label} is not a quandle")
         return BElement(
-            self, {m: c for m, c in u.terms.items() if not _degenerate(m.e)}, u.ring
+            self, {m: c for m, c in u.terms.items() if no_adjacent_equal(m.e)}, u.ring
         )
 
     def quandle_project_tensor(self, t: TensorElement) -> TensorElement:
@@ -540,7 +515,7 @@ class WordAlgebra:
             {
                 (l, r): c
                 for (l, r), c in t.terms.items()
-                if not (_degenerate(l.e) or _degenerate(r.e))
+                if no_adjacent_equal(l.e) and no_adjacent_equal(r.e)
             },
             t.ring,
         )
@@ -578,7 +553,3 @@ class WordAlgebra:
                 out.append(f"+ {piece}")
         return " ".join(out)
 
-
-def as_fraction_element(u: BElement) -> BElement:
-    """Coerce integer coefficients to Fractions (ring tag becomes Q)."""
-    return BElement(u.algebra, {m: Fraction(c) for m, c in u.terms.items()}, QQ)

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -15,6 +16,7 @@ from rackhom.cli import (
     parse_rack_text,
     parse_xset_file,
 )
+from rackhom import racks
 from rackhom.errors import ParseError, R1Violation
 from rackhom.racks import dihedral_rack
 
@@ -216,6 +218,43 @@ def test_exit_code_resource(capsys):
                        "--max-degree", "4", "--max-basis", "100")
     assert code == EXIT_RESOURCE
     assert "resource limit" in err
+
+
+@pytest.mark.parametrize("content", ["[[0, 1, 2]]", '{"act": [0, 1, 2]}'])
+def test_coefficients_file_of_wrong_shape(capsys, tmp_path, content):
+    path = tmp_path / "x.json"
+    path.write_text(content)
+    code, _, err = run(capsys, "homology", "--builtin", "dihedral:3",
+                       "--coefficients", str(path))
+    assert code == EXIT_FAIL
+    assert err.startswith("rackhom: error:") and "Traceback" not in err
+
+
+def test_json_rack_with_non_list_rows(capsys, tmp_path):
+    path = tmp_path / "r.json"
+    path.write_text('{"table": [0, 1]}')
+    code, _, err = run(capsys, "homology", "--rack", str(path))
+    assert code == EXIT_FAIL
+    assert "not a list" in err
+
+
+@pytest.mark.parametrize("spec", ["dihedral:x", "dihedral:", "trivial:1.5"])
+def test_builtin_bad_size_names_the_spec(capsys, spec):
+    code, _, err = run(capsys, "homology", "--builtin", spec)
+    assert code == EXIT_FAIL
+    assert repr(spec) in err and "int()" not in err
+
+
+def test_builtin_huge_size_refused_before_building(capsys, monkeypatch):
+    def no_table(n):
+        raise AssertionError(f"a size-{n} table was built")
+
+    monkeypatch.setattr(racks, "dihedral_rack", no_table)
+    t0 = time.perf_counter()
+    code, _, err = run(capsys, "homology", "--builtin", "dihedral:99999999999999999999")
+    assert time.perf_counter() - t0 < 1
+    assert code == EXIT_RESOURCE
+    assert f"exceeds the limit {racks.MAX_BUILTIN_SIZE}" in err
 
 
 def test_exit_code_missing_file(capsys):

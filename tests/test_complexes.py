@@ -53,6 +53,14 @@ def test_basis_cap():
         tuple_basis(R4, 12, max_basis=1000)
 
 
+def test_quandle_basis_cap_counts_the_real_basis():
+    # 5 * 4^7 = 81,920 non-degenerate tuples, although 5^8 > 200,000
+    r5 = dihedral_rack(5)
+    assert len(tuple_basis(r5, 8, quandle=True)) == 81_920
+    with pytest.raises(DimensionOverflow):
+        tuple_basis(r5, 8, quandle=True, max_basis=81_919)
+
+
 def test_face_examples():
     # conjugating face: delta_2^1(x,y,z) = (x <| y, z) with prefix y
     for x, y, z in itertools.product(range(3), repeat=3):
@@ -230,6 +238,39 @@ def test_cochain_differential_matrix_with_module():
     # module-valued d* still squares to zero
     m2 = cochain_differential_matrix(R3, 2, QQ, module=mod)
     assert m2.mul(mat).is_zero()
+
+
+def test_cochain_differential_is_signed_precomposition_with_d():
+    # independent second definition: d*f = (-1)^p f o d, through the word
+    # engine; a group-like prefix acts on module values, and f vanishes on
+    # degenerate e-words in the quandle variant.  On R4, unlike R3,
+    # y <| x != x <| y, so the self-action case also pins its orientation.
+    cases = [(R3, p, quandle, None) for quandle in (False, True) for p in range(4)]
+    cases += [(r, p, False, module_from_xset(xset_self(r))) for r in (R3, R4) for p in range(3)]
+    checks = 0
+    for rack, p, quandle, module in cases:
+        W = WordAlgebra(rack)
+        mdim = module.dim if module else 1
+        src = tuple_basis(rack, p, quandle)
+        tgt = tuple_basis(rack, p + 1, quandle)
+        d_of = [W.d(W.eword(u)).terms for u in tgt.tuples]
+        sign = -1 if p % 2 else 1
+        for t in src.tuples:
+            for j in range(mdim):
+                f = basis_cochain(rack, p, ZZ, t, j=j, quandle=quandle, module=module)
+                df = cochain_differential(f, rack).values
+                for row, terms in enumerate(d_of):
+                    expect = [0] * mdim
+                    for m, c in terms.items():
+                        idx = src.index.get(m.e)
+                        if idx is None:
+                            continue
+                        for i in range(mdim):
+                            k = module.act_word_index(m.a, i) if module else i
+                            expect[k] += sign * c * f.values[idx * mdim + i]
+                    checks += 1
+                    assert df[row * mdim : (row + 1) * mdim] == expect, (p, quandle, t, j, row)
+    assert checks == 2841 + 819 + 4368
 
 
 def test_left_module_inverts_right_action():
