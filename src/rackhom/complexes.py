@@ -31,6 +31,7 @@ permutations as its right action.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
@@ -300,11 +301,19 @@ def cochain_differential_matrix(rack: Rack, p: int, ring, quandle=False,
     return mat.scaled(ring.neg(ring.one)) if p % 2 == 0 else mat
 
 
+@functools.lru_cache(maxsize=32)
+def _shared_coboundary(rack: Rack, p: int, ring, quandle, module) -> SparseMat:
+    # read-only: cochain_differential never writes to the matrix it gets
+    return cochain_differential_matrix(rack, p, ring, quandle, module)
+
+
 def cochain_differential(f: Cochain, rack: Rack) -> Cochain:
     """The cochain differential applied to ``f``: the matrix of
-    :func:`cochain_differential_matrix` times ``f.values``."""
+    :func:`cochain_differential_matrix` times ``f.values``.  The matrix is
+    built once per (rack, degree, ring, variant, module) and shared by the
+    calls that follow, up to a bounded number of recent keys."""
     ring = f.ring
-    mat = cochain_differential_matrix(rack, f.degree, ring, f.quandle, f.module)
+    mat = _shared_coboundary(rack, f.degree, ring, f.quandle, f.module)
     if len(f.values) != mat.ncols:
         raise CoefficientMismatch("cochain length does not match its basis")
     add, mul, is_zero = ring.add, ring.mul, ring.is_zero

@@ -47,7 +47,7 @@ from .complexes import (
     tuple_basis,
 )
 from .errors import ContextMismatch, NotACocycle, NotAQuandle
-from .linalg import SparseMat, image_basis, in_span, kernel_basis, solve, solve_many
+from .linalg import SparseMat, independent, kernel_basis, solve, solve_many
 from .racks import Rack
 from .words import WordAlgebra
 
@@ -294,73 +294,55 @@ class RingStructure:
         return self.products[(p, i, q, j)]
 
 
-def _vectors_to_mat(vectors, length, ring) -> SparseMat:
-    mat = SparseMat(length, len(vectors), ring)
-    for j, vec in enumerate(vectors):
-        for i, v in enumerate(vec):
-            if not ring.is_zero(v):
-                mat.cols[j][i] = v
-    return mat
-
-
 def ring_structure(rack: Rack, ring, max_degree: int, quandle: bool = False,
                    max_basis: int = DEFAULT_MAX_BASIS) -> RingStructure:
     """Cohomology ring with trivial coefficients up to ``max_degree``.
 
-    Per degree: a representative cocycle basis of H^p, obtained by
-    completing the coboundary basis inside the cocycle space; then every
-    pairwise product reduced modulo coboundaries.  Deterministic given the
-    basis order.
+    Three eliminations per degree p: the reduced echelon kernel basis of
+    d*^p (the cocycles); one forward pass keeping the cocycles outside the
+    span of the columns of d*^{p-1} and of those kept before them (the
+    representatives of H^p); one solve of every product landing in degree
+    p against [representatives | columns of d*^{p-1}].  The representatives
+    are independent modulo coboundaries, so the representative part of a
+    solution is unique: the coordinates of the class.  Deterministic given
+    the basis order.
     """
     if not ring.is_field:
         raise ContextMismatch("ring structure requires field scalars")
     ctx = CupContext(rack, ring, quandle)
-    dmat = {
-        p: cochain_differential_matrix(rack, p, ring, quandle, max_basis=max_basis)
+    # d*^{-1} is the zero map into C^0, which has the one empty tuple
+    dmat = {-1: SparseMat(1, 0, ring)}
+    for p in range(max_degree + 1):
+        dmat[p] = cochain_differential_matrix(rack, p, ring, quandle, max_basis=max_basis)
+    reps = {
+        p: independent(dmat[p - 1].cols, kernel_basis(dmat[p]), ring)
         for p in range(max_degree + 1)
     }
-    cocycles = {p: kernel_basis(dmat[p]) for p in range(max_degree + 1)}
-    cobs = {0: []}
-    for p in range(1, max_degree + 1):
-        cobs[p] = image_basis(dmat[p - 1])
-    reps: dict[int, list] = {}
-    for p in range(max_degree + 1):
-        chosen: list = []
-        span = list(cobs[p])
-        for v in cocycles[p]:
-            if not in_span(span, v, ring):
-                chosen.append(v)
-                span.append(v)
-        reps[p] = chosen
-    dims = {p: len(reps[p]) for p in range(max_degree + 1)}
     products: dict = {}
-    for p in range(max_degree + 1):
-        for q in range(max_degree + 1 - p):
-            n = p + q
-            if not reps[p] or not reps[q]:
-                continue
-            length = len(tuple_basis(rack, n, quandle))
-            red = _vectors_to_mat(reps[n] + cobs[n], length, ring)
-            keys = []
-            rhs = []
+    for n in range(max_degree + 1):
+        keys, rhs = [], []
+        for p in range(n + 1):
+            q = n - p
             for i, fv in enumerate(reps[p]):
                 fc = Cochain(p, ring, list(fv), quandle)
                 for j, gv in enumerate(reps[q]):
-                    gc = Cochain(q, ring, list(gv), quandle)
                     keys.append((p, i, q, j))
-                    rhs.append(cup(fc, gc, ctx).values)
-            for key, coords in zip(keys, solve_many(red, rhs)):
-                if coords is None:
-                    raise NotACocycle(
-                        "product of cocycles failed to reduce; complex is inconsistent"
-                    )
-                products[key] = tuple(coords[: len(reps[n])])
+                    rhs.append(cup(fc, Cochain(q, ring, list(gv), quandle), ctx).values)
+        if not keys:
+            continue
+        cols = [{i: v for i, v in enumerate(vec) if not ring.is_zero(v)} for vec in reps[n]]
+        cols += dmat[n - 1].cols
+        red = SparseMat(dmat[n].ncols, len(cols), ring, cols)
+        for key, coords in zip(keys, solve_many(red, rhs)):
+            if coords is None:
+                raise NotACocycle("product of cocycles failed to reduce; complex is inconsistent")
+            products[key] = tuple(coords[: len(reps[n])])
     return RingStructure(
         rack_label=rack.label,
         ring_name=ring.name,
         max_degree=max_degree,
         quandle=quandle,
-        dims=dims,
+        dims={p: len(reps[p]) for p in reps},
         reps=reps,
         products=products,
     )

@@ -9,9 +9,13 @@ those steps are unimodular, hence exact, and the classical dense Smith
 reduction (minimal-absolute-value pivoting, the standard guard against
 coefficient explosion at this scale) runs on the residual alone, under a
 cap on the residual's dense size.  ``ChainComplex`` reduces each
-differential once and reads homology and cohomology from that reduction.  Kernels, images and solves use sparse Gaussian
-elimination to reduced echelon form.  Arbitrary-precision integers
-throughout; nothing here is probabilistic and nothing floats.
+differential once and reads homology and cohomology from that reduction.
+
+Kernels, images, solves and span tests over a field share one forward
+reduction (reduce a row by the leading entries held, store the remainder
+normalized under its least index); all but span tests then back-substitute.
+Arbitrary-precision integers throughout; nothing here is probabilistic and
+nothing floats.
 """
 
 from __future__ import annotations
@@ -68,9 +72,6 @@ class SparseMat:
             col.pop(r, None)
         else:
             col[r] = u
-
-    def get(self, r, c):
-        return self.cols[c].get(r, self.ring.zero)
 
     def nnz(self):
         return sum(len(c) for c in self.cols)
@@ -155,54 +156,69 @@ def _require_field(ring):
         raise ShapeError(f"{ring} is not a field; use Q or Fp")
 
 
+def _subtract(row, c, base, ring):
+    """``row -= c * base`` in place on sparse row-dicts, keeping no zeros."""
+    sub, mul, is_zero, zero = ring.sub, ring.mul, ring.is_zero, ring.zero
+    for j, v in base.items():
+        u = sub(row.get(j, zero), mul(c, v))
+        if is_zero(u):
+            row.pop(j, None)
+        else:
+            row[j] = u
+
+
+def _reduce_row(row, pivot_of, ring):
+    """Forward-reduce ``row`` in place by the leading entries held in
+    ``pivot_of`` (least index -> row normalized to 1 there) until its least
+    index holds none; an empty result means ``row`` lay in their span."""
+    while row:
+        lead = min(row)
+        base = pivot_of.get(lead)
+        if base is None:
+            break
+        _subtract(row, row[lead], base, ring)
+    return row
+
+
+def _insert(row, pivot_of, ring) -> bool:
+    """Reduce ``row`` in place by ``pivot_of`` and store the nonzero
+    remainder, normalized to 1 at its least index, under that index.
+    Returns whether a remainder was stored (``row`` was independent)."""
+    _reduce_row(row, pivot_of, ring)
+    if not row:
+        return False
+    lead = min(row)
+    c = row[lead]
+    pivot_of[lead] = {j: ring.div(v, c) for j, v in row.items()}
+    return True
+
+
+def _sparse(vec, ring) -> dict:
+    # a dense list or a sparse dict, as a fresh sparse dict without zeros
+    items = vec.items() if isinstance(vec, dict) else enumerate(vec)
+    return {i: v for i, v in items if not ring.is_zero(v)}
+
+
 def _rref(rows, ring):
     """Reduced row echelon form of sparse row-dicts.
 
     Returns ``(pivots, pivot_rows)`` with pivots strictly increasing; each
     pivot row is normalized to leading 1 and fully reduced against the
-    others.  Deterministic: rows are consumed in order, pivots are the
-    minimal nonzero column of each reduced row.
+    others.  Deterministic: rows are inserted in order, then later pivots
+    are eliminated from earlier rows.
     """
-    sub, mul, div, is_zero = ring.sub, ring.mul, ring.div, ring.is_zero
     pivot_of: dict[int, dict] = {}
     for row in rows:
-        row = dict(row)
-        while row:
-            lead = min(row)
-            base = pivot_of.get(lead)
-            if base is None:
-                break
-            c = row[lead]
-            for j, v in base.items():
-                u = sub(row.get(j, ring.zero), mul(c, v))
-                if is_zero(u):
-                    row.pop(j, None)
-                else:
-                    row[j] = u
-            row.pop(lead, None)
-        if row:
-            lead = min(row)
-            c = row[lead]
-            row = {j: div(v, c) for j, v in row.items()}
-            pivot_of[lead] = row
+        _insert(dict(row), pivot_of, ring)
     pivots = sorted(pivot_of)
-    # back-substitution: eliminate later pivots from earlier rows
     for p in reversed(pivots):
         base = pivot_of[p]
         for q in pivots:
             if q >= p:
                 break
-            row = pivot_of[q]
-            c = row.get(p)
-            if c is None:
-                continue
-            for j, v in base.items():
-                u = sub(row.get(j, ring.zero), mul(c, v))
-                if is_zero(u):
-                    row.pop(j, None)
-                else:
-                    row[j] = u
-            row.pop(p, None)
+            c = pivot_of[q].get(p)
+            if c is not None:
+                _subtract(pivot_of[q], c, base, ring)
     return pivots, [pivot_of[p] for p in pivots]
 
 
@@ -309,15 +325,8 @@ def image_basis(mat: SparseMat) -> list[list]:
     """Basis of the column space as dense vectors in reduced echelon form."""
     ring = mat.ring
     _require_field(ring)
-    rows = [dict(col) for col in mat.cols]
-    pivots, rred = _rref(rows, ring)
-    out = []
-    for row in rred:
-        v = [ring.zero] * mat.nrows
-        for i, c in row.items():
-            v[i] = c
-        out.append(v)
-    return out
+    _, rred = _rref(mat.cols, ring)
+    return [[row.get(i, ring.zero) for i in range(mat.nrows)] for row in rred]
 
 
 def solve(mat: SparseMat, rhs) -> list | None:
@@ -361,16 +370,22 @@ def solve_many(mat: SparseMat, rhs_list) -> list:
 
 
 def in_span(vectors, target, ring) -> bool:
-    """Whether ``target`` lies in the span of ``vectors`` (dense lists)."""
-    if not vectors:
-        return all(ring.is_zero(v) for v in target)
-    n = len(target)
-    mat = SparseMat(n, len(vectors), ring)
-    for j, vec in enumerate(vectors):
-        for i, v in enumerate(vec):
-            if not ring.is_zero(v):
-                mat.cols[j][i] = v
-    return solve(mat, target) is not None
+    """Whether ``target`` lies in the span of ``vectors`` (dense lists or
+    sparse dicts): a forward reduction of ``target`` by them."""
+    return not independent(vectors, [target], ring)
+
+
+def independent(span, candidates, ring) -> list:
+    """The candidates, in order, that lie outside the span of ``span`` and
+    of the candidates kept before them.  Vectors are dense lists or sparse
+    dicts; the kept candidates are returned as given.  Which ones are kept
+    depends only on the span of ``span``, not on the vectors spanning it.
+    """
+    _require_field(ring)
+    pivot_of: dict[int, dict] = {}
+    for vec in span:
+        _insert(_sparse(vec, ring), pivot_of, ring)
+    return [vec for vec in candidates if _insert(_sparse(vec, ring), pivot_of, ring)]
 
 
 # ---------------------------------------------------------------------------

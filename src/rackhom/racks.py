@@ -77,6 +77,11 @@ class OrbitPartition:
         return len(self.blocks)
 
 
+def _is_index(v, n):
+    # bool is a subclass of int, but a JSON true/false is not a table entry
+    return isinstance(v, int) and not isinstance(v, bool) and 0 <= v < n
+
+
 def _check_shape(table):
     n = len(table)
     if n == 0:
@@ -87,8 +92,8 @@ def _check_shape(table):
         if len(row) != n:
             raise ShapeError(f"table is not square: row of length {len(row)} in size-{n} table")
         for v in row:
-            if not isinstance(v, int) or not 0 <= v < n:
-                raise ShapeError(f"entry {v!r} out of range 0..{n - 1}")
+            if not _is_index(v, n):
+                raise ShapeError(f"entry {v!r} is not an integer in 0..{n - 1}")
     return n
 
 
@@ -175,8 +180,8 @@ def validate_xset(rack: Rack, act, label="xset") -> XSet:
         if len(row) != rack.size:
             raise ShapeError("action table width must equal rack size")
         for v in row:
-            if not isinstance(v, int) or not 0 <= v < m:
-                raise ShapeError(f"action entry {v!r} out of range 0..{m - 1}")
+            if not _is_index(v, m):
+                raise ShapeError(f"action entry {v!r} is not an integer in 0..{m - 1}")
     for x in range(rack.size):
         if len({act[y][x] for y in range(m)}) != m:
             raise BijectivityViolation(x)
@@ -234,8 +239,8 @@ def conjugation_rack(group_table, label="conjugation") -> Rack:
         if len(row) != n:
             raise InvalidGroupTable("table is not square")
         for v in row:
-            if not isinstance(v, int) or not 0 <= v < n:
-                raise InvalidGroupTable(f"entry {v!r} out of range")
+            if not _is_index(v, n):
+                raise InvalidGroupTable(f"entry {v!r} is not an integer in 0..{n - 1}")
     mul = group_table
     identity = None
     for e in range(n):

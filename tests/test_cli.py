@@ -238,6 +238,26 @@ def test_json_rack_with_non_list_rows(capsys, tmp_path):
     assert "not a list" in err
 
 
+def test_json_rack_with_boolean_entries(capsys, tmp_path):
+    # true/false are ints to isinstance; as a table this would be a trivial rack
+    path = tmp_path / "r.json"
+    path.write_text('{"table": [[false, false], [true, true]]}')
+    code, out, err = run(capsys, "homology", "--rack", str(path))
+    assert code == EXIT_FAIL
+    assert out == ""
+    assert "entry False is not an integer" in err and "Traceback" not in err
+
+
+def test_coefficients_file_with_boolean_entries(capsys, tmp_path):
+    path = tmp_path / "x.json"
+    path.write_text('{"act": [[false, false, false], [true, true, true], [2, 2, 2]]}')
+    code, out, err = run(capsys, "homology", "--builtin", "trivial:3",
+                         "--coefficients", str(path))
+    assert code == EXIT_FAIL
+    assert out == ""
+    assert "action entry False is not an integer" in err and "Traceback" not in err
+
+
 @pytest.mark.parametrize("spec", ["dihedral:x", "dihedral:", "trivial:1.5"])
 def test_builtin_bad_size_names_the_spec(capsys, spec):
     code, _, err = run(capsys, "homology", "--builtin", spec)

@@ -1,11 +1,14 @@
+import hashlib
 import itertools
 from fractions import Fraction
 
 import pytest
 
+from rackhom.cli import main
 from rackhom.complexes import (
     Cochain,
     basis_cochain,
+    boundary_matrix,
     cochain_differential,
     cochain_differential_matrix,
     module_from_xset,
@@ -21,9 +24,9 @@ from rackhom.cup import (
     ring_structure,
 )
 from rackhom.errors import ContextMismatch, NotACocycle
-from rackhom.linalg import kernel_basis
-from rackhom.racks import dihedral_rack, trivial_rack, xset_self, xset_singleton
-from rackhom.rings import QQ, ZZ
+from rackhom.linalg import ChainComplex, SparseMat, kernel_basis
+from rackhom.racks import builtin, dihedral_rack, trivial_rack, xset_self, xset_singleton
+from rackhom.rings import GF, QQ, ZZ
 
 R3 = dihedral_rack(3)
 R4 = dihedral_rack(4)
@@ -371,6 +374,73 @@ def test_product_well_defined_modulo_coboundaries():
     assert is_coboundary(diff, R4) is not None
 
 
+# --- ring structure against independent computations -------------------------
+#
+# None of these read the ring structure's own eliminations: the dimensions
+# come from the ranks of the boundary matrices, the products are checked by
+# a separate coboundary solve per product, and the pinned digests were
+# computed before the ring structure shared one reduction per degree.
+
+ORACLE_RACKS = [R3, R4, builtin("cyclic:4"), builtin("conjugation:s3")]
+
+
+def _betti_by_rank(rack, ring, quandle, max_degree):
+    # d_0 is the zero map out of C_0, so that H^0 is read like every degree
+    ds = {0: SparseMat(0, 1, ring)}
+    for n in range(1, max_degree + 2):
+        ds[n] = boundary_matrix(rack, n, ring, quandle)
+    cx = ChainComplex(ds, ring)
+    return {p: cx.cohomology(p).betti for p in range(max_degree + 1)}
+
+
+@pytest.mark.parametrize("ring", [QQ, GF(2), GF(3)], ids=lambda r: r.name)
+@pytest.mark.parametrize("rack,quandle", [
+    pytest.param(rack, quandle, id=f"{rack.label}-{'quandle' if quandle else 'rack'}")
+    for rack in ORACLE_RACKS for quandle in (False, True)
+    if not quandle or rack.is_quandle()
+])
+def test_ring_structure_dims_match_boundary_ranks(rack, ring, quandle):
+    max_degree = 2 if rack.size > 4 else 3
+    rs = ring_structure(rack, ring, max_degree, quandle)
+    assert rs.dims == _betti_by_rank(rack, ring, quandle, max_degree)
+
+
+@pytest.mark.parametrize("rack,ring,quandle,max_degree", [
+    (R4, QQ, False, 3),
+    (R3, GF(3), True, 3),
+    (builtin("cyclic:4"), GF(2), False, 3),
+    (builtin("conjugation:s3"), QQ, False, 2),
+], ids=["dihedral:4-Q", "dihedral:3-F3-quandle", "cyclic:4-F2", "conjugation:s3-Q"])
+def test_ring_structure_products_reduce_to_coboundaries(rack, ring, quandle, max_degree):
+    """rep_i . rep_j - sum_k c_k rep_k is a coboundary for every product."""
+    rs = ring_structure(rack, ring, max_degree, quandle)
+    ctx = CupContext(rack, ring, quandle)
+    assert rs.products
+    for (p, i, q, j), coords in rs.products.items():
+        f = Cochain(p, ring, list(rs.reps[p][i]), quandle)
+        g = Cochain(q, ring, list(rs.reps[q][j]), quandle)
+        rest = list(cup(f, g, ctx).values)
+        for c, rep in zip(coords, rs.reps[p + q]):
+            rest = [ring.sub(a, ring.mul(c, b)) for a, b in zip(rest, rep)]
+        rest = Cochain(p + q, ring, rest, quandle)
+        if p + q == 0:
+            assert all(ring.is_zero(v) for v in rest.values)
+        else:
+            assert is_coboundary(rest, rack) is not None
+
+
+@pytest.mark.parametrize("argv,digest", [
+    (("--builtin", "dihedral:4", "--ring", "Q", "--max-degree", "3"),
+     "307ab91db095b6b374f2bde861152c4c69dbf0c87b2a63e42584f8baeec1100b"),
+    (("--builtin", "trivial:2", "--ring", "Fp:3", "--max-degree", "5"),
+     "104a6e1a62d5957599e8a015033328972592deba56c87a689b7668b1cf82a941"),
+])
+def test_ring_json_digest_pinned(capsys, argv, digest):
+    assert main(["ring", *argv, "--json"]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+
+
 # --- quandle variant ----------------------------------------------------------------
 
 
@@ -459,3 +529,27 @@ def test_module_cup_matches_coproduct_path():
         for (tg, jg) in [((0,), 1), ((2,), 0)]:
             g = basis_cochain(R3, 1, QQ, tg, j=jg, module=N)
             assert cup(f, g, ctx).values == cup_via_coproduct(f, g, ctx).values
+
+
+def _dense_cochain(rack, p, ring, module, salt):
+    """A cochain with a small nonzero-heavy pattern of values, so that one
+    product exercises every term of the stencil."""
+    n = len(tuple_basis(rack, p)) * module.dim
+    return Cochain(p, ring, [ring.of((7 * k + salt) % 5 - 2) for k in range(n)],
+                   module=module)
+
+
+@pytest.mark.parametrize("rack", [R4, builtin("conjugation:s3")], ids=lambda r: r.label)
+def test_module_cup_matches_coproduct_path_on_non_symmetric_tables(rack):
+    """dihedral:3 has a symmetric table, so a transposed action cannot show
+    there; on dihedral:4 and conjugation:s3 x <| y != y <| x for some pair."""
+    assert any(rack.op(x, y) != rack.op(y, x)
+               for x in range(rack.size) for y in range(rack.size))
+    N = module_from_xset(xset_self(rack))
+    ctx = CupContext(rack, QQ, module_f=N, module_g=N)
+    for p, q in ((1, 1), (1, 2)):
+        f = _dense_cochain(rack, p, QQ, N, 3)
+        g = _dense_cochain(rack, q, QQ, N, 1)
+        fg = cup(f, g, ctx)
+        assert any(not QQ.is_zero(v) for v in fg.values)
+        assert fg.values == cup_via_coproduct(f, g, ctx).values

@@ -20,6 +20,7 @@ from rackhom.linalg import (
     homology,
     image_basis,
     in_span,
+    independent,
     kernel_basis,
     rank,
     smith_normal_form,
@@ -95,6 +96,46 @@ def test_in_span():
     assert not in_span([vs[0]], [QQ.of(0), QQ.of(1)], QQ)
     assert in_span([], [QQ.zero, QQ.zero], QQ)
     assert not in_span([], [QQ.one, QQ.zero], QQ)
+
+
+def test_in_span_of_sparse_dicts():
+    assert in_span([{0: QQ.one, 2: QQ.of(3)}], [QQ.of(2), QQ.zero, QQ.of(6)], QQ)
+    assert not in_span([{0: QQ.one}], {1: QQ.one}, QQ)
+    with pytest.raises(ShapeError):
+        in_span([[1, 0]], [1, 0], ZZ)
+
+
+def test_independent_keeps_order_and_respects_span():
+    e = lambda *v: [QQ.of(x) for x in v]
+    span = [e(1, 1, 0, 0)]
+    candidates = [
+        e(2, 2, 0, 0),   # in the span
+        e(0, 0, 1, 0),   # kept
+        e(1, 1, 3, 0),   # span + 3 * the kept one
+        e(0, 0, 0, 0),   # zero
+        e(0, 1, 0, 0),   # kept
+        e(1, 0, 0, 0),   # e(1, 1, 0, 0) - e(0, 1, 0, 0)
+        e(0, 0, 0, 5),   # kept
+    ]
+    kept = independent(span, candidates, QQ)
+    assert kept == [candidates[1], candidates[4], candidates[6]]
+    assert kept[0] is candidates[1]  # returned as given, not normalized
+    # with nothing to span, the first of each dependent run is kept
+    assert independent([], candidates, QQ) == [candidates[0], candidates[1], candidates[4],
+                                               candidates[6]]
+
+
+def test_independent_dense_and_dict_inputs_agree():
+    F3 = GF(3)
+    dense = [[1, 2, 0], [2, 1, 0], [0, 0, 1], [1, 2, 1]]
+    sparse = [{i: v for i, v in enumerate(vec) if v} for vec in dense]
+    span_dense, span_sparse = [[0, 0, 2]], [{2: 2}]
+    for span in (span_dense, span_sparse):
+        assert independent(span, dense, F3) == [dense[0]]
+        assert independent(span, sparse, F3) == [sparse[0]]
+    # the choice depends on the span alone, not on the vectors spanning it
+    assert independent([[1, 2, 1], [0, 0, 1]], dense, F3) == []
+    assert independent([[1, 2, 0], [1, 2, 2]], dense, F3) == []
 
 
 def test_elimination_over_prime_field():
