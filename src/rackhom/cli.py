@@ -315,7 +315,7 @@ def build_parser() -> _Parser:
                          help="rack file (text or JSON)")
         p.add_argument("--quandle", action="store_true",
                        help="use the quandle (non-degenerate) complex")
-        p.add_argument("--max-basis", type=int, default=DEFAULT_MAX_BASIS,
+        p.add_argument("--max-basis", type=_int_at_least(1), default=DEFAULT_MAX_BASIS,
                        help="cap on basis size before exiting with code 2")
         p.add_argument("--json", action="store_true", help="emit a JSON report")
         p.add_argument("--timings", action="store_true",

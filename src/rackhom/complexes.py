@@ -218,9 +218,6 @@ class Cochain:
     quandle: bool = False
     module: LeftModule | None = None
 
-    def copy(self):
-        return Cochain(self.degree, self.ring, list(self.values), self.quandle, self.module)
-
 
 def zero_cochain(rack: Rack, p: int, ring, quandle=False, module=None) -> Cochain:
     basis = tuple_basis(rack, p, quandle)

@@ -1,15 +1,15 @@
 """Exact sparse linear algebra: ranks, kernels, images, Smith normal form,
 and the homology of a chain complex.
 
-Rank and Smith normal form start with a sparse pivot elimination in
-Markowitz order (shortest vector, then least shared pivot index), without
+Rank and Smith normal form are one sparse pivot elimination in Markowitz
+order (shortest vector, then least shared pivot index), without
 back-substitution.  Over a field every nonzero entry is a pivot, so that
-elimination alone gives the rank.  Over Z only +-1 entries are taken;
-those steps are unimodular, hence exact, and the classical dense Smith
-reduction (minimal-absolute-value pivoting, the standard guard against
-coefficient explosion at this scale) runs on the residual alone, under a
-cap on the residual's dense size.  ``ChainComplex`` reduces each
-differential once and reads homology and cohomology from that reduction.
+elimination alone gives the rank.  Over Z the +-1 entries go first; those
+steps are unimodular, hence exact.  Euclid's algorithm on the residual
+(least-absolute-value pivots, the standard guard against coefficient
+explosion) then finishes the Smith form, under a cap on the residual's
+size.  ``ChainComplex`` reduces each differential once and reads homology
+and cohomology from that reduction.
 
 Kernels, images, solves and span tests over a field share one forward
 reduction (reduce a row by the leading entries held, store the remainder
@@ -22,6 +22,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
+from math import gcd, lcm
+from operator import floordiv
 
 from .errors import NotAComplex, ResourceLimit, ShapeError
 from .rings import ZZ
@@ -222,49 +224,61 @@ def _rref(rows, ring):
     return pivots, [pivot_of[p] for p in pivots]
 
 
-def _eliminate_pivots(vecs, ring, units_only):
+def _eliminate_pivots(vecs, ring, units_only=False):
     """Sparse pivot elimination on ``vecs`` (``{id: {index: value}}``), in
-    place; returns the number of pivots taken.
+    place; returns the pivot values.
 
-    A pivot is any entry, or only a +-1 entry when ``units_only`` (a +-1
-    step is unimodular, hence exact over Z).  Markowitz order: the
+    Over a field any entry is a pivot, and over Z with ``units_only`` only
+    a +-1 entry (a unimodular step, hence exact).  Markowitz order: the
     shortest vector holding a pivot, then in it the pivot index shared by
-    the fewest other vectors.  The pivot index is cleared from every other vector, then the
-    pivot vector drops out; nothing is normalized or back-substituted.
-    Vectors that become empty are deleted, so what is left in ``vecs`` is
-    the residual, which holds no pivot.
+    the fewest other vectors.  The pivot index is cleared from every other
+    vector, then the pivot vector drops out; nothing is normalized or
+    back-substituted.  Vectors that become empty are deleted, so what is
+    left in ``vecs`` holds no pivot.
+
+    Otherwise, over Z, this is Euclid's algorithm: the pivot is an entry of
+    least absolute value (the queue orders vectors by it, then by length),
+    and the other vectors holding its index are reduced by floor division.
+    Once none does, the pivot vector's other entries are reduced modulo the
+    pivot (index operations, which touch no other vector); the vector drops
+    out when only the pivot is left and is queued again otherwise.
     """
     p = ring.char
-    div = ring.div
+    over_z = not ring.is_field
+    euclid = over_z and not units_only
+    div = floordiv if euclid else ring.div
+    key = _weight if euclid else len
     holders: dict[int, set] = {}
     for k, vec in vecs.items():
         for j in vec:
             holders.setdefault(j, set()).add(k)
-    heap = [(len(vec), k) for k, vec in vecs.items()]
+    heap = [(key(vec), k) for k, vec in vecs.items()]
     heapify(heap)
-    pivots = 0
+    pivots = []
     while heap:
-        size, k = heappop(heap)
+        queued, k = heappop(heap)
         vec = vecs.get(k)
-        if vec is None or len(vec) != size:
+        if vec is None or key(vec) != queued:
             continue  # stale entry: the vector changed or dropped out since
-        pc = -1
-        best = 0
+        least = queued[0] if euclid else 1
+        pc, best = -1, 0
         for j, v in vec.items():
-            if units_only and v != 1 and v != -1:
+            if over_z and v != least and v != -least:
                 continue
             c = len(holders[j])
             if pc < 0 or c < best:
                 pc, best = j, c
         if pc < 0:
             continue  # no unit now; it is queued again if an update gives it one
-        del vecs[k]
-        for j in vec:
-            holders[j].discard(k)
         pv = vec.pop(pc)
-        for m in holders.pop(pc):
+        kept = {k}  # the vectors still holding ``pc`` afterwards
+        for m in holders.pop(pc) - kept:
             other = vecs[m]
-            f = div(other.pop(pc), pv)
+            w = other.pop(pc)
+            f = div(w, pv)
+            if euclid and w % pv:
+                other[pc] = w % pv
+                kept.add(m)
             for j, v in vec.items():
                 old = other.get(j)
                 if old is None:
@@ -281,11 +295,30 @@ def _eliminate_pivots(vecs, ring, units_only):
                     del other[j]
                     holders[j].discard(m)
             if other:
-                heappush(heap, (len(other), m))
+                heappush(heap, (key(other), m))
             else:
                 del vecs[m]
-        pivots += 1
+        if euclid:
+            if len(kept) == 1:
+                for j in list(vec):
+                    vec[j] %= pv
+                    if not vec[j]:
+                        del vec[j]
+                        holders[j].discard(k)
+            if vec or len(kept) > 1:
+                vec[pc] = pv
+                holders[pc] = kept
+                heappush(heap, (key(vec), k))
+                continue
+        del vecs[k]
+        for j in vec:
+            holders[j].discard(k)
+        pivots.append(pv)
     return pivots
+
+
+def _weight(vec):
+    return min(map(abs, vec.values())), len(vec)
 
 
 def _column_vectors(mat: SparseMat) -> dict:
@@ -297,7 +330,7 @@ def _column_vectors(mat: SparseMat) -> dict:
 def rank(mat: SparseMat) -> int:
     """Rank over a field by sparse elimination alone."""
     _require_field(mat.ring)
-    return _eliminate_pivots(_column_vectors(mat), mat.ring, units_only=False)
+    return len(_eliminate_pivots(_column_vectors(mat), mat.ring))
 
 
 def kernel_basis(mat: SparseMat) -> list[list]:
@@ -409,31 +442,28 @@ class SmithForm:
 def smith_normal_form(mat: SparseMat, max_entries: int = 4_000_000) -> SmithForm:
     """Invariant factors over Z.
 
-    The +-1 pivots are eliminated sparsely first; each one is a unimodular
-    step that contributes a factor 1.  The dense Smith reduction then runs
-    on the residual only, and ``max_entries`` caps that residual's dense
-    size.  Python ints make overflow impossible; the cap is a resource
-    guard, not a correctness bound.
+    The +-1 pivots go first, each a unimodular step with factor 1; Euclid's
+    algorithm then reduces the residual, whose size (vectors times indices)
+    ``max_entries`` caps, and the exchange diag(a, b) ~ diag(gcd, lcm) puts
+    its pivots into chain order.  The cap is a resource guard, not a
+    correctness bound: Python ints do not overflow.
     """
     if mat.ring is not ZZ:
         raise ShapeError("Smith normal form requires integer scalars")
     vecs = _column_vectors(mat)
-    units = _eliminate_pivots(vecs, ZZ, units_only=True)
-    rows = sorted({i for vec in vecs.values() for i in vec})
-    if len(rows) * len(vecs) > max_entries:
-        raise ResourceLimit(
-            f"dense Smith reduction on the {len(rows)}x{len(vecs)} residual "
-            f"of a {mat.nrows}x{mat.ncols} matrix exceeds the cap of "
-            f"{max_entries} entries"
-        )
-    where = {i: t for t, i in enumerate(rows)}
-    dense = []
-    for vec in vecs.values():
-        line = [0] * len(rows)
-        for i, v in vec.items():
-            line[where[i]] = v
-        dense.append(line)
-    factors = (1,) * units + _dense_smith(dense, len(rows))
+    units = len(_eliminate_pivots(vecs, ZZ, units_only=True))
+    rows = len({i for vec in vecs.values() for i in vec})
+    if rows * len(vecs) > max_entries:
+        raise ResourceLimit(f"Smith reduction on the {rows}x{len(vecs)} residual of a "
+                            f"{mat.nrows}x{mat.ncols} matrix exceeds the cap of "
+                            f"{max_entries} entries")
+    chain = [abs(v) for v in _eliminate_pivots(vecs, ZZ)]
+    for i in range(len(chain)):
+        for j in range(i + 1, len(chain)):
+            a, b = chain[i], chain[j]
+            if b % a:
+                chain[i], chain[j] = gcd(a, b), lcm(a, b)
+    factors = (1,) * units + tuple(chain)
     _check_divisibility_chain(factors)
     return SmithForm(factors)
 
@@ -444,87 +474,6 @@ def _check_divisibility_chain(factors):
             raise ArithmeticError(
                 f"invariant factors {a} and {b} break the divisibility chain"
             )
-
-
-def _dense_smith(A, nc) -> tuple[int, ...]:
-    """Diagonalize the dense integer rows ``A`` (``nc`` columns each) in
-    place by unimodular row/column operations.
-
-    Pivot choice: nonzero entry of least absolute value in the remaining
-    block.
-    """
-    nr = len(A)
-    factors = []
-    k = 0
-    while k < min(nr, nc):
-        # locate minimal-abs nonzero pivot in the trailing block
-        pi = pj = -1
-        best = 0
-        for i in range(k, nr):
-            row = A[i]
-            for j in range(k, nc):
-                v = row[j]
-                if v and (best == 0 or abs(v) < best):
-                    best = abs(v)
-                    pi, pj = i, j
-                    if best == 1:
-                        break
-            if best == 1:
-                break
-        if pi < 0:
-            break
-        A[k], A[pi] = A[pi], A[k]
-        if pj != k:
-            for row in A:
-                row[k], row[pj] = row[pj], row[k]
-        while True:
-            p = A[k][k]
-            restart = False
-            for i in range(k + 1, nr):
-                v = A[i][k]
-                if v:
-                    q = v // p
-                    if q:
-                        rk = A[k]
-                        A[i] = [a - q * b for a, b in zip(A[i], rk)]
-                    if A[i][k]:
-                        A[k], A[i] = A[i], A[k]  # strictly smaller pivot
-                        restart = True
-                        break
-            if restart:
-                continue
-            for j in range(k + 1, nc):
-                v = A[k][j]
-                if v:
-                    q = v // p
-                    if q:
-                        for row in A:
-                            row[j] -= q * row[k]
-                    if A[k][j]:
-                        for row in A:
-                            row[k], row[j] = row[j], row[k]
-                        restart = True
-                        break
-            if restart:
-                continue
-            # pivot divides everything in its row/col; enforce divisibility
-            # of the remaining block so the factors come out in chain order
-            bad = None
-            for i in range(k + 1, nr):
-                row = A[i]
-                for j in range(k + 1, nc):
-                    if row[j] % p:
-                        bad = i
-                        break
-                if bad is not None:
-                    break
-            if bad is None:
-                break
-            rk, rb = A[k], A[bad]
-            A[k] = [a + b for a, b in zip(rk, rb)]
-        factors.append(abs(A[k][k]))
-        k += 1
-    return tuple(factors)
 
 
 # ---------------------------------------------------------------------------

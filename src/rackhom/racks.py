@@ -120,10 +120,6 @@ def validate_rack(table, label="rack") -> Rack:
     return Rack(n, tuple(tuple(row) for row in table), label)
 
 
-def is_quandle(rack: Rack) -> bool:
-    return rack.is_quandle()
-
-
 def inverse_op(rack: Rack) -> tuple[tuple[int, ...], ...]:
     """Table of the inverse translations: ``inv[x <| y][y] == x``."""
     n = rack.size

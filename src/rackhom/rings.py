@@ -10,6 +10,12 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+from .errors import ResourceLimit
+
+# ``Fp:p`` refuses p above this before the primality test, whose trial
+# division would otherwise run for hours on a large p
+MAX_PRIME = 2 ** 31
+
 
 class IntegerRing:
     """The ring of integers with arbitrary precision."""
@@ -153,5 +159,11 @@ def ring_by_name(spec: str):
     if spec == "Q":
         return QQ
     if spec.startswith("Fp:"):
-        return GF(int(spec[3:]))
+        try:
+            p = int(spec[3:])
+        except ValueError:
+            raise ValueError(f"ring {spec!r}: p is not an integer") from None
+        if p > MAX_PRIME:
+            raise ResourceLimit(f"ring {spec!r}: p exceeds the limit {MAX_PRIME}")
+        return GF(p)
     raise ValueError(f"unknown ring {spec!r} (expected Z, Q, or Fp:p)")

@@ -637,5 +637,5 @@ def run_suite(spec: str):
     if spec == "all":
         return [ALL_SUITES[k]() for k in ALL_SUITES]
     if spec not in ALL_SUITES:
-        raise KeyError(f"unknown suite {spec!r}; choose from {', '.join(ALL_SUITES)} or all")
+        raise ValueError(f"unknown suite {spec!r}; choose from {', '.join(ALL_SUITES)} or all")
     return [ALL_SUITES[spec]()]

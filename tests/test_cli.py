@@ -19,6 +19,7 @@ from rackhom.cli import (
 from rackhom import racks
 from rackhom.errors import ParseError, R1Violation
 from rackhom.racks import dihedral_rack
+from rackhom.rings import MAX_PRIME
 
 
 R3_TEXT = "rack 3\n0 2 1\n2 1 0\n1 0 2\n"
@@ -161,9 +162,15 @@ def test_verify_unknown_suite(capsys):
     assert code == EXIT_FAIL
 
 
+def test_verify_unknown_suite_message_unquoted(capsys):
+    code, _, err = run(capsys, "verify", "--suite", "nope")
+    assert code == EXIT_FAIL
+    assert err.startswith("rackhom: error: unknown suite 'nope';")
+
+
 def test_homology_dihedral4_degree5_over_z(capsys):
-    # its 1024x4096 top boundary is past the dense Smith cap as a whole;
-    # only the residual after the unit pivots is reduced densely
+    # its 1024x4096 top boundary is past the Smith residual cap as a whole;
+    # only the residual after the unit pivots counts against it
     code, out, _ = run(capsys, "homology", "--builtin", "dihedral:4",
                        "--ring", "Z", "--max-degree", "5", "--json")
     assert code == EXIT_OK
@@ -275,6 +282,29 @@ def test_builtin_huge_size_refused_before_building(capsys, monkeypatch):
     assert time.perf_counter() - t0 < 1
     assert code == EXIT_RESOURCE
     assert f"exceeds the limit {racks.MAX_BUILTIN_SIZE}" in err
+
+
+@pytest.mark.parametrize("cap", ["-5", "0"])
+def test_max_basis_below_one_is_a_usage_error(capsys, cap):
+    with pytest.raises(SystemExit) as exc:
+        main(["homology", "--builtin", "trivial:1", "--max-basis", cap])
+    assert exc.value.code == EXIT_FAIL
+    assert "--max-basis: must be >= 1" in capsys.readouterr().err
+
+
+def test_ring_with_bad_p_names_the_spec(capsys):
+    code, _, err = run(capsys, "homology", "--builtin", "trivial:1", "--ring", "Fp:x")
+    assert code == EXIT_FAIL
+    assert "'Fp:x'" in err and "int()" not in err
+
+
+def test_ring_with_huge_p_refused_before_primality_test(capsys):
+    t0 = time.perf_counter()
+    code, _, err = run(capsys, "homology", "--builtin", "trivial:1",
+                       "--ring", "Fp:1000000000000000003")
+    assert time.perf_counter() - t0 < 1
+    assert code == EXIT_RESOURCE
+    assert f"exceeds the limit {MAX_PRIME}" in err
 
 
 def test_exit_code_missing_file(capsys):

@@ -1,6 +1,8 @@
 """Exact linear algebra, cross-checked against sympy as the independent
 dense oracle (different codebase, different algorithms)."""
 
+import hashlib
+import json
 from fractions import Fraction
 
 import pytest
@@ -10,6 +12,7 @@ from hypothesis import strategies as st
 from sympy.matrices.normalforms import smith_normal_form as sympy_snf
 from sympy.polys.matrices import DomainMatrix
 
+from rackhom.cli import main
 from rackhom.complexes import boundary_matrix, cochain_differential_matrix
 from rackhom.errors import NotAComplex, ResourceLimit, ShapeError
 from rackhom.linalg import (
@@ -219,6 +222,29 @@ def test_sparse_snf_matches_sympy_oracle(nr, nc, data):
     assert ours == sympy_invariant_factors(dense)
 
 
+@pytest.mark.parametrize("dense,factors", [
+    ([[4, 0], [0, 6]], (2, 12)),
+    ([[2, 0, 0], [0, 3, 0], [0, 0, 5]], (1, 1, 30)),
+    ([[2, 3]], (1,)),
+    ([[6, 10, 15]], (1,)),
+])
+def test_snf_residual_fixed_cases(dense, factors):
+    # no +-1 entry, so the residual pass reduces the whole matrix: the
+    # diagonal cases reach chain order only through the gcd/lcm exchange,
+    # the one-row cases their single factor only through the modulo step
+    assert sympy_invariant_factors(dense) == factors
+    assert smith_normal_form(SparseMat.from_dense(dense, ZZ)).factors == factors
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 8), st.integers(1, 8), st.data())
+def test_residual_snf_matches_sympy_oracle(nr, nc, data):
+    entry = st.sampled_from([0, 2, -2, 3, -3, 4, -4, 6, -6, 9, -9])
+    dense = [[data.draw(entry) for _ in range(nc)] for _ in range(nr)]
+    ours = smith_normal_form(SparseMat.from_dense(dense, ZZ)).factors
+    assert ours == sympy_invariant_factors(dense)
+
+
 @settings(max_examples=150, deadline=None)
 @given(st.integers(1, 8), st.integers(1, 8), st.sampled_from([0, 2, 3, 5]), st.data())
 def test_sparse_rank_matches_sympy_oracle(nr, nc, p, data):
@@ -265,6 +291,21 @@ def test_chain_complex_rejects_non_complex():
         ChainComplex({1: d1, 2: d2}, ZZ)
     with pytest.raises(ShapeError):
         ChainComplex({1: d1, 2: SparseMat.identity(3, ZZ)}, ZZ)
+
+
+@pytest.mark.parametrize("argv,top,digest", [
+    (("--builtin", "conjugation:s3"), "Z^81 + (Z/3)^22 + (Z/9)^6",
+     "6018e7a939fb04b5c4382cdf6dce7b87524fe591e9398577f91bfd0e9d48e8e3"),
+    (("--builtin", "dihedral:4", "--coefficients", "self"), "Z^32 + (Z/2)^66",
+     "9455c92e5c1e6bc734c2d6d5ab978583a89818948f022a12626d8ccd7ca192b7"),
+])
+def test_integral_homology_report_pinned(capsys, argv, top, digest):
+    # both leave residuals after the +-1 pass, with pivots 3 and 9 or 2
+    assert main(["homology", *argv, "--ring", "Z", "--max-degree", "4", "--json"]) == 0
+    out = capsys.readouterr().out
+    h4 = json.loads(out)["results"][-1]
+    assert HomologyGroup(4, h4["betti"], tuple(h4["torsion"])).describe() == top
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
 
 
 def test_single_point_trivial_rack():

@@ -2,7 +2,8 @@ from fractions import Fraction
 
 import pytest
 
-from rackhom.rings import GF, QQ, ZZ, ring_by_name
+from rackhom.errors import ResourceLimit
+from rackhom.rings import GF, MAX_PRIME, QQ, ZZ, ring_by_name
 
 
 def test_integer_ring_basics():
@@ -44,3 +45,12 @@ def test_ring_by_name():
     assert ring_by_name("Fp:3") is GF(3)
     with pytest.raises(ValueError):
         ring_by_name("R")
+
+
+def test_ring_by_name_checks_p():
+    with pytest.raises(ValueError, match="'Fp:x'"):
+        ring_by_name("Fp:x")
+    # refused before the trial division, which would run for hours
+    with pytest.raises(ResourceLimit, match=str(MAX_PRIME)):
+        ring_by_name("Fp:1000000000000000003")
+    assert ring_by_name("Fp:2147483647").char == 2 ** 31 - 1
