@@ -40,7 +40,7 @@ from .errors import (
 )
 from .linalg import ChainComplex
 from .racks import Rack, XSet, builtin, validate_rack, validate_xset, xset_self, xset_singleton
-from .rings import ring_by_name
+from .rings import ZZ, ring_by_name
 from .cup import ring_structure
 from .verify import ALL_SUITES, run_suite
 
@@ -213,7 +213,7 @@ def cmd_homology(args) -> int:
 
     t0 = time.perf_counter()
     complex_ = ChainComplex({
-        n: boundary_matrix(rack, n, ring, args.quandle, xs, max_basis=args.max_basis)
+        n: boundary_matrix(rack, n, ZZ, args.quandle, xs, max_basis=args.max_basis)
         for n in range(1, args.max_degree + 2)
     }, ring)
     if args.cohomology:

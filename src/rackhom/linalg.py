@@ -3,13 +3,20 @@ and the homology of a chain complex.
 
 Rank and Smith normal form are one sparse pivot elimination in Markowitz
 order (shortest vector, then least shared pivot index), without
-back-substitution.  Over a field every nonzero entry is a pivot, so that
+back-substitution.  Over F_p every nonzero entry is a pivot, so that
 elimination alone gives the rank.  Over Z the +-1 entries go first; those
 steps are unimodular, hence exact.  Euclid's algorithm on the residual
 (least-absolute-value pivots, the standard guard against coefficient
 explosion) then finishes the Smith form, under a cap on the residual's
-size.  ``ChainComplex`` reduces each differential once and reads homology
-and cohomology from that reduction.
+size.  The rank over Q takes the same +-1 pass on integers and reduces only
+its residual over Fraction.
+
+``ChainComplex`` reduces each differential once and reads homology and
+cohomology from that reduction.  It clears across degrees: the pivot
+columns of ``d_n`` name rows of ``d_{n+1}`` that are combinations of the
+others (because d o d = 0, which it checks), and the reduction of
+``d_{n+1}`` leaves them out.  Over Z only the +-1 pivots clear, so that no
+invariant factor changes; see the class docstring.
 
 Kernels, images, solves and span tests over a field share one forward
 reduction (reduce a row by the leading entries held, store the remainder
@@ -21,6 +28,7 @@ nothing floats.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from math import gcd, lcm
 from operator import floordiv
@@ -111,15 +119,6 @@ class SparseMat:
         for j, col in enumerate(self.cols):
             for i, v in col.items():
                 w = ring.mul(v, c)
-                if not ring.is_zero(w):
-                    out.cols[j][i] = w
-        return out
-
-    def change_ring(self, ring) -> "SparseMat":
-        out = SparseMat(self.nrows, self.ncols, ring)
-        for j, col in enumerate(self.cols):
-            for i, v in col.items():
-                w = ring.of(v)
                 if not ring.is_zero(w):
                     out.cols[j][i] = w
         return out
@@ -226,7 +225,8 @@ def _rref(rows, ring):
 
 def _eliminate_pivots(vecs, ring, units_only=False):
     """Sparse pivot elimination on ``vecs`` (``{id: {index: value}}``), in
-    place; returns the pivot values.
+    place; returns ``{id: pivot value}`` of the pivot vectors, in the order
+    they dropped out.
 
     Over a field any entry is a pivot, and over Z with ``units_only`` only
     a +-1 entry (a unimodular step, hence exact).  Markowitz order: the
@@ -254,7 +254,7 @@ def _eliminate_pivots(vecs, ring, units_only=False):
             holders.setdefault(j, set()).add(k)
     heap = [(key(vec), k) for k, vec in vecs.items()]
     heapify(heap)
-    pivots = []
+    pivots = {}
     while heap:
         queued, k = heappop(heap)
         vec = vecs.get(k)
@@ -313,7 +313,7 @@ def _eliminate_pivots(vecs, ring, units_only=False):
         del vecs[k]
         for j in vec:
             holders[j].discard(k)
-        pivots.append(pv)
+        pivots[k] = pv
     return pivots
 
 
@@ -321,16 +321,46 @@ def _weight(vec):
     return min(map(abs, vec.values())), len(vec)
 
 
-def _column_vectors(mat: SparseMat) -> dict:
+def _column_vectors(mat: SparseMat, drop, p=0) -> dict:
     # rank and invariant factors are invariant under transposition, so the
-    # eliminations work on copies of the stored columns
-    return {j: dict(col) for j, col in enumerate(mat.cols) if col}
+    # eliminations work on copies of the stored columns, less the rows in
+    # ``drop``, and with the entries reduced mod ``p`` unless it is 0
+    if p:
+        return {j: vec for j, col in enumerate(mat.cols)
+                if (vec := {i: u for i, v in col.items() if i not in drop and (u := v % p)})}
+    return {j: vec for j, col in enumerate(mat.cols)
+            if (vec := {i: v for i, v in col.items() if i not in drop})}
 
 
-def rank(mat: SparseMat) -> int:
-    """Rank over a field by sparse elimination alone."""
-    _require_field(mat.ring)
-    return len(_eliminate_pivots(_column_vectors(mat), mat.ring))
+def rank(mat: SparseMat, ring=None, drop=frozenset(), pivots=None) -> int:
+    """Rank over the field ``ring`` (by default the matrix's own) by sparse
+    elimination alone, of ``mat`` less the rows in ``drop``; the ids of the
+    pivot columns are appended to ``pivots`` if it is a list.
+
+    Integer entries are read in ``ring``: reduced mod p over F_p, and as
+    they are over Q.  Over Q the elimination runs on integers as far as it
+    can: each column is scaled by the lcm of its denominators (which keeps
+    the rank), the +-1 pass runs over Z (unimodular, hence valid over Q),
+    and only the residual it leaves is reduced over Fraction.
+    """
+    ring = mat.ring if ring is None else ring
+    _require_field(ring)
+    vecs = _column_vectors(mat, drop, ring.char)
+    if ring.char:
+        found = _eliminate_pivots(vecs, ring)
+    else:
+        for vec in vecs.values():
+            scale = lcm(*(v.denominator for v in vec.values()))
+            for i, v in vec.items():
+                vec[i] = v.numerator * (scale // v.denominator)
+        found = _eliminate_pivots(vecs, ZZ, units_only=True)
+        for vec in vecs.values():
+            for i, v in vec.items():
+                vec[i] = Fraction(v)
+        found.update(_eliminate_pivots(vecs, ring))
+    if pivots is not None:
+        pivots.extend(found)
+    return len(found)
 
 
 def kernel_basis(mat: SparseMat) -> list[list]:
@@ -439,10 +469,12 @@ class SmithForm:
         return tuple(d for d in self.factors if d > 1)
 
 
-def smith_normal_form(mat: SparseMat, max_entries: int = 4_000_000) -> SmithForm:
-    """Invariant factors over Z.
+def smith_normal_form(mat: SparseMat, max_entries: int = 4_000_000,
+                      drop=frozenset(), pivots=None) -> SmithForm:
+    """Invariant factors over Z of ``mat`` less the rows in ``drop``.
 
-    The +-1 pivots go first, each a unimodular step with factor 1; Euclid's
+    The +-1 pivots go first, each a unimodular step with factor 1; their
+    column ids are appended to ``pivots`` if it is a list.  Euclid's
     algorithm then reduces the residual, whose size (vectors times indices)
     ``max_entries`` caps, and the exchange diag(a, b) ~ diag(gcd, lcm) puts
     its pivots into chain order.  The cap is a resource guard, not a
@@ -450,20 +482,22 @@ def smith_normal_form(mat: SparseMat, max_entries: int = 4_000_000) -> SmithForm
     """
     if mat.ring is not ZZ:
         raise ShapeError("Smith normal form requires integer scalars")
-    vecs = _column_vectors(mat)
-    units = len(_eliminate_pivots(vecs, ZZ, units_only=True))
+    vecs = _column_vectors(mat, drop)
+    units = _eliminate_pivots(vecs, ZZ, units_only=True)
+    if pivots is not None:
+        pivots.extend(units)
     rows = len({i for vec in vecs.values() for i in vec})
     if rows * len(vecs) > max_entries:
         raise ResourceLimit(f"Smith reduction on the {rows}x{len(vecs)} residual of a "
                             f"{mat.nrows}x{mat.ncols} matrix exceeds the cap of "
                             f"{max_entries} entries")
-    chain = [abs(v) for v in _eliminate_pivots(vecs, ZZ)]
+    chain = [abs(v) for v in _eliminate_pivots(vecs, ZZ).values()]
     for i in range(len(chain)):
         for j in range(i + 1, len(chain)):
             a, b = chain[i], chain[j]
             if b % a:
                 chain[i], chain[j] = gcd(a, b), lcm(a, b)
-    factors = (1,) * units + tuple(chain)
+    factors = (1,) * len(units) + tuple(chain)
     _check_divisibility_chain(factors)
     return SmithForm(factors)
 
@@ -505,11 +539,27 @@ class HomologyGroup:
 class ChainComplex:
     """The boundary matrices of one chain complex over ``ring``, by degree.
 
-    ``differentials[n]`` is the matrix of ``d_n: C_n -> C_{n-1}``.  Shapes
-    and d o d = 0 are checked once per consecutive pair on construction.
-    Each differential is reduced at most once (rank over a field, Smith
-    form over Z) and the reduction is cached; homology and the cohomology
-    of the dual complex are both read from it.
+    ``differentials[n]`` is the matrix of ``d_n: C_n -> C_{n-1}``; give
+    them integer entries where they have them (every rack boundary does),
+    whatever ``ring`` is.  Shapes and d o d = 0 are checked once per
+    consecutive pair on construction, in the matrices' own ring: a zero
+    over Z is a zero over every ring.  Each differential is reduced at most
+    once (rank over a field, Smith form over Z) and the reduction is
+    cached; homology and the cohomology of the dual complex are both read
+    from it.
+
+    Reductions clear across degrees (the *twist* of persistent homology,
+    Chen--Kerber 2011): ``d_n`` is reduced first, and the rows of
+    ``d_{n+1}`` at its pivot columns J are left out.  With I the pivot
+    rows, ``U = d_n[I, J]`` is invertible, and d_n d_{n+1} = 0 gives
+    ``d_{n+1}[J, :] = -U^-1 d_n[I, J^c] d_{n+1}[J^c, :]``: those rows are
+    combinations of the others, so leaving them out keeps the rank.  The
+    argument rests on d o d = 0, which is why the check above is not
+    optional.  Over a field every pivot goes into J.  Over Z only the
+    pivots of the +-1 pass do: U is then unimodular, the rows left out are
+    integer combinations of the rest, and no invariant factor changes.  A
+    Euclid pivot would not do: with ``d_1 = [4 6]`` and ``d_2 = [3 -2]^T``,
+    H_1 = 0, but leaving out either row of ``d_2`` gives Z/3 or Z/2.
     """
 
     def __init__(self, differentials: dict, ring):
@@ -526,19 +576,21 @@ class ChainComplex:
             if not after.mul(d).is_zero():
                 raise NotAComplex(f"{pair} do not compose to zero")
 
-    def _reduce(self, n) -> tuple[int, tuple[int, ...]]:
-        """``(rank, torsion factors)`` of ``d_n``."""
+    def _reduce(self, n) -> tuple[int, tuple[int, ...], list[int]]:
+        """``(rank, torsion factors, clearing pivots)`` of ``d_n``, the last
+        being the columns J whose rows ``d_{n+1}`` leaves out."""
         if n not in self._reductions:
             if n not in self.differentials:
                 raise ShapeError(f"no differential at degree {n}")
             d = self.differentials[n]
             ring = self.ring
+            drop = frozenset(self._reduce(n - 1)[2] if n - 1 in self.differentials else ())
+            pivots: list[int] = []
             if ring.is_field:
-                m = d if d.ring is ring else d.change_ring(ring)
-                self._reductions[n] = (rank(m), ())
+                self._reductions[n] = (rank(d, ring, drop=drop, pivots=pivots), (), pivots)
             else:
-                snf = smith_normal_form(d)
-                self._reductions[n] = (snf.rank, snf.torsion())
+                snf = smith_normal_form(d, drop=drop, pivots=pivots)
+                self._reductions[n] = (snf.rank, snf.torsion(), pivots)
         return self._reductions[n]
 
     def _betti(self, n) -> int:

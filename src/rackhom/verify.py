@@ -596,7 +596,7 @@ def suite_regression(name="regression"):
             if (h.betti, h.torsion) != (m**deg, ()):
                 return _fail(name, checks, f"trivial:{m} H_{deg} = {h.describe()}")
     rack = builtin("dihedral:3")
-    complex_ = ChainComplex({n: boundary_matrix(rack, n, QQ) for n in range(1, 5)}, QQ)
+    complex_ = ChainComplex({n: boundary_matrix(rack, n, ZZ) for n in range(1, 5)}, QQ)
     for deg in (1, 2, 3):
         h = complex_.homology(deg)
         checks += 1

@@ -4,6 +4,7 @@ dense oracle (different codebase, different algorithms)."""
 import hashlib
 import json
 from fractions import Fraction
+from math import gcd
 
 import pytest
 import sympy
@@ -30,7 +31,7 @@ from rackhom.linalg import (
     solve,
     solve_many,
 )
-from rackhom.racks import dihedral_rack, trivial_rack
+from rackhom.racks import dihedral_rack, trivial_rack, validate_rack, xset_self
 from rackhom.rings import GF, QQ, ZZ
 
 R3 = dihedral_rack(3)
@@ -259,7 +260,7 @@ def test_sparse_rank_matches_sympy_oracle(nr, nc, p, data):
 def test_rational_rank_counts_invariant_factors(n, data):
     dense = [[data.draw(st.integers(-6, 6)) for _ in range(n)] for _ in range(n)]
     m = SparseMat.from_dense(dense, ZZ)
-    assert smith_normal_form(m).rank == rank(m.change_ring(QQ))
+    assert smith_normal_form(m).rank == rank(m, QQ)
 
 
 # --- homology assembly -----------------------------------------------------------
@@ -293,6 +294,55 @@ def test_chain_complex_rejects_non_complex():
         ChainComplex({1: d1, 2: SparseMat.identity(3, ZZ)}, ZZ)
 
 
+def test_clearing_over_z_takes_only_unit_pivots():
+    # d_1 = [4 6] has no +-1 entry, so it clears no row of d_2; leaving
+    # out the row of d_2 at the Euclid pivot of d_1 would give Z/3 or Z/2
+    cx = ChainComplex({1: SparseMat.from_dense([[4, 6]], ZZ),
+                       2: SparseMat.from_dense([[3], [-2]], ZZ)}, ZZ)
+    assert cx.homology(1).describe() == "0"
+    assert cx.cohomology(1).describe() == "Z/2"
+
+
+def test_rational_complex_with_fractional_entries():
+    # the integer path scales each column by its denominators; truncating
+    # 1/2 and 1/3 to 0 would make d_1 zero and H_1 one-dimensional
+    d1 = SparseMat.from_dense([[Fraction(1, 2), Fraction(1, 3)]], QQ)
+    d2 = SparseMat.from_dense([[2], [-3]], QQ)
+    cx = ChainComplex({1: d1, 2: d2}, QQ)
+    for n, d in ((1, d1), (2, d2)):
+        expected = DomainMatrix.from_list_sympy(d.nrows, d.ncols, d.to_dense()).rank()
+        assert cx._reduce(n)[0] == expected == 1
+        assert d.ncols - len(kernel_basis(d)) == expected
+    assert cx.homology(1).betti == 0
+
+
+def alexander_quandle(n, a):
+    return validate_rack([[(a * x + (1 - a) * y) % n for y in range(n)] for x in range(n)],
+                         label=f"alexander:{n}:{a}")
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(2, 6), st.data(), st.booleans(), st.booleans(),
+       st.sampled_from([ZZ, QQ, GF(2), GF(3), GF(5)]))
+def test_cleared_reductions_match_standalone(n, data, quandle, self_coefficients, ring):
+    """Each cleared reduction of a ChainComplex against rank / Smith form
+    of the whole differential, on random Alexander quandles."""
+    a = data.draw(st.sampled_from([a for a in range(1, n) if gcd(a, n) == 1]))
+    rack = alexander_quandle(n, a)
+    xs = xset_self(rack) if self_coefficients else None
+    dim = n if self_coefficients else 1
+    top = max(d for d in (2, 3, 4) if n ** d * dim <= 1500)
+    mats = {k: boundary_matrix(rack, k, ZZ, quandle, xs) for k in range(1, top + 1)}
+    cx = ChainComplex(mats, ring)
+    for k, d in mats.items():
+        if ring.is_field:
+            expected = (rank(d, ring), ())
+        else:
+            snf = smith_normal_form(d)
+            expected = (snf.rank, snf.torsion())
+        assert cx._reduce(k)[:2] == expected
+
+
 @pytest.mark.parametrize("argv,top,digest", [
     (("--builtin", "conjugation:s3"), "Z^81 + (Z/3)^22 + (Z/9)^6",
      "6018e7a939fb04b5c4382cdf6dce7b87524fe591e9398577f91bfd0e9d48e8e3"),
@@ -306,6 +356,25 @@ def test_integral_homology_report_pinned(capsys, argv, top, digest):
     h4 = json.loads(out)["results"][-1]
     assert HomologyGroup(4, h4["betti"], tuple(h4["torsion"])).describe() == top
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+
+
+def test_dihedral5_quandle_degree5_across_backends(capsys):
+    """Z report pinned; Q betti numbers equal the Z ones, and F_5
+    dimensions follow by the universal coefficient theorem."""
+    def results(ring):
+        argv = ["homology", "--builtin", "dihedral:5", "--ring", ring,
+                "--max-degree", "5", "--quandle", "--json"]
+        assert main(argv) == 0
+        out = capsys.readouterr().out
+        return out, json.loads(out)["results"]
+
+    out, integral = results("Z")
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == (
+        "8bc872259ff23c57f2c223e2af57577fb57eca3f2607c33e54bbd756a4f827c7")
+    assert [h["betti"] for h in results("Q")[1]] == [h["betti"] for h in integral]
+    fives = [0] + [sum(1 for d in h["torsion"] if d % 5 == 0) for h in integral]  # H_0 is free
+    assert [h["betti"] for h in results("Fp:5")[1]] == [
+        h["betti"] + fives[n] + fives[n - 1] for n, h in enumerate(integral, 1)]
 
 
 def test_single_point_trivial_rack():
