@@ -114,17 +114,32 @@ def parse_rack_text(text: str) -> Rack:
     return validate_rack(rows, label="file")
 
 
+def _read_text(path: str) -> str:
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            return fh.read()
+        except UnicodeDecodeError as err:
+            raise ParseError(f"not UTF-8 text ({err.reason})") from None
+
+
+def _parse_json(text: str):
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as err:
+        raise ParseError(f"bad JSON: {err.msg}", line=err.lineno, column=err.colno) from None
+    except ValueError:  # the only other one: an int past the interpreter's digit limit
+        raise ParseError("bad JSON: an integer has too many digits") from None
+    except RecursionError:
+        raise ParseError("bad JSON: nested too deeply") from None
+
+
 def parse_rack_file(path: str) -> Rack:
     """Accept either the text format or the JSON shape
     ``{"size": n, "table": [[...]]}``."""
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
+    text = _read_text(path)
     stripped = text.lstrip()
     if stripped.startswith("{"):
-        try:
-            obj = json.loads(text)
-        except json.JSONDecodeError as err:
-            raise ParseError(f"bad JSON: {err.msg}", line=err.lineno, column=err.colno) from None
+        obj = _parse_json(text)
         table = obj.get("table")
         if not isinstance(table, list):
             raise ParseError("JSON rack needs a 'table' array")
@@ -135,11 +150,7 @@ def parse_rack_file(path: str) -> Rack:
 
 
 def parse_xset_file(path: str, rack: Rack) -> XSet:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            obj = json.load(fh)
-        except json.JSONDecodeError as err:
-            raise ParseError(f"bad JSON: {err.msg}", line=err.lineno, column=err.colno) from None
+    obj = _parse_json(_read_text(path))
     if not isinstance(obj, dict):
         raise ParseError("JSON rack-set must be an object with an 'act' array")
     act = obj.get("act")
@@ -151,7 +162,7 @@ def parse_xset_file(path: str, rack: Rack) -> XSet:
 
 
 def _load_rack(args) -> tuple[Rack, str]:
-    if args.builtin:
+    if args.builtin is not None:
         return builtin(args.builtin), f"builtin:{args.builtin}"
     with open(args.rack, "rb") as fh:
         digest_src = fh.read()
@@ -360,7 +371,8 @@ def main(argv=None) -> int:
     except (DimensionOverflow, ResourceLimit, OrbitLimitExceeded) as err:
         print(f"rackhom: resource limit: {err}", file=sys.stderr)
         return EXIT_RESOURCE
-    except (RackhomError, OSError, KeyError, ValueError) as err:
+    except (RackhomError, OSError) as err:
+        # user errors only: anything else is a bug and ends in a traceback
         print(f"rackhom: error: {err}", file=sys.stderr)
         return EXIT_FAIL
 

@@ -203,23 +203,22 @@ def _pair_against_tensor(f, g, ctx, tensor_terms):
     return out
 
 
+def _pair_cochain(f, g, ctx, n, structure_map, sign):
+    """The degree-n cochain t -> sign * (f (x) g)(structure_map(e_t)), for a
+    word-engine map into B (x) B such as ``W.coproduct`` or ``W.h``."""
+    ring = ctx.ring
+    values = []
+    for t in tuple_basis(ctx.rack, n, ctx.quandle).tuples:
+        vec = _pair_against_tensor(f, g, ctx, structure_map(ctx.algebra.eword(t)).terms)
+        values += vec if sign == 1 else [ring.neg(v) for v in vec]
+    return Cochain(n, ring, values, ctx.quandle, ctx.target_module())
+
+
 def cup_via_coproduct(f: Cochain, g: Cochain, ctx: CupContext) -> Cochain:
     """Cup product through the multiplicative coproduct (oracle pair of
     :func:`cup`; the two must agree exactly)."""
     ctx.check(f, g)
-    ring = ctx.ring
-    n = f.degree + g.degree
-    tgt = tuple_basis(ctx.rack, n, ctx.quandle)
-    target = ctx.target_module()
-    tdim = target.dim if target else 1
-    values = [ring.zero] * (len(tgt) * tdim)
-    W = ctx.algebra
-    for t_idx, t in enumerate(tgt.tuples):
-        terms = W.coproduct(W.eword(t)).terms
-        vec = _pair_against_tensor(f, g, ctx, terms)
-        for k, v in enumerate(vec):
-            values[t_idx * tdim + k] = v
-    return Cochain(n, ring, values, ctx.quandle, target)
+    return _pair_cochain(f, g, ctx, f.degree + g.degree, ctx.algebra.coproduct, 1)
 
 
 def is_cocycle(f: Cochain, rack: Rack) -> bool:
@@ -235,20 +234,9 @@ def homotopy_cochain(f: Cochain, g: Cochain, ctx: CupContext) -> Cochain:
         raise NotACocycle("first factor is not a cocycle")
     if not is_cocycle(g, ctx.rack):
         raise NotACocycle("second factor is not a cocycle")
-    ring = ctx.ring
     n = f.degree + g.degree - 1
-    tgt = tuple_basis(ctx.rack, n, ctx.quandle)
-    target = ctx.target_module()
-    tdim = target.dim if target else 1
-    values = [ring.zero] * (len(tgt) * tdim)
-    W = ctx.algebra
-    negate = n % 2 == 1  # (-1)^{p+q+1} = (-1)^n for n = p+q-1
-    for t_idx, t in enumerate(tgt.tuples):
-        terms = W.h(W.eword(t)).terms
-        vec = _pair_against_tensor(f, g, ctx, terms)
-        for k, v in enumerate(vec):
-            values[t_idx * tdim + k] = ring.neg(v) if negate else v
-    return Cochain(n, ring, values, ctx.quandle, target)
+    # (-1)^{p+q+1} = (-1)^n for n = p+q-1
+    return _pair_cochain(f, g, ctx, n, ctx.algebra.h, -1 if n % 2 else 1)
 
 
 def is_coboundary(f: Cochain, rack: Rack) -> Cochain | None:

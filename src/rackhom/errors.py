@@ -95,6 +95,10 @@ class ContextMismatch(RackhomError):
     pass
 
 
+class InvalidSpec(RackhomError, ValueError):
+    """A ring, field or suite selector names nothing valid."""
+
+
 class ParseError(RackhomError):
     def __init__(self, message, line=None, column=None):
         self.line = line

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .errors import ResourceLimit
+from .errors import InvalidSpec, ResourceLimit
 
 # ``Fp:p`` refuses p above this before the primality test, whose trial
 # division would otherwise run for hours on a large p
@@ -99,7 +99,7 @@ class PrimeField:
 
     def __init__(self, p):
         if p < 2 or any(p % d == 0 for d in range(2, int(p ** 0.5) + 1)):
-            raise ValueError(f"{p} is not prime")
+            raise InvalidSpec(f"{p} is not prime")
         self.p = p
         self.name = f"F{p}"
         self.char = p
@@ -162,8 +162,8 @@ def ring_by_name(spec: str):
         try:
             p = int(spec[3:])
         except ValueError:
-            raise ValueError(f"ring {spec!r}: p is not an integer") from None
+            raise InvalidSpec(f"ring {spec!r}: p is not an integer") from None
         if p > MAX_PRIME:
             raise ResourceLimit(f"ring {spec!r}: p exceeds the limit {MAX_PRIME}")
         return GF(p)
-    raise ValueError(f"unknown ring {spec!r} (expected Z, Q, or Fp:p)")
+    raise InvalidSpec(f"unknown ring {spec!r} (expected Z, Q, or Fp:p)")

@@ -1,16 +1,25 @@
 """Executable verification suites for the structural identities.
 
-Every suite is exhaustive at its configured sizes (nothing is sampled) and
+Every suite is exhaustive at its fixed sizes (nothing is sampled) and
 returns the number of checks performed plus, on failure, a minimal witness:
 the offending monomial, tuple, or pair.  The CLI ``verify`` command and the
 acceptance tests both run these, so what the tool reports is exactly what
 the test suite enforces.
+
+The suite contract: a suite takes no arguments.  Its body, wrapped by
+:func:`_suite`, is a generator that yields one outcome per check, either
+``True`` or the witness string of a failure, written
+``yield ok or f"..."`` so that the witness is formatted only when the check
+fails.  The body may ``return`` a list of notes.  The wrapper counts the
+outcomes, stops at the first failure (whose check is counted), and builds
+the :class:`SuiteResult`; a failed suite carries no notes.
 """
 
 from __future__ import annotations
 
+import dataclasses
+import functools
 import itertools
-from dataclasses import dataclass, field
 
 from .complexes import (
     Cochain,
@@ -21,11 +30,11 @@ from .complexes import (
     tuple_basis,
 )
 from .cup import CupContext, cup, cup_via_coproduct, homotopy_cochain, ring_structure
-from .errors import R1Violation, R2Violation, RackhomError
+from .errors import InvalidSpec, R1Violation, R2Violation, RackhomError
 from .linalg import ChainComplex, kernel_basis
 from .racks import builtin, orbits, validate_rack, xset_self, xset_singleton
 from .rings import QQ, ZZ
-from .words import BMonomial, WordAlgebra
+from .words import BMonomial, WordAlgebra, _acc
 
 BUILTIN_SPECS = (
     "trivial:1", "trivial:2", "trivial:3", "trivial:4",
@@ -37,26 +46,47 @@ BUILTIN_SPECS = (
 SMALL_WORD_RACKS = ("trivial:3", "dihedral:3", "cyclic:3")
 
 
-@dataclass
+@dataclasses.dataclass
 class SuiteResult:
     name: str
     passed: bool
     checks: int
     witness: str | None = None
-    notes: list[str] = field(default_factory=list)
+    notes: list[str] = dataclasses.field(default_factory=list)
 
     def as_dict(self):
-        return {
-            "name": self.name,
-            "passed": self.passed,
-            "checks": self.checks,
-            "witness": self.witness,
-            "notes": self.notes,
-        }
+        return dataclasses.asdict(self)
 
 
-def _fail(name, checks, witness, notes=None):
-    return SuiteResult(name, False, checks, witness, notes or [])
+ALL_SUITES = {}
+
+
+def _suite(name):
+    """Register a suite body under ``name`` and record its checks.
+
+    The decorated function takes no arguments and returns a
+    :class:`SuiteResult`; see the module docstring for the body's contract.
+    """
+
+    def wrap(body):
+        @functools.wraps(body)
+        def run():
+            outcomes = body()
+            checks = 0
+            while True:
+                try:
+                    outcome = next(outcomes)
+                except StopIteration as done:
+                    return SuiteResult(name, True, checks, notes=done.value or [])
+                checks += 1
+                if outcome is not True:
+                    outcomes.close()
+                    return SuiteResult(name, False, checks, outcome)
+
+        ALL_SUITES[name] = run
+        return run
+
+    return wrap
 
 
 def _monomials(W, rack, max_e, max_prefix):
@@ -72,34 +102,23 @@ def coassociativity_defect(W: WordAlgebra, u):
     """(Delta (x) 1) Delta(u) minus (1 (x) Delta) Delta(u) as a dict of
     monomial triples; Delta is even, so no Koszul signs appear."""
     out: dict = {}
-    t = W.coproduct(u)
-    for (l, r), c in t.terms.items():
-        for (a, b), c2 in W.coproduct(W.element({(l.a, l.e): 1})).terms.items():
-            k = (a, b, r)
-            v = out.get(k, 0) + c * c2
-            if v:
-                out[k] = v
-            else:
-                out.pop(k, None)
-        for (a, b), c2 in W.coproduct(W.element({(r.a, r.e): 1})).terms.items():
-            k = (l, a, b)
-            v = out.get(k, 0) - c * c2
-            if v:
-                out[k] = v
-            else:
-                out.pop(k, None)
+    for (l, r), c in W.coproduct(u).terms.items():
+        for (a, b), c2 in W.coproduct(W.element({l: 1})).terms.items():
+            _acc(out, (a, b, r), c * c2)
+        for (a, b), c2 in W.coproduct(W.element({r: 1})).terms.items():
+            _acc(out, (l, a, b), -c * c2)
     return out
 
 
 # ---------------------------------------------------------------------------
 
 
-def suite_axioms(name="axioms"):
+@_suite("axioms")
+def suite_axioms():
     """Builtins pass R1/R2; mutated tables are rejected with real witnesses."""
-    checks = 0
     for spec in BUILTIN_SPECS:
         rack = builtin(spec)
-        checks += 1
+        yield True  # builtin() validates R1 and R2, or raises
         table = [list(row) for row in rack.table]
         n = rack.size
         if n < 2:
@@ -110,93 +129,67 @@ def suite_axioms(name="axioms"):
             bad[x][0] = 0
         try:
             validate_rack(bad)
-            return _fail(name, checks, f"{spec}: constant column accepted")
         except R1Violation as err:
-            checks += 1
-            if err.y != 0:
-                return _fail(name, checks, f"{spec}: R1 witness column {err.y} != 0")
+            yield err.y == 0 or f"{spec}: R1 witness column {err.y} != 0"
         except RackhomError:
-            return _fail(name, checks, f"{spec}: wrong error for constant column")
+            yield f"{spec}: wrong error for constant column"
+        else:
+            yield f"{spec}: constant column accepted"
         # swap two entries inside a column: R1 survives, search for an R2 break
-        found = False
-        for y in range(n):
-            for a in range(n):
-                for b in range(a + 1, n):
-                    cand = [row[:] for row in table]
-                    cand[a][y], cand[b][y] = cand[b][y], cand[a][y]
-                    try:
-                        validate_rack(cand)
-                    except R2Violation as err:
-                        checks += 1
-                        x_, y_, z_ = err.x, err.y, err.z
-                        lhs = cand[cand[x_][y_]][z_]
-                        rhs = cand[cand[x_][z_]][cand[y_][z_]]
-                        if lhs == rhs:
-                            return _fail(
-                                name, checks,
-                                f"{spec}: R2 witness ({x_},{y_},{z_}) does not violate R2",
-                            )
-                        found = True
-                    except RackhomError:
-                        return _fail(name, checks, f"{spec}: column swap broke R1?")
-                    if found:
-                        break
-                if found:
-                    break
-            if found:
+        swaps = ((y, a, b) for y in range(n) for a, b in itertools.combinations(range(n), 2))
+        for y, a, b in swaps:
+            cand = [row[:] for row in table]
+            cand[a][y], cand[b][y] = cand[b][y], cand[a][y]
+            try:
+                validate_rack(cand)
+            except R2Violation as err:
+                x_, y_, z_ = err.x, err.y, err.z
+                yield cand[cand[x_][y_]][z_] != cand[cand[x_][z_]][cand[y_][z_]] or (
+                    f"{spec}: R2 witness ({x_},{y_},{z_}) does not violate R2"
+                )
                 break
-        if not found:
-            return _fail(name, checks, f"{spec}: no column swap breaks R2")
-    return SuiteResult(name, True, checks)
+            except RackhomError:
+                yield f"{spec}: column swap broke R1?"
+        else:
+            yield f"{spec}: no column swap breaks R2"
 
 
-def suite_squarezero(max_size=4, max_degree=4, name="squarezero"):
-    """Boundary squares to zero: both variants, trivial / Y=X / singleton."""
-    checks = 0
+@_suite("squarezero")
+def suite_squarezero():
+    """Boundary squares to zero up to degree 4 on the builtins of size <= 4:
+    both variants, trivial / Y=X / singleton coefficients."""
     for spec in BUILTIN_SPECS:
         rack = builtin(spec)
-        if rack.size > max_size:
+        if rack.size > 4:
             continue
-        variants = [False, True] if rack.is_quandle() else [False]
-        for quandle in variants:
+        for quandle in [False, True] if rack.is_quandle() else [False]:
             for xs in (None, xset_self(rack), xset_singleton(rack)):
-                mats = {
-                    n: boundary_matrix(rack, n, ZZ, quandle, xs)
-                    for n in range(1, max_degree + 1)
-                }
-                for n in range(2, max_degree + 1):
-                    checks += 1
-                    if not mats[n - 1].mul(mats[n]).is_zero():
-                        tag = "quandle" if quandle else "rack"
-                        coeff = xs.label if xs else "trivial"
-                        return _fail(
-                            name, checks,
-                            f"{spec} [{tag},{coeff}]: d_{n-1} d_{n} != 0",
-                        )
-    return SuiteResult(name, True, checks)
+                mats = {n: boundary_matrix(rack, n, ZZ, quandle, xs) for n in range(1, 5)}
+                for n in range(2, 5):
+                    yield mats[n - 1].mul(mats[n]).is_zero() or (
+                        f"{spec} [{'quandle' if quandle else 'rack'},"
+                        f"{xs.label if xs else 'trivial'}]: d_{n-1} d_{n} != 0"
+                    )
 
 
-def suite_word_identities(rack_specs=SMALL_WORD_RACKS, name="words"):
+@_suite("words")
+def suite_word_identities():
     """d^2 = 0, coproduct multiplicativity, coassociativity, coderivation."""
-    checks = 0
-    for spec in rack_specs:
+    for spec in SMALL_WORD_RACKS:
         rack = builtin(spec)
         W = WordAlgebra(rack)
         n = rack.size
         for u in _monomials(W, rack, 3, 2):
-            checks += 1
-            if W.d(W.d(u)):
-                return _fail(name, checks, f"{spec}: d^2 != 0 on {u!r}")
-            checks += 1
-            if W.tensor_d(W.coproduct(u)) != W.coproduct(W.d(u)):
-                return _fail(name, checks, f"{spec}: coderivation fails on {u!r}")
-        # coderivation on pure e-words up to length 4
-        for ne in range(4, 5):
-            for e in itertools.product(range(n), repeat=ne):
-                u = W.eword(e)
-                checks += 1
-                if W.tensor_d(W.coproduct(u)) != W.coproduct(W.d(u)):
-                    return _fail(name, checks, f"{spec}: coderivation fails on {e}")
+            yield not W.d(W.d(u)) or f"{spec}: d^2 != 0 on {u!r}"
+            yield W.tensor_d(W.coproduct(u)) == W.coproduct(W.d(u)) or (
+                f"{spec}: coderivation fails on {u!r}"
+            )
+        # coderivation on pure e-words of length 4
+        for e in itertools.product(range(n), repeat=4):
+            u = W.eword(e)
+            yield W.tensor_d(W.coproduct(u)) == W.coproduct(W.d(u)) or (
+                f"{spec}: coderivation fails on {e}"
+            )
         # multiplicativity: combined e-length <= 4, combined prefix <= 2
         ewords = [e for k in range(3) for e in itertools.product(range(n), repeat=k)]
         prefix_pairs = [((), ())]
@@ -210,53 +203,47 @@ def suite_word_identities(rack_specs=SMALL_WORD_RACKS, name="words"):
                 for a1, a2 in prefix_pairs:
                     u = W.element({(a1, e1): 1})
                     v = W.element({(a2, e2): 1})
-                    checks += 1
-                    if W.coproduct(u * v) != W.tensor_multiply(W.coproduct(u), W.coproduct(v)):
-                        return _fail(
-                            name, checks,
-                            f"{spec}: Delta not multiplicative on {u!r} * {v!r}",
-                        )
+                    yield W.coproduct(u * v) == W.tensor_multiply(
+                        W.coproduct(u), W.coproduct(v)
+                    ) or f"{spec}: Delta not multiplicative on {u!r} * {v!r}"
         # coassociativity on e-words <= 3 and a prefixed layer
         for ne in range(4):
             for e in itertools.product(range(n), repeat=ne):
                 for a in [(), (0,)]:
                     u = W.element({(a, e): 1})
-                    checks += 1
-                    if coassociativity_defect(W, u):
-                        return _fail(name, checks, f"{spec}: coassociativity fails on {u!r}")
-    return SuiteResult(name, True, checks)
+                    yield not coassociativity_defect(W, u) or (
+                        f"{spec}: coassociativity fails on {u!r}"
+                    )
 
 
-def suite_coproduct(rack_specs=("dihedral:3", "dihedral:4"), max_len=4, name="coproduct"):
-    """Closed subset-sum formula == multiplicative coproduct, term by term."""
-    checks = 0
-    for spec in rack_specs:
+@_suite("coproduct")
+def suite_coproduct():
+    """Closed subset-sum formula == multiplicative coproduct, term by term,
+    on every e-word of length <= 4."""
+    for spec in ("dihedral:3", "dihedral:4"):
         rack = builtin(spec)
         W = WordAlgebra(rack)
-        for ne in range(max_len + 1):
+        for ne in range(5):
             for e in itertools.product(range(rack.size), repeat=ne):
-                checks += 1
-                if W.coproduct_formula(e) != W.coproduct(W.eword(e)):
-                    return _fail(name, checks, f"{spec}: formula != coproduct on {e}")
-    return SuiteResult(name, True, checks)
+                yield W.coproduct_formula(e) == W.coproduct(W.eword(e)) or (
+                    f"{spec}: formula != coproduct on {e}"
+                )
 
 
-def suite_homotopy(rack_specs=SMALL_WORD_RACKS, name="homotopy"):
+@_suite("homotopy")
+def suite_homotopy():
     """Homotopy identity, the splitting rule, and the closed degree-2 form.
 
     The identity is checked in the orientation forced by the generators,
     d h + h d = Delta - tau Delta  (see the word-engine module docstring).
     """
-    checks = 0
-    for spec in rack_specs:
+    for spec in SMALL_WORD_RACKS:
         rack = builtin(spec)
         W = WordAlgebra(rack)
         n = rack.size
         op = rack.table
         for u in _monomials(W, rack, 3, 2):
-            checks += 1
-            if W.homotopy_defect(u):
-                return _fail(name, checks, f"{spec}: homotopy identity fails on {u!r}")
+            yield not W.homotopy_defect(u) or f"{spec}: homotopy identity fails on {u!r}"
         for ne in range(5):
             for e in itertools.product(range(n), repeat=ne):
                 for k in range(ne + 1):
@@ -266,9 +253,7 @@ def suite_homotopy(rack_specs=SMALL_WORD_RACKS, name="homotopy"):
                     rhs = W.tensor_multiply(W.h(ua), W.coproduct(ub)) + sign * W.tensor_multiply(
                         W.tensor_flip(W.coproduct(ua)), W.h(ub)
                     )
-                    checks += 1
-                    if lhs != rhs:
-                        return _fail(name, checks, f"{spec}: splitting rule fails on {e} at {k}")
+                    yield lhs == rhs or f"{spec}: splitting rule fails on {e} at {k}"
         for x in range(n):
             for y in range(n):
                 got = W.h(W.eword((x, y)))
@@ -281,20 +266,18 @@ def suite_homotopy(rack_specs=SMALL_WORD_RACKS, name="homotopy"):
                     ((exy, W.monomial((), (y,))), -1),
                 ):
                     expect_terms[key] = expect_terms.get(key, 0) + c
-                checks += 1
-                if got != W.tensor(expect_terms):
-                    return _fail(name, checks, f"{spec}: closed form h(e_{x} e_{y}) wrong")
-    return SuiteResult(name, True, checks)
+                yield got == W.tensor(expect_terms) or f"{spec}: closed form h(e_{x} e_{y}) wrong"
 
 
-def suite_faces(rack_specs=("dihedral:3", "dihedral:4", "cyclic:4"), max_n=5, name="faces"):
-    """Cube-set exchange identities and order-independence of composites."""
-    checks = 0
-    for spec in rack_specs:
+@_suite("faces")
+def suite_faces():
+    """Cube-set exchange identities up to length 5 and order-independence
+    of composite faces."""
+    for spec in ("dihedral:3", "dihedral:4", "cyclic:4"):
         rack = builtin(spec)
         W = WordAlgebra(rack)
         size = rack.size
-        for n in range(2, max_n + 1):
+        for n in range(2, 6):
             for t in itertools.product(range(size), repeat=n):
                 m = BMonomial((), t)
                 for j in range(2, n + 1):
@@ -303,13 +286,10 @@ def suite_faces(rack_specs=("dihedral:3", "dihedral:4", "cyclic:4"), max_n=5, na
                             for eta in (0, 1):
                                 lhs = W.face_monomial(W.face_monomial(m, j, eta), i, eps)
                                 rhs = W.face_monomial(W.face_monomial(m, i, eps), j - 1, eta)
-                                checks += 1
-                                if lhs != rhs:
-                                    return _fail(
-                                        name, checks,
-                                        f"{spec}: exchange fails at {t} i={i} j={j} "
-                                        f"eps={eps} eta={eta}",
-                                    )
+                                yield lhs == rhs or (
+                                    f"{spec}: exchange fails at {t} i={i} j={j} "
+                                    f"eps={eps} eta={eta}"
+                                )
         # order-independence of composite faces over subsets of 1..4
         for t in itertools.product(range(size), repeat=4):
             m = BMonomial((), t)
@@ -322,13 +302,9 @@ def suite_faces(rack_specs=("dihedral:3", "dihedral:4", "cyclic:4"), max_n=5, na
                     for i in idx:  # increasing order with index shifts
                         cur = W.face_monomial(cur, i - shift, eps)
                         shift += 1
-                    checks += 1
-                    if desc != cur:
-                        return _fail(
-                            name, checks,
-                            f"{spec}: composite face order-dependent at {t} A={idx} eps={eps}",
-                        )
-    return SuiteResult(name, True, checks)
+                    yield desc == cur or (
+                        f"{spec}: composite face order-dependent at {t} A={idx} eps={eps}"
+                    )
 
 
 def _all_basis_cochains(rack, p, ring, quandle=False):
@@ -336,10 +312,10 @@ def _all_basis_cochains(rack, p, ring, quandle=False):
     return [basis_cochain(rack, p, ring, t, quandle=quandle) for t in basis.tuples]
 
 
-def suite_cup(name="cup"):
+@_suite("cup")
+def suite_cup():
     """Associativity, the derivation law, the oracle pair, and the two
     closed low-degree expansions."""
-    checks = 0
     for spec in ("dihedral:3", "trivial:2"):
         rack = builtin(spec)
         ctx = CupContext(rack, ZZ)
@@ -355,19 +331,14 @@ def suite_cup(name="cup"):
                         for f in cochains[p]:
                             fg = cup(f, g, ctx)
                             for hi, h in enumerate(cochains[r]):
-                                checks += 1
                                 left = cup(fg, h, ctx)
                                 right = cup(f, gh_cache[hi], ctx)
-                                if left.values != right.values:
-                                    return _fail(
-                                        name, checks,
-                                        f"{spec}: associativity fails at degrees ({p},{q},{r})",
-                                    )
+                                yield left.values == right.values or (
+                                    f"{spec}: associativity fails at degrees ({p},{q},{r})"
+                                )
         # super-derivation law, p+q <= 3
         for p in range(4):
             for q in range(4 - p):
-                if p + q > 3:
-                    continue
                 for f in cochains[p]:
                     df = cochain_differential(f, rack)
                     for g in cochains[q]:
@@ -380,12 +351,9 @@ def suite_cup(name="cup"):
                             ZZ.add(a, ZZ.mul(sign, b))
                             for a, b in zip(rhs1.values, rhs2.values)
                         ]
-                        checks += 1
-                        if lhs.values != combined:
-                            return _fail(
-                                name, checks,
-                                f"{spec}: derivation law fails at degrees ({p},{q})",
-                            )
+                        yield lhs.values == combined or (
+                            f"{spec}: derivation law fails at degrees ({p},{q})"
+                        )
     # oracle pair on dihedral:3, p+q <= 4
     rack = builtin("dihedral:3")
     ctx = CupContext(rack, ZZ)
@@ -394,12 +362,9 @@ def suite_cup(name="cup"):
         for q in range(1, 5 - p):
             for f in cochains[p]:
                 for g in cochains[q]:
-                    checks += 1
-                    if cup(f, g, ctx).values != cup_via_coproduct(f, g, ctx).values:
-                        return _fail(
-                            name, checks,
-                            f"{spec}: cup != cup-via-coproduct at degrees ({p},{q})",
-                        )
+                    yield cup(f, g, ctx).values == cup_via_coproduct(f, g, ctx).values or (
+                        f"dihedral:3: cup != cup-via-coproduct at degrees ({p},{q})"
+                    )
     # closed p=q=1 expansion: (f.g)(x,y) = -f(x)g(y) + f(y)g(x<|y)
     op = rack.table
     b2 = tuple_basis(rack, 2)
@@ -408,9 +373,9 @@ def suite_cup(name="cup"):
             fg = cup(f, g, ctx)
             for (x, y) in b2.tuples:
                 expect = -f.values[x] * g.values[y] + f.values[y] * g.values[op[x][y]]
-                checks += 1
-                if fg.values[b2.index[(x, y)]] != expect:
-                    return _fail(name, checks, f"p=q=1 expansion fails at ({x},{y})")
+                yield fg.values[b2.index[(x, y)]] == expect or (
+                    f"p=q=1 expansion fails at ({x},{y})"
+                )
     # closed p=q=2 six-term expansion (signs forced by the Koszul coproduct)
     b4 = tuple_basis(rack, 4)
     b2i = b2.index
@@ -434,19 +399,16 @@ def suite_cup(name="cup"):
                     + fv(y, z) * gv(opw(x, y, z), t)
                     - fv(y, t) * gv(opw(x, y, t), op[z][t])
                 )
-                checks += 1
-                if fg.values[b4.index[(x, y, z, t)]] != expect:
-                    return _fail(
-                        name, checks, f"p=q=2 expansion fails at ({x},{y},{z},{t})"
-                    )
-    return SuiteResult(name, True, checks)
+                yield fg.values[b4.index[(x, y, z, t)]] == expect or (
+                    f"p=q=2 expansion fails at ({x},{y},{z},{t})"
+                )
 
 
-def suite_commutativity(name="commutativity"):
+@_suite("commutativity")
+def suite_commutativity():
     """Cocycle-level homotopy identity, ring-level graded commutativity,
     trivial-rack cochain-level commutativity, and the non-commutativity
     witness on the three-element dihedral quandle."""
-    checks = 0
     notes = []
     ring = QQ
     for spec in ("dihedral:3", "dihedral:4"):
@@ -471,12 +433,9 @@ def suite_commutativity(name="commutativity"):
                             ring.sub(a, ring.mul(ring.of(sign), b))
                             for a, b in zip(fg.values, gf.values)
                         ]
-                        checks += 1
-                        if dH.values != comm:
-                            return _fail(
-                                name, checks,
-                                f"{spec}: d*H != graded commutator at degrees ({p},{q})",
-                            )
+                        yield dH.values == comm or (
+                            f"{spec}: d*H != graded commutator at degrees ({p},{q})"
+                        )
         rs = ring_structure(rack, ring, 4)
         notes.append(f"{spec} H^p dims: " + str([rs.dims[p] for p in range(5)]))
         for p in (1, 2):
@@ -486,12 +445,9 @@ def suite_commutativity(name="commutativity"):
                     for j in range(rs.dims[q]):
                         left = rs.products[(p, i, q, j)]
                         right = rs.products[(q, j, p, i)]
-                        checks += 1
-                        if left != tuple(ring.mul(ring.of(sign), c) for c in right):
-                            return _fail(
-                                name, checks,
-                                f"{spec}: [f][g] != (-1)^pq [g][f] at ({p},{i},{q},{j})",
-                            )
+                        yield left == tuple(ring.mul(ring.of(sign), c) for c in right) or (
+                            f"{spec}: [f][g] != (-1)^pq [g][f] at ({p},{i},{q},{j})"
+                        )
     # trivial racks: graded commutativity on the nose at cochain level
     for spec in ("trivial:2", "trivial:3"):
         rack = builtin(spec)
@@ -503,12 +459,9 @@ def suite_commutativity(name="commutativity"):
                     for g in _all_basis_cochains(rack, q, ZZ):
                         fg = cup(f, g, ctx)
                         gf = cup(g, f, ctx)
-                        checks += 1
-                        if fg.values != [sign * v for v in gf.values]:
-                            return _fail(
-                                name, checks,
-                                f"{spec}: trivial rack not graded-commutative at ({p},{q})",
-                            )
+                        yield fg.values == [sign * v for v in gf.values] or (
+                            f"{spec}: trivial rack not graded-commutative at ({p},{q})"
+                        )
     # dihedral:3 witness: the anticommutator of the indicator 1-cochains of
     # 0 and 1 takes the value -1 on (0,1)
     rack = builtin("dihedral:3")
@@ -519,18 +472,16 @@ def suite_commutativity(name="commutativity"):
     gf = cup(g, f, ctx)
     b2 = tuple_basis(rack, 2)
     val = fg.values[b2.index[(0, 1)]] + gf.values[b2.index[(0, 1)]]
-    checks += 1
-    if val != -1:
-        return _fail(name, checks, f"dihedral:3 anticommutator witness is {val}, not -1")
-    return SuiteResult(name, True, checks, notes=notes)
+    yield val == -1 or f"dihedral:3 anticommutator witness is {val}, not -1"
+    return notes
 
 
-def suite_quandle(rack_specs=("dihedral:3", "conjugation:s3"), name="quandle"):
+@_suite("quandle")
+def suite_quandle():
     """Quotient correctness: the projection commutes with the differential
     and (componentwise) with the coproduct and homotopy, and the quandle
     boundary is the induced map on the non-degenerate basis."""
-    checks = 0
-    for spec in rack_specs:
+    for spec in ("dihedral:3", "conjugation:s3"):
         rack = builtin(spec)
         W = WordAlgebra(rack)
         n = rack.size
@@ -539,15 +490,15 @@ def suite_quandle(rack_specs=("dihedral:3", "conjugation:s3"), name="quandle"):
             for e in itertools.product(range(n), repeat=ne):
                 u = W.eword(e)
                 pu = W.quandle_project(u)
-                checks += 3
-                if W.quandle_project(W.d(u)) != W.quandle_project(W.d(pu)):
-                    return _fail(name, checks, f"{spec}: projection vs d fails on {e}")
-                if W.quandle_project_tensor(W.coproduct(u)) != W.quandle_project_tensor(
+                yield W.quandle_project(W.d(u)) == W.quandle_project(W.d(pu)) or (
+                    f"{spec}: projection vs d fails on {e}"
+                )
+                yield W.quandle_project_tensor(W.coproduct(u)) == W.quandle_project_tensor(
                     W.coproduct(pu)
-                ):
-                    return _fail(name, checks, f"{spec}: projection vs Delta fails on {e}")
-                if W.quandle_project_tensor(W.h(u)) != W.quandle_project_tensor(W.h(pu)):
-                    return _fail(name, checks, f"{spec}: projection vs h fails on {e}")
+                ) or f"{spec}: projection vs Delta fails on {e}"
+                yield W.quandle_project_tensor(W.h(u)) == W.quandle_project_tensor(
+                    W.h(pu)
+                ) or f"{spec}: projection vs h fails on {e}"
         # induced boundary on the non-degenerate basis
         for deg in range(1, 5):
             full = boundary_matrix(rack, deg, ZZ)
@@ -560,82 +511,52 @@ def suite_quandle(rack_specs=("dihedral:3", "conjugation:s3"), name="quandle"):
                 col_full = full.cols[src_full.index[t]]
                 projected = {}
                 for row, v in col_full.items():
-                    rt = tgt_full.tuples[row]
-                    qi = tgt_q.index.get(rt)
+                    qi = tgt_q.index.get(tgt_full.tuples[row])
                     if qi is not None:
                         projected[qi] = v
-                checks += 1
-                if projected != quot.cols[src_q.index[t]]:
-                    return _fail(name, checks, f"{spec}: induced boundary wrong at {t}")
+                yield projected == quot.cols[src_q.index[t]] or (
+                    f"{spec}: induced boundary wrong at {t}"
+                )
             # the boundary maps the degenerate span into itself: projected
             # boundary of a degenerate tuple must vanish in the quotient
             for t in src_full.tuples:
                 if t in src_q.index:
                     continue
                 col_full = full.cols[src_full.index[t]]
-                checks += 1
-                for row, v in col_full.items():
-                    if tgt_full.tuples[row] in tgt_q.index:
-                        return _fail(
-                            name, checks,
-                            f"{spec}: degenerate {t} leaks into the quotient",
-                        )
-    return SuiteResult(name, True, checks)
+                yield all(tgt_full.tuples[row] not in tgt_q.index for row in col_full) or (
+                    f"{spec}: degenerate {t} leaks into the quotient"
+                )
 
 
-def suite_regression(name="regression"):
+@_suite("regression")
+def suite_regression():
     """Frozen homology values, confirmed beforehand by an independent
     dense-elimination and Smith-form oracle."""
-    checks = 0
     for m in (1, 2, 3, 4):
         rack = builtin(f"trivial:{m}")
         complex_ = ChainComplex({n: boundary_matrix(rack, n, ZZ) for n in range(1, 6)}, ZZ)
         for deg in (1, 2, 3, 4):
             h = complex_.homology(deg)
-            checks += 1
-            if (h.betti, h.torsion) != (m**deg, ()):
-                return _fail(name, checks, f"trivial:{m} H_{deg} = {h.describe()}")
+            yield (h.betti, h.torsion) == (m**deg, ()) or f"trivial:{m} H_{deg} = {h.describe()}"
     rack = builtin("dihedral:3")
     complex_ = ChainComplex({n: boundary_matrix(rack, n, ZZ) for n in range(1, 5)}, QQ)
     for deg in (1, 2, 3):
         h = complex_.homology(deg)
-        checks += 1
-        if h.betti != 1:
-            return _fail(name, checks, f"dihedral:3 rack betti_{deg} = {h.betti}")
+        yield h.betti == 1 or f"dihedral:3 rack betti_{deg} = {h.betti}"
     for spec, expected in (("dihedral:3", 1), ("dihedral:4", 2), ("trivial:3", 3)):
         rack = builtin(spec)
         dim_h1 = len(kernel_basis(cochain_differential_matrix(rack, 1, QQ)))
-        checks += 2
-        if dim_h1 != expected:
-            return _fail(name, checks, f"{spec}: dim H^1 = {dim_h1} != {expected}")
-        if len(orbits(rack)) != expected:
-            return _fail(name, checks, f"{spec}: orbit count != {expected}")
+        yield dim_h1 == expected or f"{spec}: dim H^1 = {dim_h1} != {expected}"
+        yield len(orbits(rack)) == expected or f"{spec}: orbit count != {expected}"
     rack = builtin("dihedral:3")
     h = ChainComplex({n: boundary_matrix(rack, n, ZZ, True) for n in (3, 4)}, ZZ).homology(3)
-    checks += 1
-    if (h.betti, h.torsion) != (0, (3,)):
-        return _fail(name, checks, f"quandle H_3(dihedral:3; Z) = {h.describe()}")
-    return SuiteResult(name, True, checks)
-
-
-ALL_SUITES = {
-    "axioms": suite_axioms,
-    "squarezero": suite_squarezero,
-    "words": suite_word_identities,
-    "coproduct": suite_coproduct,
-    "homotopy": suite_homotopy,
-    "faces": suite_faces,
-    "cup": suite_cup,
-    "commutativity": suite_commutativity,
-    "quandle": suite_quandle,
-    "regression": suite_regression,
-}
+    yield (h.betti, h.torsion) == (0, (3,)) or f"quandle H_3(dihedral:3; Z) = {h.describe()}"
 
 
 def run_suite(spec: str):
     """Run one suite by name, or every suite for ``all``."""
     if spec == "all":
-        return [ALL_SUITES[k]() for k in ALL_SUITES]
+        return [suite() for suite in ALL_SUITES.values()]
     if spec not in ALL_SUITES:
-        raise ValueError(f"unknown suite {spec!r}; choose from {', '.join(ALL_SUITES)} or all")
+        raise InvalidSpec(f"unknown suite {spec!r}; choose from {', '.join(ALL_SUITES)} or all")
     return [ALL_SUITES[spec]()]

@@ -72,6 +72,16 @@ def _acc(acc, key, c):
         del acc[key]
 
 
+def _flip_raw(t):
+    """The signed flip on a raw {(left, right): coeff} dict."""
+    out = {}
+    for (l, r), c in t.items():
+        if len(l.e) & 1 and len(r.e) & 1:
+            c = -c
+        _acc(out, (r, l), c)
+    return out
+
+
 def _sort_key(m):
     return (len(m.e), m.e, len(m.a), m.a)
 
@@ -379,12 +389,7 @@ class WordAlgebra:
         return TensorElement(self, self._tensor_mul_raw(t1.terms, t2.terms), t1.ring)
 
     def tensor_flip(self, t: TensorElement) -> TensorElement:
-        out = {}
-        for (l, r), c in t.terms.items():
-            if len(l.e) & 1 and len(r.e) & 1:
-                c = -c
-            _acc(out, (r, l), c)
-        return TensorElement(self, out, t.ring)
+        return TensorElement(self, _flip_raw(t.terms), t.ring)
 
     def tensor_d(self, t: TensorElement) -> TensorElement:
         """d (x) 1 + 1 (x) d with the Koszul sign on the second summand."""
@@ -422,27 +427,13 @@ class WordAlgebra:
         prefix, e = face_set(m.e, indices, eps, self.rack)
         return BMonomial(self.canonical_a_word(m.a + prefix), e)
 
-    def coproduct_formula(self, m, ring=ZZ) -> TensorElement:
-        """Closed form of the coproduct of a pure e-word.
+    def coproduct_formula(self, e: tuple[int, ...], ring=ZZ) -> TensorElement:
+        """Closed form of the coproduct of the pure e-word ``e``.
 
         Sums over all subsets ``A`` of the positions: the term for ``A`` is
         (delete A) (x) (delete-and-conjugate the complement), weighted by
         the unshuffle signature of ``A`` times (-1)^{|A| |A^c|}.
         """
-        if isinstance(m, BElement):
-            out = {}
-            for mono, c in m.terms.items():
-                if mono.a:
-                    raise ValueError("closed formula takes pure e-words")
-                for k, tc in self.coproduct_formula(mono).terms.items():
-                    _acc(out, k, c * tc)
-            return TensorElement(self, out, m.ring)
-        if isinstance(m, BMonomial):
-            if m.a:
-                raise ValueError("closed formula takes pure e-words")
-            e = m.e
-        else:
-            e = tuple(m)
         base = BMonomial((), e)
         out = {}
         for q in range(len(e) + 1):
@@ -465,12 +456,7 @@ class WordAlgebra:
         else:
             head, rest = e[:1], e[1:]
             first = self._tensor_mul_raw(self._h_eword(head), self._delta_eword(rest))
-            flipped = {}
-            for (l, r), c in self._delta_eword(head).items():
-                if len(l.e) & 1 and len(r.e) & 1:
-                    c = -c
-                _acc(flipped, (r, l), c)
-            second = self._tensor_mul_raw(flipped, self._h_eword(rest))
+            second = self._tensor_mul_raw(_flip_raw(self._delta_eword(head)), self._h_eword(rest))
             t = dict(first)
             for k, c in second.items():
                 _acc(t, k, -c)

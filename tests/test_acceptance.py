@@ -7,9 +7,15 @@ reads as the acceptance report:  pytest tests/test_acceptance.py -v -s
 
 import json
 import time
+from pathlib import Path
 
+import pytest
+
+from rackhom import verify
 from rackhom.cli import main
 from rackhom.complexes import boundary_matrix
+from rackhom.cup import cup
+from rackhom.linalg import SparseMat
 from rackhom.racks import builtin, xset_self, xset_singleton
 from rackhom.rings import ZZ
 from rackhom.verify import (
@@ -18,6 +24,7 @@ from rackhom.verify import (
     suite_commutativity,
     suite_coproduct,
     suite_cup,
+    suite_faces,
     suite_homotopy,
     suite_quandle,
     suite_regression,
@@ -26,9 +33,18 @@ from rackhom.verify import (
 )
 from rackhom.words import WordAlgebra
 
+# the passing check count of every suite, as the benchmark pins it
+REFERENCES = Path(__file__).resolve().parents[1] / "perfbench" / "references.json"
+PINNED_CHECKS = {
+    suite["name"]: suite["checks"]
+    for job in json.loads(REFERENCES.read_text(encoding="utf-8"))["jobs"].values()
+    for suite in job.get("suites", ())
+}
+
 
 def _report(num, label, result, extra=""):
     assert result.passed, f"ACCEPTANCE {num} {label}: FAIL ({result.witness})"
+    assert result.checks == PINNED_CHECKS[result.name], result.checks
     suffix = f" [{extra}]" if extra else ""
     print(f"ACCEPTANCE {num} {label}: PASS ({result.checks} checks){suffix}")
 
@@ -43,7 +59,7 @@ def test_criterion_01_axiom_gate():
 
 def test_criterion_02_boundary_squares_to_zero():
     t0 = time.monotonic()
-    result = suite_squarezero(max_size=4, max_degree=4)
+    result = suite_squarezero()
     elapsed = time.monotonic() - t0
     assert elapsed < 30.0, f"small-rack square-zero took {elapsed:.2f}s (budget 30s)"
     # the larger builtins (sizes 5 and 6) run without a time budget
@@ -70,8 +86,12 @@ def test_criterion_03_word_engine_identities():
     _report(3, "word-engine identity suite", suite_word_identities())
 
 
+def test_criterion_03_face_identities():
+    _report(3, "cube-set face identities", suite_faces())
+
+
 def test_criterion_04_coproduct_oracle_equivalence():
-    result = suite_coproduct(("dihedral:3", "dihedral:4"), max_len=4)
+    result = suite_coproduct()
     # 3^4 = 81 words at length 4 over the three-element dihedral alone
     assert result.checks >= 81
     _report(4, "closed coproduct formula", result)
@@ -126,3 +146,55 @@ def test_criterion_10_deterministic_reports(capsys):
         assert out1 == out2, f"non-deterministic JSON for {args}"
         json.loads(out1)  # valid JSON
     print("ACCEPTANCE 10 deterministic reports: PASS (byte-identical JSON)")
+
+
+def _bumped(op):
+    """``op`` with 1 added to the first value of every result."""
+
+    def wrapped(*args):
+        out = op(*args)
+        out.values[0] += 1
+        return out
+
+    return wrapped
+
+
+FAILURES = [
+    # (suite, patched object, attribute, replacement, witness, checks)
+    (suite_axioms, verify, "validate_rack", lambda table: None,
+     "trivial:2: constant column accepted", 3),
+    (suite_squarezero, SparseMat, "is_zero", lambda self: False,
+     "trivial:1 [rack,trivial]: d_1 d_2 != 0", 1),
+    (suite_word_identities, WordAlgebra, "d", lambda self, u: u,
+     "trivial:3: d^2 != 0 on 1", 1),
+    (suite_coproduct, WordAlgebra, "coproduct_formula", lambda self, e: self.tensor({}),
+     "dihedral:3: formula != coproduct on ()", 1),
+    # the 13 group-like monomials of trivial:3 pass: Delta - tau Delta vanishes on them
+    (suite_homotopy, WordAlgebra, "h", lambda self, u: self.tensor({}),
+     "trivial:3: homotopy identity fails on e[0]", 14),
+    # 12024 exchange checks on dihedral:3, then A = {} passes for eps = 0, 1
+    (suite_faces, WordAlgebra, "face_set", lambda self, m, idx, eps: m,
+     "dihedral:3: composite face order-dependent at (0, 0, 0, 0) A=[1] eps=0", 12027),
+    (suite_cup, verify, "cup", _bumped(cup),
+     "dihedral:3: associativity fails at degrees (0,0,1)", 2),
+    (suite_commutativity, verify, "homotopy_cochain", _bumped(verify.homotopy_cochain),
+     "dihedral:3: d*H != graded commutator at degrees (1,1)", 1),
+    # nine checks on the three 1-letter words, then two on e[0] e[0]
+    (suite_quandle, WordAlgebra, "quandle_project_tensor", lambda self, t: t,
+     "dihedral:3: projection vs Delta fails on (0, 0)", 11),
+    (suite_regression, verify, "orbits", lambda rack: [],
+     "dihedral:3: orbit count != 1", 21),
+]
+
+
+@pytest.mark.parametrize(
+    "suite, target, attr, replacement, witness, checks", FAILURES,
+    ids=[case[0].__name__ for case in FAILURES],
+)
+def test_broken_component_fails_its_suite(monkeypatch, suite, target, attr,
+                                          replacement, witness, checks):
+    monkeypatch.setattr(target, attr, replacement)
+    result = suite()
+    assert (result.passed, result.witness, result.notes) == (False, witness, [])
+    # the count runs up to and includes the failing check
+    assert result.checks == checks

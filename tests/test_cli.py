@@ -16,7 +16,7 @@ from rackhom.cli import (
     parse_rack_text,
     parse_xset_file,
 )
-from rackhom import racks
+from rackhom import cli, racks
 from rackhom.errors import ParseError, R1Violation
 from rackhom.racks import dihedral_rack
 from rackhom.rings import MAX_PRIME
@@ -305,6 +305,57 @@ def test_ring_with_huge_p_refused_before_primality_test(capsys):
     assert time.perf_counter() - t0 < 1
     assert code == EXIT_RESOURCE
     assert f"exceeds the limit {MAX_PRIME}" in err
+
+
+@pytest.mark.parametrize("spec, message", [
+    ("Fp:4", "4 is not prime"),
+    ("R", "unknown ring 'R' (expected Z, Q, or Fp:p)"),
+])
+def test_bad_ring_is_a_validation_error(capsys, spec, message):
+    code, out, err = run(capsys, "homology", "--builtin", "trivial:1", "--ring", spec)
+    assert code == EXIT_FAIL
+    assert out == ""
+    assert err == f"rackhom: error: {message}\n"
+
+
+def test_empty_builtin_spec_names_the_kind(capsys):
+    code, _, err = run(capsys, "homology", "--builtin", "")
+    assert code == EXIT_FAIL
+    assert err == "rackhom: error: unknown builtin kind ''\n"
+
+
+@pytest.mark.parametrize("option", ["--rack", "--coefficients"])
+def test_file_that_is_not_utf8(capsys, tmp_path, option):
+    path = tmp_path / "bad"
+    path.write_bytes(b"rack 1\n\xff\n")
+    args = ["--rack", str(path)] if option == "--rack" else [
+        "--builtin", "dihedral:3", "--coefficients", str(path)]
+    code, out, err = run(capsys, "homology", *args)
+    assert code == EXIT_FAIL
+    assert out == ""
+    assert err == "rackhom: error: not UTF-8 text (invalid start byte)\n"
+
+
+@pytest.mark.parametrize("table, message", [
+    ("[[" + "1" * 5000 + "]]", "an integer has too many digits"),
+    ("[" * 100000 + "]" * 100000, "nested too deeply"),
+])
+def test_json_rack_beyond_the_decoder(capsys, tmp_path, table, message):
+    path = tmp_path / "r.json"
+    path.write_text('{"table": ' + table + "}")
+    code, _, err = run(capsys, "homology", "--rack", str(path))
+    assert code == EXIT_FAIL
+    assert err == f"rackhom: error: bad JSON: {message}\n"
+
+
+def test_internal_value_error_propagates(monkeypatch):
+    # only package errors and OSError are user errors; a bug reads as a traceback
+    def broken(*args, **kwargs):
+        raise ValueError("internal bug")
+
+    monkeypatch.setattr(cli, "ring_structure", broken)
+    with pytest.raises(ValueError, match="internal bug"):
+        main(["ring", "--builtin", "trivial:1"])
 
 
 def test_exit_code_missing_file(capsys):
