@@ -31,13 +31,7 @@ from fractions import Fraction
 
 from . import __version__
 from .complexes import DEFAULT_MAX_BASIS, boundary_matrix
-from .errors import (
-    DimensionOverflow,
-    OrbitLimitExceeded,
-    ParseError,
-    RackhomError,
-    ResourceLimit,
-)
+from .errors import ParseError, RackhomError, ResourceLimit
 from .linalg import ChainComplex
 from .racks import Rack, XSet, builtin, validate_rack, validate_xset, xset_self, xset_singleton
 from .rings import ZZ, ring_by_name
@@ -368,7 +362,7 @@ def main(argv=None) -> int:
         # so that the interpreter's final flush does not fail again
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return EXIT_FAIL
-    except (DimensionOverflow, ResourceLimit, OrbitLimitExceeded) as err:
+    except ResourceLimit as err:
         print(f"rackhom: resource limit: {err}", file=sys.stderr)
         return EXIT_RESOURCE
     except (RackhomError, OSError) as err:

@@ -59,7 +59,8 @@ class CupContext:
 
     ``module_f`` / ``module_g`` are the coefficient modules of the two
     factors (``None`` means trivial coefficients); the product lands in
-    their tensor module unless both are trivial.
+    their tensor module unless both are trivial.  ``max_basis`` caps every
+    tuple basis the products build.
     """
 
     rack: Rack
@@ -67,6 +68,7 @@ class CupContext:
     quandle: bool = False
     module_f: LeftModule | None = None
     module_g: LeftModule | None = None
+    max_basis: int = DEFAULT_MAX_BASIS
     algebra: WordAlgebra = field(default=None, repr=False)
     _stencils: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
@@ -102,13 +104,13 @@ class CupContext:
         """
         key = (p, q)
         if key not in self._stencils:
-            rack, quandle = self.rack, self.quandle
-            f_idx = tuple_basis(rack, p, quandle).index
-            g_idx = tuple_basis(rack, q, quandle).index
+            rack, quandle, cap = self.rack, self.quandle, self.max_basis
+            f_idx = tuple_basis(rack, p, quandle, cap).index
+            g_idx = tuple_basis(rack, q, quandle, cap).index
             subsets = signed_subsets(p + q, q)
             global_neg = bool((p * q) & 1)
             stencil = []
-            for t in tuple_basis(rack, p + q, quandle).tuples:
+            for t in tuple_basis(rack, p + q, quandle, cap).tuples:
                 terms = []
                 for A, comp, eps in subsets:
                     li = f_idx.get(face_set(t, A, 0, rack)[1])
@@ -172,8 +174,8 @@ def _pair_against_tensor(f, g, ctx, tensor_terms):
     sign (-1)^{|g||left|} is constant (-1)^{pq} on surviving terms."""
     ring = ctx.ring
     p, q = f.degree, g.degree
-    src_f = tuple_basis(ctx.rack, p, ctx.quandle)
-    src_g = tuple_basis(ctx.rack, q, ctx.quandle)
+    src_f = tuple_basis(ctx.rack, p, ctx.quandle, ctx.max_basis)
+    src_g = tuple_basis(ctx.rack, q, ctx.quandle, ctx.max_basis)
     mf = f.module.dim if f.module else 1
     mg = g.module.dim if g.module else 1
     target = ctx.target_module()
@@ -208,7 +210,7 @@ def _pair_cochain(f, g, ctx, n, structure_map, sign):
     word-engine map into B (x) B such as ``W.coproduct`` or ``W.h``."""
     ring = ctx.ring
     values = []
-    for t in tuple_basis(ctx.rack, n, ctx.quandle).tuples:
+    for t in tuple_basis(ctx.rack, n, ctx.quandle, ctx.max_basis).tuples:
         vec = _pair_against_tensor(f, g, ctx, structure_map(ctx.algebra.eword(t)).terms)
         values += vec if sign == 1 else [ring.neg(v) for v in vec]
     return Cochain(n, ring, values, ctx.quandle, ctx.target_module())
@@ -297,7 +299,7 @@ def ring_structure(rack: Rack, ring, max_degree: int, quandle: bool = False,
     """
     if not ring.is_field:
         raise ContextMismatch("ring structure requires field scalars")
-    ctx = CupContext(rack, ring, quandle)
+    ctx = CupContext(rack, ring, quandle, max_basis=max_basis)
     # d*^{-1} is the zero map into C^0, which has the one empty tuple
     dmat = {-1: SparseMat(1, 0, ring)}
     for p in range(max_degree + 1):

@@ -47,10 +47,6 @@ class CompatibilityViolation(RackhomError):
         super().__init__(f"action compatibility fails at (y,x,x')=({y},{x},{xp})")
 
 
-class OrbitLimitExceeded(RackhomError):
-    pass
-
-
 class RackMismatch(RackhomError):
     pass
 
@@ -67,10 +63,6 @@ class IndexOutOfRange(RackhomError):
     pass
 
 
-class DimensionOverflow(RackhomError):
-    """A basis size cap was exceeded (resource guard, CLI exit code 2)."""
-
-
 class CoefficientMismatch(RackhomError):
     pass
 
@@ -81,6 +73,14 @@ class MixedDegrees(RackhomError):
 
 class ResourceLimit(RackhomError):
     """A configured resource cap was exceeded (CLI exit code 2)."""
+
+
+class DimensionOverflow(ResourceLimit):
+    """A basis size cap was exceeded."""
+
+
+class OrbitLimitExceeded(ResourceLimit):
+    pass
 
 
 class NotAComplex(RackhomError):

@@ -19,10 +19,12 @@ others (because d o d = 0, which it checks), and the reduction of
 invariant factor changes; see the class docstring.
 
 Kernels, images, solves and span tests over a field share one forward
-reduction (reduce a row by the leading entries held, store the remainder
-normalized under its least index); all but span tests then back-substitute.
-Arbitrary-precision integers throughout; nothing here is probabilistic and
-nothing floats.
+reduction on integer rows (clear a row by the leading entries held, store
+the remainder under its least index); all but span tests back-substitute.
+Over F_p the rows hold residues and lead with 1.  Over Q they are kept
+primitive and cleared fraction-free (Bareiss 1968); Fractions are made only
+from the final reduced rows.  Arbitrary-precision integers throughout;
+nothing here is probabilistic and nothing floats.
 """
 
 from __future__ import annotations
@@ -49,10 +51,6 @@ class SparseMat:
         self.cols = cols if cols is not None else [{} for _ in range(ncols)]
 
     @classmethod
-    def zero(cls, nrows, ncols, ring):
-        return cls(nrows, ncols, ring)
-
-    @classmethod
     def identity(cls, n, ring):
         m = cls(n, n, ring)
         for i in range(n):
@@ -72,16 +70,6 @@ class SparseMat:
                 if not ring.is_zero(v):
                     m.cols[j][i] = v
         return m
-
-    def add_at(self, r, c, v):
-        if not 0 <= r < self.nrows or not 0 <= c < self.ncols:
-            raise ShapeError(f"entry ({r},{c}) outside {self.nrows}x{self.ncols}")
-        col = self.cols[c]
-        u = self.ring.add(col.get(r, self.ring.zero), v)
-        if self.ring.is_zero(u):
-            col.pop(r, None)
-        else:
-            col[r] = u
 
     def nnz(self):
         return sum(len(c) for c in self.cols)
@@ -137,13 +125,6 @@ class SparseMat:
                 rows[i][j] = v
         return rows
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, SparseMat)
-            and (self.nrows, self.ncols) == (other.nrows, other.ncols)
-            and self.cols == other.cols
-        )
-
     def __repr__(self):
         return f"SparseMat({self.nrows}x{self.ncols} over {self.ring}, nnz={self.nnz()})"
 
@@ -157,70 +138,105 @@ def _require_field(ring):
         raise ShapeError(f"{ring} is not a field; use Q or Fp")
 
 
-def _subtract(row, c, base, ring):
-    """``row -= c * base`` in place on sparse row-dicts, keeping no zeros."""
-    sub, mul, is_zero, zero = ring.sub, ring.mul, ring.is_zero, ring.zero
+def _integer_row(vec, p) -> dict:
+    """A dense list or sparse dict of field scalars as a fresh sparse integer
+    row with the same span: residues mod ``p``, or over Q (``p`` 0) primitive."""
+    items = vec.items() if isinstance(vec, dict) else enumerate(vec)
+    if p:
+        return {i: u for i, v in items if (u := v % p)}
+    row = {i: v for i, v in items if v}
+    _clear_denominators(row)
+    _divide_content(row)
+    return row
+
+
+def _clear_denominators(vec):
+    # in place: the rationals of ``vec`` times the lcm of their denominators
+    scale = lcm(*(v.denominator for v in vec.values()))
+    for i, v in vec.items():
+        vec[i] = v.numerator * (scale // v.denominator)
+
+
+def _divide_content(row):
+    # in place: the integer row divided by the gcd of its entries
+    if (g := gcd(*row.values())) > 1:
+        for j in row:
+            row[j] //= g
+
+
+def _clear(row, base, lead, p):
+    """``row := a row - c base`` in place, keeping no zeros, with ``a`` and
+    ``c`` the entries of ``base`` (positive) and ``row`` at ``lead`` over
+    their gcd.  Over F_p the base leads with 1 and entries are residues;
+    over Q the result is divided by its content, so rows stay primitive."""
+    c, b = row[lead], base[lead]
+    if b != 1:
+        g = gcd(c, b)
+        c, a = c // g, b // g
+        for j in row:
+            row[j] *= a
     for j, v in base.items():
-        u = sub(row.get(j, zero), mul(c, v))
-        if is_zero(u):
-            row.pop(j, None)
-        else:
+        u = row.get(j, 0) - c * v
+        if p:
+            u %= p
+        if u:
             row[j] = u
+        else:
+            del row[j]
+    if not p:
+        _divide_content(row)
 
 
-def _reduce_row(row, pivot_of, ring):
-    """Forward-reduce ``row`` in place by the leading entries held in
-    ``pivot_of`` (least index -> row normalized to 1 there) until its least
-    index holds none; an empty result means ``row`` lay in their span."""
+def _insert(row, pivot_of, p) -> bool:
+    """Clear from ``row`` (from :func:`_integer_row`) the leading entries held
+    in ``pivot_of`` (least index -> row) until its least index holds none,
+    and store the remainder there, leading with 1 over F_p and positive over
+    Q.  Returns whether there was one (``row`` lay outside their span)."""
     while row:
         lead = min(row)
         base = pivot_of.get(lead)
         if base is None:
             break
-        _subtract(row, row[lead], base, ring)
-    return row
-
-
-def _insert(row, pivot_of, ring) -> bool:
-    """Reduce ``row`` in place by ``pivot_of`` and store the nonzero
-    remainder, normalized to 1 at its least index, under that index.
-    Returns whether a remainder was stored (``row`` was independent)."""
-    _reduce_row(row, pivot_of, ring)
+        _clear(row, base, lead, p)
     if not row:
         return False
     lead = min(row)
-    c = row[lead]
-    pivot_of[lead] = {j: ring.div(v, c) for j, v in row.items()}
+    scale = pow(row[lead], -1, p) if p else (1 if row[lead] > 0 else -1)
+    if scale != 1:
+        for j in row:
+            row[j] = row[j] * scale % p if p else -row[j]
+    pivot_of[lead] = row
     return True
 
 
-def _sparse(vec, ring) -> dict:
-    # a dense list or a sparse dict, as a fresh sparse dict without zeros
-    items = vec.items() if isinstance(vec, dict) else enumerate(vec)
-    return {i: v for i, v in items if not ring.is_zero(v)}
+def _echelon(vecs, p) -> dict:
+    # the leading rows of the span of ``vecs``, inserted shortest first:
+    # that changes no reduced echelon form and fills in less
+    pivot_of: dict[int, dict] = {}
+    for row in sorted((_integer_row(vec, p) for vec in vecs), key=len):
+        _insert(row, pivot_of, p)
+    return pivot_of
 
 
 def _rref(rows, ring):
-    """Reduced row echelon form of sparse row-dicts.
-
-    Returns ``(pivots, pivot_rows)`` with pivots strictly increasing; each
-    pivot row is normalized to leading 1 and fully reduced against the
-    others.  Deterministic: rows are inserted in order, then later pivots
-    are eliminated from earlier rows.
-    """
-    pivot_of: dict[int, dict] = {}
-    for row in rows:
-        _insert(dict(row), pivot_of, ring)
+    """Reduced row echelon form of sparse row-dicts: ``(pivots, pivot_rows)``
+    with pivots strictly increasing, each row leading with 1 and fully
+    reduced against the others.  Later pivots are cleared from the rows of
+    :func:`_echelon`; over Q the rows become Fractions only then."""
+    p = ring.char
+    pivot_of = _echelon(rows, p)
     pivots = sorted(pivot_of)
-    for p in reversed(pivots):
-        base = pivot_of[p]
+    for k in reversed(pivots):
+        base = pivot_of[k]
         for q in pivots:
-            if q >= p:
+            if q >= k:
                 break
-            c = pivot_of[q].get(p)
-            if c is not None:
-                _subtract(pivot_of[q], c, base, ring)
-    return pivots, [pivot_of[p] for p in pivots]
+            if k in pivot_of[q]:
+                _clear(pivot_of[q], base, k, p)
+    rows = [pivot_of[k] for k in pivots]
+    if not p:
+        rows = [{j: Fraction(v, row[k]) for j, v in row.items()} for k, row in zip(pivots, rows)]
+    return pivots, rows
 
 
 def _eliminate_pivots(vecs, ring, units_only=False):
@@ -350,9 +366,7 @@ def rank(mat: SparseMat, ring=None, drop=frozenset(), pivots=None) -> int:
         found = _eliminate_pivots(vecs, ring)
     else:
         for vec in vecs.values():
-            scale = lcm(*(v.denominator for v in vec.values()))
-            for i, v in vec.items():
-                vec[i] = v.numerator * (scale // v.denominator)
+            _clear_denominators(vec)
         found = _eliminate_pivots(vecs, ZZ, units_only=True)
         for vec in vecs.values():
             for i, v in vec.items():
@@ -370,18 +384,14 @@ def kernel_basis(mat: SparseMat) -> list[list]:
     _require_field(ring)
     pivots, rows = _rref(mat.rows_as_dicts(), ring)
     pivot_set = set(pivots)
-    basis = []
-    for f in range(mat.ncols):
-        if f in pivot_set:
-            continue
-        v = [ring.zero] * mat.ncols
+    basis = {f: [ring.zero] * mat.ncols for f in range(mat.ncols) if f not in pivot_set}
+    for f, v in basis.items():
         v[f] = ring.one
-        for p, row in zip(pivots, rows):
-            c = row.get(f)
-            if c is not None:
-                v[p] = ring.neg(c)
-        basis.append(v)
-    return basis
+    for k, row in zip(pivots, rows):
+        for f, c in row.items():
+            if f != k:  # a free column: the other pivot columns are cleared
+                basis[f][k] = ring.neg(c)
+    return list(basis.values())
 
 
 def image_basis(mat: SparseMat) -> list[list]:
@@ -393,10 +403,8 @@ def image_basis(mat: SparseMat) -> list[list]:
 
 
 def solve(mat: SparseMat, rhs) -> list | None:
-    """One solution of ``mat . x = rhs`` over a field, or None.
-
-    Free variables are set to zero, so the witness is deterministic.
-    """
+    """One solution of ``mat . x = rhs`` over a field, or None; free
+    variables are set to zero, so the witness is deterministic."""
     return solve_many(mat, [rhs])[0]
 
 
@@ -412,23 +420,14 @@ def solve_many(mat: SparseMat, rhs_list) -> list:
             if not ring.is_zero(v):
                 rows[i][n + k] = v
     pivots, rred = _rref(rows, ring)
-    bad = set()
+    # a pivot row in the augmented columns witnesses inconsistency for every
+    # rhs appearing in it
+    bad = {j - n for p, row in zip(pivots, rred) if p >= n for j in row}
+    out = [None if k in bad else [ring.zero] * n for k in range(len(rhs_list))]
     for p, row in zip(pivots, rred):
-        if p >= n:
-            bad.add(p - n)
-            # an all-augmented pivot row witnesses inconsistency for every
-            # rhs appearing in it
-            bad.update(j - n for j in row if j >= n)
-    out = []
-    for k in range(len(rhs_list)):
-        if k in bad:
-            out.append(None)
-            continue
-        x = [ring.zero] * n
-        for p, row in zip(pivots, rred):
-            if p < n:
-                x[p] = row.get(n + k, ring.zero)
-        out.append(x)
+        for j, v in row.items():
+            if p < n <= j and out[j - n] is not None:
+                out[j - n][p] = v
     return out
 
 
@@ -445,10 +444,9 @@ def independent(span, candidates, ring) -> list:
     depends only on the span of ``span``, not on the vectors spanning it.
     """
     _require_field(ring)
-    pivot_of: dict[int, dict] = {}
-    for vec in span:
-        _insert(_sparse(vec, ring), pivot_of, ring)
-    return [vec for vec in candidates if _insert(_sparse(vec, ring), pivot_of, ring)]
+    p = ring.char
+    pivot_of = _echelon(span, p)
+    return [vec for vec in candidates if _insert(_integer_row(vec, p), pivot_of, p)]
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,8 @@ import time
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from rackhom.cli import (
     EXIT_FAIL,
@@ -346,6 +348,42 @@ def test_json_rack_beyond_the_decoder(capsys, tmp_path, table, message):
     code, _, err = run(capsys, "homology", "--rack", str(path))
     assert code == EXIT_FAIL
     assert err == f"rackhom: error: bad JSON: {message}\n"
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-2, 5) | st.integers() | st.floats()
+    | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.sampled_from(["size", "table", "act", "x"]), inner, max_size=3),
+    max_leaves=24,
+)
+RACK_TEXT = st.builds(
+    lambda header, rows: header + "\n" + "\n".join(" ".join(map(str, r)) for r in rows),
+    st.sampled_from(["rack 1", "rack 2", "rack 3", "rack -1", "rack x", "# c\nrack 2", ""]),
+    st.lists(st.lists(st.integers(-1, 3), max_size=4), max_size=4),
+)
+FILE_CONTENTS = st.one_of(
+    st.text(max_size=80).map(str.encode),
+    RACK_TEXT.map(str.encode),
+    JSON_VALUES.map(lambda v: json.dumps(v).encode()),
+    st.dictionaries(st.sampled_from(["size", "table", "act"]), JSON_VALUES, max_size=3)
+    .map(lambda v: json.dumps(v).encode()),
+    st.binary(max_size=80),
+)
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(FILE_CONTENTS, st.booleans())
+def test_input_files_fuzzed(capsys, tmp_path, content, as_rack):
+    """Random text, JSON and bytes as a rack file or a coefficient file end
+    in an exit code, never in an exception."""
+    path = tmp_path / "input"
+    path.write_bytes(content)
+    args = ["--rack", str(path)] if as_rack else [
+        "--builtin", "dihedral:3", "--coefficients", str(path)]
+    assert main(["homology", *args, "--max-degree", "2"]) in (EXIT_OK, EXIT_FAIL, EXIT_RESOURCE)
+    capsys.readouterr()
 
 
 def test_internal_value_error_propagates(monkeypatch):

@@ -1,4 +1,5 @@
 import hashlib
+import importlib
 import itertools
 from fractions import Fraction
 
@@ -23,7 +24,7 @@ from rackhom.cup import (
     is_cocycle,
     ring_structure,
 )
-from rackhom.errors import ContextMismatch, NotACocycle
+from rackhom.errors import ContextMismatch, NotACocycle, ResourceLimit
 from rackhom.linalg import ChainComplex, SparseMat, kernel_basis
 from rackhom.racks import builtin, dihedral_rack, trivial_rack, xset_self, xset_singleton
 from rackhom.rings import GF, QQ, ZZ
@@ -201,6 +202,28 @@ def test_context_mismatch():
     g = basis_cochain(R3, 1, QQ, (0,))
     with pytest.raises(ContextMismatch):
         cup(g, g, ctxq)
+
+
+def test_context_cap_reaches_every_basis():
+    # the 1 x 1 products read the degree-2 basis, 9 tuples over dihedral:3
+    ctx = CupContext(builtin("dihedral:3"), QQ, max_basis=8)
+    f = basis_cochain(R3, 1, QQ, (0,))
+    for product in (cup, cup_via_coproduct):
+        with pytest.raises(ResourceLimit, match="basis of degree 2 .* exceeds cap 8"):
+            product(f, f, ctx)
+
+
+def test_ring_structure_passes_its_cap_to_the_cup_context(monkeypatch):
+    caps = []
+
+    def spy(rack, n, quandle=False, max_basis=None):
+        caps.append(max_basis)
+        return tuple_basis(rack, n, quandle, max_basis)
+
+    # the package exports the function ``cup``, which hides the module
+    monkeypatch.setattr(importlib.import_module("rackhom.cup"), "tuple_basis", spy)
+    assert ring_structure(R3, QQ, 2, max_basis=27).dims == {0: 1, 1: 1, 2: 1}
+    assert set(caps) == {27}
 
 
 # --- graded commutativity ----------------------------------------------------
@@ -434,6 +457,10 @@ def test_ring_structure_products_reduce_to_coboundaries(rack, ring, quandle, max
      "307ab91db095b6b374f2bde861152c4c69dbf0c87b2a63e42584f8baeec1100b"),
     (("--builtin", "trivial:2", "--ring", "Fp:3", "--max-degree", "5"),
      "104a6e1a62d5957599e8a015033328972592deba56c87a689b7668b1cf82a941"),
+    (("--builtin", "dihedral:3", "--ring", "Q", "--max-degree", "5"),
+     "1444b73c2b6b46ed196260abe28c0030170ea789e0a4232f8dc8c3008b645dd5"),
+    (("--builtin", "conjugation:s3", "--ring", "Q", "--max-degree", "3"),
+     "777bdb790786c22315fafbabe69e7fd0664bd68206c983fbaf1ee294b2e599bd"),
 ])
 def test_ring_json_digest_pinned(capsys, argv, digest):
     assert main(["ring", *argv, "--json"]) == 0

@@ -21,6 +21,9 @@ from rackhom.linalg import (
     HomologyGroup,
     SparseMat,
     _check_divisibility_chain,
+    _insert,
+    _integer_row,
+    _rref,
     homology,
     image_basis,
     in_span,
@@ -49,8 +52,8 @@ def sympy_invariant_factors(dense):
 
 
 def test_rank_zero_and_identity():
-    assert rank(SparseMat.zero(3, 5, QQ)) == 0
-    assert len(kernel_basis(SparseMat.zero(3, 5, QQ))) == 5
+    assert rank(SparseMat(3, 5, QQ)) == 0
+    assert len(kernel_basis(SparseMat(3, 5, QQ))) == 5
     assert rank(SparseMat.identity(6, QQ)) == 6
     assert kernel_basis(SparseMat.identity(6, QQ)) == []
 
@@ -62,7 +65,7 @@ def test_rank_of_boundary():
 
 def test_field_ops_require_field():
     with pytest.raises(ShapeError):
-        rank(SparseMat.zero(2, 2, ZZ))
+        rank(SparseMat(2, 2, ZZ))
 
 
 def test_kernel_annihilates():
@@ -149,6 +152,116 @@ def test_elimination_over_prime_field():
     assert len(kernel_basis(m)) == 1
 
 
+def test_rref_with_non_integer_entries():
+    # back-substitution leaves the integer rows [6 0 -1] and [0 3 1]; only
+    # the division by their leading entries makes the fractions
+    rows = [{0: QQ.of(2), 1: QQ.of(1)}, {1: QQ.of(3), 2: QQ.of(1)}]
+    assert _rref(rows, QQ) == ([0, 1], [{0: 1, 2: Fraction(-1, 6)}, {1: 1, 2: Fraction(1, 3)}])
+    m = SparseMat.from_dense([[2, 1, 0], [0, 3, 1]], QQ)
+    assert kernel_basis(m) == [[Fraction(1, 6), Fraction(-1, 3), Fraction(1)]]
+    assert solve(m, [QQ.of(1), QQ.of(1)]) == [Fraction(1, 3), Fraction(1, 3), Fraction(0)]
+    half = SparseMat.from_dense([[Fraction(1, 2), Fraction(1, 3)]], QQ)
+    assert image_basis(half) == [[Fraction(1)]]
+    assert kernel_basis(half) == [[Fraction(-2, 3), Fraction(1)]]
+
+
+def test_stored_rows_are_primitive_integer_rows():
+    pivot_of = {}
+    assert _integer_row([Fraction(2, 3), Fraction(4, 5), 0], 0) == {0: 5, 1: 6}
+    assert _insert(_integer_row([1, 1, 0], 0), pivot_of, 0)
+    # [1 3 2] - [1 1 0] = [0 2 2] has content 2
+    assert _insert(_integer_row([1, 3, 2], 0), pivot_of, 0)
+    assert pivot_of == {0: {0: 1, 1: 1}, 1: {1: 1, 2: 1}}
+    # 2 [3 0 1] - 3 [2 1 0] = [0 -3 2], stored with a positive leading entry
+    pivot_of = {}
+    for row in ([2, 1, 0], [3, 0, 1]):
+        assert _insert(_integer_row(row, 0), pivot_of, 0)
+    assert pivot_of[1] == {1: 3, 2: -2}
+    assert not _insert(_integer_row([1, 1, Fraction(-1, 3)], 0), pivot_of, 0)
+    # over F_5 the rows are residues scaled to lead with 1
+    pivot_of = {}
+    assert _insert(_integer_row([2, 6], 5), pivot_of, 5)
+    assert pivot_of == {0: {0: 1, 1: 3}}
+
+
+FIELDS = [QQ, GF(2), GF(3), GF(5)]
+
+
+def field_rows(data, ring, nr, nc):
+    """Sparse random rows over ``ring``: over Q integers up to +-50 and
+    fractions with denominators up to 9, over F_p residues."""
+    if ring.char:
+        nonzero = st.integers(1, ring.char - 1)
+    else:
+        nonzero = st.one_of(st.integers(-50, 50),
+                            st.fractions(-50, 50, max_denominator=9))
+    entry = st.sampled_from([0, 0, 1]).flatmap(lambda k: nonzero if k else st.just(0))
+    return [[ring.of(data.draw(entry)) for _ in range(nc)] for _ in range(nr)]
+
+
+def sympy_rref(rows, ring, ncols):
+    """``(pivots, nonzero RREF rows)`` by sympy's ``DomainMatrix.rref``,
+    with the entries as Fractions over Q and residues over F_p."""
+    if not rows:
+        return (), []
+    p = ring.char
+    entries = [[sympy.Rational(v.numerator, v.denominator) for v in row] for row in rows]
+    m = DomainMatrix.from_list_sympy(len(rows), ncols, entries)
+    rref, pivots = m.convert_to(sympy.GF(p) if p else sympy.QQ).rref()
+    back = (lambda x: int(x) % p) if p else (lambda x: Fraction(int(x.numerator),
+                                                                   int(x.denominator)))
+    return pivots, [[back(x) for x in row] for row in rref.to_list()[:len(pivots)]]
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.sampled_from(FIELDS), st.integers(1, 8), st.integers(1, 8), st.data())
+def test_field_reductions_match_sympy_rref(ring, nr, nc, data):
+    """Kernels, images, solves and span tests against sympy's RREF."""
+    dense = field_rows(data, ring, nr, nc)
+    m = SparseMat.from_dense(dense, ring)
+    pivots, rref = sympy_rref(dense, ring, nc)
+    kernel = []
+    for f in range(nc):
+        if f not in pivots:
+            v = [0] * nc
+            v[f] = 1
+            for k, row in zip(pivots, rref):
+                v[k] = ring.neg(row[f])
+            kernel.append(v)
+    assert kernel_basis(m) == kernel
+    columns = [list(col) for col in zip(*dense)]
+    assert image_basis(m) == sympy_rref(columns, ring, nr)[1]
+
+    # right-hand sides: random ones (mostly inconsistent) and images m . x
+    rhs = field_rows(data, ring, data.draw(st.integers(1, 3)), nr)
+    for x in field_rows(data, ring, data.draw(st.integers(0, 2)), nc):
+        rhs.append([ring.of(sum(a * b for a, b in zip(row, x))) for row in dense])
+    expected = []
+    for b in rhs:
+        pivots_b, rref_b = sympy_rref([row + [v] for row, v in zip(dense, b)], ring, nc + 1)
+        if nc in pivots_b:
+            expected.append(None)
+            continue
+        x = [0] * nc
+        for k, row in zip(pivots_b, rref_b):
+            x[k] = row[nc]
+        expected.append(x)
+    assert solve_many(m, rhs) == expected
+
+    # candidates: random rows, one sum of two of them and one sum of span rows
+    span = dense[:data.draw(st.integers(0, nr))]
+    candidates = field_rows(data, ring, data.draw(st.integers(1, 6)), nc)
+    candidates.append([ring.add(a, b) for a, b in zip(candidates[0], candidates[-1])])
+    if span:
+        candidates.append([ring.add(a, b) for a, b in zip(span[0], span[-1])])
+    kept = [c for i, c in enumerate(candidates)
+            if len(sympy_rref(span + candidates[:i + 1], ring, nc)[0])
+            > len(sympy_rref(span + candidates[:i], ring, nc)[0])]
+    assert independent(span, candidates, ring) == kept
+    sparse_span = [{j: v for j, v in enumerate(row) if v} for row in span]
+    assert independent(sparse_span, candidates, ring) == kept
+
+
 # --- Smith normal form --------------------------------------------------------
 
 
@@ -157,13 +270,13 @@ def test_snf_diag_example():
 
 
 def test_snf_zero_matrix():
-    s = smith_normal_form(SparseMat.zero(4, 2, ZZ))
+    s = smith_normal_form(SparseMat(4, 2, ZZ))
     assert s.factors == () and s.rank == 0
 
 
 def test_snf_requires_integers():
     with pytest.raises(ShapeError):
-        smith_normal_form(SparseMat.zero(2, 2, QQ))
+        smith_normal_form(SparseMat(2, 2, QQ))
 
 
 def test_snf_resource_cap():
@@ -447,8 +560,6 @@ def test_universal_coefficients_consistency():
 
 
 def test_matrix_shape_guards():
-    m = SparseMat.zero(2, 2, ZZ)
+    m = SparseMat(2, 2, ZZ)
     with pytest.raises(ShapeError):
-        m.add_at(5, 0, 1)
-    with pytest.raises(ShapeError):
-        m.mul(SparseMat.zero(3, 3, ZZ))
+        m.mul(SparseMat(3, 3, ZZ))
