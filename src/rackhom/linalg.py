@@ -51,6 +51,10 @@ class SparseMat:
         self.cols = cols if cols is not None else [{} for _ in range(ncols)]
 
     @classmethod
+    def zero(cls, nrows, ncols, ring):
+        return cls(nrows, ncols, ring)
+
+    @classmethod
     def identity(cls, n, ring):
         m = cls(n, n, ring)
         for i in range(n):
@@ -70,6 +74,16 @@ class SparseMat:
                 if not ring.is_zero(v):
                     m.cols[j][i] = v
         return m
+
+    def add_at(self, r, c, v):
+        if not 0 <= r < self.nrows or not 0 <= c < self.ncols:
+            raise ShapeError(f"entry ({r},{c}) outside {self.nrows}x{self.ncols}")
+        col = self.cols[c]
+        u = self.ring.add(col.get(r, self.ring.zero), v)
+        if self.ring.is_zero(u):
+            col.pop(r, None)
+        else:
+            col[r] = u
 
     def nnz(self):
         return sum(len(c) for c in self.cols)
@@ -125,6 +139,13 @@ class SparseMat:
                 rows[i][j] = v
         return rows
 
+    def __eq__(self, other):
+        return (
+            isinstance(other, SparseMat)
+            and (self.nrows, self.ncols) == (other.nrows, other.ncols)
+            and self.cols == other.cols
+        )
+
     def __repr__(self):
         return f"SparseMat({self.nrows}x{self.ncols} over {self.ring}, nnz={self.nnz()})"
 
@@ -145,23 +166,10 @@ def _integer_row(vec, p) -> dict:
     if p:
         return {i: u for i, v in items if (u := v % p)}
     row = {i: v for i, v in items if v}
-    _clear_denominators(row)
-    _divide_content(row)
-    return row
-
-
-def _clear_denominators(vec):
-    # in place: the rationals of ``vec`` times the lcm of their denominators
-    scale = lcm(*(v.denominator for v in vec.values()))
-    for i, v in vec.items():
-        vec[i] = v.numerator * (scale // v.denominator)
-
-
-def _divide_content(row):
-    # in place: the integer row divided by the gcd of its entries
-    if (g := gcd(*row.values())) > 1:
-        for j in row:
-            row[j] //= g
+    # times the lcm of the denominators over the gcd of the numerators
+    den = lcm(*(v.denominator for v in row.values()))
+    num = gcd(*(v.numerator for v in row.values()))
+    return {i: v.numerator * (den // v.denominator) // num for i, v in row.items()}
 
 
 def _clear(row, base, lead, p):
@@ -183,8 +191,9 @@ def _clear(row, base, lead, p):
             row[j] = u
         else:
             del row[j]
-    if not p:
-        _divide_content(row)
+    if not p and (g := gcd(*row.values())) > 1:
+        for j in row:
+            row[j] //= g
 
 
 def _insert(row, pivot_of, p) -> bool:
@@ -192,15 +201,10 @@ def _insert(row, pivot_of, p) -> bool:
     in ``pivot_of`` (least index -> row) until its least index holds none,
     and store the remainder there, leading with 1 over F_p and positive over
     Q.  Returns whether there was one (``row`` lay outside their span)."""
-    while row:
-        lead = min(row)
-        base = pivot_of.get(lead)
-        if base is None:
-            break
-        _clear(row, base, lead, p)
+    while row and (lead := min(row)) in pivot_of:
+        _clear(row, pivot_of[lead], lead, p)
     if not row:
         return False
-    lead = min(row)
     scale = pow(row[lead], -1, p) if p else (1 if row[lead] > 0 else -1)
     if scale != 1:
         for j in row:
@@ -219,20 +223,16 @@ def _echelon(vecs, p) -> dict:
 
 
 def _rref(rows, ring):
-    """Reduced row echelon form of sparse row-dicts: ``(pivots, pivot_rows)``
-    with pivots strictly increasing, each row leading with 1 and fully
-    reduced against the others.  Later pivots are cleared from the rows of
-    :func:`_echelon`; over Q the rows become Fractions only then."""
+    """Reduced row echelon form of sparse row-dicts: ``(pivots, pivot_rows)``,
+    pivots strictly increasing, each row leading with 1 and fully reduced
+    against the others; over Q the rows become Fractions only at the end."""
     p = ring.char
     pivot_of = _echelon(rows, p)
     pivots = sorted(pivot_of)
-    for k in reversed(pivots):
-        base = pivot_of[k]
-        for q in pivots:
-            if q >= k:
-                break
+    for i, k in reversed(list(enumerate(pivots))):
+        for q in pivots[:i]:
             if k in pivot_of[q]:
-                _clear(pivot_of[q], base, k, p)
+                _clear(pivot_of[q], pivot_of[k], k, p)
     rows = [pivot_of[k] for k in pivots]
     if not p:
         rows = [{j: Fraction(v, row[k]) for j, v in row.items()} for k, row in zip(pivots, rows)]
@@ -366,7 +366,9 @@ def rank(mat: SparseMat, ring=None, drop=frozenset(), pivots=None) -> int:
         found = _eliminate_pivots(vecs, ring)
     else:
         for vec in vecs.values():
-            _clear_denominators(vec)
+            scale = lcm(*(v.denominator for v in vec.values()))
+            for i, v in vec.items():
+                vec[i] = v.numerator * (scale // v.denominator)
         found = _eliminate_pivots(vecs, ZZ, units_only=True)
         for vec in vecs.values():
             for i, v in vec.items():
