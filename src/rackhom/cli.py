@@ -28,6 +28,7 @@ import os
 import sys
 import time
 from fractions import Fraction
+from pathlib import Path
 
 from . import __version__
 from .complexes import DEFAULT_MAX_BASIS, boundary_matrix
@@ -108,12 +109,13 @@ def parse_rack_text(text: str) -> Rack:
     return validate_rack(rows, label="file")
 
 
-def _read_text(path: str) -> str:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            return fh.read()
-        except UnicodeDecodeError as err:
-            raise ParseError(f"not UTF-8 text ({err.reason})") from None
+def _decode(data: bytes) -> str:
+    """UTF-8 text with its newlines translated as a read in text mode would."""
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as err:
+        raise ParseError(f"not UTF-8 text ({err.reason})") from None
+    return text.replace("\r\n", "\n").replace("\r", "\n")
 
 
 def _parse_json(text: str):
@@ -130,9 +132,11 @@ def _parse_json(text: str):
 def parse_rack_file(path: str) -> Rack:
     """Accept either the text format or the JSON shape
     ``{"size": n, "table": [[...]]}``."""
-    text = _read_text(path)
-    stripped = text.lstrip()
-    if stripped.startswith("{"):
+    return _parse_rack(_decode(Path(path).read_bytes()))
+
+
+def _parse_rack(text: str) -> Rack:
+    if text.lstrip().startswith("{"):
         obj = _parse_json(text)
         table = obj.get("table")
         if not isinstance(table, list):
@@ -144,7 +148,7 @@ def parse_rack_file(path: str) -> Rack:
 
 
 def parse_xset_file(path: str, rack: Rack) -> XSet:
-    obj = _parse_json(_read_text(path))
+    obj = _parse_json(_decode(Path(path).read_bytes()))
     if not isinstance(obj, dict):
         raise ParseError("JSON rack-set must be an object with an 'act' array")
     act = obj.get("act")
@@ -155,13 +159,13 @@ def parse_xset_file(path: str, rack: Rack) -> XSet:
     return validate_xset(rack, act, label="file")
 
 
-def _load_rack(args) -> tuple[Rack, str]:
+def _load_rack(args) -> tuple[Rack, bytes]:
+    """The rack and the bytes that the report's ``input_sha`` digests: the
+    file as read (once), or the builtin spec."""
     if args.builtin is not None:
-        return builtin(args.builtin), f"builtin:{args.builtin}"
-    with open(args.rack, "rb") as fh:
-        digest_src = fh.read()
-    rack = parse_rack_file(args.rack)
-    return rack, digest_src.decode("utf-8", errors="replace")
+        return builtin(args.builtin), f"builtin:{args.builtin}".encode()
+    data = Path(args.rack).read_bytes()
+    return _parse_rack(_decode(data)), data
 
 
 def _coefficients(args, rack) -> XSet | None:
@@ -181,11 +185,11 @@ def _scalar_json(v):
     return v
 
 
-def make_report(command, options, input_text, results=None, suites=None,
+def make_report(command, options, source: bytes, results=None, suites=None,
                 timings=None):
     return {
         "version": __version__,
-        "input_sha": hashlib.sha256(input_text.encode("utf-8")).hexdigest(),
+        "input_sha": hashlib.sha256(source).hexdigest(),
         "command": {"name": command, "options": options},
         "results": results or [],
         "suites": suites or [],
@@ -203,7 +207,7 @@ def emit(report, as_json, human_lines):
 
 
 def cmd_homology(args) -> int:
-    rack, input_text = _load_rack(args)
+    rack, source = _load_rack(args)
     ring = ring_by_name(args.ring)
     xs = _coefficients(args, rack)
     results = []
@@ -242,14 +246,14 @@ def cmd_homology(args) -> int:
         "coefficients": args.coefficients or "trivial",
         "max_basis": args.max_basis,
     }
-    report = make_report("homology", options, input_text, results=results,
+    report = make_report("homology", options, source, results=results,
                          timings=timings)
     emit(report, args.json, human)
     return EXIT_OK
 
 
 def cmd_ring(args) -> int:
-    rack, input_text = _load_rack(args)
+    rack, source = _load_rack(args)
     ring = ring_by_name(args.ring)
     if not ring.is_field:
         raise ParseError("ring structure needs a field: Q or Fp:p")
@@ -281,7 +285,7 @@ def cmd_ring(args) -> int:
         "quandle": args.quandle,
         "max_basis": args.max_basis,
     }
-    report = make_report("ring", options, input_text, results=results, timings=timings)
+    report = make_report("ring", options, source, results=results, timings=timings)
     emit(report, args.json, human)
     return EXIT_OK
 
@@ -291,7 +295,7 @@ def cmd_verify(args) -> int:
     suites = run_suite(args.suite)
     timings = {"total_s": round(time.perf_counter() - t0, 6)} if args.timings else None
     report = make_report(
-        "verify", {"suite": args.suite}, f"verify:{args.suite}",
+        "verify", {"suite": args.suite}, f"verify:{args.suite}".encode(),
         suites=[s.as_dict() for s in suites], timings=timings,
     )
     human = []

@@ -49,6 +49,7 @@ from .complexes import (
 from .errors import ContextMismatch, NotACocycle, NotAQuandle
 from .linalg import SparseMat, independent, kernel_basis, solve, solve_many
 from .racks import Rack
+from .rings import ZZ
 from .words import WordAlgebra
 
 
@@ -302,8 +303,12 @@ def ring_structure(rack: Rack, ring, max_degree: int, quandle: bool = False,
     ctx = CupContext(rack, ring, quandle, max_basis=max_basis)
     # d*^{-1} is the zero map into C^0, which has the one empty tuple
     dmat = {-1: SparseMat(1, 0, ring)}
+    # integer entries over Q too: linalg reduces integer rows, so a Fraction
+    # per entry would only be turned back into an int
+    build_ring = ring if ring.char else ZZ
     for p in range(max_degree + 1):
-        dmat[p] = cochain_differential_matrix(rack, p, ring, quandle, max_basis=max_basis)
+        dmat[p] = cochain_differential_matrix(rack, p, build_ring, quandle, max_basis=max_basis)
+        dmat[p].ring = ring
     reps = {
         p: independent(dmat[p - 1].cols, kernel_basis(dmat[p]), ring)
         for p in range(max_degree + 1)

@@ -172,48 +172,54 @@ def suite_squarezero():
                     )
 
 
+def _word_identities(spec):
+    # one rack's checks; its algebra, memos and elements are freed when
+    # they end, before the next rack's algebra is built
+    rack = builtin(spec)
+    W = WordAlgebra(rack)
+    n = rack.size
+    for u in _monomials(W, rack, 3, 2):
+        yield not W.d(W.d(u)) or f"{spec}: d^2 != 0 on {u!r}"
+        yield W.tensor_d(W.coproduct(u)) == W.coproduct(W.d(u)) or (
+            f"{spec}: coderivation fails on {u!r}"
+        )
+    # coderivation on pure e-words of length 4
+    for e in itertools.product(range(n), repeat=4):
+        u = W.eword(e)
+        yield W.tensor_d(W.coproduct(u)) == W.coproduct(W.d(u)) or (
+            f"{spec}: coderivation fails on {e}"
+        )
+    # multiplicativity: combined e-length <= 4, combined prefix <= 2
+    ewords = [e for k in range(3) for e in itertools.product(range(n), repeat=k)]
+    prefix_pairs = [((), ())]
+    prefix_pairs += [((x,), ()) for x in range(n)]
+    prefix_pairs += [((), (x,)) for x in range(n)]
+    prefix_pairs += [((x,), (y,)) for x in range(n) for y in range(n)]
+    for e1 in ewords:
+        for e2 in ewords:
+            if len(e1) + len(e2) > 4:
+                continue
+            for a1, a2 in prefix_pairs:
+                u = W.element({(a1, e1): 1})
+                v = W.element({(a2, e2): 1})
+                yield W.coproduct(u * v) == W.tensor_multiply(
+                    W.coproduct(u), W.coproduct(v)
+                ) or f"{spec}: Delta not multiplicative on {u!r} * {v!r}"
+    # coassociativity on e-words <= 3 and a prefixed layer
+    for ne in range(4):
+        for e in itertools.product(range(n), repeat=ne):
+            for a in [(), (0,)]:
+                u = W.element({(a, e): 1})
+                yield not coassociativity_defect(W, u) or (
+                    f"{spec}: coassociativity fails on {u!r}"
+                )
+
+
 @_suite("words")
 def suite_word_identities():
     """d^2 = 0, coproduct multiplicativity, coassociativity, coderivation."""
     for spec in SMALL_WORD_RACKS:
-        rack = builtin(spec)
-        W = WordAlgebra(rack)
-        n = rack.size
-        for u in _monomials(W, rack, 3, 2):
-            yield not W.d(W.d(u)) or f"{spec}: d^2 != 0 on {u!r}"
-            yield W.tensor_d(W.coproduct(u)) == W.coproduct(W.d(u)) or (
-                f"{spec}: coderivation fails on {u!r}"
-            )
-        # coderivation on pure e-words of length 4
-        for e in itertools.product(range(n), repeat=4):
-            u = W.eword(e)
-            yield W.tensor_d(W.coproduct(u)) == W.coproduct(W.d(u)) or (
-                f"{spec}: coderivation fails on {e}"
-            )
-        # multiplicativity: combined e-length <= 4, combined prefix <= 2
-        ewords = [e for k in range(3) for e in itertools.product(range(n), repeat=k)]
-        prefix_pairs = [((), ())]
-        prefix_pairs += [((x,), ()) for x in range(n)]
-        prefix_pairs += [((), (x,)) for x in range(n)]
-        prefix_pairs += [((x,), (y,)) for x in range(n) for y in range(n)]
-        for e1 in ewords:
-            for e2 in ewords:
-                if len(e1) + len(e2) > 4:
-                    continue
-                for a1, a2 in prefix_pairs:
-                    u = W.element({(a1, e1): 1})
-                    v = W.element({(a2, e2): 1})
-                    yield W.coproduct(u * v) == W.tensor_multiply(
-                        W.coproduct(u), W.coproduct(v)
-                    ) or f"{spec}: Delta not multiplicative on {u!r} * {v!r}"
-        # coassociativity on e-words <= 3 and a prefixed layer
-        for ne in range(4):
-            for e in itertools.product(range(n), repeat=ne):
-                for a in [(), (0,)]:
-                    u = W.element({(a, e): 1})
-                    yield not coassociativity_defect(W, u) or (
-                        f"{spec}: coassociativity fails on {u!r}"
-                    )
+        yield from _word_identities(spec)
 
 
 @_suite("coproduct")
@@ -230,6 +236,39 @@ def suite_coproduct():
                 )
 
 
+def _homotopy_identities(spec):
+    # one rack's checks, scoped like _word_identities
+    rack = builtin(spec)
+    W = WordAlgebra(rack)
+    n = rack.size
+    op = rack.table
+    for u in _monomials(W, rack, 3, 2):
+        yield not W.homotopy_defect(u) or f"{spec}: homotopy identity fails on {u!r}"
+    for ne in range(5):
+        for e in itertools.product(range(n), repeat=ne):
+            for k in range(ne + 1):
+                ua, ub = W.eword(e[:k]), W.eword(e[k:])
+                sign = -1 if k % 2 else 1
+                lhs = W.h(ua * ub)
+                rhs = W.tensor_multiply(W.h(ua), W.coproduct(ub)) + sign * W.tensor_multiply(
+                    W.tensor_flip(W.coproduct(ua)), W.h(ub)
+                )
+                yield lhs == rhs or f"{spec}: splitting rule fails on {e} at {k}"
+    for x in range(n):
+        for y in range(n):
+            got = W.h(W.eword((x, y)))
+            exy = W.monomial((), (x, y))
+            expect_terms: dict = {}
+            for key, c in (
+                ((W.monomial((x,), (y,)), exy), 1),
+                ((W.monomial((), (x,)), exy), 1),
+                ((exy, W.monomial((y,), (op[x][y],))), -1),  # e_x y = y e_{x<|y}
+                ((exy, W.monomial((), (y,))), -1),
+            ):
+                expect_terms[key] = expect_terms.get(key, 0) + c
+            yield got == W.tensor(expect_terms) or f"{spec}: closed form h(e_{x} e_{y}) wrong"
+
+
 @_suite("homotopy")
 def suite_homotopy():
     """Homotopy identity, the splitting rule, and the closed degree-2 form.
@@ -238,35 +277,7 @@ def suite_homotopy():
     d h + h d = Delta - tau Delta  (see the word-engine module docstring).
     """
     for spec in SMALL_WORD_RACKS:
-        rack = builtin(spec)
-        W = WordAlgebra(rack)
-        n = rack.size
-        op = rack.table
-        for u in _monomials(W, rack, 3, 2):
-            yield not W.homotopy_defect(u) or f"{spec}: homotopy identity fails on {u!r}"
-        for ne in range(5):
-            for e in itertools.product(range(n), repeat=ne):
-                for k in range(ne + 1):
-                    ua, ub = W.eword(e[:k]), W.eword(e[k:])
-                    sign = -1 if k % 2 else 1
-                    lhs = W.h(ua * ub)
-                    rhs = W.tensor_multiply(W.h(ua), W.coproduct(ub)) + sign * W.tensor_multiply(
-                        W.tensor_flip(W.coproduct(ua)), W.h(ub)
-                    )
-                    yield lhs == rhs or f"{spec}: splitting rule fails on {e} at {k}"
-        for x in range(n):
-            for y in range(n):
-                got = W.h(W.eword((x, y)))
-                exy = W.monomial((), (x, y))
-                expect_terms: dict = {}
-                for key, c in (
-                    ((W.monomial((x,), (y,)), exy), 1),
-                    ((W.monomial((), (x,)), exy), 1),
-                    ((exy, W.monomial((y,), (op[x][y],))), -1),  # e_x y = y e_{x<|y}
-                    ((exy, W.monomial((), (y,))), -1),
-                ):
-                    expect_terms[key] = expect_terms.get(key, 0) + c
-                yield got == W.tensor(expect_terms) or f"{spec}: closed form h(e_{x} e_{y}) wrong"
+        yield from _homotopy_identities(spec)
 
 
 @_suite("faces")
@@ -280,12 +291,14 @@ def suite_faces():
         for n in range(2, 6):
             for t in itertools.product(range(size), repeat=n):
                 m = BMonomial((), t)
+                first = {(k, eps): W.face_monomial(m, k, eps)
+                         for k in range(1, n + 1) for eps in (0, 1)}
                 for j in range(2, n + 1):
                     for i in range(1, j):
                         for eps in (0, 1):
                             for eta in (0, 1):
-                                lhs = W.face_monomial(W.face_monomial(m, j, eta), i, eps)
-                                rhs = W.face_monomial(W.face_monomial(m, i, eps), j - 1, eta)
+                                lhs = W.face_monomial(first[j, eta], i, eps)
+                                rhs = W.face_monomial(first[i, eps], j - 1, eta)
                                 yield lhs == rhs or (
                                     f"{spec}: exchange fails at {t} i={i} j={j} "
                                     f"eps={eps} eta={eta}"

@@ -36,6 +36,7 @@ floating point.
 
 from __future__ import annotations
 
+import functools
 from typing import NamedTuple
 
 from .complexes import face, face_set, no_adjacent_equal, signed_subsets
@@ -62,6 +63,9 @@ class BMonomial(NamedTuple):
 
 
 EMPTY = BMonomial((), ())
+
+# BMonomial from one (a, e) pair, without the frame of the NamedTuple __new__
+_mono = functools.partial(tuple.__new__, BMonomial)
 
 
 def _acc(acc, key, c):
@@ -200,16 +204,24 @@ class TensorElement:
 class WordAlgebra:
     """All structure maps of the bialgebra of a fixed rack.
 
-    A single instance owns the canonicalization memo and the coproduct and
-    homotopy caches; results are pure values, so sharing an instance across
-    threads only ever repeats idempotent cache inserts.
+    A single instance owns every memo, none of them global: the
+    canonicalization memo, the table of ``d`` on monomials, and the
+    coproduct and homotopy tables of pure e-words.  It also holds the
+    right-translation columns of the rack (``right[y][t] = t <| y``), which
+    conjugate an e-word past a group letter.  A ``CupContext`` or a verify
+    suite builds one instance per rack, so the memos live as long as it
+    does.  Memo values are read, never handed out: every result is a fresh
+    element.  They are pure values, so sharing an instance across threads
+    only ever repeats idempotent inserts.
     """
 
     def __init__(self, rack: Rack, orbit_cap: int = 10**6):
         self.rack = rack
         self.orbit_cap = orbit_cap
         self._inv = inverse_op(rack)
+        self._right = tuple(zip(*rack.table))
         self._canon: dict[tuple, tuple] = {}
+        self._d_memo: dict[BMonomial, dict] = {}
         self._delta_memo: dict[tuple, dict] = {}
         self._h_memo: dict[tuple, dict] = {}
 
@@ -283,11 +295,18 @@ class WordAlgebra:
 
     def mon_mul(self, m1: BMonomial, m2: BMonomial) -> BMonomial:
         """Product of canonical monomials (again a single monomial)."""
-        op = self.rack.table
-        e1 = m1.e
-        for y in m2.a:
-            e1 = tuple(op[t][y] for t in e1)
-        return BMonomial(self.canonical_a_word(m1.a + m2.a), e1 + m2.e)
+        a1, e1 = m1
+        a2, e2 = m2
+        if not a2:  # a1 is canonical already
+            return _mono((a1, e1 + e2))
+        if e1:
+            right = self._right
+            for y in a2:
+                e1 = tuple(map(right[y].__getitem__, e1))
+        elif not a1:
+            return m2
+        a = a1 + a2  # not empty, so a memo hit is truthy
+        return _mono((self._canon.get(a) or self.canonical_a_word(a), e1 + e2))
 
     # -- element constructors ------------------------------------------------
 
@@ -326,18 +345,29 @@ class WordAlgebra:
                 _acc(out, self.mon_mul(m1, m2), c1 * c2)
         return BElement(self, out, u.ring)
 
+    def _d_mono(self, m):
+        # d of one monomial as {monomial: coeff}, from the table; read only
+        memo = self._d_memo
+        t = memo.get(m)
+        if t is not None:
+            return t
+        t = {}
+        a, e = m
+        right = self._right
+        for i, x in enumerate(e):
+            s = 1 if i % 2 == 0 else -1
+            _acc(t, _mono((a, e[:i] + e[i + 1 :])), s)
+            conj = tuple(map(right[x].__getitem__, e[:i]))
+            _acc(t, _mono((self.canonical_a_word(a + (x,)), conj + e[i + 1 :])), -s)
+        memo[m] = t
+        return t
+
     def d(self, u: BElement) -> BElement:
         """Degree -1 super-derivation: d(e[x]) = 1 - x on each e-letter."""
-        op = self.rack.table
         out = {}
         for m, c in u.terms.items():
-            a, e = m
-            for i, x in enumerate(e):
-                s = c if i % 2 == 0 else -c
-                _acc(out, BMonomial(a, e[:i] + e[i + 1 :]), s)
-                conj = tuple(op[t][x] for t in e[:i])
-                m1 = BMonomial(self.canonical_a_word(a + (x,)), conj + e[i + 1 :])
-                _acc(out, m1, -s)
+            for k, v in self._d_mono(m).items():
+                _acc(out, k, c * v)
         return BElement(self, out, u.ring)
 
     def _delta_eword(self, e):
@@ -394,11 +424,12 @@ class WordAlgebra:
     def tensor_d(self, t: TensorElement) -> TensorElement:
         """d (x) 1 + 1 (x) d with the Koszul sign on the second summand."""
         out = {}
+        d_mono = self._d_mono
         for (l, r), c in t.terms.items():
-            for lm, lc in self.d(BElement(self, {l: 1})).terms.items():
+            for lm, lc in d_mono(l).items():
                 _acc(out, (lm, r), c * lc)
             s = -c if len(l.e) & 1 else c
-            for rm, rc in self.d(BElement(self, {r: 1})).terms.items():
+            for rm, rc in d_mono(r).items():
                 _acc(out, (l, rm), s * rc)
         return TensorElement(self, out, t.ring)
 
@@ -414,8 +445,8 @@ class WordAlgebra:
         a, e = m
         x, e = face(e, i, eps, self.rack)
         if x is None:
-            return BMonomial(a, e)
-        return BMonomial(self.canonical_a_word(a + (x,)), e)
+            return _mono((a, e))
+        return _mono((self.canonical_a_word(a + (x,)), e))
 
     def face_set(self, m: BMonomial, indices, eps: int) -> BMonomial:
         """Composite face over an index set, largest index first.
@@ -425,7 +456,7 @@ class WordAlgebra:
         original indices valid.
         """
         prefix, e = face_set(m.e, indices, eps, self.rack)
-        return BMonomial(self.canonical_a_word(m.a + prefix), e)
+        return _mono((self.canonical_a_word(m.a + prefix), e))
 
     def coproduct_formula(self, e: tuple[int, ...], ring=ZZ) -> TensorElement:
         """Closed form of the coproduct of the pure e-word ``e``.

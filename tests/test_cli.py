@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -434,6 +435,33 @@ def test_timings_opt_in(capsys):
                        "--max-degree", "2", "--json", "--timings")
     report = json.loads(out)
     assert report["timings"] is not None and "total_s" in report["timings"]
+
+
+def test_crlf_rack_file_digest_is_of_its_bytes(capsys, tmp_path):
+    data = R3_TEXT.replace("\n", "\r\n").encode()
+    path = tmp_path / "r.txt"
+    path.write_bytes(data)
+    code, out, _ = run(capsys, "homology", "--rack", str(path), "--json")
+    assert code == EXIT_OK
+    report = json.loads(out)
+    assert report["input_sha"] == hashlib.sha256(data).hexdigest()
+    assert report["input_sha"] == (
+        "fe9a0e4c79324808ef06612e2061effbcdca49f2ff891e3803d4c51a0d8b1077"
+    )
+    _, out_lf, _ = run(capsys, "homology", "--builtin", "dihedral:3", "--json")
+    assert report["results"] == json.loads(out_lf)["results"]
+
+
+def test_rack_file_read_once(capsys, tmp_path, monkeypatch):
+    path = tmp_path / "bad"
+    path.write_bytes(b"rack 3\r\n0 2 1\r\n\xc3\n")
+    reads = []
+    read_bytes = Path.read_bytes
+    monkeypatch.setattr(Path, "read_bytes", lambda self: reads.append(self) or read_bytes(self))
+    code, out, err = run(capsys, "ring", "--rack", str(path), "--ring", "Q")
+    assert (code, out) == (EXIT_FAIL, "")
+    assert err == "rackhom: error: not UTF-8 text (invalid continuation byte)\n"
+    assert reads == [path]
 
 
 def test_file_input_sha_differs_from_builtin(capsys, tmp_path):

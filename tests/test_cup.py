@@ -226,6 +226,21 @@ def test_ring_structure_passes_its_cap_to_the_cup_context(monkeypatch):
     assert set(caps) == {27}
 
 
+@pytest.mark.parametrize("ring", [QQ, GF(3)], ids=str)
+def test_ring_structure_reduces_integer_coboundaries(monkeypatch, ring):
+    entries = set()
+
+    def spy(mat):
+        entries.update(type(v) for col in mat.cols for v in col.values())
+        if ring.char:
+            assert all(0 < v < ring.char for col in mat.cols for v in col.values())
+        return kernel_basis(mat)
+
+    monkeypatch.setattr(importlib.import_module("rackhom.cup"), "kernel_basis", spy)
+    assert ring_structure(R3, ring, 2).dims == {0: 1, 1: 1, 2: 1}
+    assert entries == {int}
+
+
 # --- graded commutativity ----------------------------------------------------
 
 

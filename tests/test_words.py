@@ -146,6 +146,79 @@ def test_d_super_leibniz():
             assert W3.d(u * v) == W3.d(u) * v + sign * (u * W3.d(v))
 
 
+WORD_RACKS = {spec: WordAlgebra(builtin(spec)) for spec in ("dihedral:3", "cyclic:3", "trivial:3")}
+
+
+def letters(m):
+    return [("g", x) for x in m.a] + [("e", x) for x in m.e]
+
+
+def d_reference(W, terms):
+    """d letter by letter, with no table: (-1)^i times the word with e[x_i]
+    replaced by 1 - x_i, each product canonicalized from its letters."""
+    out = {}
+    for m, c in terms.items():
+        word = letters(m)
+        for i, k in enumerate(range(len(m.a), len(word))):
+            s = -c if i % 2 else c
+            for mid, sign in (([], s), ([("g", word[k][1])], -s)):
+                _, key = W.canonicalize(word[:k] + mid + word[k + 1 :])
+                out[key] = out.get(key, 0) + sign
+    return {k: v for k, v in out.items() if v}
+
+
+monomial_keys = st.tuples(
+    st.lists(st.integers(0, 2), max_size=2).map(tuple),
+    st.lists(st.integers(0, 2), max_size=4).map(tuple),
+)
+coefficients = st.integers(-3, 3).filter(bool)
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    st.sampled_from(sorted(WORD_RACKS)),
+    st.dictionaries(monomial_keys, coefficients, max_size=4),
+    st.dictionaries(st.tuples(monomial_keys, monomial_keys), coefficients, max_size=4),
+)
+def test_d_and_tensor_d_match_per_letter_reference(spec, terms, pairs):
+    W = WORD_RACKS[spec]
+    u = W.element(terms)
+    assert W.d(u).terms == d_reference(W, u.terms)
+    t = W.tensor({(W.monomial(*l), W.monomial(*r)): c for (l, r), c in pairs.items()})
+    expect = {}
+    for (l, r), c in t.terms.items():
+        for lm, lc in d_reference(W, {l: 1}).items():
+            expect[(lm, r)] = expect.get((lm, r), 0) + c * lc
+        s = -c if len(l.e) % 2 else c
+        for rm, rc in d_reference(W, {r: 1}).items():
+            expect[(l, rm)] = expect.get((l, rm), 0) + s * rc
+    assert W.tensor_d(t) == W.tensor({k: v for k, v in expect.items() if v})
+
+
+def test_results_do_not_share_memo_values():
+    W = WordAlgebra(R3)
+    m = W.monomial((1,), (0, 2))
+    u = W.element({m: 1})
+    expect = dict(W.d(u).terms)
+    W.d(u).terms.clear()
+    W.d(u).terms[m] = 7
+    W.tensor_d(W.tensor({(m, m): 1})).terms.clear()
+    W.tensor_d(W.tensor({(m, EMPTY): 1})).terms[m, m] = 7
+    assert W.d(u).terms == expect
+    assert W.d(u).terms == d_reference(W, {m: 1})
+
+
+def test_mon_mul_fast_paths_match_canonicalize():
+    for W in WORD_RACKS.values():
+        monos = [EMPTY] + [
+            W.monomial(a, e)
+            for a in ((), (0,), (2,), (1, 2), (2, 0))
+            for e in ((), (1,), (0, 2), (2, 2, 1))
+        ]
+        for m1, m2 in itertools.product(monos, repeat=2):
+            assert W.mon_mul(m1, m2) == W.canonicalize(letters(m1) + letters(m2))[1]
+
+
 # --- coproduct --------------------------------------------------------------
 
 
