@@ -199,10 +199,12 @@ def make_report(command, options, source: bytes, results=None, suites=None,
 
 
 def emit(report, as_json, human_lines):
+    """Print the JSON report, or else the lines that ``human_lines()``
+    yields: they are made only when printed."""
     if as_json:
         print(json.dumps(report, sort_keys=True, separators=(",", ":")))
     else:
-        for line in human_lines:
+        for line in human_lines():
             print(line)
 
 
@@ -210,16 +212,7 @@ def cmd_homology(args) -> int:
     rack, source = _load_rack(args)
     ring = ring_by_name(args.ring)
     xs = _coefficients(args, rack)
-    results = []
-    human = [f"{rack.label}: size {rack.size}, "
-             + ("quandle" if rack.is_quandle() else "rack (not a quandle)")]
     timings = {} if args.timings else None
-
-    def shown(h):
-        if ring.is_field:
-            return f"{ring.name}^{h.betti}"
-        return h.describe()
-
     t0 = time.perf_counter()
     complex_ = ChainComplex({
         n: boundary_matrix(rack, n, ZZ, args.quandle, xs, max_basis=args.max_basis)
@@ -229,13 +222,9 @@ def cmd_homology(args) -> int:
         group, kind, label = complex_.cohomology, "cohomology", "H^{}"
     else:
         group, kind, label = complex_.homology, "homology", "H_{}"
-    for n in range(1, args.max_degree + 1):
-        h = group(n)
-        results.append(
-            {"kind": kind, "degree": n, "betti": h.betti,
-             "torsion": list(h.torsion)}
-        )
-        human.append(f"{label.format(n)} over {ring.name}: {shown(h)}")
+    groups = [group(n) for n in range(1, args.max_degree + 1)]
+    results = [{"kind": kind, "degree": h.degree, "betti": h.betti,
+                "torsion": list(h.torsion)} for h in groups]
     if timings is not None:
         timings["total_s"] = round(time.perf_counter() - t0, 6)
     options = {
@@ -248,6 +237,14 @@ def cmd_homology(args) -> int:
     }
     report = make_report("homology", options, source, results=results,
                          timings=timings)
+
+    def human():
+        yield (f"{rack.label}: size {rack.size}, "
+               + ("quandle" if rack.is_quandle() else "rack (not a quandle)"))
+        for h in groups:
+            shown = f"{ring.name}^{h.betti}" if ring.is_field else h.describe()
+            yield f"{label.format(h.degree)} over {ring.name}: {shown}"
+
     emit(report, args.json, human)
     return EXIT_OK
 
@@ -271,14 +268,6 @@ def cmd_ring(args) -> int:
         for (p, i, q, j), coords in sorted(rs.products.items())
     }
     results = [{"dims": dims, "representatives": reps, "products": products}]
-    human = [f"{rack.label}: cohomology ring over {ring.name} up to degree {args.max_degree}"]
-    human.append("dims: " + ", ".join(f"H^{p}={rs.dims[p]}" for p in sorted(rs.dims)))
-    for (p, i, q, j), coords in sorted(rs.products.items()):
-        human.append(
-            f"[{p}:{i}] . [{q}:{j}] = ("
-            + ", ".join(str(c) for c in coords)
-            + f") in H^{p + q}"
-        )
     options = {
         "ring": args.ring,
         "max_degree": args.max_degree,
@@ -286,6 +275,14 @@ def cmd_ring(args) -> int:
         "max_basis": args.max_basis,
     }
     report = make_report("ring", options, source, results=results, timings=timings)
+
+    def human():
+        yield f"{rack.label}: cohomology ring over {ring.name} up to degree {args.max_degree}"
+        yield "dims: " + ", ".join(f"H^{p}={rs.dims[p]}" for p in sorted(rs.dims))
+        for (p, i, q, j), coords in sorted(rs.products.items()):
+            yield (f"[{p}:{i}] . [{q}:{j}] = ("
+                   + ", ".join(str(c) for c in coords) + f") in H^{p + q}")
+
     emit(report, args.json, human)
     return EXIT_OK
 
@@ -298,14 +295,15 @@ def cmd_verify(args) -> int:
         "verify", {"suite": args.suite}, f"verify:{args.suite}".encode(),
         suites=[s.as_dict() for s in suites], timings=timings,
     )
-    human = []
-    for s in suites:
-        mark = "pass" if s.passed else "FAIL"
-        human.append(f"{s.name}: {mark} ({s.checks} checks)")
-        for note in s.notes:
-            human.append(f"  note: {note}")
-        if not s.passed:
-            human.append(f"  witness: {s.witness}")
+
+    def human():
+        for s in suites:
+            yield f"{s.name}: {'pass' if s.passed else 'FAIL'} ({s.checks} checks)"
+            for note in s.notes:
+                yield f"  note: {note}"
+            if not s.passed:
+                yield f"  witness: {s.witness}"
+
     emit(report, args.json, human)
     return EXIT_OK if all(s.passed for s in suites) else EXIT_FAIL
 

@@ -51,10 +51,6 @@ class RackMismatch(RackhomError):
     pass
 
 
-class RingMismatch(RackhomError):
-    pass
-
-
 class NotAQuandle(RackhomError):
     pass
 

@@ -3,20 +3,21 @@ and the homology of a chain complex.
 
 Rank and Smith normal form are one sparse pivot elimination in Markowitz
 order (shortest vector, then least shared pivot index), without
-back-substitution.  Over F_p every nonzero entry is a pivot, so that
-elimination alone gives the rank.  Over Z the +-1 entries go first; those
-steps are unimodular, hence exact.  Euclid's algorithm on the residual
-(least-absolute-value pivots, the standard guard against coefficient
-explosion) then finishes the Smith form, under a cap on the residual's
-size.  The rank over Q takes the same +-1 pass on integers and reduces only
-its residual over Fraction.
+back-substitution, on integers.  Over F_p every nonzero residue is a
+pivot, so that elimination alone gives the rank.  In characteristic 0 the
++-1 entries go first; those steps are unimodular, hence exact.  Euclid's
+algorithm on the residual (least-absolute-value pivots, the standard guard
+against coefficient explosion) then finishes: over Z the Smith form, under
+a cap on the residual's size, and over Q the rank, with no cap, of the
+columns scaled to integers.
 
 ``ChainComplex`` reduces each differential once and reads homology and
 cohomology from that reduction.  It clears across degrees: the pivot
 columns of ``d_n`` name rows of ``d_{n+1}`` that are combinations of the
 others (because d o d = 0, which it checks), and the reduction of
-``d_{n+1}`` leaves them out.  Over Z only the +-1 pivots clear, so that no
-invariant factor changes; see the class docstring.
+``d_{n+1}`` leaves them out.  Over F_p every pivot clears; over Z and Q
+only those of the +-1 pass, so that no invariant factor changes; see the
+class docstring.
 
 Kernels, images, solves and span tests over a field share one forward
 reduction on integer rows (clear a row by the leading entries held, store
@@ -33,7 +34,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from math import gcd, lcm
-from operator import floordiv
 
 from .errors import NotAComplex, ResourceLimit, ShapeError
 from .rings import ZZ
@@ -239,13 +239,13 @@ def _rref(rows, ring):
     return pivots, rows
 
 
-def _eliminate_pivots(vecs, ring, units_only=False):
-    """Sparse pivot elimination on ``vecs`` (``{id: {index: value}}``), in
-    place; returns ``{id: pivot value}`` of the pivot vectors, in the order
-    they dropped out.
+def _eliminate_pivots(vecs, p, units_only=False):
+    """Sparse pivot elimination on ``vecs`` (``{id: {index: value}}``) over
+    F_p, or over Z if ``p`` is 0, in place; returns ``{id: pivot value}`` of
+    the pivot vectors, in the order they dropped out.
 
-    Over a field any entry is a pivot, and over Z with ``units_only`` only
-    a +-1 entry (a unimodular step, hence exact).  Markowitz order: the
+    Over F_p any entry is a pivot, and over Z with ``units_only`` only a
+    +-1 entry (a unimodular step, hence exact).  Markowitz order: the
     shortest vector holding a pivot, then in it the pivot index shared by
     the fewest other vectors.  The pivot index is cleared from every other
     vector, then the pivot vector drops out; nothing is normalized or
@@ -259,10 +259,7 @@ def _eliminate_pivots(vecs, ring, units_only=False):
     pivot (index operations, which touch no other vector); the vector drops
     out when only the pivot is left and is queued again otherwise.
     """
-    p = ring.char
-    over_z = not ring.is_field
-    euclid = over_z and not units_only
-    div = floordiv if euclid else ring.div
+    euclid = not p and not units_only
     key = _weight if euclid else len
     holders: dict[int, set] = {}
     for k, vec in vecs.items():
@@ -279,7 +276,7 @@ def _eliminate_pivots(vecs, ring, units_only=False):
         least = queued[0] if euclid else 1
         pc, best = -1, 0
         for j, v in vec.items():
-            if over_z and v != least and v != -least:
+            if not p and v != least and v != -least:
                 continue
             c = len(holders[j])
             if pc < 0 or c < best:
@@ -287,14 +284,18 @@ def _eliminate_pivots(vecs, ring, units_only=False):
         if pc < 0:
             continue  # no unit now; it is queued again if an update gives it one
         pv = vec.pop(pc)
+        inv = pow(pv, -1, p) if p else pv  # a unit +-1 is its own inverse
         kept = {k}  # the vectors still holding ``pc`` afterwards
         for m in holders.pop(pc) - kept:
             other = vecs[m]
             w = other.pop(pc)
-            f = div(w, pv)
-            if euclid and w % pv:
-                other[pc] = w % pv
-                kept.add(m)
+            if euclid:
+                f, r = divmod(w, pv)
+                if r:
+                    other[pc] = r
+                    kept.add(m)
+            else:
+                f = w * inv % p if p else w * inv
             for j, v in vec.items():
                 old = other.get(j)
                 if old is None:
@@ -351,32 +352,32 @@ def _column_vectors(mat: SparseMat, drop, p=0) -> dict:
 def rank(mat: SparseMat, ring=None, drop=frozenset(), pivots=None) -> int:
     """Rank over the field ``ring`` (by default the matrix's own) by sparse
     elimination alone, of ``mat`` less the rows in ``drop``; the ids of the
-    pivot columns are appended to ``pivots`` if it is a list.
+    pivot columns that may clear the next degree (see ``ChainComplex``) are
+    appended to ``pivots`` if it is a list.
 
     Integer entries are read in ``ring``: reduced mod p over F_p, and as
-    they are over Q.  Over Q the elimination runs on integers as far as it
-    can: each column is scaled by the lcm of its denominators (which keeps
-    the rank), the +-1 pass runs over Z (unimodular, hence valid over Q),
-    and only the residual it leaves is reduced over Fraction.
+    they are over Q.  Over F_p every pivot counts and clears.  Over Q each
+    column is scaled by the lcm of its denominators, which keeps the rank,
+    and the rank is that over Z of the scaled matrix: the +-1 pass and
+    Euclid's algorithm of :func:`smith_normal_form`, without its cap on
+    the residual.  Only the +-1 pivots clear, as over Z.
     """
     ring = mat.ring if ring is None else ring
     _require_field(ring)
-    vecs = _column_vectors(mat, drop, ring.char)
-    if ring.char:
-        found = _eliminate_pivots(vecs, ring)
+    p = ring.char
+    vecs = _column_vectors(mat, drop, p)
+    if p:
+        units = _eliminate_pivots(vecs, p)
     else:
         for vec in vecs.values():
             scale = lcm(*(v.denominator for v in vec.values()))
             for i, v in vec.items():
                 vec[i] = v.numerator * (scale // v.denominator)
-        found = _eliminate_pivots(vecs, ZZ, units_only=True)
-        for vec in vecs.values():
-            for i, v in vec.items():
-                vec[i] = Fraction(v)
-        found.update(_eliminate_pivots(vecs, ring))
+        units = _eliminate_pivots(vecs, 0, units_only=True)
     if pivots is not None:
-        pivots.extend(found)
-    return len(found)
+        pivots.extend(units)
+    # over F_p no vector is left; over Q Euclid's algorithm reduces the rest
+    return len(units) + len(_eliminate_pivots(vecs, 0))
 
 
 def kernel_basis(mat: SparseMat) -> list[list]:
@@ -483,7 +484,7 @@ def smith_normal_form(mat: SparseMat, max_entries: int = 4_000_000,
     if mat.ring is not ZZ:
         raise ShapeError("Smith normal form requires integer scalars")
     vecs = _column_vectors(mat, drop)
-    units = _eliminate_pivots(vecs, ZZ, units_only=True)
+    units = _eliminate_pivots(vecs, 0, units_only=True)
     if pivots is not None:
         pivots.extend(units)
     rows = len({i for vec in vecs.values() for i in vec})
@@ -491,7 +492,7 @@ def smith_normal_form(mat: SparseMat, max_entries: int = 4_000_000,
         raise ResourceLimit(f"Smith reduction on the {rows}x{len(vecs)} residual of a "
                             f"{mat.nrows}x{mat.ncols} matrix exceeds the cap of "
                             f"{max_entries} entries")
-    chain = [abs(v) for v in _eliminate_pivots(vecs, ZZ).values()]
+    chain = [abs(v) for v in _eliminate_pivots(vecs, 0).values()]
     for i in range(len(chain)):
         for j in range(i + 1, len(chain)):
             a, b = chain[i], chain[j]
@@ -555,11 +556,15 @@ class ChainComplex:
     ``d_{n+1}[J, :] = -U^-1 d_n[I, J^c] d_{n+1}[J^c, :]``: those rows are
     combinations of the others, so leaving them out keeps the rank.  The
     argument rests on d o d = 0, which is why the check above is not
-    optional.  Over a field every pivot goes into J.  Over Z only the
+    optional.  Over F_p every pivot goes into J.  Over Z and Q only the
     pivots of the +-1 pass do: U is then unimodular, the rows left out are
     integer combinations of the rest, and no invariant factor changes.  A
-    Euclid pivot would not do: with ``d_1 = [4 6]`` and ``d_2 = [3 -2]^T``,
-    H_1 = 0, but leaving out either row of ``d_2`` gives Z/3 or Z/2.
+    Euclid pivot would not do over Z: with ``d_1 = [4 6]`` and
+    ``d_2 = [3 -2]^T``, H_1 = 0, but leaving out either row of ``d_2``
+    gives Z/3 or Z/2.  Over Q, whose rank comes from the same integer
+    elimination, the Euclid pivots are left out too: a Euclid pivot vector
+    can be reduced again after others have used it, so its ids are not
+    shown to form a J.
     """
 
     def __init__(self, differentials: dict, ring):

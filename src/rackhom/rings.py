@@ -3,7 +3,11 @@
 Every computation in this package is exact; there is no floating point
 anywhere.  Scalars are plain Python objects (``int``, ``Fraction``, or an
 int reduced mod p) and a ring object supplies the arithmetic, so hot loops
-can bind the methods locally.
+can bind the methods locally.  The rings add, subtract, multiply and
+negate; none divides, since kernels, ranks and Smith forms reduce integer
+rows with the characteristic alone (see :mod:`rackhom.linalg`).  Z and Q
+are one class built twice, differing only in name, scalar type and
+``is_field``.
 """
 
 from __future__ import annotations
@@ -17,17 +21,18 @@ from .errors import InvalidSpec, ResourceLimit
 MAX_PRIME = 2 ** 31
 
 
-class IntegerRing:
-    """The ring of integers with arbitrary precision."""
+class CharZero:
+    """A ring of characteristic 0 whose ``of`` makes ``scalar`` values:
+    ``int`` for Z, ``Fraction`` for Q."""
 
-    name = "Z"
-    is_field = False
     char = 0
-    zero = 0
-    one = 1
 
-    def of(self, n):
-        return int(n)
+    def __init__(self, name, scalar, is_field):
+        self.name = name
+        self.of = scalar
+        self.is_field = is_field
+        self.zero = scalar(0)
+        self.one = scalar(1)
 
     def add(self, a, b):
         return a + b
@@ -44,52 +49,8 @@ class IntegerRing:
     def is_zero(self, a):
         return a == 0
 
-    def inv(self, a):
-        raise ArithmeticError("Z is not a field")
-
-    def div(self, a, b):
-        q, r = divmod(a, b)
-        if r:
-            raise ArithmeticError(f"{a} not divisible by {b} in Z")
-        return q
-
     def __repr__(self):
-        return "Z"
-
-
-class RationalField:
-    name = "Q"
-    is_field = True
-    char = 0
-    zero = Fraction(0)
-    one = Fraction(1)
-
-    def of(self, n):
-        return Fraction(n)
-
-    def add(self, a, b):
-        return a + b
-
-    def sub(self, a, b):
-        return a - b
-
-    def mul(self, a, b):
-        return a * b
-
-    def neg(self, a):
-        return -a
-
-    def is_zero(self, a):
-        return a == 0
-
-    def inv(self, a):
-        return 1 / a
-
-    def div(self, a, b):
-        return a / b
-
-    def __repr__(self):
-        return "Q"
+        return self.name
 
 
 class PrimeField:
@@ -124,20 +85,12 @@ class PrimeField:
     def is_zero(self, a):
         return a % self.p == 0
 
-    def inv(self, a):
-        if a % self.p == 0:
-            raise ZeroDivisionError(f"inverse of 0 in F_{self.p}")
-        return pow(a, -1, self.p)
-
-    def div(self, a, b):
-        return (a * self.inv(b)) % self.p
-
     def __repr__(self):
         return self.name
 
 
-ZZ = IntegerRing()
-QQ = RationalField()
+ZZ = CharZero("Z", int, is_field=False)
+QQ = CharZero("Q", Fraction, is_field=True)
 
 _gf_cache: dict[int, PrimeField] = {}
 

@@ -489,6 +489,27 @@ def suite_commutativity():
     return notes
 
 
+def _projection_identities(rack, spec):
+    # one rack's checks, scoped like _word_identities, so that the algebra
+    # is freed before the boundary matrices are built
+    W = WordAlgebra(rack)
+    n = rack.size
+    max_len = 4 if n <= 3 else 3
+    for ne in range(1, max_len + 1):
+        for e in itertools.product(range(n), repeat=ne):
+            u = W.eword(e)
+            pu = W.quandle_project(u)
+            yield W.quandle_project(W.d(u)) == W.quandle_project(W.d(pu)) or (
+                f"{spec}: projection vs d fails on {e}"
+            )
+            yield W.quandle_project_tensor(W.coproduct(u)) == W.quandle_project_tensor(
+                W.coproduct(pu)
+            ) or f"{spec}: projection vs Delta fails on {e}"
+            yield W.quandle_project_tensor(W.h(u)) == W.quandle_project_tensor(
+                W.h(pu)
+            ) or f"{spec}: projection vs h fails on {e}"
+
+
 @_suite("quandle")
 def suite_quandle():
     """Quotient correctness: the projection commutes with the differential
@@ -496,22 +517,7 @@ def suite_quandle():
     boundary is the induced map on the non-degenerate basis."""
     for spec in ("dihedral:3", "conjugation:s3"):
         rack = builtin(spec)
-        W = WordAlgebra(rack)
-        n = rack.size
-        max_len = 4 if n <= 3 else 3
-        for ne in range(1, max_len + 1):
-            for e in itertools.product(range(n), repeat=ne):
-                u = W.eword(e)
-                pu = W.quandle_project(u)
-                yield W.quandle_project(W.d(u)) == W.quandle_project(W.d(pu)) or (
-                    f"{spec}: projection vs d fails on {e}"
-                )
-                yield W.quandle_project_tensor(W.coproduct(u)) == W.quandle_project_tensor(
-                    W.coproduct(pu)
-                ) or f"{spec}: projection vs Delta fails on {e}"
-                yield W.quandle_project_tensor(W.h(u)) == W.quandle_project_tensor(
-                    W.h(pu)
-                ) or f"{spec}: projection vs h fails on {e}"
+        yield from _projection_identities(rack, spec)
         # induced boundary on the non-degenerate basis
         for deg in range(1, 5):
             full = boundary_matrix(rack, deg, ZZ)

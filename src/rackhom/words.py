@@ -45,10 +45,8 @@ from .errors import (
     NotAQuandle,
     OrbitLimitExceeded,
     RackMismatch,
-    RingMismatch,
 )
 from .racks import Rack, inverse_op
-from .rings import ZZ
 
 
 class BMonomial(NamedTuple):
@@ -93,38 +91,33 @@ def _sort_key(m):
 class BElement:
     """Finitely supported integer (or rational) combination of monomials."""
 
-    __slots__ = ("algebra", "terms", "ring")
+    __slots__ = ("algebra", "terms")
 
-    def __init__(self, algebra, terms, ring=ZZ):
+    def __init__(self, algebra, terms):
         self.algebra = algebra
         self.terms = {m: c for m, c in terms.items() if c}
-        self.ring = ring
 
     def _check(self, other):
         if self.algebra.rack != other.algebra.rack:
             raise RackMismatch("elements over different racks")
-        if self.ring is not other.ring:
-            raise RingMismatch(f"{self.ring} vs {other.ring}")
 
     def __add__(self, other):
         self._check(other)
         out = dict(self.terms)
         for m, c in other.terms.items():
             _acc(out, m, c)
-        return BElement(self.algebra, out, self.ring)
+        return BElement(self.algebra, out)
 
     def __sub__(self, other):
         return self + (-other)
 
     def __neg__(self):
-        return BElement(self.algebra, {m: -c for m, c in self.terms.items()}, self.ring)
+        return BElement(self.algebra, {m: -c for m, c in self.terms.items()})
 
     def __mul__(self, other):
         if isinstance(other, BElement):
             return self.algebra.multiply(self, other)
-        return BElement(
-            self.algebra, {m: c * other for m, c in self.terms.items()}, self.ring
-        )
+        return BElement(self.algebra, {m: c * other for m, c in self.terms.items()})
 
     __rmul__ = __mul__
 
@@ -151,31 +144,28 @@ class BElement:
 class TensorElement:
     """Finitely supported combination of monomial pairs in B (x) B."""
 
-    __slots__ = ("algebra", "terms", "ring")
+    __slots__ = ("algebra", "terms")
 
-    def __init__(self, algebra, terms, ring=ZZ):
+    def __init__(self, algebra, terms):
         self.algebra = algebra
         self.terms = {k: c for k, c in terms.items() if c}
-        self.ring = ring
 
     def __add__(self, other):
         out = dict(self.terms)
         for k, c in other.terms.items():
             _acc(out, k, c)
-        return TensorElement(self.algebra, out, self.ring)
+        return TensorElement(self.algebra, out)
 
     def __sub__(self, other):
         return self + (-other)
 
     def __neg__(self):
-        return TensorElement(self.algebra, {k: -c for k, c in self.terms.items()}, self.ring)
+        return TensorElement(self.algebra, {k: -c for k, c in self.terms.items()})
 
     def __mul__(self, other):
         if isinstance(other, TensorElement):
             return self.algebra.tensor_multiply(self, other)
-        return TensorElement(
-            self.algebra, {k: c * other for k, c in self.terms.items()}, self.ring
-        )
+        return TensorElement(self.algebra, {k: c * other for k, c in self.terms.items()})
 
     __rmul__ = __mul__
 
@@ -310,30 +300,30 @@ class WordAlgebra:
 
     # -- element constructors ------------------------------------------------
 
-    def zero(self, ring=ZZ):
-        return BElement(self, {}, ring)
+    def zero(self):
+        return BElement(self, {})
 
-    def one(self, ring=ZZ):
-        return BElement(self, {EMPTY: 1}, ring)
+    def one(self):
+        return BElement(self, {EMPTY: 1})
 
-    def gen(self, x, ring=ZZ):
+    def gen(self, x):
         """The group-like generator of a rack element."""
-        return BElement(self, {BMonomial((x,), ()): 1}, ring)
+        return BElement(self, {BMonomial((x,), ()): 1})
 
-    def gen_e(self, x, ring=ZZ):
-        return BElement(self, {BMonomial((), (x,)): 1}, ring)
+    def gen_e(self, x):
+        return BElement(self, {BMonomial((), (x,)): 1})
 
-    def element(self, terms, ring=ZZ):
+    def element(self, terms):
         out = {}
         for m, c in terms.items():
             _acc(out, self.monomial(m.a, m.e) if isinstance(m, BMonomial) else self.monomial(*m), c)
-        return BElement(self, out, ring)
+        return BElement(self, out)
 
-    def eword(self, e_word, ring=ZZ):
-        return BElement(self, {BMonomial((), tuple(e_word)): 1}, ring)
+    def eword(self, e_word):
+        return BElement(self, {BMonomial((), tuple(e_word)): 1})
 
-    def tensor(self, terms, ring=ZZ):
-        return TensorElement(self, dict(terms), ring)
+    def tensor(self, terms):
+        return TensorElement(self, dict(terms))
 
     # -- algebra / coalgebra maps --------------------------------------------
 
@@ -343,7 +333,7 @@ class WordAlgebra:
         for m1, c1 in u.terms.items():
             for m2, c2 in v.terms.items():
                 _acc(out, self.mon_mul(m1, m2), c1 * c2)
-        return BElement(self, out, u.ring)
+        return BElement(self, out)
 
     def _d_mono(self, m):
         # d of one monomial as {monomial: coeff}, from the table; read only
@@ -368,7 +358,7 @@ class WordAlgebra:
         for m, c in u.terms.items():
             for k, v in self._d_mono(m).items():
                 _acc(out, k, c * v)
-        return BElement(self, out, u.ring)
+        return BElement(self, out)
 
     def _delta_eword(self, e):
         memo = self._delta_memo
@@ -401,7 +391,7 @@ class WordAlgebra:
         out = {}
         for m, c in u.terms.items():
             self._apply_prefix(m.a, self._delta_eword(m.e), c, out)
-        return TensorElement(self, out, u.ring)
+        return TensorElement(self, out)
 
     def _tensor_mul_raw(self, t1, t2):
         out = {}
@@ -416,10 +406,10 @@ class WordAlgebra:
         return out
 
     def tensor_multiply(self, t1: TensorElement, t2: TensorElement) -> TensorElement:
-        return TensorElement(self, self._tensor_mul_raw(t1.terms, t2.terms), t1.ring)
+        return TensorElement(self, self._tensor_mul_raw(t1.terms, t2.terms))
 
     def tensor_flip(self, t: TensorElement) -> TensorElement:
-        return TensorElement(self, _flip_raw(t.terms), t.ring)
+        return TensorElement(self, _flip_raw(t.terms))
 
     def tensor_d(self, t: TensorElement) -> TensorElement:
         """d (x) 1 + 1 (x) d with the Koszul sign on the second summand."""
@@ -431,7 +421,7 @@ class WordAlgebra:
             s = -c if len(l.e) & 1 else c
             for rm, rc in d_mono(r).items():
                 _acc(out, (l, rm), s * rc)
-        return TensorElement(self, out, t.ring)
+        return TensorElement(self, out)
 
     # -- closed coproduct formula ---------------------------------------------
 
@@ -458,7 +448,7 @@ class WordAlgebra:
         prefix, e = face_set(m.e, indices, eps, self.rack)
         return _mono((self.canonical_a_word(m.a + prefix), e))
 
-    def coproduct_formula(self, e: tuple[int, ...], ring=ZZ) -> TensorElement:
+    def coproduct_formula(self, e: tuple[int, ...]) -> TensorElement:
         """Closed form of the coproduct of the pure e-word ``e``.
 
         Sums over all subsets ``A`` of the positions: the term for ``A`` is
@@ -470,7 +460,7 @@ class WordAlgebra:
         for q in range(len(e) + 1):
             for A, comp, eps in signed_subsets(len(e), q):
                 _acc(out, (self.face_set(base, A, 0), self.face_set(base, comp, 1)), eps)
-        return TensorElement(self, out, ring)
+        return TensorElement(self, out)
 
     # -- homotopy ---------------------------------------------------------------
 
@@ -501,7 +491,7 @@ class WordAlgebra:
         out = {}
         for m, c in u.terms.items():
             self._apply_prefix(m.a, self._h_eword(m.e), c, out)
-        return TensorElement(self, out, u.ring)
+        return TensorElement(self, out)
 
     def homotopy_defect(self, u: BElement) -> TensorElement:
         """(d o h + h o d - coproduct + flipped coproduct)(u); zero on all of B."""
@@ -520,22 +510,13 @@ class WordAlgebra:
         """
         if not self.rack.is_quandle():
             raise NotAQuandle(f"{self.rack.label} is not a quandle")
-        return BElement(
-            self, {m: c for m, c in u.terms.items() if no_adjacent_equal(m.e)}, u.ring
-        )
+        return BElement(self, {m: c for m, c in u.terms.items() if no_adjacent_equal(m.e)})
 
     def quandle_project_tensor(self, t: TensorElement) -> TensorElement:
         if not self.rack.is_quandle():
             raise NotAQuandle(f"{self.rack.label} is not a quandle")
-        return TensorElement(
-            self,
-            {
-                (l, r): c
-                for (l, r), c in t.terms.items()
-                if no_adjacent_equal(l.e) and no_adjacent_equal(r.e)
-            },
-            t.ring,
-        )
+        return TensorElement(self, {(l, r): c for (l, r), c in t.terms.items()
+                                    if no_adjacent_equal(l.e) and no_adjacent_equal(r.e)})
 
     # -- rendering ----------------------------------------------------------------
 

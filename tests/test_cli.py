@@ -150,8 +150,16 @@ def test_ring_command(capsys):
     code, out, _ = run(capsys, "ring", "--builtin", "dihedral:3",
                        "--ring", "Q", "--max-degree", "2")
     assert code == EXIT_OK
-    assert "H^1=1" in out
-    assert "[1:0] . [1:0] = (0) in H^2" in out
+    assert out == (
+        "dihedral:3: cohomology ring over Q up to degree 2\n"
+        "dims: H^0=1, H^1=1, H^2=1\n"
+        "[0:0] . [0:0] = (1) in H^0\n"
+        "[0:0] . [1:0] = (1) in H^1\n"
+        "[0:0] . [2:0] = (1) in H^2\n"
+        "[1:0] . [0:0] = (1) in H^1\n"
+        "[1:0] . [1:0] = (0) in H^2\n"
+        "[2:0] . [0:0] = (1) in H^2\n"
+    )
 
 
 def test_verify_command(capsys):

@@ -9,28 +9,18 @@ from rackhom.rings import GF, MAX_PRIME, QQ, ZZ, ring_by_name
 def test_integer_ring_basics():
     assert ZZ.add(2, 3) == 5
     assert ZZ.mul(-4, 6) == -24
-    assert ZZ.div(12, 4) == 3
-    with pytest.raises(ArithmeticError):
-        ZZ.div(5, 2)
-    with pytest.raises(ArithmeticError):
-        ZZ.inv(2)
 
 
 def test_rationals():
     assert QQ.of(3) == Fraction(3)
-    assert QQ.div(QQ.of(1), QQ.of(3)) == Fraction(1, 3)
-    assert QQ.inv(Fraction(2, 5)) == Fraction(5, 2)
     assert QQ.is_field
 
 
 def test_prime_field():
     F5 = GF(5)
     assert F5.add(3, 4) == 2
-    assert F5.inv(2) == 3
     assert F5.of(-1) == 4
     assert F5.char == 5
-    with pytest.raises(ZeroDivisionError):
-        F5.inv(0)
     with pytest.raises(ValueError):
         GF(6)
 

@@ -4,9 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rackhom.errors import NotAQuandle, OrbitLimitExceeded, RackMismatch, RingMismatch
+from rackhom.errors import NotAQuandle, OrbitLimitExceeded, RackMismatch
 from rackhom.racks import builtin, cyclic_rack, dihedral_rack, trivial_rack
-from rackhom.rings import QQ, ZZ
 from rackhom.words import EMPTY, BMonomial, WordAlgebra
 from rackhom.verify import coassociativity_defect
 
@@ -102,11 +101,6 @@ def test_rack_mismatch():
     other = WordAlgebra(trivial_rack(3))
     with pytest.raises(RackMismatch):
         W3.gen(0) * other.gen(0)
-
-
-def test_ring_mismatch():
-    with pytest.raises(RingMismatch):
-        W3.gen(0, ring=ZZ) * W3.gen(0, ring=QQ)
 
 
 # --- differential ----------------------------------------------------------
