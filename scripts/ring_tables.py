@@ -30,9 +30,9 @@ def show(spec, max_degree):
         print(f"  [{p}:{i}] . [{q}:{j}] = ({pretty}) in H^{p+q}")
     violations = 0
     for (p, i, q, j), coords in rs.products.items():
-        sign = QQ.of(-1 if (p * q) % 2 else 1)
+        sign = -1 if (p * q) % 2 else 1
         mirror = rs.products[(q, j, p, i)]
-        if coords != tuple(QQ.mul(sign, c) for c in mirror):
+        if coords != tuple(sign * c for c in mirror):
             violations += 1
     print(f"  graded commutativity violations: {violations}")
 

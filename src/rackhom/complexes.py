@@ -219,19 +219,13 @@ class Cochain:
     module: LeftModule | None = None
 
 
-def zero_cochain(rack: Rack, p: int, ring, quandle=False, module=None) -> Cochain:
-    basis = tuple_basis(rack, p, quandle)
-    dim = (module.dim if module else 1) * len(basis)
-    return Cochain(p, ring, [ring.zero] * dim, quandle, module)
-
-
 def basis_cochain(rack: Rack, p: int, ring, t, j=0, quandle=False, module=None) -> Cochain:
     """Indicator cochain of a basis tuple (and module basis index)."""
     basis = tuple_basis(rack, p, quandle)
     mdim = module.dim if module else 1
-    f = zero_cochain(rack, p, ring, quandle, module)
-    f.values[basis.index[tuple(t)] * mdim + j] = ring.one
-    return f
+    values = [ring.zero] * (len(basis) * mdim)
+    values[basis.index[tuple(t)] * mdim + j] = ring.one
+    return Cochain(p, ring, values, quandle, module)
 
 
 def _boundary(rack: Rack, n: int, ring, quandle: bool, dim: int, right,
@@ -243,7 +237,7 @@ def _boundary(rack: Rack, n: int, ring, quandle: bool, dim: int, right,
         raise IndexOutOfRange("boundary defined for degree >= 1")
     src = tuple_basis(rack, n, quandle, max_basis)
     tgt = tuple_basis(rack, n - 1, quandle, max_basis)
-    of, is_zero = ring.of, ring.is_zero
+    of = ring.of
     cols = []
     for t in src.tuples:
         faces = []
@@ -260,7 +254,7 @@ def _boundary(rack: Rack, n: int, ring, quandle: bool, dim: int, right,
                 if r1 is not None:
                     r = r1 * dim + (right[x][y] if right is not None else y)
                     col[r] = col.get(r, 0) - s
-            cols.append({r: w for r, v in col.items() if not is_zero(w := of(v))})
+            cols.append({r: w for r, v in col.items() if (w := of(v))})
     return SparseMat(len(tgt) * dim, len(src) * dim, ring, cols)
 
 
@@ -295,7 +289,7 @@ def cochain_differential_matrix(rack: Rack, p: int, ring, quandle=False,
     """
     dim, right = (module.dim, module.inverse_perms()) if module else (1, None)
     mat = _boundary(rack, p + 1, ring, quandle, dim, right, max_basis).transpose()
-    return mat.scaled(ring.neg(ring.one)) if p % 2 == 0 else mat
+    return mat.scaled(ring.of(-1)) if p % 2 == 0 else mat
 
 
 @functools.lru_cache(maxsize=32)
@@ -313,13 +307,14 @@ def cochain_differential(f: Cochain, rack: Rack) -> Cochain:
     mat = _shared_coboundary(rack, f.degree, ring, f.quandle, f.module)
     if len(f.values) != mat.ncols:
         raise CoefficientMismatch("cochain length does not match its basis")
-    add, mul, is_zero = ring.add, ring.mul, ring.is_zero
     out = [ring.zero] * mat.nrows
     for v, col in zip(f.values, mat.cols):
-        if is_zero(v):
+        if not v:
             continue
         for i, c in col.items():
-            out[i] = add(out[i], mul(c, v))
+            out[i] += c * v
+    if ring.char:
+        out = [v % ring.char for v in out]
     return Cochain(f.degree + 1, ring, out, f.quandle, f.module)
 
 
@@ -352,5 +347,5 @@ def project_to_chain(u: BElement, ring=ZZ, xset: XSet | None = None,
         if xset is not None:
             for a in m.a:
                 yy = xset.act[yy][a]
-        values[idx * ydim + yy] = ring.add(values[idx * ydim + yy], ring.of(c))
+        values[idx * ydim + yy] = ring.of(values[idx * ydim + yy] + c)
     return Chain(basis, ring, values, ydim)

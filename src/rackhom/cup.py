@@ -137,7 +137,7 @@ def _value(f: Cochain, basis_index, tuple_, prefix, module, mdim):
         return vec
     out = [f.ring.zero] * mdim
     for i, v in enumerate(vec):
-        if not f.ring.is_zero(v):
+        if v:
             out[module.act_word_index(prefix, i)] = v
     return out
 
@@ -152,69 +152,73 @@ def cup(f: Cochain, g: Cochain, ctx: CupContext) -> Cochain:
     act = g.module.act_word_index if g.module else None
     tdim = mf * mg
     values = [ring.zero] * (len(stencil) * tdim)
-    add, sub, mul, is_zero = ring.add, ring.sub, ring.mul, ring.is_zero
     fvals, gvals = f.values, g.values
     for t_idx, terms in enumerate(stencil):
         for li, ri, prefix, negative in terms:
             for a in range(mf):
                 va = fvals[li * mf + a]
-                if is_zero(va):
+                if not va:
                     continue
                 base = (t_idx * mf + a) * mg
                 for b in range(mg):
-                    w = mul(va, gvals[ri * mg + b])
-                    if is_zero(w):
+                    # over F_p a product of nonzero residues is nonzero
+                    w = va * gvals[ri * mg + b]
+                    if not w:
                         continue
                     k = base + (act(prefix, b) if act else b)
-                    values[k] = sub(values[k], w) if negative else add(values[k], w)
+                    if negative:
+                        values[k] -= w
+                    else:
+                        values[k] += w
+    if ring.char:
+        values = [v % ring.char for v in values]
     return Cochain(f.degree + g.degree, ring, values, ctx.quandle, ctx.target_module())
 
 
-def _pair_against_tensor(f, g, ctx, tensor_terms):
-    """Evaluate i(f (x) g) against word-engine tensor terms; the evaluation
-    sign (-1)^{|g||left|} is constant (-1)^{pq} on surviving terms."""
-    ring = ctx.ring
+def _pair_against_tensor(f, g, ring, f_index, g_index, tensor_terms):
+    """Evaluate i(f (x) g) against word-engine tensor terms, reading f and g
+    through the indexes of their tuple bases; the evaluation sign
+    (-1)^{|g||left|} is constant (-1)^{pq} on surviving terms."""
     p, q = f.degree, g.degree
-    src_f = tuple_basis(ctx.rack, p, ctx.quandle, ctx.max_basis)
-    src_g = tuple_basis(ctx.rack, q, ctx.quandle, ctx.max_basis)
     mf = f.module.dim if f.module else 1
     mg = g.module.dim if g.module else 1
-    target = ctx.target_module()
-    tdim = target.dim if target else 1
-    out = [ring.zero] * tdim
+    out = [ring.zero] * (mf * mg)
     global_neg = (p * q) & 1
     for (l, r), c in tensor_terms.items():
         if len(l.e) != p or len(r.e) != q:
             continue
-        fv = _value(f, src_f.index, l.e, l.a, f.module, mf)
+        fv = _value(f, f_index, l.e, l.a, f.module, mf)
         if fv is None:
             continue
-        gv = _value(g, src_g.index, r.e, r.a, g.module, mg)
+        gv = _value(g, g_index, r.e, r.a, g.module, mg)
         if gv is None:
             continue
         coeff = ring.of(-c if global_neg else c)
-        if ring.is_zero(coeff):
+        if not coeff:
             continue
         for a in range(mf):
             va = fv[a]
-            if ring.is_zero(va):
+            if not va:
                 continue
             for b in range(mg):
-                w = ring.mul(coeff, ring.mul(va, gv[b]))
-                k = a * mg + b
-                out[k] = ring.add(out[k], w)
+                out[a * mg + b] += coeff * va * gv[b]
+    if ring.char:
+        out = [v % ring.char for v in out]
     return out
 
 
 def _pair_cochain(f, g, ctx, n, structure_map, sign):
     """The degree-n cochain t -> sign * (f (x) g)(structure_map(e_t)), for a
     word-engine map into B (x) B such as ``W.coproduct`` or ``W.h``."""
-    ring = ctx.ring
+    ring, rack, quandle, cap = ctx.ring, ctx.rack, ctx.quandle, ctx.max_basis
+    f_index = tuple_basis(rack, f.degree, quandle, cap).index
+    g_index = tuple_basis(rack, g.degree, quandle, cap).index
     values = []
-    for t in tuple_basis(ctx.rack, n, ctx.quandle, ctx.max_basis).tuples:
-        vec = _pair_against_tensor(f, g, ctx, structure_map(ctx.algebra.eword(t)).terms)
-        values += vec if sign == 1 else [ring.neg(v) for v in vec]
-    return Cochain(n, ring, values, ctx.quandle, ctx.target_module())
+    for t in tuple_basis(rack, n, quandle, cap).tuples:
+        terms = structure_map(ctx.algebra.eword(t)).terms
+        vec = _pair_against_tensor(f, g, ring, f_index, g_index, terms)
+        values += vec if sign == 1 else [ring.of(-v) for v in vec]
+    return Cochain(n, ring, values, quandle, ctx.target_module())
 
 
 def cup_via_coproduct(f: Cochain, g: Cochain, ctx: CupContext) -> Cochain:
@@ -226,7 +230,7 @@ def cup_via_coproduct(f: Cochain, g: Cochain, ctx: CupContext) -> Cochain:
 
 def is_cocycle(f: Cochain, rack: Rack) -> bool:
     df = cochain_differential(f, rack)
-    return all(f.ring.is_zero(v) for v in df.values)
+    return not any(df.values)
 
 
 def homotopy_cochain(f: Cochain, g: Cochain, ctx: CupContext) -> Cochain:
@@ -325,7 +329,7 @@ def ring_structure(rack: Rack, ring, max_degree: int, quandle: bool = False,
                     rhs.append(cup(fc, Cochain(q, ring, list(gv), quandle), ctx).values)
         if not keys:
             continue
-        cols = [{i: v for i, v in enumerate(vec) if not ring.is_zero(v)} for vec in reps[n]]
+        cols = [{i: v for i, v in enumerate(vec) if v} for vec in reps[n]]
         cols += dmat[n - 1].cols
         red = SparseMat(dmat[n].ncols, len(cols), ring, cols)
         for key, coords in zip(keys, solve_many(red, rhs)):

@@ -70,8 +70,7 @@ class SparseMat:
             if len(row) != ncols:
                 raise ShapeError("ragged dense matrix")
             for j, v in enumerate(row):
-                v = ring.of(v)
-                if not ring.is_zero(v):
+                if v := ring.of(v):
                     m.cols[j][i] = v
         return m
 
@@ -79,11 +78,10 @@ class SparseMat:
         if not 0 <= r < self.nrows or not 0 <= c < self.ncols:
             raise ShapeError(f"entry ({r},{c}) outside {self.nrows}x{self.ncols}")
         col = self.cols[c]
-        u = self.ring.add(col.get(r, self.ring.zero), v)
-        if self.ring.is_zero(u):
-            col.pop(r, None)
-        else:
+        if u := self.ring.of(col.get(r, 0) + v):
             col[r] = u
+        else:
+            col.pop(r, None)
 
     def nnz(self):
         return sum(len(c) for c in self.cols)
@@ -94,18 +92,17 @@ class SparseMat:
     def mul(self, other: "SparseMat") -> "SparseMat":
         if self.ncols != other.nrows:
             raise ShapeError("shape mismatch in matrix product")
-        ring = self.ring
-        out = SparseMat(self.nrows, other.ncols, ring)
+        p = self.ring.char
+        out = SparseMat(self.nrows, other.ncols, self.ring)
         for j, col in enumerate(other.cols):
             acc: dict = {}
             for k, v in col.items():
                 for i, w in self.cols[k].items():
-                    u = ring.add(acc.get(i, ring.zero), ring.mul(w, v))
-                    if ring.is_zero(u):
-                        acc.pop(i, None)
-                    else:
-                        acc[i] = u
-            out.cols[j] = acc
+                    acc[i] = acc.get(i, 0) + w * v
+            if p:
+                out.cols[j] = {i: u for i, a in acc.items() if (u := a % p)}
+            else:
+                out.cols[j] = {i: a for i, a in acc.items() if a}
         return out
 
     def transpose(self) -> "SparseMat":
@@ -116,14 +113,9 @@ class SparseMat:
         return out
 
     def scaled(self, c) -> "SparseMat":
-        ring = self.ring
-        out = SparseMat(self.nrows, self.ncols, ring)
-        for j, col in enumerate(self.cols):
-            for i, v in col.items():
-                w = ring.mul(v, c)
-                if not ring.is_zero(w):
-                    out.cols[j][i] = w
-        return out
+        of = self.ring.of
+        cols = [{i: w for i, v in col.items() if (w := of(v * c))} for col in self.cols]
+        return SparseMat(self.nrows, self.ncols, self.ring, cols)
 
     def to_dense(self):
         rows = [[self.ring.zero] * self.ncols for _ in range(self.nrows)]
@@ -393,7 +385,7 @@ def kernel_basis(mat: SparseMat) -> list[list]:
     for k, row in zip(pivots, rows):
         for f, c in row.items():
             if f != k:  # a free column: the other pivot columns are cleared
-                basis[f][k] = ring.neg(c)
+                basis[f][k] = ring.of(-c)
     return list(basis.values())
 
 
@@ -416,11 +408,14 @@ def solve_many(mat: SparseMat, rhs_list) -> list:
     elimination; entries are None where the system is inconsistent."""
     ring = mat.ring
     _require_field(ring)
+    for rhs in rhs_list:
+        if len(rhs) != mat.nrows:
+            raise ShapeError(f"right-hand side has {len(rhs)} entries for {mat.nrows} rows")
     n = mat.ncols
     rows = mat.rows_as_dicts()
     for k, rhs in enumerate(rhs_list):
         for i, v in enumerate(rhs):
-            if not ring.is_zero(v):
+            if v:
                 rows[i][n + k] = v
     pivots, rred = _rref(rows, ring)
     # a pivot row in the augmented columns witnesses inconsistency for every

@@ -1,13 +1,19 @@
 """Exact scalar rings: arbitrary-precision integers, rationals, prime fields.
 
 Every computation in this package is exact; there is no floating point
-anywhere.  Scalars are plain Python objects (``int``, ``Fraction``, or an
-int reduced mod p) and a ring object supplies the arithmetic, so hot loops
-can bind the methods locally.  The rings add, subtract, multiply and
-negate; none divides, since kernels, ranks and Smith forms reduce integer
-rows with the characteristic alone (see :mod:`rackhom.linalg`).  Z and Q
-are one class built twice, differing only in name, scalar type and
-``is_field``.
+anywhere.  Scalars are plain Python numbers: ``int`` over Z, ``Fraction``
+over Q, and over F_p an ``int`` in ``range(p)``.  Callers compute with
+Python's own operators.  A ring is a record of what they need besides: its
+name, its characteristic, whether it is a field, ``of`` (which makes a
+scalar from an integer, reducing it mod p over F_p), ``zero`` and ``one``.
+
+Over F_p, values are stored as residues in ``range(p)``, reduced by
+whoever stores them (with ``of`` or ``% char``).  A sum or product of
+residues may be reduced once, where it is stored, and a zero test on a
+stored value is a truth test.  No ring divides, since kernels, ranks and
+Smith forms reduce integer rows with the characteristic alone (see
+:mod:`rackhom.linalg`).  Rings are compared with ``is``: Z and Q are
+single instances, and ``GF`` keeps one per p.
 """
 
 from __future__ import annotations
@@ -21,83 +27,36 @@ from .errors import InvalidSpec, ResourceLimit
 MAX_PRIME = 2 ** 31
 
 
-class CharZero:
-    """A ring of characteristic 0 whose ``of`` makes ``scalar`` values:
-    ``int`` for Z, ``Fraction`` for Q."""
+class Ring:
+    """A scalar ring: name, characteristic, ``is_field``, and ``of``, which
+    makes the ring's scalars, among them ``zero`` and ``one``."""
 
-    char = 0
+    __slots__ = ("name", "char", "is_field", "of", "zero", "one")
 
-    def __init__(self, name, scalar, is_field):
+    def __init__(self, name, char, is_field, of):
         self.name = name
-        self.of = scalar
+        self.char = char
         self.is_field = is_field
-        self.zero = scalar(0)
-        self.one = scalar(1)
-
-    def add(self, a, b):
-        return a + b
-
-    def sub(self, a, b):
-        return a - b
-
-    def mul(self, a, b):
-        return a * b
-
-    def neg(self, a):
-        return -a
-
-    def is_zero(self, a):
-        return a == 0
+        self.of = of
+        self.zero = of(0)
+        self.one = of(1)
 
     def __repr__(self):
         return self.name
 
 
-class PrimeField:
-    """F_p with elements stored as ints in ``range(p)``."""
+ZZ = Ring("Z", 0, False, int)
+QQ = Ring("Q", 0, True, Fraction)
 
-    is_field = True
+_gf_cache: dict[int, Ring] = {}
 
-    def __init__(self, p):
+
+def GF(p: int) -> Ring:
+    """F_p, one instance per prime p."""
+    if p not in _gf_cache:
         if p < 2 or any(p % d == 0 for d in range(2, int(p ** 0.5) + 1)):
             raise InvalidSpec(f"{p} is not prime")
-        self.p = p
-        self.name = f"F{p}"
-        self.char = p
-        self.zero = 0
-        self.one = 1 % p
-
-    def of(self, n):
-        return n % self.p
-
-    def add(self, a, b):
-        return (a + b) % self.p
-
-    def sub(self, a, b):
-        return (a - b) % self.p
-
-    def mul(self, a, b):
-        return (a * b) % self.p
-
-    def neg(self, a):
-        return (-a) % self.p
-
-    def is_zero(self, a):
-        return a % self.p == 0
-
-    def __repr__(self):
-        return self.name
-
-
-ZZ = CharZero("Z", int, is_field=False)
-QQ = CharZero("Q", Fraction, is_field=True)
-
-_gf_cache: dict[int, PrimeField] = {}
-
-
-def GF(p: int) -> PrimeField:
-    if p not in _gf_cache:
-        _gf_cache[p] = PrimeField(p)
+        _gf_cache[p] = Ring(f"F{p}", p, True, lambda n: n % p)
     return _gf_cache[p]
 
 

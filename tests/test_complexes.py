@@ -185,9 +185,9 @@ def test_cocycle_condition_in_degree_one():
     # a 1-cochain is a cocycle iff it is constant on orbits
     f = basis_cochain(R3, 1, QQ, (0,))
     df = cochain_differential(f, R3)
-    assert any(not QQ.is_zero(v) for v in df.values)
+    assert any(df.values)
     const = Cochain(1, QQ, [QQ.one] * 3)
-    assert all(QQ.is_zero(v) for v in cochain_differential(const, R3).values)
+    assert not any(cochain_differential(const, R3).values)
 
 
 def test_cochain_differential_squares_to_zero():
@@ -197,7 +197,7 @@ def test_cochain_differential_squares_to_zero():
             for t in basis.tuples:
                 f = basis_cochain(rack, p, QQ, t)
                 ddf = cochain_differential(cochain_differential(f, rack), rack)
-                assert all(QQ.is_zero(v) for v in ddf.values)
+                assert not any(ddf.values)
 
 
 @settings(max_examples=60, deadline=None)
@@ -205,7 +205,7 @@ def test_cochain_differential_squares_to_zero():
 def test_dstar_squared_zero_random(values):
     f = Cochain(2, QQ, [QQ.of(v) for v in values])
     ddf = cochain_differential(cochain_differential(f, R3), R3)
-    assert all(QQ.is_zero(v) for v in ddf.values)
+    assert not any(ddf.values)
 
 
 def test_cochain_differential_matrix_agrees_with_function():

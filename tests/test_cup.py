@@ -24,7 +24,7 @@ from rackhom.cup import (
     is_cocycle,
     ring_structure,
 )
-from rackhom.errors import ContextMismatch, NotACocycle, ResourceLimit
+from rackhom.errors import ContextMismatch, NotACocycle, ResourceLimit, ShapeError
 from rackhom.linalg import ChainComplex, SparseMat, kernel_basis
 from rackhom.racks import builtin, dihedral_rack, trivial_rack, xset_self, xset_singleton
 from rackhom.rings import GF, QQ, ZZ
@@ -146,12 +146,11 @@ def test_cup_bilinear():
     f1 = basis_cochain(R3, 1, QQ, (0,))
     f2 = basis_cochain(R3, 1, QQ, (2,))
     g = basis_cochain(R3, 1, QQ, (1,))
-    combo = Cochain(1, QQ, [QQ.add(a, QQ.mul(QQ.of(3), b))
-                            for a, b in zip(f1.values, f2.values)])
+    combo = Cochain(1, QQ, [a + 3 * b for a, b in zip(f1.values, f2.values)])
     lhs = cup(combo, g, ctx).values
     r1 = cup(f1, g, ctx).values
     r2 = cup(f2, g, ctx).values
-    assert lhs == [QQ.add(a, QQ.mul(QQ.of(3), b)) for a, b in zip(r1, r2)]
+    assert lhs == [a + 3 * b for a, b in zip(r1, r2)]
 
 
 def test_cup_associative_sample():
@@ -268,10 +267,10 @@ def test_homotopy_cochain_identity_on_r3_constants():
     ctx = CupContext(R3, QQ)
     f = Cochain(1, QQ, [QQ.one] * 3)
     fg = cup(f, f, ctx)
-    assert all(QQ.is_zero(v) for v in fg.values)  # -1 + 1 pointwise
+    assert not any(fg.values)  # -1 + 1 pointwise
     H = homotopy_cochain(f, f, ctx)
     dH = cochain_differential(H, R3)
-    assert all(QQ.is_zero(v) for v in dH.values)
+    assert not any(dH.values)
 
 
 def test_homotopy_cochain_identity_exhaustive_degree_pairs():
@@ -288,10 +287,8 @@ def test_homotopy_cochain_identity_exhaustive_degree_pairs():
                     g = Cochain(q, QQ, list(gv))
                     H = homotopy_cochain(f, g, ctx)
                     dH = cochain_differential(H, rack)
-                    comm = [
-                        QQ.sub(a, QQ.mul(QQ.of(sign), b))
-                        for a, b in zip(cup(f, g, ctx).values, cup(g, f, ctx).values)
-                    ]
+                    comm = [a - sign * b
+                            for a, b in zip(cup(f, g, ctx).values, cup(g, f, ctx).values)]
                     assert dH.values == comm
 
 
@@ -301,6 +298,54 @@ def test_homotopy_cochain_rejects_non_cocycles():
     assert not is_cocycle(f, R3)
     with pytest.raises(NotACocycle):
         homotopy_cochain(f, f, ctx)
+
+
+# --- F_p against Z reduced mod p ----------------------------------------------
+
+
+def _integer_cochain(rack, p, salt, module=None):
+    """Integer values in -4..4, so that products over F_p wrap around."""
+    n = len(tuple_basis(rack, p)) * (module.dim if module else 1)
+    return Cochain(p, ZZ, [(5 * k + salt) % 9 - 4 for k in range(n)], module=module)
+
+
+def _reduced(f, ring):
+    return Cochain(f.degree, ring, [ring.of(v) for v in f.values], f.quandle, f.module)
+
+
+@pytest.mark.parametrize("prime", [2, 3, 5])
+@pytest.mark.parametrize("rack,module", [
+    (R3, None),
+    (builtin("cyclic:3"), None),
+    (R3, module_from_xset(xset_self(R3))),
+], ids=["dihedral:3", "cyclic:3", "dihedral:3-self"])
+def test_cup_over_fp_is_integer_cup_mod_p(prime, rack, module):
+    """Both product paths over F_p store residues, and they equal the same
+    path's integer product reduced mod p."""
+    Fp = GF(prime)
+    zctx = CupContext(rack, ZZ, module_f=module, module_g=module)
+    fctx = CupContext(rack, Fp, module_f=module, module_g=module)
+    for p, q in ((1, 1), (1, 2), (2, 1)):
+        f, g = _integer_cochain(rack, p, 1, module), _integer_cochain(rack, q, 4, module)
+        for product in (cup, cup_via_coproduct):
+            expect = [v % prime for v in product(f, g, zctx).values]
+            values = product(_reduced(f, Fp), _reduced(g, Fp), fctx).values
+            assert values == expect
+            assert all(type(v) is int and v in range(prime) for v in values)
+            assert any(values)
+
+
+@pytest.mark.parametrize("prime", [2, 3, 5])
+def test_homotopy_over_fp_is_integer_homotopy_mod_p(prime):
+    # H(f, g) of two 1-cocycles lands in degree 1 with the sign -1
+    Fp = GF(prime)
+    for rack in (R3, builtin("cyclic:3")):
+        f, g = Cochain(1, ZZ, [7] * 3), Cochain(1, ZZ, [-1] * 3)
+        expect = [v % prime for v in homotopy_cochain(f, g, CupContext(rack, ZZ)).values]
+        values = homotopy_cochain(_reduced(f, Fp), _reduced(g, Fp), CupContext(rack, Fp)).values
+        assert values == expect
+        assert all(type(v) is int and v in range(prime) for v in values)
+        assert any(values)
 
 
 # --- coboundary solving ---------------------------------------------------------
@@ -319,14 +364,18 @@ def test_is_coboundary_constant_is_not():
     assert is_coboundary(c, R3) is None
 
 
+def test_is_coboundary_refuses_short_cochain():
+    # a 1-cochain on dihedral:3 has 3 values, not 1
+    with pytest.raises(ShapeError):
+        is_coboundary(Cochain(1, QQ, [QQ.of(0)]), builtin("dihedral:3"))
+
+
 def test_commutator_of_cocycles_is_coboundary():
     ctx = CupContext(R4, QQ)
     cocycles = kernel_basis(cochain_differential_matrix(R4, 1, QQ))
     f = Cochain(1, QQ, list(cocycles[0]))
     g = Cochain(1, QQ, list(cocycles[1]))
-    comm = Cochain(2, QQ, [
-        QQ.add(a, b) for a, b in zip(cup(f, g, ctx).values, cup(g, f, ctx).values)
-    ])
+    comm = Cochain(2, QQ, [a + b for a, b in zip(cup(f, g, ctx).values, cup(g, f, ctx).values)])
     w = is_coboundary(comm, R4)
     assert w is not None
     assert cochain_differential(w, R4).values == comm.values
@@ -403,12 +452,12 @@ def test_product_well_defined_modulo_coboundaries():
     ctx = CupContext(R4, QQ)
     f = Cochain(1, QQ, list(rs.reps[1][0]))
     bump = cochain_differential(basis_cochain(R4, 1, QQ, (2,)), R4)
-    assert any(not QQ.is_zero(v) for v in bump.values)
+    assert any(bump.values)
     g = Cochain(2, QQ, list(rs.reps[2][0]))
-    shifted = Cochain(2, QQ, [QQ.add(a, b) for a, b in zip(g.values, bump.values)])
+    shifted = Cochain(2, QQ, [a + b for a, b in zip(g.values, bump.values)])
     p1 = cup(f, g, ctx)
     p2 = cup(f, shifted, ctx)
-    diff = Cochain(3, QQ, [QQ.sub(a, b) for a, b in zip(p2.values, p1.values)])
+    diff = Cochain(3, QQ, [a - b for a, b in zip(p2.values, p1.values)])
     assert is_coboundary(diff, R4) is not None
 
 
@@ -459,10 +508,10 @@ def test_ring_structure_products_reduce_to_coboundaries(rack, ring, quandle, max
         g = Cochain(q, ring, list(rs.reps[q][j]), quandle)
         rest = list(cup(f, g, ctx).values)
         for c, rep in zip(coords, rs.reps[p + q]):
-            rest = [ring.sub(a, ring.mul(c, b)) for a, b in zip(rest, rep)]
+            rest = [ring.of(a - c * b) for a, b in zip(rest, rep)]
         rest = Cochain(p + q, ring, rest, quandle)
         if p + q == 0:
-            assert all(ring.is_zero(v) for v in rest.values)
+            assert not any(rest.values)
         else:
             assert is_coboundary(rest, rack) is not None
 
@@ -512,10 +561,7 @@ def test_quandle_homotopy_cochain():
         g = Cochain(2, QQ, list(gv), quandle=True)
         H = homotopy_cochain(consts, g, ctx)
         dH = cochain_differential(H, R3)
-        comm = [
-            QQ.sub(a, b)
-            for a, b in zip(cup(consts, g, ctx).values, cup(g, consts, ctx).values)
-        ]
+        comm = [a - b for a, b in zip(cup(consts, g, ctx).values, cup(g, consts, ctx).values)]
         assert dH.values == comm
 
 
@@ -593,5 +639,5 @@ def test_module_cup_matches_coproduct_path_on_non_symmetric_tables(rack):
         f = _dense_cochain(rack, p, QQ, N, 3)
         g = _dense_cochain(rack, q, QQ, N, 1)
         fg = cup(f, g, ctx)
-        assert any(not QQ.is_zero(v) for v in fg.values)
+        assert any(fg.values)
         assert fg.values == cup_via_coproduct(f, g, ctx).values

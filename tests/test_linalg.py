@@ -73,10 +73,9 @@ def test_kernel_annihilates():
     for v in kernel_basis(m):
         out = [QQ.zero] * m.nrows
         for j, c in enumerate(v):
-            if not QQ.is_zero(c):
-                for i, w in m.cols[j].items():
-                    out[i] = QQ.add(out[i], QQ.mul(w, c))
-        assert all(QQ.is_zero(x) for x in out)
+            for i, w in m.cols[j].items():
+                out[i] += w * c
+        assert not any(out)
     assert len(kernel_basis(m)) == m.ncols - rank(m)
 
 
@@ -95,6 +94,42 @@ def test_solve_and_solve_many():
     sols = solve_many(inconsistent, [[QQ.of(1), QQ.of(1)], [QQ.of(1), QQ.of(2)]])
     assert sols[0] == [Fraction(1), Fraction(0)]
     assert sols[1] is None
+
+
+def test_solve_refuses_rhs_of_wrong_length():
+    with pytest.raises(ShapeError, match="1 entries for 2 rows"):
+        solve(SparseMat.identity(2, QQ), [QQ.of(1)])
+    with pytest.raises(ShapeError):
+        solve_many(SparseMat.identity(2, QQ), [[QQ.one, QQ.one], [QQ.one] * 3])
+
+
+def test_fp_matrices_store_nonzero_residues():
+    """Over F_p every stored entry is a residue in range(1, p): reduced by
+    whoever stores it, with the zeros it wraps to deleted."""
+    F5 = GF(5)
+
+    def residues(m):
+        return all(type(v) is int and v in range(1, 5) for col in m.cols for v in col.values())
+
+    m = SparseMat.from_dense([[-1, 5, 7], [0, -10, -2]], F5)
+    assert m.cols == [{0: 4}, {}, {0: 2, 1: 3}]
+    m.add_at(0, 0, 1)  # 4 + 1 wraps to 0: the entry is deleted
+    m.add_at(1, 1, -8)
+    assert m.cols == [{}, {1: 2}, {0: 2, 1: 3}]
+    square = SparseMat.from_dense([[1, 2], [3, 4]], F5)
+    product = square.mul(square)  # [[7, 10], [15, 22]]
+    assert product.cols == [{0: 2}, {1: 2}]
+    negated = m.scaled(F5.of(-1))
+    assert negated.cols == [{}, {1: 3}, {0: 3, 1: 2}]
+    assert m.scaled(F5.of(5)).cols == [{}, {}, {}]
+    assert all(residues(x) for x in (m, product, negated))
+
+    rank_one = SparseMat.from_dense([[1, 2, 3], [2, 4, 1]], F5)  # row 2 = 2 row 1 mod 5
+    kernel = kernel_basis(rank_one)
+    assert kernel == [[3, 1, 0], [2, 0, 1]]
+    for v in kernel:
+        assert all(type(c) is int and c in range(5) for c in v)
+        assert all(sum(row[j] * v[j] for j in range(3)) % 5 == 0 for row in ([1, 2, 3], [2, 4, 1]))
 
 
 def test_in_span():
@@ -226,7 +261,7 @@ def test_field_reductions_match_sympy_rref(ring, nr, nc, data):
             v = [0] * nc
             v[f] = 1
             for k, row in zip(pivots, rref):
-                v[k] = ring.neg(row[f])
+                v[k] = ring.of(-row[f])
             kernel.append(v)
     assert kernel_basis(m) == kernel
     columns = [list(col) for col in zip(*dense)]
@@ -251,9 +286,9 @@ def test_field_reductions_match_sympy_rref(ring, nr, nc, data):
     # candidates: random rows, one sum of two of them and one sum of span rows
     span = dense[:data.draw(st.integers(0, nr))]
     candidates = field_rows(data, ring, data.draw(st.integers(1, 6)), nc)
-    candidates.append([ring.add(a, b) for a, b in zip(candidates[0], candidates[-1])])
+    candidates.append([ring.of(a + b) for a, b in zip(candidates[0], candidates[-1])])
     if span:
-        candidates.append([ring.add(a, b) for a, b in zip(span[0], span[-1])])
+        candidates.append([ring.of(a + b) for a, b in zip(span[0], span[-1])])
     kept = [c for i, c in enumerate(candidates)
             if len(sympy_rref(span + candidates[:i + 1], ring, nc)[0])
             > len(sympy_rref(span + candidates[:i], ring, nc)[0])]
@@ -564,8 +599,8 @@ def test_sign_shifted_complex_same_homology():
         for n in (1, 2, 3):
             plain_in = boundary_matrix(R3, n + 1, ring)
             plain_out = boundary_matrix(R3, n, ring)
-            flipped_in = plain_in.scaled(ring.neg(ring.one))
-            flipped_out = plain_out.scaled(ring.neg(ring.one))
+            flipped_in = plain_in.scaled(ring.of(-1))
+            flipped_out = plain_out.scaled(ring.of(-1))
             a = homology(plain_in, plain_out, ring, n)
             b = homology(flipped_in, flipped_out, ring, n)
             assert (a.betti, a.torsion) == (b.betti, b.torsion)

@@ -7,20 +7,25 @@ from rackhom.rings import GF, MAX_PRIME, QQ, ZZ, ring_by_name
 
 
 def test_integer_ring_basics():
-    assert ZZ.add(2, 3) == 5
-    assert ZZ.mul(-4, 6) == -24
+    assert ZZ.of(-4) == -4 and type(ZZ.of(-4)) is int
+    assert (ZZ.zero, ZZ.one, ZZ.char) == (0, 1, 0)
+    assert type(ZZ.zero) is int and not ZZ.is_field
 
 
 def test_rationals():
     assert QQ.of(3) == Fraction(3)
-    assert QQ.is_field
+    assert type(QQ.of(3)) is Fraction
+    assert type(QQ.zero) is Fraction and type(QQ.one) is Fraction
+    assert QQ.is_field and QQ.char == 0
 
 
 def test_prime_field():
     F5 = GF(5)
-    assert F5.add(3, 4) == 2
+    assert F5.of(3 + 4) == 2
     assert F5.of(-1) == 4
-    assert F5.char == 5
+    assert all(type(F5.of(n)) is int and F5.of(n) in range(5) for n in range(-12, 12))
+    assert (F5.zero, F5.one, F5.char) == (0, 1, 5)
+    assert F5.is_field
     with pytest.raises(ValueError):
         GF(6)
 
