@@ -4,10 +4,17 @@ Bases are tuples over the rack, enumerated in mixed-radix order with the
 last coordinate varying fastest; the quandle variant keeps exactly the
 tuples with no adjacent equal entries.  Degree 0 is one empty tuple.
 
-``face`` / ``face_set`` are the only code that turns a tuple into its
-faces, and one private builder assembles the boundary from them:
+Faces are read from the rack's right-translation columns ``Rack.right``
+by ``face`` / ``face_set`` (one face, and a composite face, of a tuple)
+and ``coproduct_terms`` (the terms (delete A) (x) (conjugating-delete of
+the complement) of the closed coproduct formula, which the cup stencil and
+the word engine's ``coproduct_formula`` both read); ``_boundary`` takes
+the two faces of each position in one pass and assembles
 
-    bd(x_1..x_n) = sum_i (-1)^i [ delete_i - delete_i-with-conjugation ]
+    bd(x_1..x_n) = sum_i (-1)^i [ delete_i - delete_i-with-conjugation ].
+
+The word engine's ``d`` keeps its own faces on purpose: the check
+``project_to_chain(d(e_T)) == -bd(T)`` compares two independent codes.
 
 Everything else derives from that matrix.  The cochain differential is
 
@@ -22,16 +29,15 @@ no rank and no invariant factor, so cohomology is read from the same
 reductions of the boundary matrices as homology
 (``linalg.ChainComplex.cohomology``).
 
-Coefficients: trivial (the base ring) or the permutation module of a
-validated rack-set action.  Chains use the right action; cochains use the
-left action obtained by inverting each right translation, so the boundary
-that a cochain module transposes is built with the module's inverse
-permutations as its right action.
+Coefficients: trivial (the one-point action) or the permutation module
+of a validated rack-set action.  Chains use the right action; cochains use
+the left action obtained by inverting each right translation, so the
+boundary that a cochain module transposes is built with the module's
+inverse permutations as its right action.
 """
 
 from __future__ import annotations
 
-import functools
 import itertools
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
@@ -104,9 +110,9 @@ def face(t, i, eps, rack: Rack):
     j = i - 1
     if eps == 0:
         return None, t[:j] + t[j + 1 :]
-    op = rack.table
     x = t[j]
-    return x, tuple([op[y][x] for y in t[:j]]) + t[j + 1 :]
+    col = rack.right[x]
+    return x, tuple([col[y] for y in t[:j]]) + t[j + 1 :]
 
 
 def face_set(t, indices, eps, rack: Rack):
@@ -123,19 +129,23 @@ def face_set(t, indices, eps, rack: Rack):
     return tuple(prefix), t
 
 
-def signed_subsets(n, q):
-    """Every size-``q`` subset ``A`` of 1..n as ``(A, complement, eps)``.
-
-    ``eps`` is the signature of the unshuffle that lists ``A`` before its
-    complement, times (-1)^{q (n - q)}: the sign of the term
-    (delete A) (x) (conjugating-delete the complement) of the coproduct.
+def coproduct_terms(t, q, rack: Rack):
+    """The closed coproduct formula on ``t``, right factors of degree ``q``:
+    ``(left, prefix, right, eps)`` per size-``q`` subset ``A`` of 1..n, in
+    lexicographic order.  ``left`` deletes ``A``; ``prefix, right`` is the
+    conjugating face over the complement (:func:`face_set`); ``eps`` is the
+    unshuffle signature of ``A`` before its complement times (-1)^{q(n-q)}.
     """
-    out = []
-    for A in itertools.combinations(range(1, n + 1), q):
-        comp = tuple(i for i in range(1, n + 1) if i not in A)
-        inversions = sum(1 for a in A for c in comp if a > c)
-        out.append((A, comp, -1 if (inversions + q * (n - q)) & 1 else 1))
-    return out
+    n = len(t)
+    positions = range(1, n + 1)
+    # the k-th a in A (from 0) lies above a - 1 - k complement positions,
+    # so the unshuffle has sum(A) - q (q + 1) / 2 inversions
+    shift = q * (q + 1) // 2 + q * (n - q)
+    for A in itertools.combinations(positions, q):
+        comp = [i for i in positions if i not in A]
+        prefix, right = face_set(t, comp, 1, rack)
+        eps = -1 if (sum(A) - shift) & 1 else 1
+        yield tuple([t[i - 1] for i in comp]), prefix, right, eps
 
 
 # ---------------------------------------------------------------------------
@@ -223,36 +233,42 @@ def basis_cochain(rack: Rack, p: int, ring, t, j=0, quandle=False, module=None) 
     """Indicator cochain of a basis tuple (and module basis index)."""
     basis = tuple_basis(rack, p, quandle)
     mdim = module.dim if module else 1
+    idx = basis.index.get(tuple(t))
+    if idx is None or not 0 <= j < mdim:
+        raise IndexOutOfRange(f"no basis cochain at tuple {tuple(t)}, module index {j}")
     values = [ring.zero] * (len(basis) * mdim)
-    values[basis.index[tuple(t)] * mdim + j] = ring.one
+    values[idx * mdim + j] = ring.one
     return Cochain(p, ring, values, quandle, module)
 
 
-def _boundary(rack: Rack, n: int, ring, quandle: bool, dim: int, right,
-              max_basis: int) -> SparseMat:
-    """The degree-``n`` boundary with coefficients in a permutation module
-    of dimension ``dim``; ``right[x][y]`` is the point ``y`` moved by the
-    right action of ``x`` (``None`` for trivial coefficients, ``dim`` 1)."""
+def _boundary(rack: Rack, n: int, ring, quandle: bool, right, max_basis: int) -> SparseMat:
+    """The degree-``n`` boundary with coefficients in a permutation module;
+    ``right[x][y]`` is the point ``y`` moved by the right action of ``x``
+    (trivial coefficients are the one-point action ``((0,),) * size``)."""
     if n < 1:
         raise IndexOutOfRange("boundary defined for degree >= 1")
     src = tuple_basis(rack, n, quandle, max_basis)
     tgt = tuple_basis(rack, n - 1, quandle, max_basis)
+    index = tgt.index
+    conj = rack.right
+    dim = len(right[0])
     of = ring.of
     cols = []
     for t in src.tuples:
+        # both faces of position i = j + 1, with the sign (-1)^i
         faces = []
-        for i in range(1, n + 1):
-            _, t0 = face(t, i, 0, rack)
-            x, t1 = face(t, i, 1, rack)
-            faces.append((-1 if i % 2 else 1, tgt.index.get(t0), x, tgt.index.get(t1)))
+        for j, x in enumerate(t):
+            head, tail, col = t[:j], t[j + 1 :], conj[x]
+            faces.append((1 if j & 1 else -1, index.get(head + tail), right[x],
+                          index.get(tuple([col[y] for y in head]) + tail)))
         for y in range(dim):
             col: dict = {}  # integer coefficients, (-1)^i per face
-            for s, r0, x, r1 in faces:
+            for s, r0, move, r1 in faces:
                 if r0 is not None:
                     r = r0 * dim + y
                     col[r] = col.get(r, 0) + s
                 if r1 is not None:
-                    r = r1 * dim + (right[x][y] if right is not None else y)
+                    r = r1 * dim + move[y]
                     col[r] = col.get(r, 0) - s
             cols.append({r: w for r, v in col.items() if (w := of(v))})
     return SparseMat(len(tgt) * dim, len(src) * dim, ring, cols)
@@ -271,8 +287,8 @@ def boundary_matrix(rack: Rack, n: int, ring=ZZ, quandle: bool = False,
     """
     if xset is not None and xset.over != rack:
         raise CoefficientMismatch("rack-set is over a different rack")
-    dim, right = (xset.size, tuple(zip(*xset.act))) if xset else (1, None)
-    return _boundary(rack, n, ring, quandle, dim, right, max_basis)
+    right = tuple(zip(*xset.act)) if xset else trivial_module(rack).perms
+    return _boundary(rack, n, ring, quandle, right, max_basis)
 
 
 def cochain_differential_matrix(rack: Rack, p: int, ring, quandle=False,
@@ -287,24 +303,15 @@ def cochain_differential_matrix(rack: Rack, p: int, ring, quandle=False,
     where the action is trivial unless the cochains are module-valued.  The
     leading (-1)^p is the dualization sign (see the module docstring).
     """
-    dim, right = (module.dim, module.inverse_perms()) if module else (1, None)
-    mat = _boundary(rack, p + 1, ring, quandle, dim, right, max_basis).transpose()
+    right = (module or trivial_module(rack)).inverse_perms()
+    mat = _boundary(rack, p + 1, ring, quandle, right, max_basis).transpose()
     return mat.scaled(ring.of(-1)) if p % 2 == 0 else mat
 
 
-@functools.lru_cache(maxsize=32)
-def _shared_coboundary(rack: Rack, p: int, ring, quandle, module) -> SparseMat:
-    # read-only: cochain_differential never writes to the matrix it gets
-    return cochain_differential_matrix(rack, p, ring, quandle, module)
-
-
-def cochain_differential(f: Cochain, rack: Rack) -> Cochain:
-    """The cochain differential applied to ``f``: the matrix of
-    :func:`cochain_differential_matrix` times ``f.values``.  The matrix is
-    built once per (rack, degree, ring, variant, module) and shared by the
-    calls that follow, up to a bounded number of recent keys."""
+def apply_coboundary(mat: SparseMat, f: Cochain) -> Cochain:
+    """``mat``, the cochain differential matrix of ``f``'s degree, ring,
+    variant and module, applied to ``f``."""
     ring = f.ring
-    mat = _shared_coboundary(rack, f.degree, ring, f.quandle, f.module)
     if len(f.values) != mat.ncols:
         raise CoefficientMismatch("cochain length does not match its basis")
     out = [ring.zero] * mat.nrows
@@ -316,6 +323,13 @@ def cochain_differential(f: Cochain, rack: Rack) -> Cochain:
     if ring.char:
         out = [v % ring.char for v in out]
     return Cochain(f.degree + 1, ring, out, f.quandle, f.module)
+
+
+def cochain_differential(f: Cochain, rack: Rack) -> Cochain:
+    """The cochain differential applied to ``f``, through a matrix built for
+    this call (``CupContext.differential`` keeps its matrices)."""
+    mat = cochain_differential_matrix(rack, f.degree, f.ring, f.quandle, f.module)
+    return apply_coboundary(mat, f)
 
 
 def project_to_chain(u: BElement, ring=ZZ, xset: XSet | None = None,
@@ -338,6 +352,8 @@ def project_to_chain(u: BElement, ring=ZZ, xset: XSet | None = None,
     n = degs[0] if degs else (degree if degree is not None else 0)
     basis = tuple_basis(rack, n, quandle)
     ydim = xset.size if xset is not None else 1
+    if not 0 <= y < ydim:
+        raise IndexOutOfRange(f"starting point {y} outside 0..{ydim - 1}")
     values = [ring.zero] * (len(basis) * ydim)
     for m, c in u.terms.items():
         idx = basis.index.get(m.e)

@@ -6,7 +6,8 @@ Two independent computation paths are kept side by side:
 * ``cup`` evaluates the closed formula
       (f.g)(x_1..x_n) = (-1)^{pq} sum_{|A|=q} eps(A)
                         f(delete_A) g(conjugating-delete_{A^c})
-  with eps(A) the unshuffle signature times (-1)^{|A||A^c|};
+  with eps(A) the unshuffle signature times (-1)^{|A||A^c|}, on a stencil
+  from ``complexes.coproduct_terms`` (which ``coproduct_formula`` reads too);
 
 * ``cup_via_coproduct`` pairs f (x) g against the word-engine coproduct
   with the homogeneous-evaluation sign (-1)^{|g| |left factor|}.
@@ -39,10 +40,10 @@ from .complexes import (
     DEFAULT_MAX_BASIS,
     Cochain,
     LeftModule,
+    apply_coboundary,
     cochain_differential,
     cochain_differential_matrix,
-    face_set,
-    signed_subsets,
+    coproduct_terms,
     trivial_module,
     tuple_basis,
 )
@@ -55,8 +56,9 @@ from .words import WordAlgebra
 
 @dataclass
 class CupContext:
-    """Shared data for cup-product computations over one rack: the word
-    algebra, and the face stencils of the closed formula, built on first use.
+    """Shared data for cup-product computations over one rack, each built on
+    first use and owned by the instance: the word algebra, the face stencils
+    of the closed formula, and the coboundary matrices of :meth:`differential`.
 
     ``module_f`` / ``module_g`` are the coefficient modules of the two
     factors (``None`` means trivial coefficients); the product lands in
@@ -72,6 +74,7 @@ class CupContext:
     max_basis: int = DEFAULT_MAX_BASIS
     algebra: WordAlgebra = field(default=None, repr=False)
     _stencils: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _coboundaries: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.quandle and not self.rack.is_quandle():
@@ -98,9 +101,9 @@ class CupContext:
         """The faces of the closed formula, built once per ``(p, q)``.
 
         Entry ``t`` lists, for the degree-``p+q`` basis tuple ``t``, the
-        terms ``(f index, g index, prefix, negative)`` that survive in the
-        bases: f is read on ``t`` with the positions ``A`` deleted, g on the
-        conjugating face over the complement, whose prefix acts on g's
+        terms ``(f index, g index, prefix, negative)`` of
+        ``coproduct_terms(t, q)`` that survive in the bases: f is read on
+        the left factor, g on the right one, whose prefix acts on g's
         value; ``negative`` carries eps(A) (-1)^{pq}.
         """
         key = (p, q)
@@ -108,22 +111,26 @@ class CupContext:
             rack, quandle, cap = self.rack, self.quandle, self.max_basis
             f_idx = tuple_basis(rack, p, quandle, cap).index
             g_idx = tuple_basis(rack, q, quandle, cap).index
-            subsets = signed_subsets(p + q, q)
             global_neg = bool((p * q) & 1)
             stencil = []
             for t in tuple_basis(rack, p + q, quandle, cap).tuples:
                 terms = []
-                for A, comp, eps in subsets:
-                    li = f_idx.get(face_set(t, A, 0, rack)[1])
-                    if li is None:
-                        continue
-                    prefix, right = face_set(t, comp, 1, rack)
-                    ri = g_idx.get(right)
-                    if ri is not None:
+                for left, prefix, right, eps in coproduct_terms(t, q, rack):
+                    li, ri = f_idx.get(left), g_idx.get(right)
+                    if li is not None and ri is not None:
                         terms.append((li, ri, prefix, (eps < 0) != global_neg))
                 stencil.append(terms)
             self._stencils[key] = stencil
         return self._stencils[key]
+
+    def differential(self, f: Cochain) -> Cochain:
+        """The cochain differential of ``f``, through a matrix built once
+        per degree, ring, variant and module in this context."""
+        key = (f.degree, f.ring, f.quandle, f.module)
+        if key not in self._coboundaries:
+            self._coboundaries[key] = cochain_differential_matrix(
+                self.rack, f.degree, f.ring, f.quandle, f.module, self.max_basis)
+        return apply_coboundary(self._coboundaries[key], f)
 
 
 def _value(f: Cochain, basis_index, tuple_, prefix, module, mdim):
@@ -229,17 +236,16 @@ def cup_via_coproduct(f: Cochain, g: Cochain, ctx: CupContext) -> Cochain:
 
 
 def is_cocycle(f: Cochain, rack: Rack) -> bool:
-    df = cochain_differential(f, rack)
-    return not any(df.values)
+    return not any(cochain_differential(f, rack).values)
 
 
 def homotopy_cochain(f: Cochain, g: Cochain, ctx: CupContext) -> Cochain:
     """The degree p+q-1 cochain H(f,g) with
     d*(H(f,g)) = f.g - (-1)^{pq} g.f   for cocycles f and g."""
     ctx.check(f, g)
-    if not is_cocycle(f, ctx.rack):
+    if any(ctx.differential(f).values):
         raise NotACocycle("first factor is not a cocycle")
-    if not is_cocycle(g, ctx.rack):
+    if any(ctx.differential(g).values):
         raise NotACocycle("second factor is not a cocycle")
     n = f.degree + g.degree - 1
     # (-1)^{p+q+1} = (-1)^n for n = p+q-1

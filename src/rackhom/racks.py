@@ -12,6 +12,7 @@ the bundled suites).
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 
@@ -44,6 +45,12 @@ class Rack:
 
     def op(self, x, y):
         return self.table[x][y]
+
+    @functools.cached_property
+    def right(self):
+        """Right-translation columns, ``right[y][x] == x <| y``; cached on
+        the instance, outside equality and hashing."""
+        return tuple(zip(*self.table))
 
     def is_quandle(self):
         return all(self.table[x][x] == x for x in range(self.size))

@@ -25,7 +25,6 @@ from .complexes import (
     Cochain,
     basis_cochain,
     boundary_matrix,
-    cochain_differential,
     cochain_differential_matrix,
     tuple_basis,
 )
@@ -359,10 +358,10 @@ def suite_cup():
         for p in range(4):
             for q in range(4 - p):
                 for f in cochains[p]:
-                    df = cochain_differential(f, rack)
+                    df = ctx.differential(f)
                     for g in cochains[q]:
-                        dg = cochain_differential(g, rack)
-                        lhs = cochain_differential(cup(f, g, ctx), rack)
+                        dg = ctx.differential(g)
+                        lhs = ctx.differential(cup(f, g, ctx))
                         rhs1 = cup(df, g, ctx)
                         rhs2 = cup(f, dg, ctx)
                         sign = -1 if p % 2 else 1
@@ -442,7 +441,7 @@ def suite_commutativity():
                     for gv in cocycles[q]:
                         g = Cochain(q, ring, list(gv))
                         H = homotopy_cochain(f, g, ctx)
-                        dH = cochain_differential(H, rack)
+                        dH = ctx.differential(H)
                         fg = cup(f, g, ctx)
                         gf = cup(g, f, ctx)
                         comm = [a - sign * b for a, b in zip(fg.values, gf.values)]

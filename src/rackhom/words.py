@@ -19,7 +19,8 @@ On top of the canonical form this module implements the structure maps:
 * ``coproduct`` -- multiplicative, Delta(x) = x (x) x and
   Delta(e[x]) = e[x] (x) x + 1 (x) e[x], with Koszul signs in the tensor
   product:  (a (x) b)(a' (x) b') = (-1)^{|b||a'|} aa' (x) bb'
-* ``coproduct_formula`` -- the closed sum over subsets with unshuffle signs;
+* ``coproduct_formula`` -- the closed sum over subsets with unshuffle signs
+  from ``complexes.coproduct_terms``, which the cup stencil reads too;
   agrees with ``coproduct`` term by term (tested, not assumed)
 * ``tensor_flip`` -- the signed flip  tau(a (x) b) = (-1)^{|a||b|} b (x) a
 * ``h``      -- the degree +1 homotopy with h(e[x]) = e[x] (x) e[x] and
@@ -30,6 +31,10 @@ Sign orientation: with these generators the homotopy identity reads
 single letter, (dh + hd)(e[x]) = d(e[x] (x) e[x]) = (1-x) (x) e[x] -
 e[x] (x) (1-x), which expands to (Delta - tau Delta)(e[x]).
 
+Group letters conjugate e-letters through ``Rack.right``; ``d`` keeps its
+own faces, independent of ``complexes.face`` (see that module).  Elements
+of B and of B (x) B share one arithmetic base class.
+
 Coefficients are exact (int by default, Fraction accepted); there is no
 floating point.
 """
@@ -39,7 +44,7 @@ from __future__ import annotations
 import functools
 from typing import NamedTuple
 
-from .complexes import face, face_set, no_adjacent_equal, signed_subsets
+from .complexes import coproduct_terms, face, face_set, no_adjacent_equal
 from .errors import (
     IndexOutOfRange,
     NotAQuandle,
@@ -84,18 +89,24 @@ def _flip_raw(t):
     return out
 
 
-def _sort_key(m):
-    return (len(m.e), m.e, len(m.a), m.a)
+def _factors(key):
+    # a term of B is keyed by one monomial, a term of B (x) B by a pair
+    return (key,) if isinstance(key, BMonomial) else key
 
 
-class BElement:
-    """Finitely supported integer (or rational) combination of monomials."""
+def _sort_key(key):
+    return [(len(m.e), m.e, len(m.a), m.a) for m in _factors(key)]
+
+
+class _Element:
+    """The arithmetic of elements of B and of B (x) B; a subclass supplies
+    ``_product``.  Elements over different racks do not combine."""
 
     __slots__ = ("algebra", "terms")
 
     def __init__(self, algebra, terms):
         self.algebra = algebra
-        self.terms = {m: c for m, c in terms.items() if c}
+        self.terms = {k: c for k, c in terms.items() if c}
 
     def _check(self, other):
         if self.algebra.rack != other.algebra.rack:
@@ -104,32 +115,42 @@ class BElement:
     def __add__(self, other):
         self._check(other)
         out = dict(self.terms)
-        for m, c in other.terms.items():
-            _acc(out, m, c)
-        return BElement(self.algebra, out)
+        for k, c in other.terms.items():
+            _acc(out, k, c)
+        return type(self)(self.algebra, out)
 
     def __sub__(self, other):
         return self + (-other)
 
     def __neg__(self):
-        return BElement(self.algebra, {m: -c for m, c in self.terms.items()})
+        return type(self)(self.algebra, {k: -c for k, c in self.terms.items()})
 
     def __mul__(self, other):
-        if isinstance(other, BElement):
-            return self.algebra.multiply(self, other)
-        return BElement(self.algebra, {m: c * other for m, c in self.terms.items()})
+        if isinstance(other, type(self)):
+            self._check(other)
+            return self._product(other)
+        return type(self)(self.algebra, {k: c * other for k, c in self.terms.items()})
 
     __rmul__ = __mul__
 
     def __eq__(self, other):
-        return (
-            isinstance(other, BElement)
-            and self.algebra.rack == other.algebra.rack
-            and self.terms == other.terms
-        )
+        return isinstance(other, type(self)) and (
+            (self.algebra.rack, self.terms) == (other.algebra.rack, other.terms))
 
     def __bool__(self):
         return bool(self.terms)
+
+    def __repr__(self):
+        return self.algebra.format_element(self)
+
+
+class BElement(_Element):
+    """Finitely supported integer (or rational) combination of monomials."""
+
+    __slots__ = ()
+
+    def _product(self, other):
+        return self.algebra.multiply(self, other)
 
     def __hash__(self):
         return hash(frozenset(self.terms.items()))
@@ -137,58 +158,14 @@ class BElement:
     def degrees(self):
         return sorted({len(m.e) for m in self.terms})
 
-    def __repr__(self):
-        return self.algebra.format_element(self)
 
-
-class TensorElement:
+class TensorElement(_Element):
     """Finitely supported combination of monomial pairs in B (x) B."""
 
-    __slots__ = ("algebra", "terms")
+    __slots__ = ()
 
-    def __init__(self, algebra, terms):
-        self.algebra = algebra
-        self.terms = {k: c for k, c in terms.items() if c}
-
-    def __add__(self, other):
-        out = dict(self.terms)
-        for k, c in other.terms.items():
-            _acc(out, k, c)
-        return TensorElement(self.algebra, out)
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __neg__(self):
-        return TensorElement(self.algebra, {k: -c for k, c in self.terms.items()})
-
-    def __mul__(self, other):
-        if isinstance(other, TensorElement):
-            return self.algebra.tensor_multiply(self, other)
-        return TensorElement(self.algebra, {k: c * other for k, c in self.terms.items()})
-
-    __rmul__ = __mul__
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, TensorElement)
-            and self.algebra.rack == other.algebra.rack
-            and self.terms == other.terms
-        )
-
-    def __bool__(self):
-        return bool(self.terms)
-
-    def __repr__(self):
-        alg = self.algebra
-        if not self.terms:
-            return "0"
-        bits = []
-        for (l, r) in sorted(self.terms, key=lambda k: (_sort_key(k[0]), _sort_key(k[1]))):
-            c = self.terms[(l, r)]
-            mono = f"{alg.format_monomial(l)} (x) {alg.format_monomial(r)}"
-            bits.append((c, mono))
-        return " + ".join(f"{c}*{m}" if c != 1 else m for c, m in bits)
+    def _product(self, other):
+        return self.algebra.tensor_multiply(self, other)
 
 
 class WordAlgebra:
@@ -196,20 +173,17 @@ class WordAlgebra:
 
     A single instance owns every memo, none of them global: the
     canonicalization memo, the table of ``d`` on monomials, and the
-    coproduct and homotopy tables of pure e-words.  It also holds the
-    right-translation columns of the rack (``right[y][t] = t <| y``), which
-    conjugate an e-word past a group letter.  A ``CupContext`` or a verify
-    suite builds one instance per rack, so the memos live as long as it
-    does.  Memo values are read, never handed out: every result is a fresh
-    element.  They are pure values, so sharing an instance across threads
-    only ever repeats idempotent inserts.
+    coproduct and homotopy tables of pure e-words.  A ``CupContext`` or a
+    verify suite builds one instance per rack, so the memos live as long
+    as it does.  Memo values are read, never handed out: every result is a
+    fresh element.  They are pure values, so sharing an instance across
+    threads only ever repeats idempotent inserts.
     """
 
     def __init__(self, rack: Rack, orbit_cap: int = 10**6):
         self.rack = rack
         self.orbit_cap = orbit_cap
         self._inv = inverse_op(rack)
-        self._right = tuple(zip(*rack.table))
         self._canon: dict[tuple, tuple] = {}
         self._d_memo: dict[BMonomial, dict] = {}
         self._delta_memo: dict[tuple, dict] = {}
@@ -253,8 +227,16 @@ class WordAlgebra:
             memo[w] = best
         return best
 
+    def _in_range(self, word):
+        """``word``, refused unless every letter lies in 0..n-1."""
+        if word and not (0 <= min(word) and max(word) < self.rack.size):
+            raise IndexOutOfRange(f"letter outside 0..{self.rack.size - 1} in {word}")
+        return word
+
     def monomial(self, a_word=(), e_word=()) -> BMonomial:
-        return BMonomial(self.canonical_a_word(a_word), tuple(e_word))
+        a_word, e_word = tuple(a_word), tuple(e_word)
+        self._in_range(a_word + e_word)
+        return BMonomial(self.canonical_a_word(a_word), e_word)
 
     def canonicalize(self, letters):
         """Canonicalize a mixed word of ("g", x) / ("e", x) letters.
@@ -290,7 +272,7 @@ class WordAlgebra:
         if not a2:  # a1 is canonical already
             return _mono((a1, e1 + e2))
         if e1:
-            right = self._right
+            right = self.rack.right
             for y in a2:
                 e1 = tuple(map(right[y].__getitem__, e1))
         elif not a1:
@@ -320,7 +302,7 @@ class WordAlgebra:
         return BElement(self, out)
 
     def eword(self, e_word):
-        return BElement(self, {BMonomial((), tuple(e_word)): 1})
+        return BElement(self, {BMonomial((), self._in_range(tuple(e_word))): 1})
 
     def tensor(self, terms):
         return TensorElement(self, dict(terms))
@@ -343,7 +325,7 @@ class WordAlgebra:
             return t
         t = {}
         a, e = m
-        right = self._right
+        right = self.rack.right
         for i, x in enumerate(e):
             s = 1 if i % 2 == 0 else -1
             _acc(t, _mono((a, e[:i] + e[i + 1 :])), s)
@@ -451,15 +433,15 @@ class WordAlgebra:
     def coproduct_formula(self, e: tuple[int, ...]) -> TensorElement:
         """Closed form of the coproduct of the pure e-word ``e``.
 
-        Sums over all subsets ``A`` of the positions: the term for ``A`` is
-        (delete A) (x) (delete-and-conjugate the complement), weighted by
-        the unshuffle signature of ``A`` times (-1)^{|A| |A^c|}.
+        Sums ``complexes.coproduct_terms`` over every size of ``A``: the term
+        for ``A`` is (delete A) (x) (delete-and-conjugate the complement),
+        weighted by the unshuffle signature of ``A`` times (-1)^{|A| |A^c|}.
         """
-        base = BMonomial((), e)
         out = {}
+        canon = self.canonical_a_word
         for q in range(len(e) + 1):
-            for A, comp, eps in signed_subsets(len(e), q):
-                _acc(out, (self.face_set(base, A, 0), self.face_set(base, comp, 1)), eps)
+            for left, prefix, right, eps in coproduct_terms(e, q, self.rack):
+                _acc(out, (_mono(((), left)), _mono((canon(prefix), right))), eps)
         return TensorElement(self, out)
 
     # -- homotopy ---------------------------------------------------------------
@@ -527,27 +509,14 @@ class WordAlgebra:
         bits = [str(x) for x in m.a] + [f"e[{x}]" for x in m.e]
         return " ".join(bits)
 
-    def format_element(self, u: BElement) -> str:
+    def format_element(self, u) -> str:
+        """An element of B or of B (x) B as text, its terms in degree order;
+        the factors of a term of B (x) B are joined by ``(x)``."""
         if not u.terms:
             return "0"
         bits = []
-        for m in sorted(u.terms, key=_sort_key):
-            c = u.terms[m]
-            mono = self.format_monomial(m)
-            bits.append((c, mono))
-        out = []
-        for c, mono in bits:
-            if c == 1:
-                piece = mono
-            elif c == -1:
-                piece = f"-{mono}"
-            else:
-                piece = f"{c}*{mono}"
-            if not out:
-                out.append(piece)
-            elif piece.startswith("-"):
-                out.append(f"- {piece[1:]}")
-            else:
-                out.append(f"+ {piece}")
-        return " ".join(out)
-
+        for key in sorted(u.terms, key=_sort_key):
+            c = u.terms[key]
+            mono = " (x) ".join(map(self.format_monomial, _factors(key)))
+            bits += ["-" if c < 0 else "+", mono if abs(c) == 1 else f"{abs(c)}*{mono}"]
+        return ("-" if bits[0] == "-" else "") + " ".join(bits[1:])

@@ -1,4 +1,6 @@
+import hashlib
 import itertools
+import math
 
 import pytest
 from hypothesis import given, settings
@@ -10,6 +12,7 @@ from rackhom.complexes import (
     boundary_matrix,
     cochain_differential,
     cochain_differential_matrix,
+    coproduct_terms,
     face,
     face_set,
     module_from_xset,
@@ -23,7 +26,15 @@ from rackhom.errors import (
     MixedDegrees,
     NotAQuandle,
 )
-from rackhom.racks import builtin, cyclic_rack, dihedral_rack, trivial_rack, xset_self, xset_singleton
+from rackhom.racks import (
+    builtin,
+    cyclic_rack,
+    dihedral_rack,
+    trivial_rack,
+    validate_rack,
+    xset_self,
+    xset_singleton,
+)
 from rackhom.rings import QQ, ZZ
 from rackhom.words import WordAlgebra
 
@@ -87,6 +98,86 @@ def test_face_set_collects_prefixes_largest_first():
     x1, t1 = face((0, 1, 2), 2, 1, R3)
     x2, t2 = face(t1, 1, 1, R3)
     assert prefix == (x1, x2) and rest == t2
+
+
+@st.composite
+def small_racks(draw):
+    """A relabelled permutation rack (x <| y = s(x)) or Alexander rack
+    (x <| y = a x + (1 - a) y mod n) of size at most 5."""
+    n = draw(st.integers(1, 5))
+    if draw(st.booleans()):
+        s = draw(st.permutations(range(n)))
+        table = [[s[x]] * n for x in range(n)]
+    else:
+        a = draw(st.sampled_from([a for a in range(n) if math.gcd(a, n) == 1]))
+        table = [[(a * x + (1 - a) * y) % n for y in range(n)] for x in range(n)]
+    pi = draw(st.permutations(range(n)))
+    relabelled = [[0] * n for _ in range(n)]
+    for x in range(n):
+        for y in range(n):
+            relabelled[pi[x]][pi[y]] = pi[table[x][y]]
+    return validate_rack(relabelled)
+
+
+def _coproduct_terms_oracle(t, q, rack):
+    # from the definition: delete A on the left; on the right delete the
+    # complement largest index first, conjugating every earlier entry
+    n = len(t)
+    out = []
+    for A in itertools.combinations(range(1, n + 1), q):
+        comp = [i for i in range(1, n + 1) if i not in A]
+        inversions = sum(1 for a in A for c in comp if a > c)
+        left = tuple(t[i - 1] for i in comp)
+        cur, prefix = list(t), []
+        for i in reversed(comp):
+            x = cur[i - 1]
+            prefix.append(x)
+            cur = [rack.table[y][x] for y in cur[: i - 1]] + cur[i:]
+        eps = (-1) ** (inversions + q * (n - q))
+        out.append((left, tuple(prefix), tuple(cur), eps))
+    return out
+
+
+@settings(max_examples=80, deadline=None)
+@given(small_racks(), st.data())
+def test_coproduct_terms_match_definition(rack, data):
+    t = tuple(data.draw(st.lists(st.integers(0, rack.size - 1), max_size=5)))
+    q = data.draw(st.integers(0, len(t)))
+    assert list(coproduct_terms(t, q, rack)) == _coproduct_terms_oracle(t, q, rack)
+
+
+@settings(max_examples=40, deadline=None)
+@given(small_racks())
+def test_rack_right_columns(rack):
+    n = rack.size
+    assert all(rack.right[y][x] == rack.table[x][y] for x in range(n) for y in range(n))
+    # a cached attribute, not part of equality or hashing
+    fresh = validate_rack(rack.table)
+    assert fresh == rack and hash(fresh) == hash(rack)
+
+
+# digests of the boundary columns of degrees 1-4, pinned from the builder
+# that assembled each face separately, so that a reordered or re-signed
+# column shows even where the homology does not change
+BOUNDARY_DIGESTS = {
+    ("conjugation:s3", "trivial", False): "0c9c7c002b60658b",
+    ("conjugation:s3", "self", False): "4a855216a8cd40fe",
+    ("conjugation:s3", "trivial", True): "89c62869fadc2b62",
+    ("conjugation:s3", "self", True): "29c3e51ba63fc778",
+    ("cyclic:3", "trivial", False): "8ab2baf94daf8609",
+    ("cyclic:3", "self", False): "020841ccf747d471",
+}
+
+
+@pytest.mark.parametrize("spec, coefficients, quandle", sorted(BOUNDARY_DIGESTS))
+def test_boundary_columns_pinned(spec, coefficients, quandle):
+    rack = builtin(spec)
+    xs = xset_self(rack) if coefficients == "self" else None
+    h = hashlib.sha256()
+    for n in range(1, 5):
+        mat = boundary_matrix(rack, n, ZZ, quandle, xs)
+        h.update(repr((mat.nrows, mat.ncols, [sorted(c.items()) for c in mat.cols])).encode())
+    assert h.hexdigest()[:16] == BOUNDARY_DIGESTS[spec, coefficients, quandle]
 
 
 def test_boundary_matrix_example():
@@ -171,6 +262,29 @@ def test_project_examples():
     assert project_to_chain(u, ZZ).values == ch.values
     with pytest.raises(MixedDegrees):
         project_to_chain(W.eword((0,)) + W.eword((0, 1)), ZZ)
+
+
+SELF3 = module_from_xset(xset_self(R3))
+
+
+@pytest.mark.parametrize("t, j, module", [
+    ((0,), 3, SELF3),   # past the module: would land on ((1,), 0)
+    ((0,), -1, SELF3),  # negative: would land on the last slot
+    ((0,), 1, None),    # trivial coefficients: would land on (1,)
+    ((3,), 0, None),    # a tuple outside the basis
+], ids=["module-index-past-end", "module-index-negative", "trivial-index-1",
+        "tuple-outside-basis"])
+def test_basis_cochain_refuses_bad_indices(t, j, module):
+    with pytest.raises(IndexOutOfRange):
+        basis_cochain(R3, 1, QQ, t, j=j, module=module)
+
+
+@pytest.mark.parametrize("y, xset", [(3, xset_self(R3)), (2, None)],
+                         ids=["self-point-3", "trivial-point-2"])
+def test_project_to_chain_refuses_bad_point(y, xset):
+    W = WordAlgebra(R3)
+    with pytest.raises(IndexOutOfRange):
+        project_to_chain(W.eword((0,)), ZZ, xset=xset, y=y)
 
 
 def test_cochain_length_mismatch():

@@ -1,6 +1,7 @@
 import hashlib
 import importlib
 import itertools
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -290,6 +291,50 @@ def test_homotopy_cochain_identity_exhaustive_degree_pairs():
                     comm = [a - sign * b
                             for a, b in zip(cup(f, g, ctx).values, cup(g, f, ctx).values)]
                     assert dH.values == comm
+
+
+def test_context_builds_each_coboundary_once(monkeypatch):
+    cup_module = importlib.import_module("rackhom.cup")
+    real = cochain_differential_matrix
+    built = []
+
+    def counting(rack, p, *args):
+        built.append(p)
+        return real(rack, p, *args)
+
+    monkeypatch.setattr(cup_module, "cochain_differential_matrix", counting)
+    ctx = CupContext(R3, QQ)
+    f = Cochain(1, QQ, [QQ.one] * 3)
+    H = homotopy_cochain(f, f, ctx)  # d*f twice; H has degree 1 as well
+    assert not any(ctx.differential(H).values)
+    g = basis_cochain(R3, 2, QQ, (0, 1))
+    for _ in range(2):
+        assert ctx.differential(g).values == cochain_differential(g, R3).values
+    assert built == [1, 2]
+
+
+def test_commutativity_suite_builds_each_coboundary_once_per_context(monkeypatch):
+    from rackhom import complexes, verify
+
+    real = cochain_differential_matrix
+    calls = Counter()
+
+    def counting(rack, p, ring, *args, **kwargs):
+        calls[rack.label, p, ring.name] += 1
+        return real(rack, p, ring, *args, **kwargs)
+
+    for module in (complexes, importlib.import_module("rackhom.cup"), verify):
+        monkeypatch.setattr(module, "cochain_differential_matrix", counting)
+    assert verify.suite_commutativity().passed
+    expected = Counter()
+    for label in ("dihedral:3", "dihedral:4"):
+        for p in (1, 2):
+            expected[label, p, "Q"] += 1  # the suite's cocycle kernels
+        for p in range(5):
+            expected[label, p, "Z"] += 1  # ring_structure, on integer entries
+        for p in (1, 2, 3):
+            expected[label, p, "Q"] += 1  # the context: d*f, d*g and d*H
+    assert calls == expected
 
 
 def test_homotopy_cochain_rejects_non_cocycles():

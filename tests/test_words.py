@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rackhom.errors import NotAQuandle, OrbitLimitExceeded, RackMismatch
+from rackhom.errors import IndexOutOfRange, NotAQuandle, OrbitLimitExceeded, RackMismatch
 from rackhom.racks import builtin, cyclic_rack, dihedral_rack, trivial_rack
 from rackhom.words import EMPTY, BMonomial, WordAlgebra
 from rackhom.verify import coassociativity_defect
@@ -101,6 +101,29 @@ def test_rack_mismatch():
     other = WordAlgebra(trivial_rack(3))
     with pytest.raises(RackMismatch):
         W3.gen(0) * other.gen(0)
+
+
+def test_tensor_rack_mismatch():
+    other = WordAlgebra(trivial_rack(3))
+    u, v = W3.coproduct(W3.gen_e(0)), other.coproduct(other.gen_e(0))
+    with pytest.raises(RackMismatch):
+        u + v
+    with pytest.raises(RackMismatch):
+        u * v
+
+
+@pytest.mark.parametrize("make", [
+    lambda W: W.eword((-1, 0)),
+    lambda W: W.eword((5,)),
+    lambda W: W.monomial((3,), ()),
+    lambda W: W.monomial((), (0, -1)),
+    lambda W: W.element({((0,), (3,)): 1}),
+    lambda W: W.element({BMonomial((-2,), ()): 1}),
+], ids=["eword-negative", "eword-past-end", "monomial-prefix", "monomial-eword",
+        "element-pair", "element-monomial"])
+def test_letters_outside_the_rack_are_refused(make):
+    with pytest.raises(IndexOutOfRange):
+        make(W3)
 
 
 # --- differential ----------------------------------------------------------
@@ -419,3 +442,11 @@ def test_debug_rendering():
     assert W3.format_element(W3.one() - W3.gen_e(1)) == "1 - e[1]"
     assert W3.format_element(W3.zero()) == "0"
     assert W3.format_element(2 * W3.gen(0)) == "2*0"
+
+
+def test_tensor_rendering_shares_the_element_format():
+    # Delta(e[0]) = e[0] (x) 0 + 1 (x) e[0]; factors are joined by (x)
+    t = W3.coproduct(W3.gen_e(0))
+    assert repr(t) == "1 (x) e[0] + e[0] (x) 0"
+    assert repr(-2 * t) == "-2*1 (x) e[0] - 2*e[0] (x) 0"
+    assert repr(W3.tensor({})) == "0"
