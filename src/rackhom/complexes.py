@@ -258,9 +258,9 @@ def _boundary(rack: Rack, n: int, ring, quandle: bool, right, max_basis: int) ->
         # both faces of position i = j + 1, with the sign (-1)^i
         faces = []
         for j, x in enumerate(t):
-            head, tail, col = t[:j], t[j + 1 :], conj[x]
+            head, tail, by_x = t[:j], t[j + 1 :], conj[x]
             faces.append((1 if j & 1 else -1, index.get(head + tail), right[x],
-                          index.get(tuple([col[y] for y in head]) + tail)))
+                          index.get(tuple([by_x[y] for y in head]) + tail)))
         for y in range(dim):
             col: dict = {}  # integer coefficients, (-1)^i per face
             for s, r0, move, r1 in faces:
