@@ -51,7 +51,7 @@ from .errors import (
 )
 from .linalg import SparseMat
 from .racks import Rack, XSet
-from .rings import ZZ
+from .rings import ZZ, from_numerators, numerators
 
 if TYPE_CHECKING:
     from .words import BElement
@@ -310,19 +310,20 @@ def cochain_differential_matrix(rack: Rack, p: int, ring, quandle=False,
 
 def apply_coboundary(mat: SparseMat, f: Cochain) -> Cochain:
     """``mat``, the cochain differential matrix of ``f``'s degree, ring,
-    variant and module, applied to ``f``."""
+    variant and module, applied to ``f`` on integer numerators.  Over Q its
+    entries may be ints (as ``CupContext.coboundary`` builds them) or
+    Fractions."""
     ring = f.ring
     if len(f.values) != mat.ncols:
         raise CoefficientMismatch("cochain length does not match its basis")
-    out = [ring.zero] * mat.nrows
-    for v, col in zip(f.values, mat.cols):
+    values, den = numerators(ring, f.values)
+    out = [0] * mat.nrows
+    for v, col in zip(values, mat.cols):
         if not v:
             continue
         for i, c in col.items():
             out[i] += c * v
-    if ring.char:
-        out = [v % ring.char for v in out]
-    return Cochain(f.degree + 1, ring, out, f.quandle, f.module)
+    return Cochain(f.degree + 1, ring, from_numerators(ring, out, den), f.quandle, f.module)
 
 
 def cochain_differential(f: Cochain, rack: Rack) -> Cochain:

@@ -7,7 +7,10 @@ Two independent computation paths are kept side by side:
       (f.g)(x_1..x_n) = (-1)^{pq} sum_{|A|=q} eps(A)
                         f(delete_A) g(conjugating-delete_{A^c})
   with eps(A) the unshuffle signature times (-1)^{|A||A^c|}, on a stencil
-  from ``complexes.coproduct_terms`` (which ``coproduct_formula`` reads too);
+  from ``complexes.coproduct_terms`` (which ``coproduct_formula`` reads too).
+  The stencil is indexed by f's basis tuple, so a product reads only the
+  rows of f's nonzero entries and skips a zero value of g before it
+  multiplies: a sparse contraction;
 
 * ``cup_via_coproduct`` pairs f (x) g against the word-engine coproduct
   with the homogeneous-evaluation sign (-1)^{|g| |left factor|}.
@@ -30,6 +33,12 @@ differential; at p = q = 1 it reduces to the classical single minus sign.
 Coefficients may be trivial or permutation modules of rack-set actions; a
 product of module-valued cochains lands in the tensor module with the
 diagonal action, flattened row-major, so nested products compare strictly.
+
+Both products, the homotopy pairing and ``CupContext.differential``
+multiply plain ints: over Q each input becomes integer numerators over the
+lcm of its denominators (``rings.numerators``), and each nonzero output
+entry one Fraction (``rings.from_numerators``); over F_p the result is
+reduced mod p once.
 """
 
 from __future__ import annotations
@@ -47,18 +56,19 @@ from .complexes import (
     trivial_module,
     tuple_basis,
 )
-from .errors import ContextMismatch, NotACocycle, NotAQuandle
+from .errors import CoefficientMismatch, ContextMismatch, NotACocycle, NotAQuandle
 from .linalg import SparseMat, independent, kernel_basis, solve, solve_many
 from .racks import Rack
-from .rings import ZZ
+from .rings import ZZ, from_numerators, numerators
 from .words import WordAlgebra
 
 
 @dataclass
 class CupContext:
     """Shared data for cup-product computations over one rack, each built on
-    first use and owned by the instance: the word algebra, the face stencils
-    of the closed formula, and the coboundary matrices of :meth:`differential`.
+    first use and owned by the instance: the word algebra, the tuple bases,
+    the face stencils of the closed formula, and the coboundary matrices of
+    :meth:`coboundary`.
 
     ``module_f`` / ``module_g`` are the coefficient modules of the two
     factors (``None`` means trivial coefficients); the product lands in
@@ -73,6 +83,7 @@ class CupContext:
     module_g: LeftModule | None = None
     max_basis: int = DEFAULT_MAX_BASIS
     algebra: WordAlgebra = field(default=None, repr=False)
+    _bases: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     _stencils: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     _coboundaries: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
@@ -89,6 +100,12 @@ class CupContext:
         mg = self.module_g or trivial_module(self.rack)
         return mf.tensor(mg)
 
+    def basis(self, n):
+        """The degree-``n`` tuple basis of the context's variant."""
+        if n not in self._bases:
+            self._bases[n] = tuple_basis(self.rack, n, self.quandle, self.max_basis)
+        return self._bases[n]
+
     def check(self, f: Cochain, g: Cochain):
         if f.quandle != self.quandle or g.quandle != self.quandle:
             raise ContextMismatch("cochain variant does not match context")
@@ -96,53 +113,64 @@ class CupContext:
             raise ContextMismatch("cochain ring does not match context")
         if f.module != self.module_f or g.module != self.module_g:
             raise ContextMismatch("cochain coefficients do not match context")
+        for h in (f, g):
+            if len(h.values) != len(self.basis(h.degree)) * (h.module.dim if h.module else 1):
+                raise CoefficientMismatch("cochain length does not match its basis")
 
     def stencil(self, p, q):
-        """The faces of the closed formula, built once per ``(p, q)``.
+        """The faces of the closed formula, built once per ``(p, q)``, as
+        ``(number of degree-(p+q) tuples, rows)``.
 
-        Entry ``t`` lists, for the degree-``p+q`` basis tuple ``t``, the
-        terms ``(f index, g index, prefix, negative)`` of
-        ``coproduct_terms(t, q)`` that survive in the bases: f is read on
-        the left factor, g on the right one, whose prefix acts on g's
-        value; ``negative`` carries eps(A) (-1)^{pq}.
+        Row ``li`` lists, for the degree-``p`` basis tuple ``li``, the terms
+        ``(target index, g index, prefix, negative)`` of
+        ``coproduct_terms(t, q)`` over the degree-``p+q`` tuples ``t`` whose
+        left factor is ``li`` and whose right factor is in the basis: g is
+        read on the right factor, whose prefix acts on g's value, and
+        ``negative`` carries eps(A) (-1)^{pq}.  Indexed by f, so that a
+        product reads only the rows of f's nonzero entries.
         """
         key = (p, q)
         if key not in self._stencils:
-            rack, quandle, cap = self.rack, self.quandle, self.max_basis
-            f_idx = tuple_basis(rack, p, quandle, cap).index
-            g_idx = tuple_basis(rack, q, quandle, cap).index
+            f_idx, g_idx = self.basis(p).index, self.basis(q).index
+            targets = self.basis(p + q).tuples
             global_neg = bool((p * q) & 1)
-            stencil = []
-            for t in tuple_basis(rack, p + q, quandle, cap).tuples:
-                terms = []
-                for left, prefix, right, eps in coproduct_terms(t, q, rack):
+            rows = [[] for _ in f_idx]
+            for t_idx, t in enumerate(targets):
+                for left, prefix, right, eps in coproduct_terms(t, q, self.rack):
                     li, ri = f_idx.get(left), g_idx.get(right)
                     if li is not None and ri is not None:
-                        terms.append((li, ri, prefix, (eps < 0) != global_neg))
-                stencil.append(terms)
-            self._stencils[key] = stencil
+                        rows[li].append((t_idx, ri, prefix, (eps < 0) != global_neg))
+            self._stencils[key] = (len(targets), rows)
         return self._stencils[key]
 
-    def differential(self, f: Cochain) -> Cochain:
-        """The cochain differential of ``f``, through a matrix built once
-        per degree, ring, variant and module in this context."""
-        key = (f.degree, f.ring, f.quandle, f.module)
+    def coboundary(self, p, ring, quandle=False, module=None) -> SparseMat:
+        """The matrix of d*^p over ``ring``, built once per degree, ring,
+        variant and module in this context; over Q its entries are the
+        integers (a Fraction per entry would only be turned back into an
+        int by the kernels and by :func:`apply_coboundary`)."""
+        key = (p, ring, quandle, module)
         if key not in self._coboundaries:
-            self._coboundaries[key] = cochain_differential_matrix(
-                self.rack, f.degree, f.ring, f.quandle, f.module, self.max_basis)
-        return apply_coboundary(self._coboundaries[key], f)
+            mat = cochain_differential_matrix(
+                self.rack, p, ring if ring.char else ZZ, quandle, module, self.max_basis)
+            mat.ring = ring
+            self._coboundaries[key] = mat
+        return self._coboundaries[key]
+
+    def differential(self, f: Cochain) -> Cochain:
+        """The cochain differential of ``f``, through :meth:`coboundary`."""
+        return apply_coboundary(self.coboundary(f.degree, f.ring, f.quandle, f.module), f)
 
 
-def _value(f: Cochain, basis_index, tuple_, prefix, module, mdim):
-    """Evaluate a cochain on ``prefix . e_tuple`` as a dense module vector
-    (length 1 for trivial coefficients); None means the value is zero."""
+def _value(values, basis_index, tuple_, prefix, module, mdim):
+    """Evaluate a cochain's values on ``prefix . e_tuple`` as a dense module
+    vector (length 1 for trivial coefficients); None means the value is zero."""
     idx = basis_index.get(tuple_)
     if idx is None:
         return None
-    vec = f.values[idx * mdim : (idx + 1) * mdim]
+    vec = values[idx * mdim : (idx + 1) * mdim]
     if module is None or not prefix:
         return vec
-    out = [f.ring.zero] * mdim
+    out = [0] * mdim
     for i, v in enumerate(vec):
         if v:
             out[module.act_word_index(prefix, i)] = v
@@ -150,82 +178,81 @@ def _value(f: Cochain, basis_index, tuple_, prefix, module, mdim):
 
 
 def cup(f: Cochain, g: Cochain, ctx: CupContext) -> Cochain:
-    """Closed-formula cup product; bilinear and strictly associative."""
+    """Closed-formula cup product; bilinear and strictly associative.
+
+    Reads the stencil rows of f's nonzero entries only, and multiplies
+    integer numerators (:func:`rackhom.rings.numerators`)."""
     ctx.check(f, g)
     ring = ctx.ring
-    stencil = ctx.stencil(f.degree, g.degree)
+    ntargets, rows = ctx.stencil(f.degree, g.degree)
     mf = f.module.dim if f.module else 1
     mg = g.module.dim if g.module else 1
     act = g.module.act_word_index if g.module else None
-    tdim = mf * mg
-    values = [ring.zero] * (len(stencil) * tdim)
-    fvals, gvals = f.values, g.values
-    for t_idx, terms in enumerate(stencil):
-        for li, ri, prefix, negative in terms:
-            for a in range(mf):
-                va = fvals[li * mf + a]
-                if not va:
+    fvals, fden = numerators(ring, f.values)
+    gvals, gden = numerators(ring, g.values)
+    values = [0] * (ntargets * mf * mg)
+    for k, va in enumerate(fvals):
+        if not va:
+            continue
+        li, a = divmod(k, mf)
+        for t_idx, ri, prefix, negative in rows[li]:
+            base = (t_idx * mf + a) * mg
+            for b in range(mg):
+                vb = gvals[ri * mg + b]
+                if not vb:
                     continue
-                base = (t_idx * mf + a) * mg
-                for b in range(mg):
-                    # over F_p a product of nonzero residues is nonzero
-                    w = va * gvals[ri * mg + b]
-                    if not w:
-                        continue
-                    k = base + (act(prefix, b) if act else b)
-                    if negative:
-                        values[k] -= w
-                    else:
-                        values[k] += w
-    if ring.char:
-        values = [v % ring.char for v in values]
+                i = base + (act(prefix, b) if act else b)
+                if negative:
+                    values[i] -= va * vb
+                else:
+                    values[i] += va * vb
+    values = from_numerators(ring, values, fden * gden)
     return Cochain(f.degree + g.degree, ring, values, ctx.quandle, ctx.target_module())
 
 
-def _pair_against_tensor(f, g, ring, f_index, g_index, tensor_terms):
-    """Evaluate i(f (x) g) against word-engine tensor terms, reading f and g
-    through the indexes of their tuple bases; the evaluation sign
-    (-1)^{|g||left|} is constant (-1)^{pq} on surviving terms."""
+def _pair_against_tensor(f, g, fvals, gvals, f_index, g_index, tensor_terms, negate):
+    """Evaluate i(f (x) g) against word-engine tensor terms on the integer
+    values ``fvals`` / ``gvals`` of f and g, read through the indexes of
+    their tuple bases; the evaluation sign (-1)^{|g||left|} is constant
+    (-1)^{pq} on surviving terms, and ``negate`` flips it."""
     p, q = f.degree, g.degree
     mf = f.module.dim if f.module else 1
     mg = g.module.dim if g.module else 1
-    out = [ring.zero] * (mf * mg)
-    global_neg = (p * q) & 1
+    out = [0] * (mf * mg)
+    negative = bool((p * q) & 1) != negate
     for (l, r), c in tensor_terms.items():
         if len(l.e) != p or len(r.e) != q:
             continue
-        fv = _value(f, f_index, l.e, l.a, f.module, mf)
+        fv = _value(fvals, f_index, l.e, l.a, f.module, mf)
         if fv is None:
             continue
-        gv = _value(g, g_index, r.e, r.a, g.module, mg)
+        gv = _value(gvals, g_index, r.e, r.a, g.module, mg)
         if gv is None:
             continue
-        coeff = ring.of(-c if global_neg else c)
-        if not coeff:
-            continue
+        coeff = -c if negative else c
         for a in range(mf):
             va = fv[a]
             if not va:
                 continue
             for b in range(mg):
                 out[a * mg + b] += coeff * va * gv[b]
-    if ring.char:
-        out = [v % ring.char for v in out]
     return out
 
 
 def _pair_cochain(f, g, ctx, n, structure_map, sign):
     """The degree-n cochain t -> sign * (f (x) g)(structure_map(e_t)), for a
-    word-engine map into B (x) B such as ``W.coproduct`` or ``W.h``."""
-    ring, rack, quandle, cap = ctx.ring, ctx.rack, ctx.quandle, ctx.max_basis
-    f_index = tuple_basis(rack, f.degree, quandle, cap).index
-    g_index = tuple_basis(rack, g.degree, quandle, cap).index
+    word-engine map into B (x) B such as ``W.coproduct`` or ``W.h``, on
+    integer numerators."""
+    ring = ctx.ring
+    f_index, g_index = ctx.basis(f.degree).index, ctx.basis(g.degree).index
+    fvals, fden = numerators(ring, f.values)
+    gvals, gden = numerators(ring, g.values)
     values = []
-    for t in tuple_basis(rack, n, quandle, cap).tuples:
+    for t in ctx.basis(n).tuples:
         terms = structure_map(ctx.algebra.eword(t)).terms
-        vec = _pair_against_tensor(f, g, ring, f_index, g_index, terms)
-        values += vec if sign == 1 else [ring.of(-v) for v in vec]
-    return Cochain(n, ring, values, quandle, ctx.target_module())
+        values += _pair_against_tensor(f, g, fvals, gvals, f_index, g_index, terms, sign < 0)
+    values = from_numerators(ring, values, fden * gden)
+    return Cochain(n, ring, values, ctx.quandle, ctx.target_module())
 
 
 def cup_via_coproduct(f: Cochain, g: Cochain, ctx: CupContext) -> Cochain:
@@ -313,12 +340,8 @@ def ring_structure(rack: Rack, ring, max_degree: int, quandle: bool = False,
     ctx = CupContext(rack, ring, quandle, max_basis=max_basis)
     # d*^{-1} is the zero map into C^0, which has the one empty tuple
     dmat = {-1: SparseMat(1, 0, ring)}
-    # integer entries over Q too: linalg reduces integer rows, so a Fraction
-    # per entry would only be turned back into an int
-    build_ring = ring if ring.char else ZZ
     for p in range(max_degree + 1):
-        dmat[p] = cochain_differential_matrix(rack, p, build_ring, quandle, max_basis=max_basis)
-        dmat[p].ring = ring
+        dmat[p] = ctx.coboundary(p, ring, quandle)
     reps = {
         p: independent(dmat[p - 1].cols, kernel_basis(dmat[p]), ring)
         for p in range(max_degree + 1)

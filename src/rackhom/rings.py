@@ -14,11 +14,20 @@ stored value is a truth test.  No ring divides, since kernels, ranks and
 Smith forms reduce integer rows with the characteristic alone (see
 :mod:`rackhom.linalg`).  Rings are compared with ``is``: Z and Q are
 single instances, and ``GF`` keeps one per p.
+
+Loops that multiply many scalars (the cup product, the homotopy pairing,
+applying a coboundary) run on plain ints in every ring.  ``numerators``
+turns a vector's Q values into integers over the lcm of their
+denominators, once per input; ``from_numerators`` turns the integer result
+back into Fractions over the product of the inputs' denominators, one per
+nonzero entry.  Over Z both are the identity, and over F_p
+``from_numerators`` reduces mod p.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 
 from .errors import InvalidSpec, ResourceLimit
 
@@ -49,6 +58,29 @@ ZZ = Ring("Z", 0, False, int)
 QQ = Ring("Q", 0, True, Fraction)
 
 _gf_cache: dict[int, Ring] = {}
+
+
+def numerators(ring, values):
+    """``(ints, den)`` with ``values[i] == ints[i] / den``: over Q ``den``
+    is the lcm of the denominators, elsewhere 1 and ``values`` is returned."""
+    if ring is not QQ:
+        return values, 1
+    den = lcm(*[v.denominator for v in values])
+    if den == 1:
+        return [v.numerator for v in values], 1
+    return [v.numerator * (den // v.denominator) for v in values], den
+
+
+def from_numerators(ring, ints, den=1):
+    """The scalars ``ints[i] / den`` of ``ring``: residues mod p over F_p,
+    over Q a Fraction per nonzero entry and ``ring.zero`` for the others."""
+    if ring.char:
+        p = ring.char
+        return [v % p for v in ints]
+    if ring is QQ:
+        zero = ring.zero
+        return [Fraction(v, den) if v else zero for v in ints]
+    return ints
 
 
 def GF(p: int) -> Ring:

@@ -3,8 +3,12 @@ import importlib
 import itertools
 from collections import Counter
 from fractions import Fraction
+from math import lcm
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from test_complexes import small_racks
 
 from rackhom.cli import main
 from rackhom.complexes import (
@@ -13,6 +17,7 @@ from rackhom.complexes import (
     boundary_matrix,
     cochain_differential,
     cochain_differential_matrix,
+    coproduct_terms,
     module_from_xset,
     tuple_basis,
 )
@@ -25,7 +30,13 @@ from rackhom.cup import (
     is_cocycle,
     ring_structure,
 )
-from rackhom.errors import ContextMismatch, NotACocycle, ResourceLimit, ShapeError
+from rackhom.errors import (
+    CoefficientMismatch,
+    ContextMismatch,
+    NotACocycle,
+    ResourceLimit,
+    ShapeError,
+)
 from rackhom.linalg import ChainComplex, SparseMat, kernel_basis
 from rackhom.racks import builtin, dihedral_rack, trivial_rack, xset_self, xset_singleton
 from rackhom.rings import GF, QQ, ZZ
@@ -204,6 +215,32 @@ def test_context_mismatch():
         cup(g, g, ctxq)
 
 
+@pytest.mark.parametrize("values", [[1, 0, 0, 0], [1, 1]], ids=["long", "short"])
+@pytest.mark.parametrize("product", [cup, cup_via_coproduct])
+def test_products_refuse_a_cochain_of_the_wrong_length(product, values):
+    # a 1-cochain on dihedral:3 has 3 values
+    ctx = CupContext(R3, ZZ)
+    f, g = Cochain(1, ZZ, values), basis_cochain(R3, 1, ZZ, (1,))
+    for args in ((f, g), (g, f)):
+        with pytest.raises(CoefficientMismatch, match="cochain length does not match its basis"):
+            product(*args, ctx)
+
+
+@pytest.mark.parametrize("values", [[1, 1, 1, 0], [1, 1]], ids=["long", "short"])
+def test_homotopy_refuses_a_cochain_of_the_wrong_length_before_any_coboundary(
+        monkeypatch, values):
+    def unbuilt(*args, **kwargs):
+        raise AssertionError("a coboundary was built for a malformed cochain")
+
+    monkeypatch.setattr(importlib.import_module("rackhom.cup"), "cochain_differential_matrix",
+                        unbuilt)
+    ctx = CupContext(R3, ZZ)
+    f, g = Cochain(1, ZZ, values), Cochain(1, ZZ, [1, 1, 1])
+    for args in ((f, g), (g, f)):
+        with pytest.raises(CoefficientMismatch, match="cochain length does not match its basis"):
+            homotopy_cochain(*args, ctx)
+
+
 def test_context_cap_reaches_every_basis():
     # the 1 x 1 products read the degree-2 basis, 9 tuples over dihedral:3
     ctx = CupContext(builtin("dihedral:3"), QQ, max_basis=8)
@@ -328,12 +365,11 @@ def test_commutativity_suite_builds_each_coboundary_once_per_context(monkeypatch
     assert verify.suite_commutativity().passed
     expected = Counter()
     for label in ("dihedral:3", "dihedral:4"):
-        for p in (1, 2):
-            expected[label, p, "Q"] += 1  # the suite's cocycle kernels
+        # every context builds its Q coboundaries on integer entries
         for p in range(5):
-            expected[label, p, "Z"] += 1  # ring_structure, on integer entries
+            expected[label, p, "Z"] += 1  # ring_structure's context
         for p in (1, 2, 3):
-            expected[label, p, "Q"] += 1  # the context: d*f, d*g and d*H
+            expected[label, p, "Z"] += 1  # the suite's: kernels, d*f, d*g and d*H
     assert calls == expected
 
 
@@ -686,3 +722,160 @@ def test_module_cup_matches_coproduct_path_on_non_symmetric_tables(rack):
         fg = cup(f, g, ctx)
         assert any(fg.values)
         assert fg.values == cup_via_coproduct(f, g, ctx).values
+
+
+# --- integer numerators over Q, and the f-indexed stencil ------------------------
+
+
+def _fraction_cup(f, g, rack):
+    """The closed formula in Fraction arithmetic, straight from
+    ``coproduct_terms``: a reference for :func:`cup` on any coefficients."""
+    p, q = f.degree, g.degree
+    fb, gb = tuple_basis(rack, p, f.quandle), tuple_basis(rack, q, f.quandle)
+    mf = f.module.dim if f.module else 1
+    mg = g.module.dim if g.module else 1
+    out = []
+    for t in tuple_basis(rack, p + q, f.quandle).tuples:
+        vec = [Fraction(0)] * (mf * mg)
+        for left, prefix, right, eps in coproduct_terms(t, q, rack):
+            if left in fb.index and right in gb.index:
+                sign = eps * (-1) ** (p * q)
+                for a in range(mf):
+                    for b in range(mg):
+                        k = g.module.act_word_index(prefix, b) if g.module else b
+                        vec[a * mg + k] += (sign * Fraction(f.values[fb.index[left] * mf + a])
+                                            * Fraction(g.values[gb.index[right] * mg + b]))
+        out += vec
+    return out
+
+
+def _fraction_differential(f, rack):
+    """d*f in Fraction arithmetic from ``cochain_differential_matrix``."""
+    mat = cochain_differential_matrix(rack, f.degree, QQ, f.quandle, f.module)
+    out = [Fraction(0)] * mat.nrows
+    for v, col in zip(f.values, mat.cols):
+        for i, c in col.items():
+            out[i] += Fraction(c) * Fraction(v)
+    return out
+
+
+def _swap_factors(values, dim):
+    """Flattened tensor-module values with the two module factors swapped."""
+    if dim == 1:
+        return values
+    return [values[i - i % (dim * dim) + (i % dim) * dim + (i // dim) % dim]
+            for i in range(len(values))]
+
+
+def _assert_scalars(values, ring):
+    if ring is QQ:
+        assert all(type(v) is Fraction for v in values)
+    elif ring.char:
+        assert all(type(v) is int and v in range(ring.char) for v in values)
+    else:
+        assert all(type(v) is int for v in values)
+
+
+DENOMINATORS = (1, 2, 3, 7)
+
+
+@settings(max_examples=20, deadline=None)
+@given(small_racks().filter(lambda rack: rack.size <= 4), st.data())
+def test_q_products_match_fraction_reference_on_real_denominators(rack, data):
+    """cup, homotopy_cochain and CupContext.differential over Q on values
+    with denominators 2, 3 and 7, against Fraction references; then the
+    same products of integer cochains over Z and F_5 keep their scalar types."""
+    quandle = rack.is_quandle() and data.draw(st.booleans(), "quandle")
+    module = module_from_xset(xset_self(rack)) if data.draw(st.booleans(), "module") else None
+    dim = module.dim if module else 1
+    fractions = st.builds(Fraction, st.integers(-6, 6), st.sampled_from(DENOMINATORS))
+
+    def length(p):
+        return len(tuple_basis(rack, p, quandle)) * dim
+
+    def dense(p):
+        return Cochain(p, QQ, data.draw(st.lists(fractions, min_size=length(p),
+                                                 max_size=length(p))), quandle, module)
+
+    def single(p):
+        values = [QQ.zero] * length(p)
+        if values:
+            k = data.draw(st.integers(0, len(values) - 1))
+            values[k] = Fraction(data.draw(st.sampled_from((-1, 1, 5))),
+                                 data.draw(st.sampled_from(DENOMINATORS[1:])))
+        return Cochain(p, QQ, values, quandle, module)
+
+    def zero(p):
+        return Cochain(p, QQ, [QQ.zero] * length(p), quandle, module)
+
+    def cocycle(p):
+        # a combination of kernel vectors with fractional coefficients
+        kernel = kernel_basis(cochain_differential_matrix(rack, p, QQ, quandle, module))
+        values = [Fraction(0)] * length(p)
+        for vec in kernel:
+            c = data.draw(fractions)
+            values = [v + c * w for v, w in zip(values, vec)]
+        return Cochain(p, QQ, values, quandle, module)
+
+    ctx = CupContext(rack, QQ, quandle, module, module)
+    for p, q in ((1, 1), (1, 2), (2, 1)):
+        for f, g in ((dense(p), dense(q)), (single(p), dense(q)), (dense(p), single(q)),
+                     (zero(p), dense(q)), (single(p), single(q))):
+            fg = cup(f, g, ctx)
+            assert fg.values == _fraction_cup(f, g, rack)
+            _assert_scalars(fg.values, QQ)
+            df = ctx.differential(f)
+            assert df.values == _fraction_differential(f, rack)
+            _assert_scalars(df.values, QQ)
+        sign = (-1) ** (p * q)
+        for f, g in ((cocycle(p), cocycle(q)), (zero(p), cocycle(q))):
+            H = homotopy_cochain(f, g, ctx)
+            _assert_scalars(H.values, QQ)
+            gf = _swap_factors(_fraction_cup(g, f, rack), dim)
+            comm = [a - sign * b for a, b in zip(_fraction_cup(f, g, rack), gf)]
+            assert _fraction_differential(H, rack) == comm
+            # the integer numerators of the same cocycles, over Z and F_5
+            den = lcm(*[v.denominator for v in f.values + g.values])
+            for ring in (ZZ, GF(5)):
+                fz, gz = (Cochain(h.degree, ring, [ring.of(int(v * den)) for v in h.values],
+                                  quandle, module) for h in (f, g))
+                zctx = CupContext(rack, ring, quandle, module, module)
+                for values in (cup(fz, gz, zctx).values, homotopy_cochain(fz, gz, zctx).values,
+                               zctx.differential(fz).values):
+                    _assert_scalars(values, ring)
+
+
+class CountingInt(int):
+    """An int that counts its multiplications and truth tests."""
+
+    muls = 0
+    tests = 0
+
+    def __mul__(self, other):
+        CountingInt.muls += 1
+        return int(self) * int(other)
+
+    __rmul__ = __mul__
+
+    def __bool__(self):
+        CountingInt.tests += 1
+        return int(self) != 0
+
+
+@pytest.mark.parametrize("p,q", [(1, 2), (2, 2), (3, 1)])
+def test_cup_reads_only_the_stencil_rows_of_nonzero_entries(p, q):
+    """An indicator f costs one multiplication per term of its stencil row
+    and one truth test per entry of f, not a walk of the whole stencil."""
+    ctx = CupContext(R3, ZZ)
+    _, rows = ctx.stencil(p, q)
+    g = Cochain(q, ZZ, [CountingInt(1 + k % 3) for k in range(len(tuple_basis(R3, q)))])
+    for li, t in enumerate(tuple_basis(R3, p).tuples):
+        f = basis_cochain(R3, p, ZZ, t)
+        f.values = [CountingInt(v) for v in f.values]
+        CountingInt.muls = CountingInt.tests = 0
+        fg = cup(f, g, ctx)
+        f_tests = CountingInt.tests - len(rows[li])  # g is tested once per term
+        assert CountingInt.muls == len(rows[li])
+        assert f_tests <= len(f.values)
+        plain = Cochain(q, ZZ, [int(v) for v in g.values])
+        assert fg.values == cup(basis_cochain(R3, p, ZZ, t), plain, ctx).values

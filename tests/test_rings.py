@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 
 from rackhom.errors import ResourceLimit
-from rackhom.rings import GF, MAX_PRIME, QQ, ZZ, ring_by_name
+from rackhom.rings import GF, MAX_PRIME, QQ, ZZ, from_numerators, numerators, ring_by_name
 
 
 def test_integer_ring_basics():
@@ -49,3 +49,25 @@ def test_ring_by_name_checks_p():
     with pytest.raises(ResourceLimit, match=str(MAX_PRIME)):
         ring_by_name("Fp:1000000000000000003")
     assert ring_by_name("Fp:2147483647").char == 2 ** 31 - 1
+
+
+def test_numerators_round_trip_over_q():
+    values = [Fraction(1, 2), QQ.zero, Fraction(-2, 3), Fraction(5, 7), QQ.of(4)]
+    ints, den = numerators(QQ, values)
+    assert den == 42 and ints == [21, 0, -28, 30, 168]
+    assert all(type(v) is int for v in ints)
+    back = from_numerators(QQ, ints, den)
+    assert back == values and all(type(v) is Fraction for v in back)
+    # a zero entry is the ring's own zero, not a fresh Fraction
+    assert back[1] is QQ.zero
+    assert numerators(QQ, []) == ([], 1)
+    assert numerators(QQ, [QQ.of(3), QQ.zero]) == ([3, 0], 1)
+
+
+def test_numerators_are_the_identity_over_z_and_residues_over_fp():
+    values = [3, 0, -4]
+    assert numerators(ZZ, values) == (values, 1)
+    assert from_numerators(ZZ, [3, 0, -4]) == [3, 0, -4]
+    F5 = GF(5)
+    assert numerators(F5, [1, 4]) == ([1, 4], 1)
+    assert from_numerators(F5, [7, -1, 10]) == [2, 4, 0]
