@@ -308,11 +308,22 @@ def cochain_differential_matrix(rack: Rack, p: int, ring, quandle=False,
     return mat.scaled(ring.of(-1)) if p % 2 == 0 else mat
 
 
+def coboundary_matrix(rack: Rack, p: int, ring, quandle=False,
+                      module: LeftModule | None = None,
+                      max_basis: int = DEFAULT_MAX_BASIS) -> SparseMat:
+    """:func:`cochain_differential_matrix` with plain int entries in every
+    ring: over Q it is built over Z and labelled Q, since its entries are
+    integers and the kernels and :func:`apply_coboundary` would only turn
+    a Fraction back into an int."""
+    mat = cochain_differential_matrix(rack, p, ring if ring.char else ZZ, quandle, module,
+                                      max_basis)
+    mat.ring = ring
+    return mat
+
+
 def apply_coboundary(mat: SparseMat, f: Cochain) -> Cochain:
-    """``mat``, the cochain differential matrix of ``f``'s degree, ring,
-    variant and module, applied to ``f`` on integer numerators.  Over Q its
-    entries may be ints (as ``CupContext.coboundary`` builds them) or
-    Fractions."""
+    """``mat``, the :func:`coboundary_matrix` of ``f``'s degree, ring,
+    variant and module, applied to ``f`` on integer numerators."""
     ring = f.ring
     if len(f.values) != mat.ncols:
         raise CoefficientMismatch("cochain length does not match its basis")
@@ -329,8 +340,7 @@ def apply_coboundary(mat: SparseMat, f: Cochain) -> Cochain:
 def cochain_differential(f: Cochain, rack: Rack) -> Cochain:
     """The cochain differential applied to ``f``, through a matrix built for
     this call (``CupContext.differential`` keeps its matrices)."""
-    mat = cochain_differential_matrix(rack, f.degree, f.ring, f.quandle, f.module)
-    return apply_coboundary(mat, f)
+    return apply_coboundary(coboundary_matrix(rack, f.degree, f.ring, f.quandle, f.module), f)
 
 
 def project_to_chain(u: BElement, ring=ZZ, xset: XSet | None = None,

@@ -50,6 +50,7 @@ from .complexes import (
     Cochain,
     LeftModule,
     apply_coboundary,
+    coboundary_matrix,
     cochain_differential,
     cochain_differential_matrix,
     coproduct_terms,
@@ -59,7 +60,7 @@ from .complexes import (
 from .errors import CoefficientMismatch, ContextMismatch, NotACocycle, NotAQuandle
 from .linalg import SparseMat, independent, kernel_basis, solve, solve_many
 from .racks import Rack
-from .rings import ZZ, from_numerators, numerators
+from .rings import from_numerators, numerators
 from .words import WordAlgebra
 
 
@@ -143,22 +144,23 @@ class CupContext:
             self._stencils[key] = (len(targets), rows)
         return self._stencils[key]
 
-    def coboundary(self, p, ring, quandle=False, module=None) -> SparseMat:
-        """The matrix of d*^p over ``ring``, built once per degree, ring,
-        variant and module in this context; over Q its entries are the
-        integers (a Fraction per entry would only be turned back into an
-        int by the kernels and by :func:`apply_coboundary`)."""
-        key = (p, ring, quandle, module)
+    def coboundary(self, p, module=None) -> SparseMat:
+        """The :func:`~rackhom.complexes.coboundary_matrix` of d*^p in the
+        context's ring and variant, with coefficients in ``module``; built
+        once per degree and module."""
+        key = (p, module)
         if key not in self._coboundaries:
-            mat = cochain_differential_matrix(
-                self.rack, p, ring if ring.char else ZZ, quandle, module, self.max_basis)
-            mat.ring = ring
-            self._coboundaries[key] = mat
+            self._coboundaries[key] = coboundary_matrix(
+                self.rack, p, self.ring, self.quandle, module, self.max_basis)
         return self._coboundaries[key]
 
     def differential(self, f: Cochain) -> Cochain:
         """The cochain differential of ``f``, through :meth:`coboundary`."""
-        return apply_coboundary(self.coboundary(f.degree, f.ring, f.quandle, f.module), f)
+        if f.quandle != self.quandle:
+            raise ContextMismatch("cochain variant does not match context")
+        if f.ring is not self.ring:
+            raise ContextMismatch("cochain ring does not match context")
+        return apply_coboundary(self.coboundary(f.degree, f.module), f)
 
 
 def _value(values, basis_index, tuple_, prefix, module, mdim):
@@ -210,47 +212,40 @@ def cup(f: Cochain, g: Cochain, ctx: CupContext) -> Cochain:
     return Cochain(f.degree + g.degree, ring, values, ctx.quandle, ctx.target_module())
 
 
-def _pair_against_tensor(f, g, fvals, gvals, f_index, g_index, tensor_terms, negate):
-    """Evaluate i(f (x) g) against word-engine tensor terms on the integer
-    values ``fvals`` / ``gvals`` of f and g, read through the indexes of
-    their tuple bases; the evaluation sign (-1)^{|g||left|} is constant
-    (-1)^{pq} on surviving terms, and ``negate`` flips it."""
-    p, q = f.degree, g.degree
-    mf = f.module.dim if f.module else 1
-    mg = g.module.dim if g.module else 1
-    out = [0] * (mf * mg)
-    negative = bool((p * q) & 1) != negate
-    for (l, r), c in tensor_terms.items():
-        if len(l.e) != p or len(r.e) != q:
-            continue
-        fv = _value(fvals, f_index, l.e, l.a, f.module, mf)
-        if fv is None:
-            continue
-        gv = _value(gvals, g_index, r.e, r.a, g.module, mg)
-        if gv is None:
-            continue
-        coeff = -c if negative else c
-        for a in range(mf):
-            va = fv[a]
-            if not va:
-                continue
-            for b in range(mg):
-                out[a * mg + b] += coeff * va * gv[b]
-    return out
-
-
 def _pair_cochain(f, g, ctx, n, structure_map, sign):
     """The degree-n cochain t -> sign * (f (x) g)(structure_map(e_t)), for a
     word-engine map into B (x) B such as ``W.coproduct`` or ``W.h``, on
-    integer numerators."""
+    integer numerators.  Only terms of bidegree (p, q) survive the pairing,
+    and on them the evaluation sign (-1)^{|g||left|} is the constant
+    (-1)^{pq}, folded with ``sign`` into ``negative``."""
     ring = ctx.ring
-    f_index, g_index = ctx.basis(f.degree).index, ctx.basis(g.degree).index
+    p, q = f.degree, g.degree
+    f_index, g_index = ctx.basis(p).index, ctx.basis(q).index
+    mf = f.module.dim if f.module else 1
+    mg = g.module.dim if g.module else 1
     fvals, fden = numerators(ring, f.values)
     gvals, gden = numerators(ring, g.values)
+    negative = bool((p * q) & 1) != (sign < 0)
     values = []
     for t in ctx.basis(n).tuples:
-        terms = structure_map(ctx.algebra.eword(t)).terms
-        values += _pair_against_tensor(f, g, fvals, gvals, f_index, g_index, terms, sign < 0)
+        out = [0] * (mf * mg)
+        for (l, r), c in structure_map(ctx.algebra.eword(t)).terms.items():
+            if len(l.e) != p or len(r.e) != q:
+                continue
+            fv = _value(fvals, f_index, l.e, l.a, f.module, mf)
+            if fv is None:
+                continue
+            gv = _value(gvals, g_index, r.e, r.a, g.module, mg)
+            if gv is None:
+                continue
+            coeff = -c if negative else c
+            for a in range(mf):
+                va = fv[a]
+                if not va:
+                    continue
+                for b in range(mg):
+                    out[a * mg + b] += coeff * va * gv[b]
+        values += out
     values = from_numerators(ring, values, fden * gden)
     return Cochain(n, ring, values, ctx.quandle, ctx.target_module())
 
@@ -341,7 +336,7 @@ def ring_structure(rack: Rack, ring, max_degree: int, quandle: bool = False,
     # d*^{-1} is the zero map into C^0, which has the one empty tuple
     dmat = {-1: SparseMat(1, 0, ring)}
     for p in range(max_degree + 1):
-        dmat[p] = ctx.coboundary(p, ring, quandle)
+        dmat[p] = ctx.coboundary(p)
     reps = {
         p: independent(dmat[p - 1].cols, kernel_basis(dmat[p]), ring)
         for p in range(max_degree + 1)

@@ -429,7 +429,7 @@ def suite_commutativity():
     for spec in ("dihedral:3", "dihedral:4"):
         rack = builtin(spec)
         ctx = CupContext(rack, ring)
-        cocycles = {p: kernel_basis(ctx.coboundary(p, ring)) for p in (1, 2)}
+        cocycles = {p: kernel_basis(ctx.coboundary(p)) for p in (1, 2)}
         for p in (1, 2):
             for q in (1, 2):
                 sign = -1 if (p * q) % 2 else 1

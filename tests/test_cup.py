@@ -40,6 +40,7 @@ from rackhom.errors import (
 from rackhom.linalg import ChainComplex, SparseMat, kernel_basis
 from rackhom.racks import builtin, dihedral_rack, trivial_rack, xset_self, xset_singleton
 from rackhom.rings import GF, QQ, ZZ
+from rackhom.words import WordAlgebra
 
 R3 = dihedral_rack(3)
 R4 = dihedral_rack(4)
@@ -232,8 +233,7 @@ def test_homotopy_refuses_a_cochain_of_the_wrong_length_before_any_coboundary(
     def unbuilt(*args, **kwargs):
         raise AssertionError("a coboundary was built for a malformed cochain")
 
-    monkeypatch.setattr(importlib.import_module("rackhom.cup"), "cochain_differential_matrix",
-                        unbuilt)
+    monkeypatch.setattr(importlib.import_module("rackhom.cup"), "coboundary_matrix", unbuilt)
     ctx = CupContext(R3, ZZ)
     f, g = Cochain(1, ZZ, values), Cochain(1, ZZ, [1, 1, 1])
     for args in ((f, g), (g, f)):
@@ -332,14 +332,14 @@ def test_homotopy_cochain_identity_exhaustive_degree_pairs():
 
 def test_context_builds_each_coboundary_once(monkeypatch):
     cup_module = importlib.import_module("rackhom.cup")
-    real = cochain_differential_matrix
+    real = cup_module.coboundary_matrix
     built = []
 
     def counting(rack, p, *args):
         built.append(p)
         return real(rack, p, *args)
 
-    monkeypatch.setattr(cup_module, "cochain_differential_matrix", counting)
+    monkeypatch.setattr(cup_module, "coboundary_matrix", counting)
     ctx = CupContext(R3, QQ)
     f = Cochain(1, QQ, [QQ.one] * 3)
     H = homotopy_cochain(f, f, ctx)  # d*f twice; H has degree 1 as well
@@ -348,6 +348,15 @@ def test_context_builds_each_coboundary_once(monkeypatch):
     for _ in range(2):
         assert ctx.differential(g).values == cochain_differential(g, R3).values
     assert built == [1, 2]
+
+
+def test_context_differential_refuses_another_ring_or_variant():
+    ctx = CupContext(R3, QQ)
+    with pytest.raises(ContextMismatch, match="ring"):
+        ctx.differential(basis_cochain(R3, 1, ZZ, (0,)))
+    with pytest.raises(ContextMismatch, match="variant"):
+        ctx.differential(basis_cochain(R3, 1, QQ, (0,), quandle=True))
+    assert ctx._coboundaries == {}
 
 
 def test_commutativity_suite_builds_each_coboundary_once_per_context(monkeypatch):
@@ -759,6 +768,45 @@ def _fraction_differential(f, rack):
     return out
 
 
+def _fraction_homotopy(f, g, rack):
+    """H(f, g) in Fraction arithmetic, paired straight against the
+    word-engine homotopy ``W.h`` with the scale (-1)^{pq} (-1)^{p+q+1}."""
+    p, q = f.degree, g.degree
+    W = WordAlgebra(rack)
+    fb, gb = tuple_basis(rack, p, f.quandle), tuple_basis(rack, q, f.quandle)
+    mf = f.module.dim if f.module else 1
+    mg = g.module.dim if g.module else 1
+    scale = (-1) ** (p * q) * (-1) ** (p + q + 1)
+
+    def value(h, basis, dim, monomial):
+        # h on prefix . e_tuple: the prefix moves the module index
+        vec = [Fraction(0)] * dim
+        for i in range(dim):
+            k = h.module.act_word_index(monomial.a, i) if h.module else i
+            vec[k] = Fraction(h.values[basis.index[monomial.e] * dim + i])
+        return vec
+
+    out = []
+    for t in tuple_basis(rack, p + q - 1, f.quandle).tuples:
+        vec = [Fraction(0)] * (mf * mg)
+        for (l, r), c in W.h(W.eword(t)).terms.items():
+            if l.e in fb.index and r.e in gb.index:
+                fv, gv = value(f, fb, mf, l), value(g, gb, mg, r)
+                for a in range(mf):
+                    for b in range(mg):
+                        vec[a * mg + b] += scale * c * fv[a] * gv[b]
+        out += vec
+    return out
+
+
+def _cleared(values, den, ring):
+    """The Q ``values`` times ``den``, which must clear their denominators,
+    as scalars of ``ring``."""
+    scaled = [v * den for v in values]
+    assert all(v.denominator == 1 for v in scaled)
+    return [ring.of(int(v)) for v in scaled]
+
+
 def _swap_factors(values, dim):
     """Flattened tensor-module values with the two module factors swapped."""
     if dim == 1:
@@ -827,22 +875,65 @@ def test_q_products_match_fraction_reference_on_real_denominators(rack, data):
             df = ctx.differential(f)
             assert df.values == _fraction_differential(f, rack)
             _assert_scalars(df.values, QQ)
-        sign = (-1) ** (p * q)
         for f, g in ((cocycle(p), cocycle(q)), (zero(p), cocycle(q))):
-            H = homotopy_cochain(f, g, ctx)
-            _assert_scalars(H.values, QQ)
-            gf = _swap_factors(_fraction_cup(g, f, rack), dim)
-            comm = [a - sign * b for a, b in zip(_fraction_cup(f, g, rack), gf)]
-            assert _fraction_differential(H, rack) == comm
-            # the integer numerators of the same cocycles, over Z and F_5
-            den = lcm(*[v.denominator for v in f.values + g.values])
-            for ring in (ZZ, GF(5)):
-                fz, gz = (Cochain(h.degree, ring, [ring.of(int(v * den)) for v in h.values],
-                                  quandle, module) for h in (f, g))
-                zctx = CupContext(rack, ring, quandle, module, module)
-                for values in (cup(fz, gz, zctx).values, homotopy_cochain(fz, gz, zctx).values,
-                               zctx.differential(fz).values):
-                    _assert_scalars(values, ring)
+            _check_homotopy_and_integer_rings(f, g, rack, ctx)
+
+
+def _check_homotopy_and_integer_rings(f, g, rack, ctx):
+    """H(f, g) over Q against its Fraction reference and the homotopy
+    identity; then cup, H and d* of the same cocycles cleared of their
+    denominators, over Z and F_5, against the Q values scaled alike."""
+    p, q = f.degree, g.degree
+    dim = f.module.dim if f.module else 1
+    H = homotopy_cochain(f, g, ctx)
+    assert H.values == _fraction_homotopy(f, g, rack)
+    _assert_scalars(H.values, QQ)
+    sign = (-1) ** (p * q)
+    gf = _swap_factors(_fraction_cup(g, f, rack), dim)
+    comm = [a - sign * b for a, b in zip(_fraction_cup(f, g, rack), gf)]
+    assert _fraction_differential(H, rack) == comm
+    den = lcm(*[v.denominator for v in f.values + g.values])
+    for ring in (ZZ, GF(5)):
+        fz, gz = (Cochain(h.degree, ring, _cleared(h.values, den, ring), h.quandle, h.module)
+                  for h in (f, g))
+        zctx = CupContext(rack, ring, f.quandle, f.module, g.module)
+        for values, expect in ((cup(fz, gz, zctx).values, _cleared(cup(f, g, ctx).values,
+                                                                   den * den, ring)),
+                               (homotopy_cochain(fz, gz, zctx).values,
+                                _cleared(H.values, den * den, ring)),
+                               (zctx.differential(fz).values,
+                                _cleared(ctx.differential(f).values, den, ring))):
+            assert values == expect
+            _assert_scalars(values, ring)
+
+
+COCYCLE_SCALES = (Fraction(1, 2), Fraction(-2, 3), Fraction(5, 7), Fraction(3))
+
+
+@pytest.mark.parametrize("spec,quandle", [("trivial:2", False), ("trivial:2", True),
+                                          ("cyclic:3", False), ("dihedral:3", False),
+                                          ("dihedral:3", True), ("dihedral:4", True)])
+@pytest.mark.parametrize("with_module", [False, True], ids=["trivial", "module"])
+def test_homotopy_matches_fraction_reference(spec, quandle, with_module):
+    """Kernel vectors of degrees (1, 1), (1, 2) and (2, 1) scaled by fractions,
+    their sum and the zero cocycle: H against its Fraction reference, also
+    on the permutation racks trivial:2 and cyclic:3, whose cochains commute
+    exactly."""
+    rack = builtin(spec)
+    module = module_from_xset(xset_self(rack)) if with_module else None
+    ctx = CupContext(rack, QQ, quandle, module, module)
+    for p, q in ((1, 1), (1, 2), (2, 1)):
+        cocycles = {}
+        for d in {p, q}:
+            kernel = kernel_basis(cochain_differential_matrix(rack, d, QQ, quandle, module))
+            scaled = [[COCYCLE_SCALES[k % 4] * v for v in vec] for k, vec in enumerate(kernel)]
+            total = [sum(col, Fraction(0)) for col in zip(*scaled)] if scaled else []
+            cocycles[d] = [Cochain(d, QQ, vec, quandle, module)
+                           for vec in scaled[:3] + ([total] if total else [])]
+        zero = Cochain(p, QQ, [QQ.zero] * len(ctx.coboundary(p, module).cols), quandle, module)
+        for f in [zero] + cocycles[p]:
+            for g in cocycles[q]:
+                _check_homotopy_and_integer_rings(f, g, rack, ctx)
 
 
 class CountingInt(int):
