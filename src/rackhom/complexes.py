@@ -8,10 +8,15 @@ Faces are read from the rack's right-translation columns ``Rack.right``
 by ``face`` / ``face_set`` (one face, and a composite face, of a tuple)
 and ``coproduct_terms`` (the terms (delete A) (x) (conjugating-delete of
 the complement) of the closed coproduct formula, which the cup stencil and
-the word engine's ``coproduct_formula`` both read); ``_boundary`` takes
-the two faces of each position in one pass and assembles
+the word engine's ``coproduct_formula`` both read).  ``_boundary`` finds
+the two faces of each position by integer arithmetic on the tuple's
+mixed-radix code, and assembles
 
-    bd(x_1..x_n) = sum_i (-1)^i [ delete_i - delete_i-with-conjugation ].
+    bd(x_1..x_n) = sum_i (-1)^i [ delete_i - delete_i-with-conjugation ];
+
+a pair of faces on the same row cancels but still takes its place in the
+column's key order (as a zero entry, dropped with the others at the end),
+so every column keeps the key order of its faces taken one by one.
 
 The word engine's ``d`` keeps its own faces on purpose: the check
 ``project_to_chain(d(e_T)) == -bd(T)`` compares two independent codes.
@@ -244,32 +249,75 @@ def basis_cochain(rack: Rack, p: int, ring, t, j=0, quandle=False, module=None) 
 def _boundary(rack: Rack, n: int, ring, quandle: bool, right, max_basis: int) -> SparseMat:
     """The degree-``n`` boundary with coefficients in a permutation module;
     ``right[x][y]`` is the point ``y`` moved by the right action of ``x``
-    (trivial coefficients are the one-point action ``((0,),) * size``)."""
+    (trivial coefficients are the one-point action ``((0,),) * size``).
+
+    Faces are found on mixed-radix codes, in the basis order (last
+    coordinate fastest, base ``s`` = the rack's size).  At position ``j``
+    of ``t``, let ``h`` be the code of ``t[:j]``, ``c = h * s + t[j]`` the
+    code of ``t[:j + 1]``, and ``p = s^(n - 1 - j)``.  The plain face has
+    the code ``code(t) - (c - h) * p``; the conjugating face, whose head is
+    ``t[:j]`` read through ``Rack.right[t[j]]`` with code ``m``, has
+    ``code(t) - (c - m) * p``.  These offsets depend on ``t[:j + 1]`` only,
+    so each tuple recomputes them from the first position where it differs
+    from the tuple before it.  A code is its own row in the rack variant;
+    the quandle variant reads rows from the codes of the target basis, and a
+    code missing there is a degenerate face, which is dropped.  A pair of
+    faces on the same row cancels but still takes its place in the key order
+    as a zero entry, so that every column keeps the key order of its faces
+    taken one by one (``_eliminate_pivots`` breaks ties by that order)."""
     if n < 1:
         raise IndexOutOfRange("boundary defined for degree >= 1")
     src = tuple_basis(rack, n, quandle, max_basis)
     tgt = tuple_basis(rack, n - 1, quandle, max_basis)
-    index = tgt.index
+    s = rack.size
     conj = rack.right
     dim = len(right[0])
     of = ring.of
+    row = None
+    if quandle:
+        codes = {}
+        for i, u in enumerate(tgt.tuples):
+            c = 0
+            for x in u:
+                c = c * s + x
+            codes[c] = i
+        row = codes.get
+    prefix = [0] * (n + 1)  # prefix[j] is the code of t[:j]
+    # per position: sign (-1)^(j+1), plain offset, action, conjugating offset
+    offsets = [None] * n
+    prev = (-1,) * n
     cols = []
     for t in src.tuples:
-        # both faces of position i = j + 1, with the sign (-1)^i
-        faces = []
-        for j, x in enumerate(t):
-            head, tail, by_x = t[:j], t[j + 1 :], conj[x]
-            faces.append((1 if j & 1 else -1, index.get(head + tail), right[x],
-                          index.get(tuple([by_x[y] for y in head]) + tail)))
+        first = 0  # the first position where t differs from the tuple before it
+        while t[first] == prev[first]:
+            first += 1
+        prev = t
+        for j in range(first, n):
+            h, x = prefix[j], t[j]
+            by_x = conj[x]
+            m = 0
+            for y in t[:j]:
+                m = m * s + by_x[y]
+            prefix[j + 1] = c = h * s + x
+            p = s ** (n - 1 - j)
+            offsets[j] = [1 if j & 1 else -1, (c - h) * p, right[x], (c - m) * p]
+        c = prefix[n]
+        if row:
+            faces = [(sign, row(c - a), move, row(c - b)) for sign, a, move, b in offsets]
+        else:
+            faces = [(sign, c - a, move, c - b) for sign, a, move, b in offsets]
         for y in range(dim):
             col: dict = {}  # integer coefficients, (-1)^i per face
-            for s, r0, move, r1 in faces:
+            for sign, r0, move, r1 in faces:
                 if r0 is not None:
                     r = r0 * dim + y
-                    col[r] = col.get(r, 0) + s
+                    if r0 == r1 and move[y] == y:
+                        col.setdefault(r, 0)
+                        continue
+                    col[r] = col.get(r, 0) + sign
                 if r1 is not None:
                     r = r1 * dim + move[y]
-                    col[r] = col.get(r, 0) - s
+                    col[r] = col.get(r, 0) - sign
             cols.append({r: w for r, v in col.items() if (w := of(v))})
     return SparseMat(len(tgt) * dim, len(src) * dim, ring, cols)
 

@@ -105,6 +105,21 @@ class SparseMat:
                 out.cols[j] = {i: a for i, a in acc.items() if a}
         return out
 
+    def mul_is_zero(self, other: "SparseMat") -> bool:
+        """Whether ``self.mul(other)`` is zero, contracted one column at a
+        time and reduced as ``mul`` reduces, up to the first nonzero column."""
+        if self.ncols != other.nrows:
+            raise ShapeError("shape mismatch in matrix product")
+        p = self.ring.char
+        for col in other.cols:
+            acc: dict = {}
+            for k, v in col.items():
+                for i, w in self.cols[k].items():
+                    acc[i] = acc.get(i, 0) + w * v
+            if any(a % p for a in acc.values()) if p else any(acc.values()):
+                return False
+        return True
+
     def transpose(self) -> "SparseMat":
         out = SparseMat(self.ncols, self.nrows, self.ring)
         for j, col in enumerate(self.cols):
@@ -538,8 +553,9 @@ class ChainComplex:
     ``differentials[n]`` is the matrix of ``d_n: C_n -> C_{n-1}``; give
     them integer entries where they have them (every rack boundary does),
     whatever ``ring`` is.  Shapes and d o d = 0 are checked once per
-    consecutive pair on construction, in the matrices' own ring: a zero
-    over Z is a zero over every ring.  Each differential is reduced at most
+    consecutive pair on construction, in the matrices' own ring (a zero
+    over Z is a zero over every ring), one product column at a time up to
+    the first nonzero one.  Each differential is reduced at most
     once (rank over a field, Smith form over Z) and the reduction is
     cached; homology and the cohomology of the dual complex are both read
     from it.
@@ -573,7 +589,7 @@ class ChainComplex:
             pair = f"differentials at degrees {n} and {n - 1}"
             if after.ncols != d.nrows:
                 raise ShapeError(f"{pair} do not compose")
-            if not after.mul(d).is_zero():
+            if not after.mul_is_zero(d):
                 raise NotAComplex(f"{pair} do not compose to zero")
 
     def _reduce(self, n) -> tuple[int, tuple[int, ...], list[int]]:

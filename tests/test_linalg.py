@@ -459,6 +459,25 @@ def test_chain_complex_rejects_non_complex():
         ChainComplex({1: d1, 2: d2}, ZZ)
     with pytest.raises(ShapeError):
         ChainComplex({1: d1, 2: SparseMat.identity(3, ZZ)}, ZZ)
+    # over F_3 the first column composes to 1 + 2 = 0; only the last is nonzero
+    d1 = SparseMat.from_dense([[1, 1, 0]], GF(3))
+    d2 = SparseMat.from_dense([[1, 0, 1], [2, 0, 0], [0, 1, 0]], GF(3))
+    with pytest.raises(NotAComplex):
+        ChainComplex({1: d1, 2: d2}, GF(3))
+    d2.cols[-1] = {}
+    ChainComplex({1: d1, 2: d2}, GF(3))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from([ZZ, QQ, GF(2), GF(3)]), st.integers(1, 4), st.integers(1, 4),
+       st.integers(1, 4), st.data())
+def test_mul_is_zero_matches_the_product(ring, rows, inner, cols, data):
+    def dense(r, c):
+        return [[data.draw(st.integers(-2, 2)) for _ in range(c)] for _ in range(r)]
+
+    a = SparseMat.from_dense(dense(rows, inner), ring)
+    b = SparseMat.from_dense(dense(inner, cols), ring)
+    assert a.mul_is_zero(b) == a.mul(b).is_zero()
 
 
 def test_clearing_over_z_takes_only_unit_pivots():
