@@ -64,7 +64,7 @@ def _int_at_least(low):
 def parse_rack_text(text: str) -> Rack:
     """Parse the plain rack format: header ``rack n`` then n rows of n
     entries, row x column y holding x <| y.  Blank lines and ``#`` comments
-    are skipped."""
+    are skipped; any other line after the n rows is refused."""
     lines = text.splitlines()
     rows = []
     size = None
@@ -83,6 +83,8 @@ def parse_rack_text(text: str) -> Rack:
             if size < 1:
                 raise ParseError("size must be >= 1", line=lineno)
             continue
+        if len(rows) == size:
+            raise ParseError(f"unexpected line after the {size} rows", line=lineno)
         entries = line.split()
         if len(entries) != size:
             raise ParseError(
@@ -100,8 +102,6 @@ def parse_rack_text(text: str) -> Rack:
                 )
             row.append(v)
         rows.append(row)
-        if len(rows) == size:
-            break
     if size is None:
         raise ParseError("empty rack file")
     if len(rows) != size:
@@ -129,6 +129,17 @@ def _parse_json(text: str):
         raise ParseError("bad JSON: nested too deeply") from None
 
 
+def _check_size(obj, height, what):
+    """The optional JSON ``"size"`` field: an integer (not a bool or a
+    float) equal to the height of the ``what`` array."""
+    if "size" not in obj:
+        return
+    if type(obj["size"]) is not int:
+        raise ParseError(f"JSON 'size' must be an integer, not {type(obj['size']).__name__}")
+    if obj["size"] != height:
+        raise ParseError(f"JSON 'size' disagrees with {what} height")
+
+
 def parse_rack_file(path: str) -> Rack:
     """Accept either the text format or the JSON shape
     ``{"size": n, "table": [[...]]}``."""
@@ -141,8 +152,7 @@ def _parse_rack(text: str) -> Rack:
         table = obj.get("table")
         if not isinstance(table, list):
             raise ParseError("JSON rack needs a 'table' array")
-        if "size" in obj and obj["size"] != len(table):
-            raise ParseError("JSON 'size' disagrees with table height")
+        _check_size(obj, len(table), "table")
         return validate_rack(table, label="file")
     return parse_rack_text(text)
 
@@ -154,8 +164,7 @@ def parse_xset_file(path: str, rack: Rack) -> XSet:
     act = obj.get("act")
     if not isinstance(act, list):
         raise ParseError("JSON rack-set needs an 'act' array")
-    if "size" in obj and obj["size"] != len(act):
-        raise ParseError("JSON 'size' disagrees with action height")
+    _check_size(obj, len(act), "action")
     return validate_xset(rack, act, label="file")
 
 

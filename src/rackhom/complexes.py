@@ -34,6 +34,9 @@ no rank and no invariant factor, so cohomology is read from the same
 reductions of the boundary matrices as homology
 (``linalg.ChainComplex.cohomology``).
 
+Every matrix built here holds plain ints in every ring, reduced mod p over
+F_p; ``cochain_differential_matrix`` is the one coboundary builder.
+
 Coefficients: trivial (the one-point action) or the permutation module
 of a validated rack-set action.  Chains use the right action; cochains use
 the left action obtained by inverting each right translation, so the
@@ -43,8 +46,9 @@ inverse permutations as its right action.
 
 from __future__ import annotations
 
+import functools
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from .errors import (
@@ -76,10 +80,16 @@ class TupleBasis:
     degree: int
     quandle: bool
     tuples: tuple[tuple[int, ...], ...]
-    index: dict = field(compare=False, hash=False, repr=False)
 
     def __len__(self):
         return len(self.tuples)
+
+    @functools.cached_property
+    def index(self):
+        """Position of each tuple; built on first read and cached on the
+        instance, outside equality and hashing (``_boundary`` reads codes,
+        not this)."""
+        return {t: i for i, t in enumerate(self.tuples)}
 
 
 def tuple_basis(rack: Rack, n: int, quandle: bool = False,
@@ -94,11 +104,17 @@ def tuple_basis(rack: Rack, n: int, quandle: bool = False,
         raise DimensionOverflow(
             f"basis of degree {n} over size-{rack.size} rack exceeds cap {max_basis}"
         )
-    tuples = tuple(
-        t for t in itertools.product(range(rack.size), repeat=n)
-        if not quandle or no_adjacent_equal(t)
-    )
-    return TupleBasis(rack, n, quandle, tuples, {t: i for i, t in enumerate(tuples)})
+    if quandle and n:
+        # extend one position at a time past the entries equal to the last:
+        # lexicographic order, with no degenerate tuple ever made
+        others = [tuple(x for x in range(rack.size) if x != y) for y in range(rack.size)]
+        tuples = [(x,) for x in range(rack.size)]
+        for _ in range(n - 1):
+            tuples = [t + (x,) for t in tuples for x in others[t[-1]]]
+        tuples = tuple(tuples)
+    else:
+        tuples = tuple(itertools.product(range(rack.size), repeat=n))
+    return TupleBasis(rack, n, quandle, tuples)
 
 
 def face(t, i, eps, rack: Rack):
@@ -272,7 +288,7 @@ def _boundary(rack: Rack, n: int, ring, quandle: bool, right, max_basis: int) ->
     s = rack.size
     conj = rack.right
     dim = len(right[0])
-    of = ring.of
+    char = ring.char
     row = None
     if quandle:
         codes = {}
@@ -318,7 +334,7 @@ def _boundary(rack: Rack, n: int, ring, quandle: bool, right, max_basis: int) ->
                 if r1 is not None:
                     r = r1 * dim + move[y]
                     col[r] = col.get(r, 0) - sign
-            cols.append({r: w for r, v in col.items() if (w := of(v))})
+            cols.append({r: w for r, v in col.items() if (w := v % char if char else v)})
     return SparseMat(len(tgt) * dim, len(src) * dim, ring, cols)
 
 
@@ -353,25 +369,12 @@ def cochain_differential_matrix(rack: Rack, p: int, ring, quandle=False,
     """
     right = (module or trivial_module(rack)).inverse_perms()
     mat = _boundary(rack, p + 1, ring, quandle, right, max_basis).transpose()
-    return mat.scaled(ring.of(-1)) if p % 2 == 0 else mat
-
-
-def coboundary_matrix(rack: Rack, p: int, ring, quandle=False,
-                      module: LeftModule | None = None,
-                      max_basis: int = DEFAULT_MAX_BASIS) -> SparseMat:
-    """:func:`cochain_differential_matrix` with plain int entries in every
-    ring: over Q it is built over Z and labelled Q, since its entries are
-    integers and the kernels and :func:`apply_coboundary` would only turn
-    a Fraction back into an int."""
-    mat = cochain_differential_matrix(rack, p, ring if ring.char else ZZ, quandle, module,
-                                      max_basis)
-    mat.ring = ring
-    return mat
+    return mat.scaled(-1) if p % 2 == 0 else mat
 
 
 def apply_coboundary(mat: SparseMat, f: Cochain) -> Cochain:
-    """``mat``, the :func:`coboundary_matrix` of ``f``'s degree, ring,
-    variant and module, applied to ``f`` on integer numerators."""
+    """``mat``, the :func:`cochain_differential_matrix` of ``f``'s degree,
+    ring, variant and module, applied to ``f`` on integer numerators."""
     ring = f.ring
     if len(f.values) != mat.ncols:
         raise CoefficientMismatch("cochain length does not match its basis")
@@ -388,7 +391,8 @@ def apply_coboundary(mat: SparseMat, f: Cochain) -> Cochain:
 def cochain_differential(f: Cochain, rack: Rack) -> Cochain:
     """The cochain differential applied to ``f``, through a matrix built for
     this call (``CupContext.differential`` keeps its matrices)."""
-    return apply_coboundary(coboundary_matrix(rack, f.degree, f.ring, f.quandle, f.module), f)
+    mat = cochain_differential_matrix(rack, f.degree, f.ring, f.quandle, f.module)
+    return apply_coboundary(mat, f)
 
 
 def project_to_chain(u: BElement, ring=ZZ, xset: XSet | None = None,

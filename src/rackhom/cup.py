@@ -50,8 +50,6 @@ from .complexes import (
     Cochain,
     LeftModule,
     apply_coboundary,
-    coboundary_matrix,
-    cochain_differential,
     cochain_differential_matrix,
     coproduct_terms,
     trivial_module,
@@ -145,12 +143,12 @@ class CupContext:
         return self._stencils[key]
 
     def coboundary(self, p, module=None) -> SparseMat:
-        """The :func:`~rackhom.complexes.coboundary_matrix` of d*^p in the
-        context's ring and variant, with coefficients in ``module``; built
-        once per degree and module."""
+        """The :func:`~rackhom.complexes.cochain_differential_matrix` of d*^p
+        (int entries) in the context's ring and variant, with coefficients in
+        ``module``; built once per degree and module."""
         key = (p, module)
         if key not in self._coboundaries:
-            self._coboundaries[key] = coboundary_matrix(
+            self._coboundaries[key] = cochain_differential_matrix(
                 self.rack, p, self.ring, self.quandle, module, self.max_basis)
         return self._coboundaries[key]
 
@@ -255,10 +253,6 @@ def cup_via_coproduct(f: Cochain, g: Cochain, ctx: CupContext) -> Cochain:
     :func:`cup`; the two must agree exactly)."""
     ctx.check(f, g)
     return _pair_cochain(f, g, ctx, f.degree + g.degree, ctx.algebra.coproduct, 1)
-
-
-def is_cocycle(f: Cochain, rack: Rack) -> bool:
-    return not any(cochain_differential(f, rack).values)
 
 
 def homotopy_cochain(f: Cochain, g: Cochain, ctx: CupContext) -> Cochain:

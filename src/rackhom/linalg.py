@@ -128,8 +128,11 @@ class SparseMat:
         return out
 
     def scaled(self, c) -> "SparseMat":
-        of = self.ring.of
-        cols = [{i: w for i, v in col.items() if (w := of(v * c))} for col in self.cols]
+        """The entries times ``c``, reduced as ``mul`` reduces (mod p over
+        F_p), so that int entries stay ints in every ring."""
+        p = self.ring.char
+        cols = [{i: u for i, v in col.items() if (u := v * c % p if p else v * c)}
+                for col in self.cols]
         return SparseMat(self.nrows, self.ncols, self.ring, cols)
 
     def to_dense(self):

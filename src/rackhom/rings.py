@@ -2,7 +2,8 @@
 
 Every computation in this package is exact; there is no floating point
 anywhere.  Scalars are plain Python numbers: ``int`` over Z, ``Fraction``
-over Q, and over F_p an ``int`` in ``range(p)``.  Callers compute with
+over Q, and over F_p an ``int`` in ``range(p)``; the boundary and coboundary
+matrices hold ``int`` entries over Q as well.  Callers compute with
 Python's own operators.  A ring is a record of what they need besides: its
 name, its characteristic, whether it is a field, ``of`` (which makes a
 scalar from an integer, reducing it mod p over F_p), ``zero`` and ``one``.

@@ -48,7 +48,7 @@ def test_parse_one_element_rack():
 
 
 def test_parse_skips_comments_and_blanks():
-    rack = parse_rack_text("# dihedral\n\nrack 3\n0 2 1\n2 1 0\n1 0 2\n")
+    rack = parse_rack_text("# dihedral\n\nrack 3\n0 2 1\n2 1 0\n1 0 2\n\n# trailing\n\n")
     assert rack.size == 3
 
 
@@ -264,6 +264,38 @@ def test_json_rack_with_boolean_entries(capsys, tmp_path):
     assert code == EXIT_FAIL
     assert out == ""
     assert "entry False is not an integer" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("text, line", [
+    ("rack 2\n0 0\n1 1\n7 7 7 garbage\n", 4),
+    ("rack 2\n0 0\n1 1\n\n# a comment\n0 0\n", 6),
+    ("rack 2\n0 0\n1 1\nrack 2\n", 4),
+])
+def test_text_rack_with_lines_after_its_rows(capsys, tmp_path, text, line):
+    path = tmp_path / "r.txt"
+    path.write_text(text)
+    code, out, err = run(capsys, "homology", "--rack", str(path))
+    assert code == EXIT_FAIL
+    assert out == ""
+    assert err == f"rackhom: error: unexpected line after the 2 rows (line {line})\n"
+
+
+@pytest.mark.parametrize("size, kind, spec, table", [
+    ("true", "bool", "trivial:1", [[0]]),
+    ("3.0", "float", "dihedral:3", [[0, 2, 1], [2, 1, 0], [1, 0, 2]]),
+])
+@pytest.mark.parametrize("option", ["--rack", "--coefficients"])
+def test_json_size_must_be_an_integer(capsys, tmp_path, size, kind, spec, table, option):
+    # true == 1 and 3.0 == 3, so a comparison with the height alone lets both in
+    path = tmp_path / "in.json"
+    key = "table" if option == "--rack" else "act"
+    path.write_text(f'{{"size": {size}, "{key}": {json.dumps(table)}}}')
+    args = ["--rack", str(path)] if option == "--rack" else [
+        "--builtin", spec, "--coefficients", str(path)]
+    code, out, err = run(capsys, "homology", *args)
+    assert code == EXIT_FAIL
+    assert out == ""
+    assert err == f"rackhom: error: JSON 'size' must be an integer, not {kind}\n"
 
 
 def test_coefficients_file_with_boolean_entries(capsys, tmp_path):

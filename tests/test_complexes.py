@@ -58,6 +58,21 @@ def test_quandle_basis_excludes_adjacent_equal():
     assert all(x != y and y != z for (x, y, z) in b.tuples)
     with pytest.raises(NotAQuandle):
         tuple_basis(cyclic_rack(3), 2, quandle=True)
+    # the direct enumeration is the filtered product, order included
+    for s in range(1, 6):
+        rack = trivial_rack(s)
+        for n in range(7):
+            filtered = tuple(t for t in itertools.product(range(s), repeat=n)
+                             if all(a != b for a, b in zip(t, t[1:])))
+            assert tuple_basis(rack, n, quandle=True).tuples == filtered
+
+
+def test_basis_index_is_built_on_first_read():
+    basis = tuple_basis(R3, 3)
+    assert "index" not in vars(basis)
+    assert basis.index[(2, 0, 1)] == 19
+    assert "index" in vars(basis)
+    assert basis == tuple_basis(R3, 3) and hash(basis) == hash(tuple_basis(R3, 3))
 
 
 def test_basis_cap():
@@ -205,7 +220,7 @@ def _boundary_oracle(rack, n, ring, quandle, xs):
 
 
 @settings(max_examples=60, deadline=None)
-@given(small_racks(), st.integers(1, 4), st.sampled_from([ZZ, GF(2)]), st.booleans(),
+@given(small_racks(), st.integers(1, 4), st.sampled_from([ZZ, QQ, GF(2)]), st.booleans(),
        st.booleans())
 def test_boundary_columns_match_faces_taken_one_by_one(rack, n, ring, quandle, self_coefficients):
     quandle = quandle and rack.is_quandle()
@@ -213,6 +228,8 @@ def test_boundary_columns_match_faces_taken_one_by_one(rack, n, ring, quandle, s
     mat = boundary_matrix(rack, n, ring, quandle, xs)
     assert (mat.nrows, mat.ncols, [list(c.items()) for c in mat.cols]) == \
         _boundary_oracle(rack, n, ring, quandle, xs)
+    # plain ints in every ring, Q included (no Fractions)
+    assert all(type(v) is int for col in mat.cols for v in col.values())
 
 
 def test_boundary_memory_follows_the_basis():
@@ -374,6 +391,8 @@ def test_cochain_differential_matrix_agrees_with_function():
     for rack in (R3, R4):
         for p in (0, 1, 2):
             mat = cochain_differential_matrix(rack, p, QQ)
+            assert mat.cols == cochain_differential_matrix(rack, p, ZZ).cols
+            assert all(type(v) is int for col in mat.cols for v in col.values())
             basis = tuple_basis(rack, p)
             for j, t in enumerate(basis.tuples):
                 f = basis_cochain(rack, p, QQ, t)
