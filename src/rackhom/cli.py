@@ -269,7 +269,8 @@ def cmd_ring(args) -> int:
     timings = {"total_s": round(time.perf_counter() - t0, 6)} if args.timings else None
     dims = {str(p): rs.dims[p] for p in sorted(rs.dims)}
     reps = {
-        str(p): [[_scalar_json(v) for v in vec] for vec in rs.reps[p]]
+        str(p): [[v if ring.char else str(Fraction(v, rs.dens[p])) for v in vec]
+                 for vec in rs.reps[p]]
         for p in sorted(rs.reps)
     }
     products = {

@@ -34,8 +34,9 @@ no rank and no invariant factor, so cohomology is read from the same
 reductions of the boundary matrices as homology
 (``linalg.ChainComplex.cohomology``).
 
-Every matrix built here holds plain ints in every ring, reduced mod p over
-F_p; ``cochain_differential_matrix`` is the one coboundary builder.
+Every matrix, chain and cochain built here holds plain ints in every ring,
+reduced mod p over F_p; ``cochain_differential_matrix`` is the one coboundary
+builder.
 
 Coefficients: trivial (the one-point action) or the permutation module
 of a validated rack-set action.  Chains use the right action; cochains use
@@ -60,7 +61,7 @@ from .errors import (
 )
 from .linalg import SparseMat
 from .racks import Rack, XSet
-from .rings import ZZ, from_numerators, numerators
+from .rings import ZZ
 
 if TYPE_CHECKING:
     from .words import BElement
@@ -243,11 +244,16 @@ class Chain:
 
 @dataclass
 class Cochain:
+    """Cochain values flattened as in :class:`Chain`: the value at ``i`` is
+    ``values[i] / den``, an int over a positive ``den`` that is 1 unless the
+    ring is Q, and a residue over F_p."""
+
     degree: int
     ring: object
     values: list
     quandle: bool = False
     module: LeftModule | None = None
+    den: int = 1
 
 
 def basis_cochain(rack: Rack, p: int, ring, t, j=0, quandle=False, module=None) -> Cochain:
@@ -257,8 +263,8 @@ def basis_cochain(rack: Rack, p: int, ring, t, j=0, quandle=False, module=None) 
     idx = basis.index.get(tuple(t))
     if idx is None or not 0 <= j < mdim:
         raise IndexOutOfRange(f"no basis cochain at tuple {tuple(t)}, module index {j}")
-    values = [ring.zero] * (len(basis) * mdim)
-    values[idx * mdim + j] = ring.one
+    values = [0] * (len(basis) * mdim)
+    values[idx * mdim + j] = 1
     return Cochain(p, ring, values, quandle, module)
 
 
@@ -374,18 +380,18 @@ def cochain_differential_matrix(rack: Rack, p: int, ring, quandle=False,
 
 def apply_coboundary(mat: SparseMat, f: Cochain) -> Cochain:
     """``mat``, the :func:`cochain_differential_matrix` of ``f``'s degree,
-    ring, variant and module, applied to ``f`` on integer numerators."""
-    ring = f.ring
+    ring, variant and module, applied to ``f``; the result keeps ``f.den``."""
     if len(f.values) != mat.ncols:
         raise CoefficientMismatch("cochain length does not match its basis")
-    values, den = numerators(ring, f.values)
     out = [0] * mat.nrows
-    for v, col in zip(values, mat.cols):
+    for v, col in zip(f.values, mat.cols):
         if not v:
             continue
         for i, c in col.items():
             out[i] += c * v
-    return Cochain(f.degree + 1, ring, from_numerators(ring, out, den), f.quandle, f.module)
+    if p := f.ring.char:
+        out = [v % p for v in out]
+    return Cochain(f.degree + 1, f.ring, out, f.quandle, f.module, f.den)
 
 
 def cochain_differential(f: Cochain, rack: Rack) -> Cochain:
@@ -417,7 +423,7 @@ def project_to_chain(u: BElement, ring=ZZ, xset: XSet | None = None,
     ydim = xset.size if xset is not None else 1
     if not 0 <= y < ydim:
         raise IndexOutOfRange(f"starting point {y} outside 0..{ydim - 1}")
-    values = [ring.zero] * (len(basis) * ydim)
+    values = [0] * (len(basis) * ydim)
     for m, c in u.terms.items():
         idx = basis.index.get(m.e)
         if idx is None:
@@ -426,5 +432,7 @@ def project_to_chain(u: BElement, ring=ZZ, xset: XSet | None = None,
         if xset is not None:
             for a in m.a:
                 yy = xset.act[yy][a]
-        values[idx * ydim + yy] = ring.of(values[idx * ydim + yy] + c)
+        values[idx * ydim + yy] += c
+    if ring.char:
+        values = [v % ring.char for v in values]
     return Chain(basis, ring, values, ydim)

@@ -35,15 +35,16 @@ product of module-valued cochains lands in the tensor module with the
 diagonal action, flattened row-major, so nested products compare strictly.
 
 Both products, the homotopy pairing and ``CupContext.differential``
-multiply plain ints: over Q each input becomes integer numerators over the
-lcm of its denominators (``rings.numerators``), and each nonzero output
-entry one Fraction (``rings.from_numerators``); over F_p the result is
-reduced mod p once.
+multiply the cochains' stored ints directly.  Over Q a result's ``den`` is
+the product of its inputs' ``den``; over F_p it is reduced mod p once.
+``ring_structure`` keeps each degree's denominator, and makes Fractions
+only for the product coordinates it reports.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from fractions import Fraction
 
 from .complexes import (
     DEFAULT_MAX_BASIS,
@@ -58,7 +59,6 @@ from .complexes import (
 from .errors import CoefficientMismatch, ContextMismatch, NotACocycle, NotAQuandle
 from .linalg import SparseMat, independent, kernel_basis, solve, solve_many
 from .racks import Rack
-from .rings import from_numerators, numerators
 from .words import WordAlgebra
 
 
@@ -180,18 +180,16 @@ def _value(values, basis_index, tuple_, prefix, module, mdim):
 def cup(f: Cochain, g: Cochain, ctx: CupContext) -> Cochain:
     """Closed-formula cup product; bilinear and strictly associative.
 
-    Reads the stencil rows of f's nonzero entries only, and multiplies
-    integer numerators (:func:`rackhom.rings.numerators`)."""
+    Reads the stencil rows of f's nonzero entries only; the result's ``den``
+    is ``f.den * g.den``."""
     ctx.check(f, g)
-    ring = ctx.ring
     ntargets, rows = ctx.stencil(f.degree, g.degree)
     mf = f.module.dim if f.module else 1
     mg = g.module.dim if g.module else 1
     act = g.module.act_word_index if g.module else None
-    fvals, fden = numerators(ring, f.values)
-    gvals, gden = numerators(ring, g.values)
+    gvals = g.values
     values = [0] * (ntargets * mf * mg)
-    for k, va in enumerate(fvals):
+    for k, va in enumerate(f.values):
         if not va:
             continue
         li, a = divmod(k, mf)
@@ -206,23 +204,27 @@ def cup(f: Cochain, g: Cochain, ctx: CupContext) -> Cochain:
                     values[i] -= va * vb
                 else:
                     values[i] += va * vb
-    values = from_numerators(ring, values, fden * gden)
-    return Cochain(f.degree + g.degree, ring, values, ctx.quandle, ctx.target_module())
+    return _product(f, g, ctx, f.degree + g.degree, values)
+
+
+def _product(f, g, ctx, n, values) -> Cochain:
+    # over the product of the factors' denominators, reduced once over F_p
+    if p := ctx.ring.char:
+        values = [v % p for v in values]
+    return Cochain(n, ctx.ring, values, ctx.quandle, ctx.target_module(), f.den * g.den)
 
 
 def _pair_cochain(f, g, ctx, n, structure_map, sign):
     """The degree-n cochain t -> sign * (f (x) g)(structure_map(e_t)), for a
-    word-engine map into B (x) B such as ``W.coproduct`` or ``W.h``, on
-    integer numerators.  Only terms of bidegree (p, q) survive the pairing,
+    word-engine map into B (x) B such as ``W.coproduct`` or ``W.h``, on the
+    stored ints.  Only terms of bidegree (p, q) survive the pairing,
     and on them the evaluation sign (-1)^{|g||left|} is the constant
     (-1)^{pq}, folded with ``sign`` into ``negative``."""
-    ring = ctx.ring
     p, q = f.degree, g.degree
     f_index, g_index = ctx.basis(p).index, ctx.basis(q).index
     mf = f.module.dim if f.module else 1
     mg = g.module.dim if g.module else 1
-    fvals, fden = numerators(ring, f.values)
-    gvals, gden = numerators(ring, g.values)
+    fvals, gvals = f.values, g.values
     negative = bool((p * q) & 1) != (sign < 0)
     values = []
     for t in ctx.basis(n).tuples:
@@ -244,8 +246,7 @@ def _pair_cochain(f, g, ctx, n, structure_map, sign):
                 for b in range(mg):
                     out[a * mg + b] += coeff * va * gv[b]
         values += out
-    values = from_numerators(ring, values, fden * gden)
-    return Cochain(n, ring, values, ctx.quandle, ctx.target_module())
+    return _product(f, g, ctx, n, values)
 
 
 def cup_via_coproduct(f: Cochain, g: Cochain, ctx: CupContext) -> Cochain:
@@ -280,10 +281,10 @@ def is_coboundary(f: Cochain, rack: Rack) -> Cochain | None:
     if f.degree == 0:
         return None
     mat = cochain_differential_matrix(rack, f.degree - 1, ring, f.quandle, f.module)
-    x = solve(mat, f.values)
+    x, den = solve(mat, f.values)
     if x is None:
         return None
-    return Cochain(f.degree - 1, ring, x, f.quandle, f.module)
+    return Cochain(f.degree - 1, ring, x, f.quandle, f.module, den * f.den)
 
 
 # ---------------------------------------------------------------------------
@@ -294,9 +295,10 @@ def is_coboundary(f: Cochain, rack: Rack) -> Cochain | None:
 class RingStructure:
     """Cocycle representatives per degree and cup-product coordinates.
 
-    ``products[(p, i, q, j)]`` holds the coordinates of [rep_i^p . rep_j^q]
-    in the representative basis of H^{p+q}; the coordinates are the unique
-    solution modulo coboundaries.
+    ``reps[p]`` are int vectors over the denominator ``dens[p]`` (1 over
+    F_p).  ``products[(p, i, q, j)]`` holds the coordinates of
+    [rep_i^p . rep_j^q] in the representative basis of H^{p+q}, Fractions
+    over Q; they are the unique solution modulo coboundaries.
     """
 
     rack_label: str
@@ -305,6 +307,7 @@ class RingStructure:
     quandle: bool
     dims: dict
     reps: dict
+    dens: dict
     products: dict
 
     def product(self, p, i, q, j):
@@ -322,7 +325,8 @@ def ring_structure(rack: Rack, ring, max_degree: int, quandle: bool = False,
     p against [representatives | columns of d*^{p-1}].  The representatives
     are independent modulo coboundaries, so the representative part of a
     solution is unique: the coordinates of the class.  Deterministic given
-    the basis order.
+    the basis order.  A coordinate ``x`` of a solution over ``den`` is the
+    rational ``x * dens[n] / (den * dens[p] * dens[q])``.
     """
     if not ring.is_field:
         raise ContextMismatch("ring structure requires field scalars")
@@ -331,29 +335,33 @@ def ring_structure(rack: Rack, ring, max_degree: int, quandle: bool = False,
     dmat = {-1: SparseMat(1, 0, ring)}
     for p in range(max_degree + 1):
         dmat[p] = ctx.coboundary(p)
-    reps = {
-        p: independent(dmat[p - 1].cols, kernel_basis(dmat[p]), ring)
-        for p in range(max_degree + 1)
-    }
+    reps, dens = {}, {}
+    for p in range(max_degree + 1):
+        cocycles, dens[p] = kernel_basis(dmat[p])
+        reps[p] = independent(dmat[p - 1].cols, cocycles, ring)
     products: dict = {}
     for n in range(max_degree + 1):
         keys, rhs = [], []
         for p in range(n + 1):
             q = n - p
             for i, fv in enumerate(reps[p]):
-                fc = Cochain(p, ring, list(fv), quandle)
+                fc = Cochain(p, ring, fv, quandle, den=dens[p])
                 for j, gv in enumerate(reps[q]):
                     keys.append((p, i, q, j))
-                    rhs.append(cup(fc, Cochain(q, ring, list(gv), quandle), ctx).values)
+                    rhs.append(cup(fc, Cochain(q, ring, gv, quandle, den=dens[q]), ctx).values)
         if not keys:
             continue
         cols = [{i: v for i, v in enumerate(vec) if v} for vec in reps[n]]
         cols += dmat[n - 1].cols
         red = SparseMat(dmat[n].ncols, len(cols), ring, cols)
-        for key, coords in zip(keys, solve_many(red, rhs)):
+        solutions, den = solve_many(red, rhs)
+        for (p, i, q, j), coords in zip(keys, solutions):
             if coords is None:
                 raise NotACocycle("product of cocycles failed to reduce; complex is inconsistent")
-            products[key] = tuple(coords[: len(reps[n])])
+            coords = coords[: len(reps[n])]
+            if not ring.char:
+                coords = [Fraction(x * dens[n], den * dens[p] * dens[q]) for x in coords]
+            products[(p, i, q, j)] = tuple(coords)
     return RingStructure(
         rack_label=rack.label,
         ring_name=ring.name,
@@ -361,5 +369,6 @@ def ring_structure(rack: Rack, ring, max_degree: int, quandle: bool = False,
         quandle=quandle,
         dims={p: len(reps[p]) for p in reps},
         reps=reps,
+        dens=dens,
         products=products,
     )

@@ -8,8 +8,7 @@ pivot, so that elimination alone gives the rank.  In characteristic 0 the
 +-1 entries go first; those steps are unimodular, hence exact.  Euclid's
 algorithm on the residual (least-absolute-value pivots, the standard guard
 against coefficient explosion) then finishes: over Z the Smith form, under
-a cap on the residual's size, and over Q the rank, with no cap, of the
-columns scaled to integers.
+a cap on the residual's size, and over Q the rank, with no cap.
 
 ``ChainComplex`` reduces each differential once and reads homology and
 cohomology from that reduction.  It clears across degrees: the pivot
@@ -23,15 +22,15 @@ Kernels, images, solves and span tests over a field share one forward
 reduction on integer rows (clear a row by the leading entries held, store
 the remainder under its least index); all but span tests back-substitute.
 Over F_p the rows hold residues and lead with 1.  Over Q they are kept
-primitive and cleared fraction-free (Bareiss 1968); Fractions are made only
-from the final reduced rows.  Arbitrary-precision integers throughout;
-nothing here is probabilistic and nothing floats.
+primitive and cleared fraction-free (Bareiss 1968).  A kernel, image or
+solve is int vectors over one denominator ``den``, the lcm of the reduced
+rows' leading entries (1 over F_p).  Arbitrary-precision integers
+throughout; nothing here is probabilistic and nothing floats.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from math import gcd, lcm
 
@@ -40,7 +39,7 @@ from .rings import ZZ
 
 
 class SparseMat:
-    """Column-major sparse matrix with exact scalars; no stored zeros."""
+    """Column-major sparse matrix of ints (residues over F_p), no zeros."""
 
     __slots__ = ("nrows", "ncols", "ring", "cols")
 
@@ -58,7 +57,7 @@ class SparseMat:
     def identity(cls, n, ring):
         m = cls(n, n, ring)
         for i in range(n):
-            m.cols[i][i] = ring.one
+            m.cols[i][i] = 1
         return m
 
     @classmethod
@@ -70,15 +69,20 @@ class SparseMat:
             if len(row) != ncols:
                 raise ShapeError("ragged dense matrix")
             for j, v in enumerate(row):
-                if v := ring.of(v):
-                    m.cols[j][i] = v
+                m.add_at(i, j, v)
         return m
 
     def add_at(self, r, c, v):
+        """Add the int ``v`` at ``(r, c)``, reduced mod p over F_p."""
         if not 0 <= r < self.nrows or not 0 <= c < self.ncols:
             raise ShapeError(f"entry ({r},{c}) outside {self.nrows}x{self.ncols}")
+        if not isinstance(v, int):
+            raise ShapeError(f"entry ({r},{c}) is {v!r}, not an int")
         col = self.cols[c]
-        if u := self.ring.of(col.get(r, 0) + v):
+        u = col.get(r, 0) + v
+        if self.ring.char:
+            u %= self.ring.char
+        if u:
             col[r] = u
         else:
             col.pop(r, None)
@@ -136,7 +140,7 @@ class SparseMat:
         return SparseMat(self.nrows, self.ncols, self.ring, cols)
 
     def to_dense(self):
-        rows = [[self.ring.zero] * self.ncols for _ in range(self.nrows)]
+        rows = [[0] * self.ncols for _ in range(self.nrows)]
         for j, col in enumerate(self.cols):
             for i, v in col.items():
                 rows[i][j] = v
@@ -170,16 +174,14 @@ def _require_field(ring):
 
 
 def _integer_row(vec, p) -> dict:
-    """A dense list or sparse dict of field scalars as a fresh sparse integer
-    row with the same span: residues mod ``p``, or over Q (``p`` 0) primitive."""
+    """A dense list or sparse dict of ints as a fresh sparse row with the
+    same span: residues mod ``p``, or over Q (``p`` 0) primitive."""
     items = vec.items() if isinstance(vec, dict) else enumerate(vec)
     if p:
         return {i: u for i, v in items if (u := v % p)}
     row = {i: v for i, v in items if v}
-    # times the lcm of the denominators over the gcd of the numerators
-    den = lcm(*(v.denominator for v in row.values()))
-    num = gcd(*(v.numerator for v in row.values()))
-    return {i: v.numerator * (den // v.denominator) // num for i, v in row.items()}
+    g = gcd(*row.values())
+    return {i: v // g for i, v in row.items()}
 
 
 def _clear(row, base, lead, p):
@@ -233,9 +235,10 @@ def _echelon(vecs, p) -> dict:
 
 
 def _rref(rows, ring):
-    """Reduced row echelon form of sparse row-dicts: ``(pivots, pivot_rows)``,
-    pivots strictly increasing, each row leading with 1 and fully reduced
-    against the others; over Q the rows become Fractions only at the end."""
+    """Reduced row echelon form of sparse int row-dicts: ``(pivots,
+    pivot_rows, den)``, pivots strictly increasing, each row fully reduced
+    against the others and leading with ``den``: 1 over F_p, and over Q the
+    lcm of the leading entries of the primitive rows."""
     p = ring.char
     pivot_of = _echelon(rows, p)
     pivots = sorted(pivot_of)
@@ -244,9 +247,12 @@ def _rref(rows, ring):
             if k in pivot_of[q]:
                 _clear(pivot_of[q], pivot_of[k], k, p)
     rows = [pivot_of[k] for k in pivots]
-    if not p:
-        rows = [{j: Fraction(v, row[k]) for j, v in row.items()} for k, row in zip(pivots, rows)]
-    return pivots, rows
+    den = lcm(*(row[k] for k, row in zip(pivots, rows)))
+    for k, row in zip(pivots, rows):
+        if (scale := den // row[k]) > 1:
+            for j in row:
+                row[j] *= scale
+    return pivots, rows, den
 
 
 def _eliminate_pivots(vecs, p, units_only=False):
@@ -359,30 +365,32 @@ def _column_vectors(mat: SparseMat, drop, p=0) -> dict:
             if (vec := {i: v for i, v in col.items() if i not in drop})}
 
 
+def _check_readable(mat: SparseMat, ring, what):
+    # residues mod p are no integers: a matrix over F_p is read only over F_p
+    if mat.ring.char and ring is not mat.ring:
+        raise ShapeError(f"{what} holds residues over {mat.ring} and cannot be read over {ring}")
+
+
 def rank(mat: SparseMat, ring=None, drop=frozenset(), pivots=None) -> int:
     """Rank over the field ``ring`` (by default the matrix's own) by sparse
     elimination alone, of ``mat`` less the rows in ``drop``; the ids of the
     pivot columns that may clear the next degree (see ``ChainComplex``) are
     appended to ``pivots`` if it is a list.
 
-    Integer entries are read in ``ring``: reduced mod p over F_p, and as
-    they are over Q.  Over F_p every pivot counts and clears.  Over Q each
-    column is scaled by the lcm of its denominators, which keeps the rank,
-    and the rank is that over Z of the scaled matrix: the +-1 pass and
-    Euclid's algorithm of :func:`smith_normal_form`, without its cap on
-    the residual.  Only the +-1 pivots clear, as over Z.
+    A matrix over Z or Q is read in any ring: its entries reduced mod p over
+    F_p, and as they are over Q; a matrix over F_p only over F_p.  Over F_p
+    every pivot counts and clears.  Over Q the rank is that over Z: the +-1
+    pass and Euclid's algorithm of :func:`smith_normal_form`, without its
+    cap on the residual.  Only the +-1 pivots clear, as over Z.
     """
     ring = mat.ring if ring is None else ring
     _require_field(ring)
+    _check_readable(mat, ring, "the matrix")
     p = ring.char
     vecs = _column_vectors(mat, drop, p)
     if p:
         units = _eliminate_pivots(vecs, p)
     else:
-        for vec in vecs.values():
-            scale = lcm(*(v.denominator for v in vec.values()))
-            for i, v in vec.items():
-                vec[i] = v.numerator * (scale // v.denominator)
         units = _eliminate_pivots(vecs, 0, units_only=True)
     if pivots is not None:
         pivots.extend(units)
@@ -390,40 +398,46 @@ def rank(mat: SparseMat, ring=None, drop=frozenset(), pivots=None) -> int:
     return len(units) + len(_eliminate_pivots(vecs, 0))
 
 
-def kernel_basis(mat: SparseMat) -> list[list]:
-    """Basis of the right kernel, one dense vector per free column,
-    in reduced echelon form with respect to the free columns."""
+def kernel_basis(mat: SparseMat) -> tuple[list[list], int]:
+    """``(basis, den)``: a basis of the right kernel, one dense int vector
+    per free column, over the one denominator ``den`` (1 over F_p), and in
+    reduced echelon form with respect to the free columns."""
     ring = mat.ring
     _require_field(ring)
-    pivots, rows = _rref(mat.rows_as_dicts(), ring)
+    p = ring.char
+    pivots, rows, den = _rref(mat.rows_as_dicts(), ring)
     pivot_set = set(pivots)
-    basis = {f: [ring.zero] * mat.ncols for f in range(mat.ncols) if f not in pivot_set}
+    basis = {f: [0] * mat.ncols for f in range(mat.ncols) if f not in pivot_set}
     for f, v in basis.items():
-        v[f] = ring.one
+        v[f] = den
     for k, row in zip(pivots, rows):
         for f, c in row.items():
             if f != k:  # a free column: the other pivot columns are cleared
-                basis[f][k] = ring.of(-c)
-    return list(basis.values())
+                basis[f][k] = -c % p if p else -c
+    return list(basis.values()), den
 
 
-def image_basis(mat: SparseMat) -> list[list]:
-    """Basis of the column space as dense vectors in reduced echelon form."""
+def image_basis(mat: SparseMat) -> tuple[list[list], int]:
+    """``(basis, den)``: a basis of the column space as dense int vectors
+    over the one denominator ``den``, in reduced echelon form."""
     ring = mat.ring
     _require_field(ring)
-    _, rred = _rref(mat.cols, ring)
-    return [[row.get(i, ring.zero) for i in range(mat.nrows)] for row in rred]
+    _, rred, den = _rref(mat.cols, ring)
+    return [[row.get(i, 0) for i in range(mat.nrows)] for row in rred], den
 
 
-def solve(mat: SparseMat, rhs) -> list | None:
-    """One solution of ``mat . x = rhs`` over a field, or None; free
-    variables are set to zero, so the witness is deterministic."""
-    return solve_many(mat, [rhs])[0]
+def solve(mat: SparseMat, rhs) -> tuple[list | None, int]:
+    """``(x, den)``: one int solution ``x / den`` of ``mat . x = rhs`` over
+    a field, or None for ``x``; free variables are set to zero, so the
+    witness is deterministic."""
+    xs, den = solve_many(mat, [rhs])
+    return xs[0], den
 
 
-def solve_many(mat: SparseMat, rhs_list) -> list:
-    """Solve ``mat . x = rhs`` for several right-hand sides with a single
-    elimination; entries are None where the system is inconsistent."""
+def solve_many(mat: SparseMat, rhs_list) -> tuple[list, int]:
+    """Solve ``mat . x = rhs`` for several int right-hand sides with a
+    single elimination: ``(solutions, den)``, int vectors over the one
+    denominator ``den``, None where the system is inconsistent."""
     ring = mat.ring
     _require_field(ring)
     for rhs in rhs_list:
@@ -435,16 +449,16 @@ def solve_many(mat: SparseMat, rhs_list) -> list:
         for i, v in enumerate(rhs):
             if v:
                 rows[i][n + k] = v
-    pivots, rred = _rref(rows, ring)
+    pivots, rred, den = _rref(rows, ring)
     # a pivot row in the augmented columns witnesses inconsistency for every
     # rhs appearing in it
     bad = {j - n for p, row in zip(pivots, rred) if p >= n for j in row}
-    out = [None if k in bad else [ring.zero] * n for k in range(len(rhs_list))]
+    out = [None if k in bad else [0] * n for k in range(len(rhs_list))]
     for p, row in zip(pivots, rred):
         for j, v in row.items():
             if p < n <= j and out[j - n] is not None:
                 out[j - n][p] = v
-    return out
+    return out, den
 
 
 def in_span(vectors, target, ring) -> bool:
@@ -553,9 +567,9 @@ class HomologyGroup:
 class ChainComplex:
     """The boundary matrices of one chain complex over ``ring``, by degree.
 
-    ``differentials[n]`` is the matrix of ``d_n: C_n -> C_{n-1}``; give
-    them integer entries where they have them (every rack boundary does),
-    whatever ``ring`` is.  Shapes and d o d = 0 are checked once per
+    ``differentials[n]`` is the matrix of ``d_n: C_n -> C_{n-1}``, over Z or
+    Q (every rack boundary has integer entries), or else over ``ring``,
+    since residues mod p are read only over F_p.  Shapes and d o d = 0 are checked once per
     consecutive pair on construction, in the matrices' own ring (a zero
     over Z is a zero over every ring), one product column at a time up to
     the first nonzero one.  Each differential is reduced at most
@@ -586,6 +600,7 @@ class ChainComplex:
         self.differentials = dict(differentials)
         self._reductions: dict[int, tuple] = {}
         for n, d in self.differentials.items():
+            _check_readable(d, ring, f"the differential at degree {n}")
             after = self.differentials.get(n - 1)
             if after is None:
                 continue

@@ -215,7 +215,8 @@ def _boundary_oracle(rack, n, ring, quandle, xs):
                     if r is not None:
                         r = r * dim + point
                         col[r] = col.get(r, 0) + entry
-            cols.append([(r, ring.of(v)) for r, v in col.items() if ring.of(v)])
+            p = ring.char
+            cols.append([(r, u) for r, v in col.items() if (u := v % p if p else v)])
     return len(tgt) * dim, len(src) * dim, cols
 
 
@@ -355,7 +356,7 @@ def test_project_to_chain_refuses_bad_point(y, xset):
 def test_cochain_length_mismatch():
     from rackhom.errors import CoefficientMismatch
 
-    f = Cochain(1, QQ, [QQ.one] * 5)  # wrong length for a size-3 rack
+    f = Cochain(1, QQ, [1] * 5)  # wrong length for a size-3 rack
     with pytest.raises(CoefficientMismatch):
         cochain_differential(f, R3)
 
@@ -365,7 +366,7 @@ def test_cocycle_condition_in_degree_one():
     f = basis_cochain(R3, 1, QQ, (0,))
     df = cochain_differential(f, R3)
     assert any(df.values)
-    const = Cochain(1, QQ, [QQ.one] * 3)
+    const = Cochain(1, QQ, [1] * 3)
     assert not any(cochain_differential(const, R3).values)
 
 
@@ -382,7 +383,7 @@ def test_cochain_differential_squares_to_zero():
 @settings(max_examples=60, deadline=None)
 @given(st.lists(st.integers(-4, 4), min_size=9, max_size=9))
 def test_dstar_squared_zero_random(values):
-    f = Cochain(2, QQ, [QQ.of(v) for v in values])
+    f = Cochain(2, QQ, values)
     ddf = cochain_differential(cochain_differential(f, R3), R3)
     assert not any(ddf.values)
 
@@ -397,7 +398,7 @@ def test_cochain_differential_matrix_agrees_with_function():
             for j, t in enumerate(basis.tuples):
                 f = basis_cochain(rack, p, QQ, t)
                 df = cochain_differential(f, rack)
-                col = [QQ.zero] * mat.nrows
+                col = [0] * mat.nrows
                 for i, v in mat.cols[j].items():
                     col[i] = v
                 assert df.values == col
@@ -412,7 +413,7 @@ def test_cochain_differential_matrix_with_module():
         t, k = basis.tuples[j // mod.dim], j % mod.dim
         f = basis_cochain(R3, 1, QQ, t, j=k, module=mod)
         df = cochain_differential(f, R3)
-        col = [QQ.zero] * mat.nrows
+        col = [0] * mat.nrows
         for i, v in mat.cols[j].items():
             col[i] = v
         assert df.values == col

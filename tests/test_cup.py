@@ -1,6 +1,7 @@
 import hashlib
 import importlib
 import itertools
+import json
 from collections import Counter
 from fractions import Fraction
 from math import lcm
@@ -50,6 +51,18 @@ T2 = trivial_rack(2)
 def all_basis_cochains(rack, p, ring=ZZ, quandle=False):
     basis = tuple_basis(rack, p, quandle)
     return [basis_cochain(rack, p, ring, t, quandle=quandle) for t in basis.tuples]
+
+
+def _over_q(p, fractions, quandle=False, module=None):
+    """The Q cochain of the rationals ``fractions``: their numerators over
+    the lcm of their denominators."""
+    den = lcm(*(Fraction(v).denominator for v in fractions))
+    return Cochain(p, QQ, [int(v * den) for v in fractions], quandle, module, den)
+
+
+def _rational(h):
+    """The values of the cochain ``h`` as Fractions: ``values[i] / den``."""
+    return [Fraction(v, h.den) for v in h.values]
 
 
 # --- closed low-degree formulas ---------------------------------------------
@@ -303,7 +316,7 @@ def test_trivial_rack_graded_commutative_identically():
 
 def test_homotopy_cochain_identity_on_r3_constants():
     ctx = CupContext(R3, QQ)
-    f = Cochain(1, QQ, [QQ.one] * 3)
+    f = Cochain(1, QQ, [1] * 3)
     fg = cup(f, f, ctx)
     assert not any(fg.values)  # -1 + 1 pointwise
     H = homotopy_cochain(f, f, ctx)
@@ -319,15 +332,16 @@ def test_homotopy_cochain_identity_exhaustive_degree_pairs():
         }
         for p, q in ((1, 1), (1, 2), (2, 1), (2, 2)):
             sign = -1 if (p * q) % 2 else 1
-            for fv in cocycles[p]:
-                f = Cochain(p, QQ, list(fv))
-                for gv in cocycles[q]:
-                    g = Cochain(q, QQ, list(gv))
+            (fvs, fden), (gvs, gden) = cocycles[p], cocycles[q]
+            for fv in fvs:
+                f = Cochain(p, QQ, fv, den=fden)
+                for gv in gvs:
+                    g = Cochain(q, QQ, gv, den=gden)
                     H = homotopy_cochain(f, g, ctx)
                     dH = cochain_differential(H, rack)
-                    comm = [a - sign * b
-                            for a, b in zip(cup(f, g, ctx).values, cup(g, f, ctx).values)]
-                    assert dH.values == comm
+                    comm = [a - sign * b for a, b in zip(_rational(cup(f, g, ctx)),
+                                                         _rational(cup(g, f, ctx)))]
+                    assert _rational(dH) == comm
 
 
 def test_context_builds_each_coboundary_once(monkeypatch):
@@ -341,7 +355,7 @@ def test_context_builds_each_coboundary_once(monkeypatch):
 
     monkeypatch.setattr(cup_module, "cochain_differential_matrix", counting)
     ctx = CupContext(R3, QQ)
-    f = Cochain(1, QQ, [QQ.one] * 3)
+    f = Cochain(1, QQ, [1] * 3)
     H = homotopy_cochain(f, f, ctx)  # d*f twice; H has degree 1 as well
     assert not any(ctx.differential(H).values)
     g = basis_cochain(R3, 2, QQ, (0, 1))
@@ -399,7 +413,7 @@ def _integer_cochain(rack, p, salt, module=None):
 
 
 def _reduced(f, ring):
-    return Cochain(f.degree, ring, [ring.of(v) for v in f.values], f.quandle, f.module)
+    return Cochain(f.degree, ring, [v % ring.char for v in f.values], f.quandle, f.module)
 
 
 @pytest.mark.parametrize("prime", [2, 3, 5])
@@ -441,33 +455,34 @@ def test_homotopy_over_fp_is_integer_homotopy_mod_p(prime):
 
 
 def test_is_coboundary_constructed_member():
-    f = Cochain(1, QQ, [QQ.of(2), QQ.of(-1), QQ.of(5)])
+    f = _over_q(1, [Fraction(2, 3), -1, 5])
     df = cochain_differential(f, R3)
     w = is_coboundary(df, R3)
     assert w is not None
-    assert cochain_differential(w, R3).values == df.values
+    assert _rational(cochain_differential(w, R3)) == _rational(df)
 
 
 def test_is_coboundary_constant_is_not():
-    c = Cochain(1, QQ, [QQ.one] * 3)
+    c = Cochain(1, QQ, [1] * 3)
     assert is_coboundary(c, R3) is None
 
 
 def test_is_coboundary_refuses_short_cochain():
     # a 1-cochain on dihedral:3 has 3 values, not 1
     with pytest.raises(ShapeError):
-        is_coboundary(Cochain(1, QQ, [QQ.of(0)]), builtin("dihedral:3"))
+        is_coboundary(Cochain(1, QQ, [0]), builtin("dihedral:3"))
 
 
 def test_commutator_of_cocycles_is_coboundary():
     ctx = CupContext(R4, QQ)
-    cocycles = kernel_basis(cochain_differential_matrix(R4, 1, QQ))
-    f = Cochain(1, QQ, list(cocycles[0]))
-    g = Cochain(1, QQ, list(cocycles[1]))
-    comm = Cochain(2, QQ, [a + b for a, b in zip(cup(f, g, ctx).values, cup(g, f, ctx).values)])
+    cocycles, den = kernel_basis(cochain_differential_matrix(R4, 1, QQ))
+    f = Cochain(1, QQ, cocycles[0], den=den)
+    g = Cochain(1, QQ, cocycles[1], den=den)
+    comm = _over_q(2, [a + b for a, b in zip(_rational(cup(f, g, ctx)),
+                                             _rational(cup(g, f, ctx)))])
     w = is_coboundary(comm, R4)
     assert w is not None
-    assert cochain_differential(w, R4).values == comm.values
+    assert _rational(cochain_differential(w, R4)) == _rational(comm)
 
 
 # --- ring structure ---------------------------------------------------------------
@@ -508,11 +523,10 @@ def test_ring_structure_trivial1_signed_shuffle_constants():
     for p in range(5):
         for q in range(5 - p):
             got = rs.products[(p, 0, q, 0)][0]
-            # representatives are +/- indicator cochains; normalize by the
-            # product of their signs
-            sf = rs.reps[p][0][0] if rs.reps[p][0] else 1
-            sg = rs.reps[q][0][0] if rs.reps[q][0] else 1
-            sh = rs.reps[p + q][0][0] if rs.reps[p + q][0] else 1
+            # representatives are multiples of indicator cochains; normalize
+            # by the product of their values
+            sf, sg, sh = (Fraction(rs.reps[d][0][0], rs.dens[d]) if rs.reps[d][0] else 1
+                          for d in (p, q, p + q))
             predicted = Fraction(signed_unshuffle_count(p, q)) * sf * sg / sh
             assert got == predicted
 
@@ -539,14 +553,15 @@ def test_product_well_defined_modulo_coboundaries():
     """
     rs = ring_structure(R4, QQ, 2)
     ctx = CupContext(R4, QQ)
-    f = Cochain(1, QQ, list(rs.reps[1][0]))
+    f = Cochain(1, QQ, rs.reps[1][0], den=rs.dens[1])
     bump = cochain_differential(basis_cochain(R4, 1, QQ, (2,)), R4)
     assert any(bump.values)
-    g = Cochain(2, QQ, list(rs.reps[2][0]))
-    shifted = Cochain(2, QQ, [a + b for a, b in zip(g.values, bump.values)])
+    g = Cochain(2, QQ, rs.reps[2][0], den=rs.dens[2])
+    shifted = _over_q(2, [a + b for a, b in zip(_rational(g), _rational(bump))])
     p1 = cup(f, g, ctx)
     p2 = cup(f, shifted, ctx)
-    diff = Cochain(3, QQ, [a - b for a, b in zip(p2.values, p1.values)])
+    diff = _over_q(3, [a - b for a, b in zip(_rational(p2), _rational(p1))])
+    assert any(diff.values)
     assert is_coboundary(diff, R4) is not None
 
 
@@ -593,12 +608,16 @@ def test_ring_structure_products_reduce_to_coboundaries(rack, ring, quandle, max
     ctx = CupContext(rack, ring, quandle)
     assert rs.products
     for (p, i, q, j), coords in rs.products.items():
-        f = Cochain(p, ring, list(rs.reps[p][i]), quandle)
-        g = Cochain(q, ring, list(rs.reps[q][j]), quandle)
-        rest = list(cup(f, g, ctx).values)
+        f = Cochain(p, ring, rs.reps[p][i], quandle, den=rs.dens[p])
+        g = Cochain(q, ring, rs.reps[q][j], quandle, den=rs.dens[q])
+        rest = _rational(cup(f, g, ctx))
         for c, rep in zip(coords, rs.reps[p + q]):
-            rest = [ring.of(a - c * b) for a, b in zip(rest, rep)]
-        rest = Cochain(p + q, ring, rest, quandle)
+            rest = [a - c * Fraction(b, rs.dens[p + q]) for a, b in zip(rest, rep)]
+        if ring.char:
+            assert set(rs.dens.values()) == {1}
+            rest = Cochain(p + q, ring, [int(v) % ring.char for v in rest], quandle)
+        else:
+            rest = _over_q(p + q, rest, quandle)
         if p + q == 0:
             assert not any(rest.values)
         else:
@@ -619,6 +638,21 @@ def test_ring_json_digest_pinned(capsys, argv, digest):
     assert main(["ring", *argv, "--json"]) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+
+
+def test_ring_report_with_denominators_pinned(capsys):
+    """The one builtin report whose representatives have denominators
+    (+-1/2 and +-3/2): its results, written canonically (sorted keys, no
+    spaces, as the benchmark's answer checks write them), are pinned."""
+    argv = ["ring", "--builtin", "conjugation:s3", "--ring", "Q", "--max-degree", "4", "--json"]
+    assert main(argv) == 0
+    results = json.loads(capsys.readouterr().out)["results"]
+    reps = results[0]["representatives"]
+    assert {v for vecs in reps.values() for vec in vecs for v in vec if "/" in v} == {
+        "1/2", "-1/2", "3/2", "-3/2"}
+    canonical = json.dumps(results, sort_keys=True, separators=(",", ":"))
+    assert hashlib.sha256(canonical.encode("utf-8")).hexdigest() == (
+        "856583cfa8491445d612e1064109bbca07ccc09c8a3fff486e18c2b391263385")
 
 
 # --- quandle variant ----------------------------------------------------------------
@@ -643,15 +677,16 @@ def test_quandle_cup_laws():
 
 def test_quandle_homotopy_cochain():
     ctx = CupContext(R3, QQ, quandle=True)
-    cocycles = kernel_basis(cochain_differential_matrix(R3, 2, QQ, quandle=True))
-    consts = Cochain(1, QQ, [QQ.one] * 3, quandle=True)
+    cocycles, den = kernel_basis(cochain_differential_matrix(R3, 2, QQ, quandle=True))
+    consts = Cochain(1, QQ, [1] * 3, quandle=True)
     assert not any(cochain_differential(consts, R3).values)
     for gv in cocycles:
-        g = Cochain(2, QQ, list(gv), quandle=True)
+        g = Cochain(2, QQ, gv, quandle=True, den=den)
         H = homotopy_cochain(consts, g, ctx)
         dH = cochain_differential(H, R3)
-        comm = [a - b for a, b in zip(cup(consts, g, ctx).values, cup(g, consts, ctx).values)]
-        assert dH.values == comm
+        comm = [a - b for a, b in zip(_rational(cup(consts, g, ctx)),
+                                      _rational(cup(g, consts, ctx)))]
+        assert _rational(dH) == comm
 
 
 # --- module coefficients ----------------------------------------------------------
@@ -712,8 +747,7 @@ def _dense_cochain(rack, p, ring, module, salt):
     """A cochain with a small nonzero-heavy pattern of values, so that one
     product exercises every term of the stencil."""
     n = len(tuple_basis(rack, p)) * module.dim
-    return Cochain(p, ring, [ring.of((7 * k + salt) % 5 - 2) for k in range(n)],
-                   module=module)
+    return Cochain(p, ring, [(7 * k + salt) % 5 - 2 for k in range(n)], module=module)
 
 
 @pytest.mark.parametrize("rack", [R4, builtin("conjugation:s3")], ids=lambda r: r.label)
@@ -732,13 +766,14 @@ def test_module_cup_matches_coproduct_path_on_non_symmetric_tables(rack):
         assert fg.values == cup_via_coproduct(f, g, ctx).values
 
 
-# --- integer numerators over Q, and the f-indexed stencil ------------------------
+# --- Q cochains as ints over one denominator, and the f-indexed stencil ----------
 
 
 def _fraction_cup(f, g, rack):
     """The closed formula in Fraction arithmetic, straight from
     ``coproduct_terms``: a reference for :func:`cup` on any coefficients."""
     p, q = f.degree, g.degree
+    fvals, gvals = _rational(f), _rational(g)
     fb, gb = tuple_basis(rack, p, f.quandle), tuple_basis(rack, q, f.quandle)
     mf = f.module.dim if f.module else 1
     mg = g.module.dim if g.module else 1
@@ -751,8 +786,8 @@ def _fraction_cup(f, g, rack):
                 for a in range(mf):
                     for b in range(mg):
                         k = g.module.act_word_index(prefix, b) if g.module else b
-                        vec[a * mg + k] += (sign * Fraction(f.values[fb.index[left] * mf + a])
-                                            * Fraction(g.values[gb.index[right] * mg + b]))
+                        vec[a * mg + k] += (sign * fvals[fb.index[left] * mf + a]
+                                            * gvals[gb.index[right] * mg + b])
         out += vec
     return out
 
@@ -761,9 +796,9 @@ def _fraction_differential(f, rack):
     """d*f in Fraction arithmetic from ``cochain_differential_matrix``."""
     mat = cochain_differential_matrix(rack, f.degree, QQ, f.quandle, f.module)
     out = [Fraction(0)] * mat.nrows
-    for v, col in zip(f.values, mat.cols):
+    for v, col in zip(_rational(f), mat.cols):
         for i, c in col.items():
-            out[i] += Fraction(c) * Fraction(v)
+            out[i] += c * v
     return out
 
 
@@ -782,7 +817,7 @@ def _fraction_homotopy(f, g, rack):
         vec = [Fraction(0)] * dim
         for i in range(dim):
             k = h.module.act_word_index(monomial.a, i) if h.module else i
-            vec[k] = Fraction(h.values[basis.index[monomial.e] * dim + i])
+            vec[k] = Fraction(h.values[basis.index[monomial.e] * dim + i], h.den)
         return vec
 
     out = []
@@ -798,12 +833,12 @@ def _fraction_homotopy(f, g, rack):
     return out
 
 
-def _cleared(values, den, ring):
-    """The Q ``values`` times ``den``, which must clear their denominators,
-    as scalars of ``ring``."""
-    scaled = [v * den for v in values]
+def _cleared(h, den, ring):
+    """The rational values of the Q cochain ``h`` times ``den``, which must
+    clear their denominators, as scalars of ``ring``."""
+    scaled = [v * den for v in _rational(h)]
     assert all(v.denominator == 1 for v in scaled)
-    return [ring.of(int(v)) for v in scaled]
+    return [int(v) % ring.char if ring.char else int(v) for v in scaled]
 
 
 def _swap_factors(values, dim):
@@ -814,13 +849,14 @@ def _swap_factors(values, dim):
             for i in range(len(values))]
 
 
-def _assert_scalars(values, ring):
-    if ring is QQ:
-        assert all(type(v) is Fraction for v in values)
-    elif ring.char:
-        assert all(type(v) is int and v in range(ring.char) for v in values)
-    else:
-        assert all(type(v) is int for v in values)
+def _assert_scalars(h, ring):
+    """Ints in every ring, residues over F_p; a positive denominator over Q
+    and 1 elsewhere."""
+    assert h.ring is ring
+    assert all(type(v) is int for v in h.values)
+    if ring.char:
+        assert all(v in range(ring.char) for v in h.values)
+    assert type(h.den) is int and (h.den > 0 if ring is QQ else h.den == 1)
 
 
 DENOMINATORS = (1, 2, 3, 7)
@@ -841,39 +877,39 @@ def test_q_products_match_fraction_reference_on_real_denominators(rack, data):
         return len(tuple_basis(rack, p, quandle)) * dim
 
     def dense(p):
-        return Cochain(p, QQ, data.draw(st.lists(fractions, min_size=length(p),
-                                                 max_size=length(p))), quandle, module)
+        return _over_q(p, data.draw(st.lists(fractions, min_size=length(p),
+                                             max_size=length(p))), quandle, module)
 
     def single(p):
-        values = [QQ.zero] * length(p)
+        values = [0] * length(p)
         if values:
             k = data.draw(st.integers(0, len(values) - 1))
             values[k] = Fraction(data.draw(st.sampled_from((-1, 1, 5))),
                                  data.draw(st.sampled_from(DENOMINATORS[1:])))
-        return Cochain(p, QQ, values, quandle, module)
+        return _over_q(p, values, quandle, module)
 
     def zero(p):
-        return Cochain(p, QQ, [QQ.zero] * length(p), quandle, module)
+        return Cochain(p, QQ, [0] * length(p), quandle, module)
 
     def cocycle(p):
         # a combination of kernel vectors with fractional coefficients
-        kernel = kernel_basis(cochain_differential_matrix(rack, p, QQ, quandle, module))
+        kernel, den = kernel_basis(cochain_differential_matrix(rack, p, QQ, quandle, module))
         values = [Fraction(0)] * length(p)
         for vec in kernel:
             c = data.draw(fractions)
-            values = [v + c * w for v, w in zip(values, vec)]
-        return Cochain(p, QQ, values, quandle, module)
+            values = [v + c * Fraction(w, den) for v, w in zip(values, vec)]
+        return _over_q(p, values, quandle, module)
 
     ctx = CupContext(rack, QQ, quandle, module, module)
     for p, q in ((1, 1), (1, 2), (2, 1)):
         for f, g in ((dense(p), dense(q)), (single(p), dense(q)), (dense(p), single(q)),
                      (zero(p), dense(q)), (single(p), single(q))):
             fg = cup(f, g, ctx)
-            assert fg.values == _fraction_cup(f, g, rack)
-            _assert_scalars(fg.values, QQ)
+            assert _rational(fg) == _fraction_cup(f, g, rack)
+            _assert_scalars(fg, QQ)
             df = ctx.differential(f)
-            assert df.values == _fraction_differential(f, rack)
-            _assert_scalars(df.values, QQ)
+            assert _rational(df) == _fraction_differential(f, rack)
+            _assert_scalars(df, QQ)
         for f, g in ((cocycle(p), cocycle(q)), (zero(p), cocycle(q))):
             _check_homotopy_and_integer_rings(f, g, rack, ctx)
 
@@ -885,25 +921,22 @@ def _check_homotopy_and_integer_rings(f, g, rack, ctx):
     p, q = f.degree, g.degree
     dim = f.module.dim if f.module else 1
     H = homotopy_cochain(f, g, ctx)
-    assert H.values == _fraction_homotopy(f, g, rack)
-    _assert_scalars(H.values, QQ)
+    assert _rational(H) == _fraction_homotopy(f, g, rack)
+    _assert_scalars(H, QQ)
     sign = (-1) ** (p * q)
     gf = _swap_factors(_fraction_cup(g, f, rack), dim)
     comm = [a - sign * b for a, b in zip(_fraction_cup(f, g, rack), gf)]
     assert _fraction_differential(H, rack) == comm
-    den = lcm(*[v.denominator for v in f.values + g.values])
+    den = lcm(*[v.denominator for v in _rational(f) + _rational(g)])
     for ring in (ZZ, GF(5)):
-        fz, gz = (Cochain(h.degree, ring, _cleared(h.values, den, ring), h.quandle, h.module)
+        fz, gz = (Cochain(h.degree, ring, _cleared(h, den, ring), h.quandle, h.module)
                   for h in (f, g))
         zctx = CupContext(rack, ring, f.quandle, f.module, g.module)
-        for values, expect in ((cup(fz, gz, zctx).values, _cleared(cup(f, g, ctx).values,
-                                                                   den * den, ring)),
-                               (homotopy_cochain(fz, gz, zctx).values,
-                                _cleared(H.values, den * den, ring)),
-                               (zctx.differential(fz).values,
-                                _cleared(ctx.differential(f).values, den, ring))):
-            assert values == expect
-            _assert_scalars(values, ring)
+        for got, expect in ((cup(fz, gz, zctx), _cleared(cup(f, g, ctx), den * den, ring)),
+                            (homotopy_cochain(fz, gz, zctx), _cleared(H, den * den, ring)),
+                            (zctx.differential(fz), _cleared(ctx.differential(f), den, ring))):
+            assert got.values == expect
+            _assert_scalars(got, ring)
 
 
 COCYCLE_SCALES = (Fraction(1, 2), Fraction(-2, 3), Fraction(5, 7), Fraction(3))
@@ -924,12 +957,13 @@ def test_homotopy_matches_fraction_reference(spec, quandle, with_module):
     for p, q in ((1, 1), (1, 2), (2, 1)):
         cocycles = {}
         for d in {p, q}:
-            kernel = kernel_basis(cochain_differential_matrix(rack, d, QQ, quandle, module))
-            scaled = [[COCYCLE_SCALES[k % 4] * v for v in vec] for k, vec in enumerate(kernel)]
+            kernel, den = kernel_basis(cochain_differential_matrix(rack, d, QQ, quandle, module))
+            scaled = [[COCYCLE_SCALES[k % 4] * Fraction(v, den) for v in vec]
+                      for k, vec in enumerate(kernel)]
             total = [sum(col, Fraction(0)) for col in zip(*scaled)] if scaled else []
-            cocycles[d] = [Cochain(d, QQ, vec, quandle, module)
+            cocycles[d] = [_over_q(d, vec, quandle, module)
                            for vec in scaled[:3] + ([total] if total else [])]
-        zero = Cochain(p, QQ, [QQ.zero] * len(ctx.coboundary(p, module).cols), quandle, module)
+        zero = Cochain(p, QQ, [0] * len(ctx.coboundary(p, module).cols), quandle, module)
         for f in [zero] + cocycles[p]:
             for g in cocycles[q]:
                 _check_homotopy_and_integer_rings(f, g, rack, ctx)

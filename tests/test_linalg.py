@@ -4,7 +4,7 @@ dense oracle (different codebase, different algorithms)."""
 import hashlib
 import json
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 import pytest
 import sympy
@@ -41,6 +41,14 @@ R3 = dihedral_rack(3)
 R4 = dihedral_rack(4)
 
 
+def rational(vecs, den):
+    """Int vectors over ``den`` as Fractions (None kept), after checking that
+    they hold ints and that ``den`` is positive."""
+    assert type(den) is int and den > 0
+    assert all(type(x) is int for v in vecs if v is not None for x in v)
+    return [None if v is None else [Fraction(x, den) for x in v] for v in vecs]
+
+
 def sympy_invariant_factors(dense):
     m = sympy.Matrix(dense)
     d = sympy_snf(m, domain=sympy.ZZ)
@@ -53,9 +61,9 @@ def sympy_invariant_factors(dense):
 
 def test_rank_zero_and_identity():
     assert rank(SparseMat.zero(3, 5, QQ)) == 0
-    assert len(kernel_basis(SparseMat.zero(3, 5, QQ))) == 5
+    assert len(kernel_basis(SparseMat.zero(3, 5, QQ))[0]) == 5
     assert rank(SparseMat.identity(6, QQ)) == 6
-    assert kernel_basis(SparseMat.identity(6, QQ)) == []
+    assert kernel_basis(SparseMat.identity(6, QQ)) == ([], 1)
 
 
 def test_rank_of_boundary():
@@ -70,18 +78,19 @@ def test_field_ops_require_field():
 
 def test_kernel_annihilates():
     m = boundary_matrix(R4, 2, QQ)
-    for v in kernel_basis(m):
-        out = [QQ.zero] * m.nrows
+    vecs, den = kernel_basis(m)
+    for v in rational(vecs, den):
+        out = [0] * m.nrows
         for j, c in enumerate(v):
             for i, w in m.cols[j].items():
                 out[i] += w * c
         assert not any(out)
-    assert len(kernel_basis(m)) == m.ncols - rank(m)
+    assert len(vecs) == m.ncols - rank(m)
 
 
 def test_image_basis_reduced():
     m = SparseMat.from_dense([[1, 2, 3], [2, 4, 6], [0, 1, 1]], QQ)
-    img = image_basis(m)
+    img = rational(*image_basis(m))
     assert len(img) == rank(m) == 2
     # reduced echelon form: leading one with zeros above it in later rows
     assert img[0][:2] == [Fraction(1), Fraction(2)]
@@ -89,18 +98,19 @@ def test_image_basis_reduced():
 
 def test_solve_and_solve_many():
     m = SparseMat.from_dense([[1, 0], [1, 1]], QQ)
-    assert solve(m, [QQ.of(2), QQ.of(3)]) == [Fraction(2), Fraction(1)]
+    x, den = solve(m, [2, 3])
+    assert rational([x], den) == [[Fraction(2), Fraction(1)]]
     inconsistent = SparseMat.from_dense([[1, 0], [1, 0]], QQ)
-    sols = solve_many(inconsistent, [[QQ.of(1), QQ.of(1)], [QQ.of(1), QQ.of(2)]])
+    sols = rational(*solve_many(inconsistent, [[1, 1], [1, 2]]))
     assert sols[0] == [Fraction(1), Fraction(0)]
     assert sols[1] is None
 
 
 def test_solve_refuses_rhs_of_wrong_length():
     with pytest.raises(ShapeError, match="1 entries for 2 rows"):
-        solve(SparseMat.identity(2, QQ), [QQ.of(1)])
+        solve(SparseMat.identity(2, QQ), [1])
     with pytest.raises(ShapeError):
-        solve_many(SparseMat.identity(2, QQ), [[QQ.one, QQ.one], [QQ.one] * 3])
+        solve_many(SparseMat.identity(2, QQ), [[1, 1], [1] * 3])
 
 
 def test_fp_matrices_store_nonzero_residues():
@@ -119,36 +129,36 @@ def test_fp_matrices_store_nonzero_residues():
     square = SparseMat.from_dense([[1, 2], [3, 4]], F5)
     product = square.mul(square)  # [[7, 10], [15, 22]]
     assert product.cols == [{0: 2}, {1: 2}]
-    negated = m.scaled(F5.of(-1))
+    negated = m.scaled(-1)
     assert negated.cols == [{}, {1: 3}, {0: 3, 1: 2}]
-    assert m.scaled(F5.of(5)).cols == [{}, {}, {}]
+    assert m.scaled(5).cols == [{}, {}, {}]
     assert all(residues(x) for x in (m, product, negated))
 
     rank_one = SparseMat.from_dense([[1, 2, 3], [2, 4, 1]], F5)  # row 2 = 2 row 1 mod 5
-    kernel = kernel_basis(rank_one)
-    assert kernel == [[3, 1, 0], [2, 0, 1]]
+    kernel, den = kernel_basis(rank_one)
+    assert (kernel, den) == ([[3, 1, 0], [2, 0, 1]], 1)
     for v in kernel:
         assert all(type(c) is int and c in range(5) for c in v)
         assert all(sum(row[j] * v[j] for j in range(3)) % 5 == 0 for row in ([1, 2, 3], [2, 4, 1]))
 
 
 def test_in_span():
-    vs = [[QQ.of(1), QQ.of(0)], [QQ.of(0), QQ.of(1)]]
-    assert in_span(vs, [QQ.of(2), QQ.of(-7)], QQ)
-    assert not in_span([vs[0]], [QQ.of(0), QQ.of(1)], QQ)
-    assert in_span([], [QQ.zero, QQ.zero], QQ)
-    assert not in_span([], [QQ.one, QQ.zero], QQ)
+    vs = [[1, 0], [0, 1]]
+    assert in_span(vs, [2, -7], QQ)
+    assert not in_span([vs[0]], [0, 1], QQ)
+    assert in_span([], [0, 0], QQ)
+    assert not in_span([], [1, 0], QQ)
 
 
 def test_in_span_of_sparse_dicts():
-    assert in_span([{0: QQ.one, 2: QQ.of(3)}], [QQ.of(2), QQ.zero, QQ.of(6)], QQ)
-    assert not in_span([{0: QQ.one}], {1: QQ.one}, QQ)
+    assert in_span([{0: 1, 2: 3}], [2, 0, 6], QQ)
+    assert not in_span([{0: 1}], {1: 1}, QQ)
     with pytest.raises(ShapeError):
         in_span([[1, 0]], [1, 0], ZZ)
 
 
 def test_independent_keeps_order_and_respects_span():
-    e = lambda *v: [QQ.of(x) for x in v]
+    e = lambda *v: list(v)
     span = [e(1, 1, 0, 0)]
     candidates = [
         e(2, 2, 0, 0),   # in the span
@@ -184,25 +194,40 @@ def test_elimination_over_prime_field():
     F3 = GF(3)
     m = SparseMat.from_dense([[1, 2], [2, 1]], F3)
     assert rank(m) == 1  # second row = 2 * first mod 3
-    assert len(kernel_basis(m)) == 1
+    assert len(kernel_basis(m)[0]) == 1
 
 
 def test_rref_with_non_integer_entries():
-    # back-substitution leaves the integer rows [6 0 -1] and [0 3 1]; only
-    # the division by their leading entries makes the fractions
-    rows = [{0: QQ.of(2), 1: QQ.of(1)}, {1: QQ.of(3), 2: QQ.of(1)}]
-    assert _rref(rows, QQ) == ([0, 1], [{0: 1, 2: Fraction(-1, 6)}, {1: 1, 2: Fraction(1, 3)}])
+    # back-substitution leaves the integer rows [6 0 -1] and [0 3 1]; scaled
+    # to lead with the lcm 6 of their leading entries, they are the reduced
+    # rows over the denominator 6
+    rows = [{0: 2, 1: 1}, {1: 3, 2: 1}]
+    pivots, rred, den = _rref(rows, QQ)
+    assert (pivots, rred, den) == ([0, 1], [{0: 6, 2: -1}, {1: 6, 2: 2}], 6)
+    assert [{j: Fraction(v, den) for j, v in row.items()} for row in rred] == [
+        {0: 1, 2: Fraction(-1, 6)}, {1: 1, 2: Fraction(1, 3)}]
     m = SparseMat.from_dense([[2, 1, 0], [0, 3, 1]], QQ)
-    assert kernel_basis(m) == [[Fraction(1, 6), Fraction(-1, 3), Fraction(1)]]
-    assert solve(m, [QQ.of(1), QQ.of(1)]) == [Fraction(1, 3), Fraction(1, 3), Fraction(0)]
-    half = SparseMat.from_dense([[Fraction(1, 2), Fraction(1, 3)]], QQ)
-    assert image_basis(half) == [[Fraction(1)]]
-    assert kernel_basis(half) == [[Fraction(-2, 3), Fraction(1)]]
+    assert rational(*kernel_basis(m)) == [[Fraction(1, 6), Fraction(-1, 3), Fraction(1)]]
+    x, den = solve(m, [1, 1])
+    assert rational([x], den) == [[Fraction(1, 3), Fraction(1, 3), Fraction(0)]]
+    # [1/2 1/3] as its integer multiple [3 2], which has the same kernel
+    half = SparseMat.from_dense([[3, 2]], QQ)
+    assert rational(*image_basis(half)) == [[Fraction(1)]]
+    assert rational(*kernel_basis(half)) == [[Fraction(-2, 3), Fraction(1)]]
+
+
+def test_matrices_refuse_non_int_entries():
+    with pytest.raises(ShapeError, match="not an int"):
+        SparseMat.from_dense([[Fraction(1, 2), Fraction(1, 3)]], QQ)
+    m = SparseMat.zero(1, 2, QQ)
+    with pytest.raises(ShapeError, match="not an int"):
+        m.add_at(0, 1, Fraction(1, 2))
+    assert m.cols == [{}, {}]
 
 
 def test_stored_rows_are_primitive_integer_rows():
     pivot_of = {}
-    assert _integer_row([Fraction(2, 3), Fraction(4, 5), 0], 0) == {0: 5, 1: 6}
+    assert _integer_row([10, -12, 0], 0) == {0: 5, 1: -6}
     assert _insert(_integer_row([1, 1, 0], 0), pivot_of, 0)
     # [1 3 2] - [1 1 0] = [0 2 2] has content 2
     assert _insert(_integer_row([1, 3, 2], 0), pivot_of, 0)
@@ -212,7 +237,7 @@ def test_stored_rows_are_primitive_integer_rows():
     for row in ([2, 1, 0], [3, 0, 1]):
         assert _insert(_integer_row(row, 0), pivot_of, 0)
     assert pivot_of[1] == {1: 3, 2: -2}
-    assert not _insert(_integer_row([1, 1, Fraction(-1, 3)], 0), pivot_of, 0)
+    assert not _insert(_integer_row([3, 3, -1], 0), pivot_of, 0)
     # over F_5 the rows are residues scaled to lead with 1
     pivot_of = {}
     assert _insert(_integer_row([2, 6], 5), pivot_of, 5)
@@ -223,15 +248,25 @@ FIELDS = [QQ, GF(2), GF(3), GF(5)]
 
 
 def field_rows(data, ring, nr, nc):
-    """Sparse random rows over ``ring``: over Q integers up to +-50 and
-    fractions with denominators up to 9, over F_p residues."""
+    """Sparse random int rows over ``ring``: over F_p residues, over Q rows
+    of integers up to +-50 and fractions with denominators up to 9, each
+    times the lcm of its denominators (the same span, in ints)."""
     if ring.char:
         nonzero = st.integers(1, ring.char - 1)
     else:
         nonzero = st.one_of(st.integers(-50, 50),
                             st.fractions(-50, 50, max_denominator=9))
     entry = st.sampled_from([0, 0, 1]).flatmap(lambda k: nonzero if k else st.just(0))
-    return [[ring.of(data.draw(entry)) for _ in range(nc)] for _ in range(nr)]
+    rows = []
+    for _ in range(nr):
+        row = [Fraction(data.draw(entry)) for _ in range(nc)]
+        den = lcm(*(v.denominator for v in row))
+        rows.append([int(v * den) for v in row])
+    return rows
+
+
+def reduce(v, ring):
+    return v % ring.char if ring.char else v
 
 
 def sympy_rref(rows, ring, ncols):
@@ -261,16 +296,20 @@ def test_field_reductions_match_sympy_rref(ring, nr, nc, data):
             v = [0] * nc
             v[f] = 1
             for k, row in zip(pivots, rref):
-                v[k] = ring.of(-row[f])
+                v[k] = -row[f] % ring.char if ring.char else -row[f]
             kernel.append(v)
-    assert kernel_basis(m) == kernel
+    vecs, den = kernel_basis(m)
+    assert rational(vecs, den) == kernel
     columns = [list(col) for col in zip(*dense)]
-    assert image_basis(m) == sympy_rref(columns, ring, nr)[1]
+    image, image_den = image_basis(m)
+    assert rational(image, image_den) == sympy_rref(columns, ring, nr)[1]
+    if ring.char:
+        assert den == image_den == 1
 
     # right-hand sides: random ones (mostly inconsistent) and images m . x
     rhs = field_rows(data, ring, data.draw(st.integers(1, 3)), nr)
     for x in field_rows(data, ring, data.draw(st.integers(0, 2)), nc):
-        rhs.append([ring.of(sum(a * b for a, b in zip(row, x))) for row in dense])
+        rhs.append([reduce(sum(a * b for a, b in zip(row, x)), ring) for row in dense])
     expected = []
     for b in rhs:
         pivots_b, rref_b = sympy_rref([row + [v] for row, v in zip(dense, b)], ring, nc + 1)
@@ -281,14 +320,15 @@ def test_field_reductions_match_sympy_rref(ring, nr, nc, data):
         for k, row in zip(pivots_b, rref_b):
             x[k] = row[nc]
         expected.append(x)
-    assert solve_many(m, rhs) == expected
+    solutions, den = solve_many(m, rhs)
+    assert rational(solutions, den) == expected
 
     # candidates: random rows, one sum of two of them and one sum of span rows
     span = dense[:data.draw(st.integers(0, nr))]
     candidates = field_rows(data, ring, data.draw(st.integers(1, 6)), nc)
-    candidates.append([ring.of(a + b) for a, b in zip(candidates[0], candidates[-1])])
+    candidates.append([reduce(a + b, ring) for a, b in zip(candidates[0], candidates[-1])])
     if span:
-        candidates.append([ring.of(a + b) for a, b in zip(span[0], span[-1])])
+        candidates.append([reduce(a + b, ring) for a, b in zip(span[0], span[-1])])
     kept = [c for i, c in enumerate(candidates)
             if len(sympy_rref(span + candidates[:i + 1], ring, nc)[0])
             > len(sympy_rref(span + candidates[:i], ring, nc)[0])]
@@ -414,7 +454,9 @@ def test_rational_rank_without_unit_clears_nothing():
 def test_rational_rank_with_no_unit_entry():
     dense = [[Fraction(2, 3), 4, 0], [6, Fraction(-9, 2), 10], [0, 8, Fraction(4, 5)]]
     expected = DomainMatrix.from_list_sympy(3, 3, dense).convert_to(sympy.QQ).rank()
-    assert rank(SparseMat.from_dense(dense, QQ)) == expected == 3
+    # the rows times 3, 2 and 5: integer multiples, with the same rank
+    scaled = [[2, 12, 0], [12, -9, 20], [0, 40, 4]]
+    assert rank(SparseMat.from_dense(scaled, QQ)) == expected == 3
 
 
 def test_rational_rank_is_not_under_the_smith_cap():
@@ -480,6 +522,26 @@ def test_mul_is_zero_matches_the_product(ring, rows, inner, cols, data):
     assert a.mul_is_zero(b) == a.mul(b).is_zero()
 
 
+def test_residue_matrices_are_read_only_over_their_own_field():
+    # the residues of d_2 over F_3 have rank 2 there; read as integers they
+    # would give rank 3 over F_5 and betti -1 over Q
+    f3 = {n: boundary_matrix(R3, n, GF(3)) for n in (1, 2, 3)}
+    with pytest.raises(ShapeError, match="F3.*F5"):
+        rank(f3[2], GF(5))
+    with pytest.raises(ShapeError, match="degree 1.*F3.*Q"):
+        ChainComplex(f3, QQ)
+    with pytest.raises(ShapeError, match="F3.*Z"):
+        ChainComplex(f3, ZZ)
+    assert rank(f3[2]) == rank(f3[2], GF(3)) == 2
+    assert ChainComplex(f3, GF(3)).homology(2).betti == 1
+    # integer matrices, over Z or Q, are read in every ring
+    for ring in (ZZ, QQ):
+        d2 = boundary_matrix(R3, 2, ring)
+        assert rank(d2, GF(5)) == rank(d2, GF(3)) == rank(d2, QQ) == 2
+        mats = {n: boundary_matrix(R3, n, ring) for n in (1, 2, 3)}
+        assert ChainComplex(mats, GF(3)).homology(2).betti == 1
+
+
 def test_clearing_over_z_takes_only_unit_pivots():
     # d_1 = [4 6] has no +-1 entry, so it clears no row of d_2; leaving
     # out the row of d_2 at the Euclid pivot of d_1 would give Z/3 or Z/2
@@ -490,15 +552,15 @@ def test_clearing_over_z_takes_only_unit_pivots():
 
 
 def test_rational_complex_with_fractional_entries():
-    # the integer path scales each column by its denominators; truncating
-    # 1/2 and 1/3 to 0 would make d_1 zero and H_1 one-dimensional
-    d1 = SparseMat.from_dense([[Fraction(1, 2), Fraction(1, 3)]], QQ)
+    # d_1 = [1/2 1/3] as its integer multiple [3 2], whose entries have no
+    # unit: Euclid's algorithm, not the +-1 pass, finds its rank
+    d1 = SparseMat.from_dense([[3, 2]], QQ)
     d2 = SparseMat.from_dense([[2], [-3]], QQ)
     cx = ChainComplex({1: d1, 2: d2}, QQ)
     for n, d in ((1, d1), (2, d2)):
         expected = DomainMatrix.from_list_sympy(d.nrows, d.ncols, d.to_dense()).rank()
         assert cx._reduce(n)[0] == expected == 1
-        assert d.ncols - len(kernel_basis(d)) == expected
+        assert d.ncols - len(kernel_basis(d)[0]) == expected
     assert cx.homology(1).betti == 0
 
 
@@ -618,8 +680,8 @@ def test_sign_shifted_complex_same_homology():
         for n in (1, 2, 3):
             plain_in = boundary_matrix(R3, n + 1, ring)
             plain_out = boundary_matrix(R3, n, ring)
-            flipped_in = plain_in.scaled(ring.of(-1))
-            flipped_out = plain_out.scaled(ring.of(-1))
+            flipped_in = plain_in.scaled(-1)
+            flipped_out = plain_out.scaled(-1)
             a = homology(plain_in, plain_out, ring, n)
             b = homology(flipped_in, flipped_out, ring, n)
             assert (a.betti, a.torsion) == (b.betti, b.torsion)
