@@ -27,7 +27,6 @@ import json
 import os
 import sys
 import time
-from fractions import Fraction
 from pathlib import Path
 
 from . import __version__
@@ -189,9 +188,8 @@ def _coefficients(args, rack) -> XSet | None:
 
 
 def _scalar_json(v):
-    if isinstance(v, Fraction):
-        return str(v)
-    return v
+    # residues over F_p are ints; a rational over Q is reported as "a/b"
+    return v if isinstance(v, int) else str(v)
 
 
 def make_report(command, options, source: bytes, results=None, suites=None,
@@ -268,6 +266,8 @@ def cmd_ring(args) -> int:
                         max_basis=args.max_basis)
     timings = {"total_s": round(time.perf_counter() - t0, 6)} if args.timings else None
     dims = {str(p): rs.dims[p] for p in sorted(rs.dims)}
+    if not ring.char:
+        from fractions import Fraction  # only a Q report prints rationals
     reps = {
         str(p): [[v if ring.char else str(Fraction(v, rs.dens[p])) for v in vec]
                  for vec in rs.reps[p]]

@@ -49,7 +49,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from .errors import (
@@ -58,6 +57,7 @@ from .errors import (
     IndexOutOfRange,
     MixedDegrees,
     NotAQuandle,
+    read_only,
 )
 from .linalg import SparseMat
 from .racks import Rack, XSet
@@ -73,14 +73,35 @@ def no_adjacent_equal(t):
     return all(a != b for a, b in zip(t, t[1:]))
 
 
-@dataclass(frozen=True)
 class TupleBasis:
-    """Ordered basis of degree-``n`` chains (rack or quandle variant)."""
+    """Ordered basis of degree-``n`` chains (rack or quandle variant).
 
-    rack: Rack
-    degree: int
-    quandle: bool
-    tuples: tuple[tuple[int, ...], ...]
+    Immutable; equality and hashing read every field.
+    """
+
+    __setattr__ = __delattr__ = read_only
+
+    def __init__(self, rack: Rack, degree: int, quandle: bool,
+                 tuples: tuple[tuple[int, ...], ...]):
+        object.__setattr__(self, "rack", rack)
+        object.__setattr__(self, "degree", degree)
+        object.__setattr__(self, "quandle", quandle)
+        object.__setattr__(self, "tuples", tuples)
+
+    def _key(self):
+        return self.rack, self.degree, self.quandle, self.tuples
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self):
+        return (f"TupleBasis(rack={self.rack!r}, degree={self.degree!r}, "
+                f"quandle={self.quandle!r}, tuples={self.tuples!r})")
 
     def __len__(self):
         return len(self.tuples)
@@ -174,19 +195,36 @@ def coproduct_terms(t, q, rack: Rack):
 # Coefficient modules
 
 
-@dataclass(frozen=True)
 class LeftModule:
     """A module whose rack generators act by basis permutations.
 
     ``perms[x][i] = j`` means the generator ``x`` sends basis vector ``i``
     to basis vector ``j``.  For the permutation module of a rack-set this
     is the inverse of the right action, which is exactly what makes the
-    exchange relation hold on the left.
+    exchange relation hold on the left.  Immutable; equality and hashing
+    read every field.
     """
 
-    dim: int
-    perms: tuple[tuple[int, ...], ...]
-    label: str = "module"
+    __setattr__ = __delattr__ = read_only
+
+    def __init__(self, dim: int, perms: tuple[tuple[int, ...], ...], label: str = "module"):
+        object.__setattr__(self, "dim", dim)
+        object.__setattr__(self, "perms", perms)
+        object.__setattr__(self, "label", label)
+
+    def _key(self):
+        return self.dim, self.perms, self.label
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self):
+        return f"LeftModule(dim={self.dim!r}, perms={self.perms!r}, label={self.label!r})"
 
     def act_word_index(self, word, i):
         # f(a_1 .. a_k m) = L(a_1)(... L(a_k) f(m)): apply the last letter first
@@ -231,29 +269,58 @@ def module_from_xset(xset: XSet) -> LeftModule:
 # Chains, cochains, boundary matrices
 
 
-@dataclass
 class Chain:
     """Vector over a tuple basis; module-valued entries are flattened as
     ``tuple_index * module_dim + module_index``."""
 
-    basis: TupleBasis
-    ring: object
-    values: list
-    module_dim: int = 1
+    __slots__ = ("basis", "ring", "values", "module_dim")
+
+    def __init__(self, basis: TupleBasis, ring, values: list, module_dim: int = 1):
+        self.basis = basis
+        self.ring = ring
+        self.values = values
+        self.module_dim = module_dim
+
+    def _key(self):
+        return self.basis, self.ring, self.values, self.module_dim
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __repr__(self):
+        return (f"Chain(basis={self.basis!r}, ring={self.ring!r}, values={self.values!r}, "
+                f"module_dim={self.module_dim!r})")
 
 
-@dataclass
 class Cochain:
     """Cochain values flattened as in :class:`Chain`: the value at ``i`` is
     ``values[i] / den``, an int over a positive ``den`` that is 1 unless the
     ring is Q, and a residue over F_p."""
 
-    degree: int
-    ring: object
-    values: list
-    quandle: bool = False
-    module: LeftModule | None = None
-    den: int = 1
+    __slots__ = ("degree", "ring", "values", "quandle", "module", "den")
+
+    def __init__(self, degree: int, ring, values: list, quandle: bool = False,
+                 module: LeftModule | None = None, den: int = 1):
+        self.degree = degree
+        self.ring = ring
+        self.values = values
+        self.quandle = quandle
+        self.module = module
+        self.den = den
+
+    def _key(self):
+        return self.degree, self.ring, self.values, self.quandle, self.module, self.den
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __repr__(self):
+        return (f"Cochain(degree={self.degree!r}, ring={self.ring!r}, values={self.values!r}, "
+                f"quandle={self.quandle!r}, module={self.module!r}, den={self.den!r})")
 
 
 def basis_cochain(rack: Rack, p: int, ring, t, j=0, quandle=False, module=None) -> Cochain:

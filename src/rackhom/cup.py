@@ -43,9 +43,6 @@ only for the product coordinates it reports.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from fractions import Fraction
-
 from .complexes import (
     DEFAULT_MAX_BASIS,
     Cochain,
@@ -62,7 +59,6 @@ from .racks import Rack
 from .words import WordAlgebra
 
 
-@dataclass
 class CupContext:
     """Shared data for cup-product computations over one rack, each built on
     first use and owned by the instance: the word algebra, the tuple bases,
@@ -72,25 +68,42 @@ class CupContext:
     ``module_f`` / ``module_g`` are the coefficient modules of the two
     factors (``None`` means trivial coefficients); the product lands in
     their tensor module unless both are trivial.  ``max_basis`` caps every
-    tuple basis the products build.
+    tuple basis the products build.  Equality reads every constructor
+    argument; the cached data is not compared, nor is the algebra shown.
     """
 
-    rack: Rack
-    ring: object
-    quandle: bool = False
-    module_f: LeftModule | None = None
-    module_g: LeftModule | None = None
-    max_basis: int = DEFAULT_MAX_BASIS
-    algebra: WordAlgebra = field(default=None, repr=False)
-    _bases: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-    _stencils: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-    _coboundaries: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    __slots__ = ("rack", "ring", "quandle", "module_f", "module_g", "max_basis", "algebra",
+                 "_bases", "_stencils", "_coboundaries")
 
-    def __post_init__(self):
-        if self.quandle and not self.rack.is_quandle():
-            raise NotAQuandle(f"{self.rack.label} is not a quandle")
-        if self.algebra is None:
-            self.algebra = WordAlgebra(self.rack)
+    def __init__(self, rack: Rack, ring, quandle: bool = False,
+                 module_f: LeftModule | None = None, module_g: LeftModule | None = None,
+                 max_basis: int = DEFAULT_MAX_BASIS, algebra: WordAlgebra | None = None):
+        if quandle and not rack.is_quandle():
+            raise NotAQuandle(f"{rack.label} is not a quandle")
+        self.rack = rack
+        self.ring = ring
+        self.quandle = quandle
+        self.module_f = module_f
+        self.module_g = module_g
+        self.max_basis = max_basis
+        self.algebra = WordAlgebra(rack) if algebra is None else algebra
+        self._bases = {}
+        self._stencils = {}
+        self._coboundaries = {}
+
+    def _key(self):
+        return (self.rack, self.ring, self.quandle, self.module_f, self.module_g,
+                self.max_basis, self.algebra)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __repr__(self):
+        return (f"CupContext(rack={self.rack!r}, ring={self.ring!r}, quandle={self.quandle!r}, "
+                f"module_f={self.module_f!r}, module_g={self.module_g!r}, "
+                f"max_basis={self.max_basis!r})")
 
     def target_module(self):
         if self.module_f is None and self.module_g is None:
@@ -291,7 +304,6 @@ def is_coboundary(f: Cochain, rack: Rack) -> Cochain | None:
 # Cohomology ring structure
 
 
-@dataclass
 class RingStructure:
     """Cocycle representatives per degree and cup-product coordinates.
 
@@ -301,14 +313,34 @@ class RingStructure:
     over Q; they are the unique solution modulo coboundaries.
     """
 
-    rack_label: str
-    ring_name: str
-    max_degree: int
-    quandle: bool
-    dims: dict
-    reps: dict
-    dens: dict
-    products: dict
+    __slots__ = ("rack_label", "ring_name", "max_degree", "quandle", "dims", "reps", "dens",
+                 "products")
+
+    def __init__(self, rack_label: str, ring_name: str, max_degree: int, quandle: bool,
+                 dims: dict, reps: dict, dens: dict, products: dict):
+        self.rack_label = rack_label
+        self.ring_name = ring_name
+        self.max_degree = max_degree
+        self.quandle = quandle
+        self.dims = dims
+        self.reps = reps
+        self.dens = dens
+        self.products = products
+
+    def _key(self):
+        return (self.rack_label, self.ring_name, self.max_degree, self.quandle, self.dims,
+                self.reps, self.dens, self.products)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __repr__(self):
+        return (f"RingStructure(rack_label={self.rack_label!r}, ring_name={self.ring_name!r}, "
+                f"max_degree={self.max_degree!r}, quandle={self.quandle!r}, "
+                f"dims={self.dims!r}, reps={self.reps!r}, dens={self.dens!r}, "
+                f"products={self.products!r})")
 
     def product(self, p, i, q, j):
         return self.products[(p, i, q, j)]
@@ -340,6 +372,9 @@ def ring_structure(rack: Rack, ring, max_degree: int, quandle: bool = False,
         cocycles, dens[p] = kernel_basis(dmat[p])
         reps[p] = independent(dmat[p - 1].cols, cocycles, ring)
     products: dict = {}
+    if not ring.char:
+        # imported here: the Q coordinates are the only rationals a ring makes
+        from fractions import Fraction
     for n in range(max_degree + 1):
         keys, rhs = [], []
         for p in range(n + 1):

@@ -30,11 +30,10 @@ throughout; nothing here is probabilistic and nothing floats.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
 from math import gcd, lcm
 
-from .errors import NotAComplex, ResourceLimit, ShapeError
+from .errors import NotAComplex, ResourceLimit, ShapeError, read_only
 from .rings import ZZ
 
 
@@ -483,11 +482,27 @@ def independent(span, candidates, ring) -> list:
 # Smith normal form
 
 
-@dataclass(frozen=True)
 class SmithForm:
-    """Invariant factors d_1 | d_2 | ... | d_r of an integer matrix."""
+    """Invariant factors d_1 | d_2 | ... | d_r of an integer matrix.
 
-    factors: tuple[int, ...]
+    Immutable; equality and hashing read the factors.
+    """
+
+    __setattr__ = __delattr__ = read_only
+
+    def __init__(self, factors: tuple[int, ...]):
+        object.__setattr__(self, "factors", factors)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.factors == other.factors
+
+    def __hash__(self):
+        return hash(self.factors)
+
+    def __repr__(self):
+        return f"SmithForm(factors={self.factors!r})"
 
     @property
     def rank(self):
@@ -506,10 +521,11 @@ def smith_normal_form(mat: SparseMat, max_entries: int = 4_000_000,
     algorithm then reduces the residual, whose size (vectors times indices)
     ``max_entries`` caps, and the exchange diag(a, b) ~ diag(gcd, lcm) puts
     its pivots into chain order.  The cap is a resource guard, not a
-    correctness bound: Python ints do not overflow.
+    correctness bound: Python ints do not overflow.  A matrix over Z or Q
+    is read as it is, as in :func:`rank`; one over F_p holds residues and
+    is refused.
     """
-    if mat.ring is not ZZ:
-        raise ShapeError("Smith normal form requires integer scalars")
+    _check_readable(mat, ZZ, "the matrix")
     vecs = _column_vectors(mat, drop)
     units = _eliminate_pivots(vecs, 0, units_only=True)
     if pivots is not None:
@@ -542,13 +558,33 @@ def _check_divisibility_chain(factors):
 # Homology assembly
 
 
-@dataclass(frozen=True)
 class HomologyGroup:
-    """betti + invariant-factor torsion of one homology degree."""
+    """betti + invariant-factor torsion of one homology degree.
 
-    degree: int
-    betti: int
-    torsion: tuple[int, ...] = ()
+    Immutable; equality and hashing read every field.
+    """
+
+    __setattr__ = __delattr__ = read_only
+
+    def __init__(self, degree: int, betti: int, torsion: tuple[int, ...] = ()):
+        object.__setattr__(self, "degree", degree)
+        object.__setattr__(self, "betti", betti)
+        object.__setattr__(self, "torsion", torsion)
+
+    def _key(self):
+        return self.degree, self.betti, self.torsion
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self):
+        return (f"HomologyGroup(degree={self.degree!r}, betti={self.betti!r}, "
+                f"torsion={self.torsion!r})")
 
     def describe(self):
         parts = []

@@ -7,10 +7,10 @@ callers compute with Python's own operators.  Over F_p it is a residue in
 product of residues may be reduced once, where it is stored, and a zero
 test on a stored value is a truth test.  Over Q it is a numerator, and the
 vector that holds it carries one positive denominator (``Cochain.den``, or
-the ``den`` that kernels and solves return); a ``Fraction`` is made only
-where a rational is reported.  No ring divides, since kernels, ranks and
-Smith forms reduce integer rows with the characteristic alone (see
-:mod:`rackhom.linalg`).
+the ``den`` that kernels and solves return); a ``Fraction`` is made, and
+``fractions`` imported, only where a rational is reported.  No ring
+divides, since kernels, ranks and Smith forms reduce integer rows with the
+characteristic alone (see :mod:`rackhom.linalg`).
 
 A ring is a record of its name, its characteristic and whether it is a
 field.  Rings are compared with ``is``: Z and Q are single instances, and

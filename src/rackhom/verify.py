@@ -17,7 +17,6 @@ the :class:`SuiteResult`; a failed suite carries no notes.
 
 from __future__ import annotations
 
-import dataclasses
 import functools
 import itertools
 
@@ -45,16 +44,32 @@ BUILTIN_SPECS = (
 SMALL_WORD_RACKS = ("trivial:3", "dihedral:3", "cyclic:3")
 
 
-@dataclasses.dataclass
 class SuiteResult:
-    name: str
-    passed: bool
-    checks: int
-    witness: str | None = None
-    notes: list[str] = dataclasses.field(default_factory=list)
+    """One suite's outcome: its name, whether it passed, how many checks ran,
+    the first failing witness, and notes."""
+
+    __slots__ = ("name", "passed", "checks", "witness", "notes")
+
+    def __init__(self, name: str, passed: bool, checks: int, witness: str | None = None,
+                 notes: list[str] | None = None):
+        self.name = name
+        self.passed = passed
+        self.checks = checks
+        self.witness = witness
+        self.notes = [] if notes is None else notes
 
     def as_dict(self):
-        return dataclasses.asdict(self)
+        return {"name": self.name, "passed": self.passed, "checks": self.checks,
+                "witness": self.witness, "notes": list(self.notes)}
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.as_dict() == other.as_dict()
+
+    def __repr__(self):
+        return (f"SuiteResult(name={self.name!r}, passed={self.passed!r}, "
+                f"checks={self.checks!r}, witness={self.witness!r}, notes={self.notes!r})")
 
 
 ALL_SUITES = {}

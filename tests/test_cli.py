@@ -224,6 +224,24 @@ def test_closed_stdout_ends_quietly():
     assert proc.stderr == b""
 
 
+def test_startup_imports_no_generated_code():
+    # dataclasses pulls in inspect, ast and dis, and each record body execs
+    # generated source; fractions is needed only by a Q report.  -S keeps
+    # the imports of site-packages .pth files out of the baseline.
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    code = ("import argparse, hashlib, json, sys\n"
+            "before = set(sys.modules)\n"
+            "import rackhom.cli\n"
+            "print(' '.join(sorted(set(sys.modules) - before)))\n")
+    proc = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True,
+                          env=env, timeout=60, check=True)
+    new = set(proc.stdout.split())
+    assert "rackhom.cli" in new
+    assert not new & {"dataclasses", "inspect", "fractions"}
+
+
 def test_exit_code_validation(capsys):
     code, _, err = run(capsys, "homology", "--builtin", "cyclic:3",
                        "--quandle", "--max-degree", "2")

@@ -350,8 +350,8 @@ def test_snf_zero_matrix():
 
 
 def test_snf_requires_integers():
-    with pytest.raises(ShapeError):
-        smith_normal_form(SparseMat.zero(2, 2, QQ))
+    with pytest.raises(ShapeError, match="F3.*Z"):
+        smith_normal_form(SparseMat.zero(2, 2, GF(3)))
 
 
 def test_snf_resource_cap():
@@ -540,6 +540,18 @@ def test_residue_matrices_are_read_only_over_their_own_field():
         assert rank(d2, GF(5)) == rank(d2, GF(3)) == rank(d2, QQ) == 2
         mats = {n: boundary_matrix(R3, n, ring) for n in (1, 2, 3)}
         assert ChainComplex(mats, GF(3)).homology(2).betti == 1
+
+
+def test_rational_matrices_give_the_integral_groups():
+    # a Q matrix holds the same ints as a Z one, so its Smith form is read too
+    for rack in (R3, dihedral_rack(4)):
+        groups = {}
+        for ring in (ZZ, QQ):
+            cx = ChainComplex({n: boundary_matrix(rack, n, ring) for n in (1, 2, 3, 4)}, ZZ)
+            groups[ring] = ([cx.homology(n) for n in (1, 2, 3)],
+                            [cx.cohomology(n) for n in (1, 2, 3)])
+        assert groups[QQ] == groups[ZZ]
+    assert [h.describe() for h in groups[ZZ][0]] == ["Z^2", "Z^4 + (Z/2)^2", "Z^8 + (Z/2)^6"]
 
 
 def test_clearing_over_z_takes_only_unit_pivots():
