@@ -27,7 +27,6 @@ import json
 import os
 import sys
 import time
-from pathlib import Path
 
 from . import __version__
 from .complexes import DEFAULT_MAX_BASIS, boundary_matrix
@@ -108,6 +107,11 @@ def parse_rack_text(text: str) -> Rack:
     return validate_rack(rows, label="file")
 
 
+def _read(path: str) -> bytes:
+    with open(path, "rb") as f:
+        return f.read()
+
+
 def _decode(data: bytes) -> str:
     """UTF-8 text with its newlines translated as a read in text mode would."""
     try:
@@ -142,7 +146,7 @@ def _check_size(obj, height, what):
 def parse_rack_file(path: str) -> Rack:
     """Accept either the text format or the JSON shape
     ``{"size": n, "table": [[...]]}``."""
-    return _parse_rack(_decode(Path(path).read_bytes()))
+    return _parse_rack(_decode(_read(path)))
 
 
 def _parse_rack(text: str) -> Rack:
@@ -157,7 +161,7 @@ def _parse_rack(text: str) -> Rack:
 
 
 def parse_xset_file(path: str, rack: Rack) -> XSet:
-    obj = _parse_json(_decode(Path(path).read_bytes()))
+    obj = _parse_json(_decode(_read(path)))
     if not isinstance(obj, dict):
         raise ParseError("JSON rack-set must be an object with an 'act' array")
     act = obj.get("act")
@@ -172,7 +176,7 @@ def _load_rack(args) -> tuple[Rack, bytes]:
     file as read (once), or the builtin spec."""
     if args.builtin is not None:
         return builtin(args.builtin), f"builtin:{args.builtin}".encode()
-    data = Path(args.rack).read_bytes()
+    data = _read(args.rack)
     return _parse_rack(_decode(data)), data
 
 

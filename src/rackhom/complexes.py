@@ -49,7 +49,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-from typing import TYPE_CHECKING
 
 from .errors import (
     CoefficientMismatch,
@@ -57,14 +56,11 @@ from .errors import (
     IndexOutOfRange,
     MixedDegrees,
     NotAQuandle,
-    read_only,
 )
 from .linalg import SparseMat
 from .racks import Rack, XSet
+from .records import Frozen, Record
 from .rings import ZZ
-
-if TYPE_CHECKING:
-    from .words import BElement
 
 DEFAULT_MAX_BASIS = 200_000
 
@@ -73,13 +69,10 @@ def no_adjacent_equal(t):
     return all(a != b for a, b in zip(t, t[1:]))
 
 
-class TupleBasis:
-    """Ordered basis of degree-``n`` chains (rack or quandle variant).
+class TupleBasis(Frozen):
+    """Ordered basis of degree-``n`` chains (rack or quandle variant)."""
 
-    Immutable; equality and hashing read every field.
-    """
-
-    __setattr__ = __delattr__ = read_only
+    _fields = ("rack", "degree", "quandle", "tuples")
 
     def __init__(self, rack: Rack, degree: int, quandle: bool,
                  tuples: tuple[tuple[int, ...], ...]):
@@ -87,21 +80,6 @@ class TupleBasis:
         object.__setattr__(self, "degree", degree)
         object.__setattr__(self, "quandle", quandle)
         object.__setattr__(self, "tuples", tuples)
-
-    def _key(self):
-        return self.rack, self.degree, self.quandle, self.tuples
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._key() == other._key()
-
-    def __hash__(self):
-        return hash(self._key())
-
-    def __repr__(self):
-        return (f"TupleBasis(rack={self.rack!r}, degree={self.degree!r}, "
-                f"quandle={self.quandle!r}, tuples={self.tuples!r})")
 
     def __len__(self):
         return len(self.tuples)
@@ -195,36 +173,21 @@ def coproduct_terms(t, q, rack: Rack):
 # Coefficient modules
 
 
-class LeftModule:
+class LeftModule(Frozen):
     """A module whose rack generators act by basis permutations.
 
     ``perms[x][i] = j`` means the generator ``x`` sends basis vector ``i``
     to basis vector ``j``.  For the permutation module of a rack-set this
     is the inverse of the right action, which is exactly what makes the
-    exchange relation hold on the left.  Immutable; equality and hashing
-    read every field.
+    exchange relation hold on the left.
     """
 
-    __setattr__ = __delattr__ = read_only
+    _fields = ("dim", "perms", "label")
 
     def __init__(self, dim: int, perms: tuple[tuple[int, ...], ...], label: str = "module"):
         object.__setattr__(self, "dim", dim)
         object.__setattr__(self, "perms", perms)
         object.__setattr__(self, "label", label)
-
-    def _key(self):
-        return self.dim, self.perms, self.label
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._key() == other._key()
-
-    def __hash__(self):
-        return hash(self._key())
-
-    def __repr__(self):
-        return f"LeftModule(dim={self.dim!r}, perms={self.perms!r}, label={self.label!r})"
 
     def act_word_index(self, word, i):
         # f(a_1 .. a_k m) = L(a_1)(... L(a_k) f(m)): apply the last letter first
@@ -269,11 +232,11 @@ def module_from_xset(xset: XSet) -> LeftModule:
 # Chains, cochains, boundary matrices
 
 
-class Chain:
+class Chain(Record):
     """Vector over a tuple basis; module-valued entries are flattened as
     ``tuple_index * module_dim + module_index``."""
 
-    __slots__ = ("basis", "ring", "values", "module_dim")
+    __slots__ = _fields = ("basis", "ring", "values", "module_dim")
 
     def __init__(self, basis: TupleBasis, ring, values: list, module_dim: int = 1):
         self.basis = basis
@@ -281,25 +244,13 @@ class Chain:
         self.values = values
         self.module_dim = module_dim
 
-    def _key(self):
-        return self.basis, self.ring, self.values, self.module_dim
 
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._key() == other._key()
-
-    def __repr__(self):
-        return (f"Chain(basis={self.basis!r}, ring={self.ring!r}, values={self.values!r}, "
-                f"module_dim={self.module_dim!r})")
-
-
-class Cochain:
+class Cochain(Record):
     """Cochain values flattened as in :class:`Chain`: the value at ``i`` is
     ``values[i] / den``, an int over a positive ``den`` that is 1 unless the
     ring is Q, and a residue over F_p."""
 
-    __slots__ = ("degree", "ring", "values", "quandle", "module", "den")
+    __slots__ = _fields = ("degree", "ring", "values", "quandle", "module", "den")
 
     def __init__(self, degree: int, ring, values: list, quandle: bool = False,
                  module: LeftModule | None = None, den: int = 1):
@@ -309,18 +260,6 @@ class Cochain:
         self.quandle = quandle
         self.module = module
         self.den = den
-
-    def _key(self):
-        return self.degree, self.ring, self.values, self.quandle, self.module, self.den
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._key() == other._key()
-
-    def __repr__(self):
-        return (f"Cochain(degree={self.degree!r}, ring={self.ring!r}, values={self.values!r}, "
-                f"quandle={self.quandle!r}, module={self.module!r}, den={self.den!r})")
 
 
 def basis_cochain(rack: Rack, p: int, ring, t, j=0, quandle=False, module=None) -> Cochain:
@@ -357,13 +296,14 @@ def _boundary(rack: Rack, n: int, ring, quandle: bool, right, max_basis: int) ->
     if n < 1:
         raise IndexOutOfRange("boundary defined for degree >= 1")
     src = tuple_basis(rack, n, quandle, max_basis)
-    tgt = tuple_basis(rack, n - 1, quandle, max_basis)
     s = rack.size
     conj = rack.right
     dim = len(right[0])
     char = ring.char
     row = None
+    nrows = s ** (n - 1)  # the rack target; the cap on the larger source covers it
     if quandle:
+        tgt = tuple_basis(rack, n - 1, quandle, max_basis)
         codes = {}
         for i, u in enumerate(tgt.tuples):
             c = 0
@@ -371,6 +311,7 @@ def _boundary(rack: Rack, n: int, ring, quandle: bool, right, max_basis: int) ->
                 c = c * s + x
             codes[c] = i
         row = codes.get
+        nrows = len(tgt)
     prefix = [0] * (n + 1)  # prefix[j] is the code of t[:j]
     # per position: sign (-1)^(j+1), plain offset, action, conjugating offset
     offsets = [None] * n
@@ -408,7 +349,7 @@ def _boundary(rack: Rack, n: int, ring, quandle: bool, right, max_basis: int) ->
                     r = r1 * dim + move[y]
                     col[r] = col.get(r, 0) - sign
             cols.append({r: w for r, v in col.items() if (w := v % char if char else v)})
-    return SparseMat(len(tgt) * dim, len(src) * dim, ring, cols)
+    return SparseMat(nrows * dim, len(src) * dim, ring, cols)
 
 
 def boundary_matrix(rack: Rack, n: int, ring=ZZ, quandle: bool = False,

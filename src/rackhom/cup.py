@@ -56,10 +56,11 @@ from .complexes import (
 from .errors import CoefficientMismatch, ContextMismatch, NotACocycle, NotAQuandle
 from .linalg import SparseMat, independent, kernel_basis, solve, solve_many
 from .racks import Rack
+from .records import Record
 from .words import WordAlgebra
 
 
-class CupContext:
+class CupContext(Record):
     """Shared data for cup-product computations over one rack, each built on
     first use and owned by the instance: the word algebra, the tuple bases,
     the face stencils of the closed formula, and the coboundary matrices of
@@ -72,8 +73,8 @@ class CupContext:
     argument; the cached data is not compared, nor is the algebra shown.
     """
 
-    __slots__ = ("rack", "ring", "quandle", "module_f", "module_g", "max_basis", "algebra",
-                 "_bases", "_stencils", "_coboundaries")
+    _fields = ("rack", "ring", "quandle", "module_f", "module_g", "max_basis", "algebra")
+    __slots__ = _fields + ("_bases", "_stencils", "_coboundaries")
 
     def __init__(self, rack: Rack, ring, quandle: bool = False,
                  module_f: LeftModule | None = None, module_g: LeftModule | None = None,
@@ -90,15 +91,6 @@ class CupContext:
         self._bases = {}
         self._stencils = {}
         self._coboundaries = {}
-
-    def _key(self):
-        return (self.rack, self.ring, self.quandle, self.module_f, self.module_g,
-                self.max_basis, self.algebra)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._key() == other._key()
 
     def __repr__(self):
         return (f"CupContext(rack={self.rack!r}, ring={self.ring!r}, quandle={self.quandle!r}, "
@@ -304,7 +296,7 @@ def is_coboundary(f: Cochain, rack: Rack) -> Cochain | None:
 # Cohomology ring structure
 
 
-class RingStructure:
+class RingStructure(Record):
     """Cocycle representatives per degree and cup-product coordinates.
 
     ``reps[p]`` are int vectors over the denominator ``dens[p]`` (1 over
@@ -313,8 +305,8 @@ class RingStructure:
     over Q; they are the unique solution modulo coboundaries.
     """
 
-    __slots__ = ("rack_label", "ring_name", "max_degree", "quandle", "dims", "reps", "dens",
-                 "products")
+    __slots__ = _fields = ("rack_label", "ring_name", "max_degree", "quandle", "dims", "reps",
+                           "dens", "products")
 
     def __init__(self, rack_label: str, ring_name: str, max_degree: int, quandle: bool,
                  dims: dict, reps: dict, dens: dict, products: dict):
@@ -326,21 +318,6 @@ class RingStructure:
         self.reps = reps
         self.dens = dens
         self.products = products
-
-    def _key(self):
-        return (self.rack_label, self.ring_name, self.max_degree, self.quandle, self.dims,
-                self.reps, self.dens, self.products)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._key() == other._key()
-
-    def __repr__(self):
-        return (f"RingStructure(rack_label={self.rack_label!r}, ring_name={self.ring_name!r}, "
-                f"max_degree={self.max_degree!r}, quandle={self.quandle!r}, "
-                f"dims={self.dims!r}, reps={self.reps!r}, dens={self.dens!r}, "
-                f"products={self.products!r})")
 
     def product(self, p, i, q, j):
         return self.products[(p, i, q, j)]

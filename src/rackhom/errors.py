@@ -2,8 +2,6 @@
 
 Validation errors carry a minimal witness (the first failing instance) as
 attributes, so callers and the CLI can report exactly what broke.
-``read_only`` is the ``AttributeError`` that an immutable record raises
-when a field is assigned or deleted.
 """
 
 from __future__ import annotations
@@ -95,12 +93,6 @@ class ContextMismatch(RackhomError):
 
 class InvalidSpec(RackhomError, ValueError):
     """A ring, field or suite selector names nothing valid."""
-
-
-def read_only(record, name, value=None):
-    """``__setattr__`` and ``__delattr__`` of the immutable records: their
-    constructors set fields through ``object.__setattr__``."""
-    raise AttributeError(f"{type(record).__name__} is immutable: cannot set or delete {name!r}")
 
 
 class ParseError(RackhomError):

@@ -33,7 +33,8 @@ from __future__ import annotations
 from heapq import heapify, heappop, heappush
 from math import gcd, lcm
 
-from .errors import NotAComplex, ResourceLimit, ShapeError, read_only
+from .errors import NotAComplex, ResourceLimit, ShapeError
+from .records import Frozen
 from .rings import ZZ
 
 
@@ -482,27 +483,13 @@ def independent(span, candidates, ring) -> list:
 # Smith normal form
 
 
-class SmithForm:
-    """Invariant factors d_1 | d_2 | ... | d_r of an integer matrix.
+class SmithForm(Frozen):
+    """Invariant factors d_1 | d_2 | ... | d_r of an integer matrix."""
 
-    Immutable; equality and hashing read the factors.
-    """
-
-    __setattr__ = __delattr__ = read_only
+    _fields = ("factors",)
 
     def __init__(self, factors: tuple[int, ...]):
         object.__setattr__(self, "factors", factors)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.factors == other.factors
-
-    def __hash__(self):
-        return hash(self.factors)
-
-    def __repr__(self):
-        return f"SmithForm(factors={self.factors!r})"
 
     @property
     def rank(self):
@@ -558,33 +545,15 @@ def _check_divisibility_chain(factors):
 # Homology assembly
 
 
-class HomologyGroup:
-    """betti + invariant-factor torsion of one homology degree.
+class HomologyGroup(Frozen):
+    """betti + invariant-factor torsion of one homology degree."""
 
-    Immutable; equality and hashing read every field.
-    """
-
-    __setattr__ = __delattr__ = read_only
+    _fields = ("degree", "betti", "torsion")
 
     def __init__(self, degree: int, betti: int, torsion: tuple[int, ...] = ()):
         object.__setattr__(self, "degree", degree)
         object.__setattr__(self, "betti", betti)
         object.__setattr__(self, "torsion", torsion)
-
-    def _key(self):
-        return self.degree, self.betti, self.torsion
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._key() == other._key()
-
-    def __hash__(self):
-        return hash(self._key())
-
-    def __repr__(self):
-        return (f"HomologyGroup(degree={self.degree!r}, betti={self.betti!r}, "
-                f"torsion={self.torsion!r})")
 
     def describe(self):
         parts = []

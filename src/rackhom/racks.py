@@ -23,39 +23,27 @@ from .errors import (
     R2Violation,
     ResourceLimit,
     ShapeError,
-    read_only,
 )
+from .records import Frozen
 
 # builtin tables are validated exhaustively, in O(n^3) (dihedral:500 takes
 # about 20 s), so larger builtin sizes are refused before a table is built
 MAX_BUILTIN_SIZE = 500
 
 
-class Rack:
+class Rack(Frozen):
     """A validated rack: ``table[x][y] == x <| y``.
 
-    Instances are immutable; construct through :func:`validate_rack` or
-    :func:`builtin` so the axioms are guaranteed to hold.  Equality and
-    hashing read ``(size, table, label)``.
+    Construct through :func:`validate_rack` or :func:`builtin` so the
+    axioms are guaranteed to hold.
     """
 
-    __setattr__ = __delattr__ = read_only
+    _fields = ("size", "table", "label")
 
     def __init__(self, size: int, table: tuple[tuple[int, ...], ...], label: str = "rack"):
         object.__setattr__(self, "size", size)
         object.__setattr__(self, "table", table)
         object.__setattr__(self, "label", label)
-
-    def _key(self):
-        return self.size, self.table, self.label
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._key() == other._key()
-
-    def __hash__(self):
-        return hash(self._key())
 
     def op(self, x, y):
         return self.table[x][y]
@@ -73,13 +61,10 @@ class Rack:
         return f"Rack({self.label}, size={self.size})"
 
 
-class XSet:
-    """A validated right action of a rack: ``act[y][x] == y * x``.
+class XSet(Frozen):
+    """A validated right action of a rack: ``act[y][x] == y * x``."""
 
-    Immutable; equality and hashing read every field.
-    """
-
-    __setattr__ = __delattr__ = read_only
+    _fields = ("size", "over", "act", "label")
 
     def __init__(self, size: int, over: Rack, act: tuple[tuple[int, ...], ...],
                  label: str = "xset"):
@@ -88,46 +73,19 @@ class XSet:
         object.__setattr__(self, "act", act)
         object.__setattr__(self, "label", label)
 
-    def _key(self):
-        return self.size, self.over, self.act, self.label
 
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._key() == other._key()
-
-    def __hash__(self):
-        return hash(self._key())
-
-    def __repr__(self):
-        return (f"XSet(size={self.size!r}, over={self.over!r}, act={self.act!r}, "
-                f"label={self.label!r})")
-
-
-class OrbitPartition:
+class OrbitPartition(Frozen):
     """Partition of a rack into orbits of ``x -> x <| y``.
 
     ``rep[x]`` is the minimal element of the orbit of ``x``; ``blocks`` lists
-    each orbit as a sorted tuple, ordered by representative.  Immutable;
-    equality and hashing read both fields.
+    each orbit as a sorted tuple, ordered by representative.
     """
 
-    __setattr__ = __delattr__ = read_only
+    _fields = ("rep", "blocks")
 
     def __init__(self, rep: tuple[int, ...], blocks: tuple[tuple[int, ...], ...]):
         object.__setattr__(self, "rep", rep)
         object.__setattr__(self, "blocks", blocks)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.rep, self.blocks) == (other.rep, other.blocks)
-
-    def __hash__(self):
-        return hash((self.rep, self.blocks))
-
-    def __repr__(self):
-        return f"OrbitPartition(rep={self.rep!r}, blocks={self.blocks!r})"
 
     def __len__(self):
         return len(self.blocks)

@@ -31,6 +31,7 @@ from .cup import CupContext, cup, cup_via_coproduct, homotopy_cochain, ring_stru
 from .errors import InvalidSpec, R1Violation, R2Violation, RackhomError
 from .linalg import ChainComplex, kernel_basis
 from .racks import builtin, orbits, validate_rack, xset_self, xset_singleton
+from .records import Record
 from .rings import QQ, ZZ
 from .words import BMonomial, WordAlgebra, _acc
 
@@ -44,11 +45,11 @@ BUILTIN_SPECS = (
 SMALL_WORD_RACKS = ("trivial:3", "dihedral:3", "cyclic:3")
 
 
-class SuiteResult:
+class SuiteResult(Record):
     """One suite's outcome: its name, whether it passed, how many checks ran,
     the first failing witness, and notes."""
 
-    __slots__ = ("name", "passed", "checks", "witness", "notes")
+    __slots__ = _fields = ("name", "passed", "checks", "witness", "notes")
 
     def __init__(self, name: str, passed: bool, checks: int, witness: str | None = None,
                  notes: list[str] | None = None):
@@ -61,15 +62,6 @@ class SuiteResult:
     def as_dict(self):
         return {"name": self.name, "passed": self.passed, "checks": self.checks,
                 "witness": self.witness, "notes": list(self.notes)}
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.as_dict() == other.as_dict()
-
-    def __repr__(self):
-        return (f"SuiteResult(name={self.name!r}, passed={self.passed!r}, "
-                f"checks={self.checks!r}, witness={self.witness!r}, notes={self.notes!r})")
 
 
 ALL_SUITES = {}

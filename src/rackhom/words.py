@@ -42,7 +42,7 @@ floating point.
 from __future__ import annotations
 
 import functools
-from typing import NamedTuple
+from collections import namedtuple
 
 from .complexes import coproduct_terms, face, face_set, no_adjacent_equal
 from .errors import (
@@ -54,11 +54,11 @@ from .errors import (
 from .racks import Rack, inverse_op
 
 
-class BMonomial(NamedTuple):
-    """A canonical-form monomial: group-like prefix, then e-letters."""
+class BMonomial(namedtuple("BMonomial", "a e")):
+    """A canonical-form monomial: group-like prefix ``a``, then e-letters
+    ``e``, each a tuple of rack elements."""
 
-    a: tuple[int, ...]
-    e: tuple[int, ...]
+    __slots__ = ()
 
     @property
     def degree(self):
@@ -67,7 +67,7 @@ class BMonomial(NamedTuple):
 
 EMPTY = BMonomial((), ())
 
-# BMonomial from one (a, e) pair, without the frame of the NamedTuple __new__
+# BMonomial from one (a, e) pair, without the frame of the namedtuple __new__
 _mono = functools.partial(tuple.__new__, BMonomial)
 
 

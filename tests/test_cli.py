@@ -226,8 +226,9 @@ def test_closed_stdout_ends_quietly():
 
 def test_startup_imports_no_generated_code():
     # dataclasses pulls in inspect, ast and dis, and each record body execs
-    # generated source; fractions is needed only by a Q report.  -S keeps
-    # the imports of site-packages .pth files out of the baseline.
+    # generated source; fractions is needed only by a Q report; typing and
+    # pathlib (with urllib.parse and ipaddress) are needed by nothing.  -S
+    # keeps the imports of site-packages .pth files out of the baseline.
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
@@ -239,7 +240,7 @@ def test_startup_imports_no_generated_code():
                           env=env, timeout=60, check=True)
     new = set(proc.stdout.split())
     assert "rackhom.cli" in new
-    assert not new & {"dataclasses", "inspect", "fractions"}
+    assert not new & {"dataclasses", "inspect", "fractions", "typing", "pathlib"}
 
 
 def test_exit_code_validation(capsys):
@@ -514,12 +515,12 @@ def test_rack_file_read_once(capsys, tmp_path, monkeypatch):
     path = tmp_path / "bad"
     path.write_bytes(b"rack 3\r\n0 2 1\r\n\xc3\n")
     reads = []
-    read_bytes = Path.read_bytes
-    monkeypatch.setattr(Path, "read_bytes", lambda self: reads.append(self) or read_bytes(self))
+    read = cli._read
+    monkeypatch.setattr(cli, "_read", lambda p: reads.append(p) or read(p))
     code, out, err = run(capsys, "ring", "--rack", str(path), "--ring", "Q")
     assert (code, out) == (EXIT_FAIL, "")
     assert err == "rackhom: error: not UTF-8 text (invalid continuation byte)\n"
-    assert reads == [path]
+    assert reads == [str(path)]
 
 
 def test_file_input_sha_differs_from_builtin(capsys, tmp_path):

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rackhom import complexes
 from rackhom.complexes import (
     Cochain,
     basis_cochain,
@@ -244,6 +245,19 @@ def test_boundary_memory_follows_the_basis():
     finally:
         tracemalloc.stop()
     assert peak < 2_500_000
+
+
+def test_rack_boundary_builds_only_its_source_basis(monkeypatch):
+    # the rack variant's rows are the codes themselves; only the quandle
+    # variant reads the target basis (the row of each non-degenerate code)
+    calls = []
+    basis = complexes.tuple_basis
+    monkeypatch.setattr(complexes, "tuple_basis", lambda *a: calls.append(a[1]) or basis(*a))
+    mat = boundary_matrix(R3, 3, ZZ)
+    assert calls == [3]
+    assert (mat.nrows, mat.ncols) == (9, 27)
+    boundary_matrix(R3, 3, ZZ, quandle=True)
+    assert calls == [3, 3, 2]
 
 
 def test_boundary_matrix_example():
