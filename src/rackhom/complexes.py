@@ -432,13 +432,13 @@ def project_to_chain(u: BElement, ring=ZZ, xset: XSet | None = None,
     if not 0 <= y < ydim:
         raise IndexOutOfRange(f"starting point {y} outside 0..{ydim - 1}")
     values = [0] * (len(basis) * ydim)
-    for m, c in u.terms.items():
-        idx = basis.index.get(m.e)
+    for (prefix, e), c in u.terms.items():
+        idx = basis.index.get(e)
         if idx is None:
             continue  # degenerate tuple in the quandle variant
         yy = y
         if xset is not None:
-            for a in m.a:
+            for a in prefix:
                 yy = xset.act[yy][a]
         values[idx * ydim + yy] += c
     if ring.char:

@@ -234,13 +234,13 @@ def _pair_cochain(f, g, ctx, n, structure_map, sign):
     values = []
     for t in ctx.basis(n).tuples:
         out = [0] * (mf * mg)
-        for (l, r), c in structure_map(ctx.algebra.eword(t)).terms.items():
-            if len(l.e) != p or len(r.e) != q:
+        for ((fa, fe), (ga, ge)), c in structure_map(ctx.algebra.eword(t)).terms.items():
+            if len(fe) != p or len(ge) != q:
                 continue
-            fv = _value(fvals, f_index, l.e, l.a, f.module, mf)
+            fv = _value(fvals, f_index, fe, fa, f.module, mf)
             if fv is None:
                 continue
-            gv = _value(gvals, g_index, r.e, r.a, g.module, mg)
+            gv = _value(gvals, g_index, ge, ga, g.module, mg)
             if gv is None:
                 continue
             coeff = -c if negative else c

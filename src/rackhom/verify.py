@@ -33,7 +33,7 @@ from .linalg import ChainComplex, kernel_basis
 from .racks import builtin, orbits, validate_rack, xset_self, xset_singleton
 from .records import Record
 from .rings import QQ, ZZ
-from .words import BMonomial, WordAlgebra, _acc
+from .words import WordAlgebra, _acc
 
 BUILTIN_SPECS = (
     "trivial:1", "trivial:2", "trivial:3", "trivial:4",
@@ -296,7 +296,7 @@ def suite_faces():
         size = rack.size
         for n in range(2, 6):
             for t in itertools.product(range(size), repeat=n):
-                m = BMonomial((), t)
+                m = ((), t)
                 first = {(k, eps): W.face_monomial(m, k, eps)
                          for k in range(1, n + 1) for eps in (0, 1)}
                 for j in range(2, n + 1):
@@ -311,7 +311,7 @@ def suite_faces():
                                 )
         # order-independence of composite faces over subsets of 1..4
         for t in itertools.product(range(size), repeat=4):
-            m = BMonomial((), t)
+            m = ((), t)
             for bits in range(1 << 4):
                 idx = [i + 1 for i in range(4) if bits >> i & 1]
                 for eps in (0, 1):

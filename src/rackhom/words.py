@@ -31,18 +31,20 @@ Sign orientation: with these generators the homotopy identity reads
 single letter, (dh + hd)(e[x]) = d(e[x] (x) e[x]) = (1-x) (x) e[x] -
 e[x] (x) (1-x), which expands to (Delta - tau Delta)(e[x]).
 
-Group letters conjugate e-letters through ``Rack.right``; ``d`` keeps its
-own faces, independent of ``complexes.face`` (see that module).  Elements
-of B and of B (x) B share one arithmetic base class.
+A monomial is a plain pair ``(a, e)`` of tuples of rack elements: the
+canonical a-word, then the e-word.  The ``terms`` of an element of B map
+such pairs to coefficients; those of B (x) B map pairs of them.  Group
+letters conjugate e-letters through ``Rack.right``; ``d`` keeps its own
+faces, independent of ``complexes.face`` (see that module).  Elements of B
+and of B (x) B share one arithmetic base class.
 
 Coefficients are exact (int by default, Fraction accepted); there is no
-floating point.
+floating point, and an element combines only with its own kind.
 """
 
 from __future__ import annotations
 
-import functools
-from collections import namedtuple
+import sys
 
 from .complexes import coproduct_terms, face, face_set, no_adjacent_equal
 from .errors import (
@@ -54,21 +56,7 @@ from .errors import (
 from .racks import Rack, inverse_op
 
 
-class BMonomial(namedtuple("BMonomial", "a e")):
-    """A canonical-form monomial: group-like prefix ``a``, then e-letters
-    ``e``, each a tuple of rack elements."""
-
-    __slots__ = ()
-
-    @property
-    def degree(self):
-        return len(self.e)
-
-
-EMPTY = BMonomial((), ())
-
-# BMonomial from one (a, e) pair, without the frame of the namedtuple __new__
-_mono = functools.partial(tuple.__new__, BMonomial)
+EMPTY = ((), ())  # the unit monomial
 
 
 def _acc(acc, key, c):
@@ -83,19 +71,20 @@ def _flip_raw(t):
     """The signed flip on a raw {(left, right): coeff} dict."""
     out = {}
     for (l, r), c in t.items():
-        if len(l.e) & 1 and len(r.e) & 1:
+        if len(l[1]) & 1 and len(r[1]) & 1:
             c = -c
         _acc(out, (r, l), c)
     return out
 
 
-def _factors(key):
-    # a term of B is keyed by one monomial, a term of B (x) B by a pair
-    return (key,) if isinstance(key, BMonomial) else key
+def _sort_key(term):
+    return [(len(e), e, len(a), a) for a, e in term[0]]
 
 
-def _sort_key(key):
-    return [(len(m.e), m.e, len(m.a), m.a) for m in _factors(key)]
+def _scalar(c):
+    # int or Fraction; a Fraction exists only once fractions is imported
+    return isinstance(c, int) or "fractions" in sys.modules and isinstance(
+        c, sys.modules["fractions"].Fraction)
 
 
 class _Element:
@@ -108,27 +97,38 @@ class _Element:
         self.algebra = algebra
         self.terms = {k: c for k, c in terms.items() if c}
 
+    @classmethod
+    def _of(cls, algebra, terms):
+        # ``terms`` as given, unfiltered: accumulation never leaves a zero
+        u = object.__new__(cls)
+        u.algebra, u.terms = algebra, terms
+        return u
+
     def _check(self, other):
         if self.algebra.rack != other.algebra.rack:
             raise RackMismatch("elements over different racks")
 
     def __add__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
         self._check(other)
         out = dict(self.terms)
         for k, c in other.terms.items():
             _acc(out, k, c)
-        return type(self)(self.algebra, out)
+        return self._of(self.algebra, out)
 
     def __sub__(self, other):
         return self + (-other)
 
     def __neg__(self):
-        return type(self)(self.algebra, {k: -c for k, c in self.terms.items()})
+        return self._of(self.algebra, {k: -c for k, c in self.terms.items()})
 
     def __mul__(self, other):
-        if isinstance(other, type(self)):
+        if type(other) is type(self):
             self._check(other)
             return self._product(other)
+        if not _scalar(other):
+            return NotImplemented
         return type(self)(self.algebra, {k: c * other for k, c in self.terms.items()})
 
     __rmul__ = __mul__
@@ -156,7 +156,7 @@ class BElement(_Element):
         return hash(frozenset(self.terms.items()))
 
     def degrees(self):
-        return sorted({len(m.e) for m in self.terms})
+        return sorted({len(e) for _, e in self.terms})
 
 
 class TensorElement(_Element):
@@ -185,7 +185,7 @@ class WordAlgebra:
         self.orbit_cap = orbit_cap
         self._inv = inverse_op(rack)
         self._canon: dict[tuple, tuple] = {}
-        self._d_memo: dict[BMonomial, dict] = {}
+        self._d_memo: dict[tuple, dict] = {}
         self._delta_memo: dict[tuple, dict] = {}
         self._h_memo: dict[tuple, dict] = {}
 
@@ -233,10 +233,10 @@ class WordAlgebra:
             raise IndexOutOfRange(f"letter outside 0..{self.rack.size - 1} in {word}")
         return word
 
-    def monomial(self, a_word=(), e_word=()) -> BMonomial:
+    def monomial(self, a_word=(), e_word=()) -> tuple:
         a_word, e_word = tuple(a_word), tuple(e_word)
         self._in_range(a_word + e_word)
-        return BMonomial(self.canonical_a_word(a_word), e_word)
+        return self.canonical_a_word(a_word), e_word
 
     def canonicalize(self, letters):
         """Canonicalize a mixed word of ("g", x) / ("e", x) letters.
@@ -248,7 +248,7 @@ class WordAlgebra:
         >>> from rackhom.racks import dihedral_rack
         >>> W = WordAlgebra(dihedral_rack(3))
         >>> W.canonicalize([("g", 0), ("e", 1), ("g", 2), ("e", 0)])
-        (1, BMonomial(a=(0, 2), e=(0, 0)))
+        (1, ((0, 2), (0, 0)))
         """
         op = self.rack.table
         a_word = []
@@ -263,14 +263,14 @@ class WordAlgebra:
                 e_word.append(x)
             else:
                 raise ValueError(f"unknown letter kind {kind!r}")
-        return 1, BMonomial(self.canonical_a_word(tuple(a_word)), tuple(e_word))
+        return 1, (self.canonical_a_word(tuple(a_word)), tuple(e_word))
 
-    def mon_mul(self, m1: BMonomial, m2: BMonomial) -> BMonomial:
+    def mon_mul(self, m1: tuple, m2: tuple) -> tuple:
         """Product of canonical monomials (again a single monomial)."""
         a1, e1 = m1
         a2, e2 = m2
         if not a2:  # a1 is canonical already
-            return _mono((a1, e1 + e2))
+            return a1, e1 + e2
         if e1:
             right = self.rack.right
             for y in a2:
@@ -278,7 +278,7 @@ class WordAlgebra:
         elif not a1:
             return m2
         a = a1 + a2  # not empty, so a memo hit is truthy
-        return _mono((self._canon.get(a) or self.canonical_a_word(a), e1 + e2))
+        return self._canon.get(a) or self.canonical_a_word(a), e1 + e2
 
     # -- element constructors ------------------------------------------------
 
@@ -290,19 +290,19 @@ class WordAlgebra:
 
     def gen(self, x):
         """The group-like generator of a rack element."""
-        return BElement(self, {BMonomial((x,), ()): 1})
+        return BElement(self, {((x,), ()): 1})
 
     def gen_e(self, x):
-        return BElement(self, {BMonomial((), (x,)): 1})
+        return BElement(self, {((), (x,)): 1})
 
     def element(self, terms):
         out = {}
         for m, c in terms.items():
-            _acc(out, self.monomial(m.a, m.e) if isinstance(m, BMonomial) else self.monomial(*m), c)
+            _acc(out, self.monomial(*m), c)
         return BElement(self, out)
 
     def eword(self, e_word):
-        return BElement(self, {BMonomial((), self._in_range(tuple(e_word))): 1})
+        return BElement._of(self, {((), self._in_range(tuple(e_word))): 1})
 
     def tensor(self, terms):
         return TensorElement(self, dict(terms))
@@ -312,10 +312,15 @@ class WordAlgebra:
     def multiply(self, u: BElement, v: BElement) -> BElement:
         u._check(v)
         out = {}
+        get = out.get
+        mon_mul = self.mon_mul
         for m1, c1 in u.terms.items():
             for m2, c2 in v.terms.items():
-                _acc(out, self.mon_mul(m1, m2), c1 * c2)
-        return BElement(self, out)
+                k = mon_mul(m1, m2)
+                out[k] = c = get(k, 0) + c1 * c2
+                if not c:
+                    del out[k]
+        return BElement._of(self, out)
 
     def _d_mono(self, m):
         # d of one monomial as {monomial: coeff}, from the table; read only
@@ -328,19 +333,23 @@ class WordAlgebra:
         right = self.rack.right
         for i, x in enumerate(e):
             s = 1 if i % 2 == 0 else -1
-            _acc(t, _mono((a, e[:i] + e[i + 1 :])), s)
+            _acc(t, (a, e[:i] + e[i + 1 :]), s)
             conj = tuple(map(right[x].__getitem__, e[:i]))
-            _acc(t, _mono((self.canonical_a_word(a + (x,)), conj + e[i + 1 :])), -s)
+            _acc(t, (self.canonical_a_word(a + (x,)), conj + e[i + 1 :]), -s)
         memo[m] = t
         return t
 
     def d(self, u: BElement) -> BElement:
         """Degree -1 super-derivation: d(e[x]) = 1 - x on each e-letter."""
         out = {}
+        get = out.get
+        d_mono = self._d_mono
         for m, c in u.terms.items():
-            for k, v in self._d_mono(m).items():
-                _acc(out, k, c * v)
-        return BElement(self, out)
+            for k, dc in d_mono(m).items():
+                out[k] = v = get(k, 0) + c * dc
+                if not v:
+                    del out[k]
+        return BElement._of(self, out)
 
     def _delta_eword(self, e):
         memo = self._delta_memo
@@ -351,63 +360,73 @@ class WordAlgebra:
             t = {(EMPTY, EMPTY): 1}
         else:
             x = e[-1]
-            gen = {
-                (BMonomial((), (x,)), BMonomial((x,), ())): 1,
-                (EMPTY, BMonomial((), (x,))): 1,
-            }
+            gen = {(((), (x,)), ((x,), ())): 1, (EMPTY, ((), (x,))): 1}
             t = self._tensor_mul_raw(self._delta_eword(e[:-1]), gen)
         memo[e] = t
         return t
 
     def _apply_prefix(self, a_word, tensor_terms, coeff, out):
-        # diagonal action of a group-like prefix: a.(u (x) v) = au (x) av
-        if a_word:
-            pref = BMonomial(a_word, ())
-            for (l, r), tc in tensor_terms.items():
-                _acc(out, (self.mon_mul(pref, l), self.mon_mul(pref, r)), coeff * tc)
-        else:
-            for k, tc in tensor_terms.items():
-                _acc(out, k, coeff * tc)
+        # diagonal action of a group-like prefix: a.(u (x) v) = au (x) av,
+        # where a.(b, e) is (canonical ab, e), and (a, e) when b is empty
+        get = out.get
+        canon, canonical = self._canon, self.canonical_a_word
+        for k, tc in tensor_terms.items():
+            if a_word:
+                (la, le), (ra, re) = k
+                la = canon.get(a_word + la) or canonical(a_word + la) if la else a_word
+                ra = canon.get(a_word + ra) or canonical(a_word + ra) if ra else a_word
+                k = ((la, le), (ra, re))
+            out[k] = c = get(k, 0) + coeff * tc
+            if not c:
+                del out[k]
 
     def coproduct(self, u: BElement) -> TensorElement:
         out = {}
-        for m, c in u.terms.items():
-            self._apply_prefix(m.a, self._delta_eword(m.e), c, out)
-        return TensorElement(self, out)
+        for (a, e), c in u.terms.items():
+            self._apply_prefix(a, self._delta_eword(e), c, out)
+        return TensorElement._of(self, out)
 
     def _tensor_mul_raw(self, t1, t2):
         out = {}
+        get = out.get
         mon_mul = self.mon_mul
         for (l1, r1), c1 in t1.items():
-            db = len(r1.e)
+            odd = len(r1[1]) & 1
             for (l2, r2), c2 in t2.items():
-                c = c1 * c2
-                if db & 1 and len(l2.e) & 1:
-                    c = -c
-                _acc(out, (mon_mul(l1, l2), mon_mul(r1, r2)), c)
+                k = (mon_mul(l1, l2), mon_mul(r1, r2))
+                out[k] = c = get(k, 0) + (-c1 * c2 if odd and len(l2[1]) & 1 else c1 * c2)
+                if not c:
+                    del out[k]
         return out
 
     def tensor_multiply(self, t1: TensorElement, t2: TensorElement) -> TensorElement:
-        return TensorElement(self, self._tensor_mul_raw(t1.terms, t2.terms))
+        return TensorElement._of(self, self._tensor_mul_raw(t1.terms, t2.terms))
 
     def tensor_flip(self, t: TensorElement) -> TensorElement:
-        return TensorElement(self, _flip_raw(t.terms))
+        return TensorElement._of(self, _flip_raw(t.terms))
 
     def tensor_d(self, t: TensorElement) -> TensorElement:
         """d (x) 1 + 1 (x) d with the Koszul sign on the second summand."""
         out = {}
+        get = out.get
         d_mono = self._d_mono
         for (l, r), c in t.terms.items():
             for lm, lc in d_mono(l).items():
-                _acc(out, (lm, r), c * lc)
-            s = -c if len(l.e) & 1 else c
+                k = (lm, r)
+                out[k] = v = get(k, 0) + c * lc
+                if not v:
+                    del out[k]
+            s = -c if len(l[1]) & 1 else c
             for rm, rc in d_mono(r).items():
-                _acc(out, (l, rm), s * rc)
-        return TensorElement(self, out)
+                k = (l, rm)
+                out[k] = v = get(k, 0) + s * rc
+                if not v:
+                    del out[k]
+        return TensorElement._of(self, out)
 
     # -- closed coproduct formula ---------------------------------------------
 
-    def face_monomial(self, m: BMonomial, i: int, eps: int) -> BMonomial:
+    def face_monomial(self, m: tuple, i: int, eps: int) -> tuple:
         """Face map on e-positions, promoted to canonical monomials.
 
         ``eps=0`` deletes e-position ``i`` (1-based); ``eps=1`` deletes it,
@@ -417,18 +436,18 @@ class WordAlgebra:
         a, e = m
         x, e = face(e, i, eps, self.rack)
         if x is None:
-            return _mono((a, e))
-        return _mono((self.canonical_a_word(a + (x,)), e))
+            return a, e
+        return self.canonical_a_word(a + (x,)), e
 
-    def face_set(self, m: BMonomial, indices, eps: int) -> BMonomial:
+    def face_set(self, m: tuple, indices, eps: int) -> tuple:
         """Composite face over an index set, largest index first.
 
         The value does not depend on the application order (the face maps
         satisfy the cube-set exchange identities); largest-first keeps the
         original indices valid.
         """
-        prefix, e = face_set(m.e, indices, eps, self.rack)
-        return _mono((self.canonical_a_word(m.a + prefix), e))
+        prefix, e = face_set(m[1], indices, eps, self.rack)
+        return self.canonical_a_word(m[0] + prefix), e
 
     def coproduct_formula(self, e: tuple[int, ...]) -> TensorElement:
         """Closed form of the coproduct of the pure e-word ``e``.
@@ -441,8 +460,8 @@ class WordAlgebra:
         canon = self.canonical_a_word
         for q in range(len(e) + 1):
             for left, prefix, right, eps in coproduct_terms(e, q, self.rack):
-                _acc(out, (_mono(((), left)), _mono((canon(prefix), right))), eps)
-        return TensorElement(self, out)
+                _acc(out, (((), left), (canon(prefix), right)), eps)
+        return TensorElement._of(self, out)
 
     # -- homotopy ---------------------------------------------------------------
 
@@ -454,8 +473,7 @@ class WordAlgebra:
         if not e:
             t = {}
         elif len(e) == 1:
-            m = BMonomial((), e)
-            t = {(m, m): 1}
+            t = {(((), e), ((), e)): 1}
         else:
             head, rest = e[:1], e[1:]
             first = self._tensor_mul_raw(self._h_eword(head), self._delta_eword(rest))
@@ -471,9 +489,9 @@ class WordAlgebra:
         h(ab) = h(a) Delta(b) + (-1)^{|a|} (tau Delta)(a) h(b) and by the
         diagonal action on group-like prefixes."""
         out = {}
-        for m, c in u.terms.items():
-            self._apply_prefix(m.a, self._h_eword(m.e), c, out)
-        return TensorElement(self, out)
+        for (a, e), c in u.terms.items():
+            self._apply_prefix(a, self._h_eword(e), c, out)
+        return TensorElement._of(self, out)
 
     def homotopy_defect(self, u: BElement) -> TensorElement:
         """(d o h + h o d - coproduct + flipped coproduct)(u); zero on all of B."""
@@ -492,31 +510,33 @@ class WordAlgebra:
         """
         if not self.rack.is_quandle():
             raise NotAQuandle(f"{self.rack.label} is not a quandle")
-        return BElement(self, {m: c for m, c in u.terms.items() if no_adjacent_equal(m.e)})
+        return BElement._of(self, {m: c for m, c in u.terms.items() if no_adjacent_equal(m[1])})
 
     def quandle_project_tensor(self, t: TensorElement) -> TensorElement:
         if not self.rack.is_quandle():
             raise NotAQuandle(f"{self.rack.label} is not a quandle")
-        return TensorElement(self, {(l, r): c for (l, r), c in t.terms.items()
-                                    if no_adjacent_equal(l.e) and no_adjacent_equal(r.e)})
+        return TensorElement._of(self, {(l, r): c for (l, r), c in t.terms.items()
+                                        if no_adjacent_equal(l[1]) and no_adjacent_equal(r[1])})
 
     # -- rendering ----------------------------------------------------------------
 
     @staticmethod
-    def format_monomial(m: BMonomial) -> str:
-        if not m.a and not m.e:
+    def format_monomial(m: tuple) -> str:
+        a, e = m
+        if not a and not e:
             return "1"
-        bits = [str(x) for x in m.a] + [f"e[{x}]" for x in m.e]
-        return " ".join(bits)
+        return " ".join([str(x) for x in a] + [f"e[{x}]" for x in e])
 
     def format_element(self, u) -> str:
         """An element of B or of B (x) B as text, its terms in degree order;
         the factors of a term of B (x) B are joined by ``(x)``."""
         if not u.terms:
             return "0"
+        terms = u.terms.items()
+        if isinstance(u, BElement):  # a term of B is keyed by one monomial
+            terms = [((m,), c) for m, c in terms]
         bits = []
-        for key in sorted(u.terms, key=_sort_key):
-            c = u.terms[key]
-            mono = " (x) ".join(map(self.format_monomial, _factors(key)))
+        for key, c in sorted(terms, key=_sort_key):
+            mono = " (x) ".join(map(self.format_monomial, key))
             bits += ["-" if c < 0 else "+", mono if abs(c) == 1 else f"{abs(c)}*{mono}"]
         return ("-" if bits[0] == "-" else "") + " ".join(bits[1:])

@@ -457,12 +457,12 @@ def test_cochain_differential_is_signed_precomposition_with_d():
                 df = cochain_differential(f, rack).values
                 for row, terms in enumerate(d_of):
                     expect = [0] * mdim
-                    for m, c in terms.items():
-                        idx = src.index.get(m.e)
+                    for (a, e), c in terms.items():
+                        idx = src.index.get(e)
                         if idx is None:
                             continue
                         for i in range(mdim):
-                            k = module.act_word_index(m.a, i) if module else i
+                            k = module.act_word_index(a, i) if module else i
                             expect[k] += sign * c * f.values[idx * mdim + i]
                     checks += 1
                     assert df[row * mdim : (row + 1) * mdim] == expect, (p, quandle, t, j, row)

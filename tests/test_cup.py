@@ -814,17 +814,18 @@ def _fraction_homotopy(f, g, rack):
 
     def value(h, basis, dim, monomial):
         # h on prefix . e_tuple: the prefix moves the module index
+        a, e = monomial
         vec = [Fraction(0)] * dim
         for i in range(dim):
-            k = h.module.act_word_index(monomial.a, i) if h.module else i
-            vec[k] = Fraction(h.values[basis.index[monomial.e] * dim + i], h.den)
+            k = h.module.act_word_index(a, i) if h.module else i
+            vec[k] = Fraction(h.values[basis.index[e] * dim + i], h.den)
         return vec
 
     out = []
     for t in tuple_basis(rack, p + q - 1, f.quandle).tuples:
         vec = [Fraction(0)] * (mf * mg)
         for (l, r), c in W.h(W.eword(t)).terms.items():
-            if l.e in fb.index and r.e in gb.index:
+            if l[1] in fb.index and r[1] in gb.index:
                 fv, gv = value(f, fb, mf, l), value(g, gb, mg, r)
                 for a in range(mf):
                     for b in range(mg):

@@ -1,4 +1,5 @@
 import itertools
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -6,7 +7,7 @@ from hypothesis import strategies as st
 
 from rackhom.errors import IndexOutOfRange, NotAQuandle, OrbitLimitExceeded, RackMismatch
 from rackhom.racks import builtin, cyclic_rack, dihedral_rack, trivial_rack
-from rackhom.words import EMPTY, BMonomial, WordAlgebra
+from rackhom.words import EMPTY, TensorElement, WordAlgebra
 from rackhom.verify import coassociativity_defect
 
 R3 = dihedral_rack(3)
@@ -36,7 +37,7 @@ def test_group_letter_passes_e_letter():
 
 def test_pure_e_word_unchanged():
     _, m = W3.canonicalize([("e", 0), ("e", 1)])
-    assert m == BMonomial((), (0, 1))
+    assert m == ((), (0, 1))
 
 
 def test_a_word_orbit_equivalence():
@@ -118,7 +119,7 @@ def test_tensor_rack_mismatch():
     lambda W: W.monomial((3,), ()),
     lambda W: W.monomial((), (0, -1)),
     lambda W: W.element({((0,), (3,)): 1}),
-    lambda W: W.element({BMonomial((-2,), ()): 1}),
+    lambda W: W.element({((-2,), ()): 1}),
 ], ids=["eword-negative", "eword-past-end", "monomial-prefix", "monomial-eword",
         "element-pair", "element-monomial"])
 def test_letters_outside_the_rack_are_refused(make):
@@ -167,7 +168,8 @@ WORD_RACKS = {spec: WordAlgebra(builtin(spec)) for spec in ("dihedral:3", "cycli
 
 
 def letters(m):
-    return [("g", x) for x in m.a] + [("e", x) for x in m.e]
+    a, e = m
+    return [("g", x) for x in a] + [("e", x) for x in e]
 
 
 def d_reference(W, terms):
@@ -176,7 +178,7 @@ def d_reference(W, terms):
     out = {}
     for m, c in terms.items():
         word = letters(m)
-        for i, k in enumerate(range(len(m.a), len(word))):
+        for i, k in enumerate(range(len(m[0]), len(word))):
             s = -c if i % 2 else c
             for mid, sign in (([], s), ([("g", word[k][1])], -s)):
                 _, key = W.canonicalize(word[:k] + mid + word[k + 1 :])
@@ -206,7 +208,7 @@ def test_d_and_tensor_d_match_per_letter_reference(spec, terms, pairs):
     for (l, r), c in t.terms.items():
         for lm, lc in d_reference(W, {l: 1}).items():
             expect[(lm, r)] = expect.get((lm, r), 0) + c * lc
-        s = -c if len(l.e) % 2 else c
+        s = -c if len(l[1]) % 2 else c
         for rm, rc in d_reference(W, {r: 1}).items():
             expect[(l, rm)] = expect.get((l, rm), 0) + s * rc
     assert W.tensor_d(t) == W.tensor({k: v for k, v in expect.items() if v})
@@ -242,7 +244,7 @@ def test_mon_mul_fast_paths_match_canonicalize():
 def test_group_likes():
     for x in range(3):
         g = W3.gen(x)
-        assert W3.coproduct(g) == W3.tensor({(BMonomial((x,), ()), BMonomial((x,), ())): 1})
+        assert W3.coproduct(g) == W3.tensor({(((x,), ()), ((x,), ())): 1})
     assert W3.coproduct(W3.one()) == W3.tensor({(EMPTY, EMPTY): 1})
 
 
@@ -428,6 +430,106 @@ def test_projection_commutes_with_d_and_h():
         pu = W6.quandle_project(u)
         assert W6.quandle_project(W6.d(u)) == W6.quandle_project(W6.d(pu))
         assert W6.quandle_project_tensor(W6.h(u)) == W6.quandle_project_tensor(W6.h(pu))
+
+
+# --- element arithmetic ------------------------------------------------------------
+
+
+def test_elements_of_b_and_of_b_tensor_b_do_not_combine():
+    u, t = W3.gen_e(0), W3.coproduct(W3.gen_e(0))
+    for left, right in ((u, t), (t, u)):
+        with pytest.raises(TypeError):
+            left * right
+        with pytest.raises(TypeError):
+            left + right
+        with pytest.raises(TypeError):
+            left - right
+
+
+@pytest.mark.parametrize("scalar", [1.5, "x", None, 1j], ids=["float", "str", "none", "complex"])
+def test_scalars_are_ints_or_fractions(scalar):
+    for x in (W3.gen_e(0) - W3.gen(1), W3.h(W3.eword((0, 1)))):
+        with pytest.raises(TypeError):
+            x * scalar
+        with pytest.raises(TypeError):
+            scalar * x
+    u = W3.gen_e(0)
+    assert (u * Fraction(1, 2)).terms == {((), (0,)): Fraction(1, 2)}
+    assert Fraction(1, 2) * u == u * Fraction(1, 2)
+    assert (u * 3).terms == (3 * u).terms == {((), (0,)): 3}
+
+
+def assert_plain_terms(W, x):
+    """No zero coefficient, and every key a canonical plain-tuple monomial
+    (an element of B) or a plain pair of them (an element of B (x) B)."""
+    assert all(x.terms.values()), x.terms
+    for key in x.terms:
+        assert type(key) is tuple and len(key) == 2
+        for a, e in key if isinstance(x, TensorElement) else (key,):
+            assert type(a) is tuple and type(e) is tuple
+            assert all(type(letter) is int for letter in a + e)
+            assert W.canonical_a_word(a) == a
+
+
+def test_results_hold_no_zero_and_plain_keys():
+    for W in WORD_RACKS.values():
+        monos = [W.monomial(a, e) for a in ((), (0,), (1, 2)) for e in ((), (0,), (1, 2), (2, 0, 1))]
+        elements = [W.element({m: 1}) for m in monos]
+        elements += [W.element({m1: 1, m2: -2}) for m1, m2 in zip(monos, monos[1:] + monos[:1])]
+        for u in elements:
+            tensors = [W.coproduct(u), W.h(u), W.tensor_flip(W.h(u))]
+            results = [W.d(u), u + u, u - u, -u, 0 * u, u * 0, 2 * u]
+            results += [W.multiply(u, v) for v in elements[::5]]
+            results += tensors + [W.tensor_d(t) for t in tensors]
+            results += [W.tensor_multiply(t, W.coproduct(v)) for t in tensors for v in elements[::7]]
+            results += [tensors[0] - tensors[0], 0 * tensors[1], tensors[1] * 0]
+            for x in results:
+                assert_plain_terms(W, x)
+
+
+def test_cancelling_results_are_empty():
+    ex, e0 = W3.gen_e(0), W3.monomial((), (0,))
+    assert not (ex - ex).terms and not (0 * ex).terms and not (ex * 0).terms
+    assert not W3.d(W3.d(W3.eword((0, 1, 2)))).terms
+    assert not W3.tensor_d(W3.tensor_d(W3.coproduct(W3.eword((1, 2, 0))))).terms
+    assert not W3.homotopy_defect(W3.element({((1,), (0, 2)): 1})).terms
+    # -e[1] (x) 1 e[0 <| 1] of Delta(e[0] e[1]) cancels against Delta(e[1] e[2]),
+    # with and without a prefix
+    for a in ((), (1,)):
+        parts = [W3.element({(a, e): 1}) for e in ((0, 1), (1, 2))]
+        delta = W3.coproduct(parts[0] + parts[1])
+        assert len(delta.terms) == sum(len(W3.coproduct(p).terms) for p in parts) - 2
+        assert delta == W3.coproduct(parts[0]) + W3.coproduct(parts[1])
+    # (0 - e[0]) (0 + e[0]): 0 e[0] and -e[0] 0 = -0 e[0 <| 0] cancel
+    u, v = W3.gen(0) - W3.gen_e(0), W3.gen(0) + W3.gen_e(0)
+    assert (u * v).terms == {((0, 0), ()): 1, ((), (0, 0)): -1}
+    # (e[0] (x) 1 + 1 (x) e[0])^2: the two e[0] (x) e[0] terms cancel by the Koszul sign
+    t = W3.tensor({(e0, EMPTY): 1, (EMPTY, e0): 1})
+    e00 = W3.monomial((), (0, 0))
+    assert W3.tensor_multiply(t, t).terms == {(e00, EMPTY): 1, (EMPTY, e00): 1}
+
+
+def _letter_by_letter(W, a, m):
+    for x in reversed(a):
+        m = W.mon_mul(((x,), ()), m)
+    return m
+
+
+@pytest.mark.parametrize("spec", ["trivial:3", "dihedral:3", "cyclic:3", "dihedral:4"])
+def test_prefix_action_matches_letter_by_letter_product(spec):
+    W = WordAlgebra(builtin(spec))
+    n = W.rack.size
+    a_words = sorted({W.canonical_a_word(a) for k in range(4)
+                      for a in itertools.product(range(n), repeat=k)})
+    monos = [(a, e) for a in a_words for e in [()] + [(x,) for x in range(n)]]
+    for a in a_words:
+        for m in monos:
+            terms = {(m, EMPTY): 1, (EMPTY, m): -1} if m != EMPTY else {(m, m): 1}
+            out = {}
+            W._apply_prefix(a, terms, 3, out)
+            expect = {(_letter_by_letter(W, a, l), _letter_by_letter(W, a, r)): 3 * c
+                      for (l, r), c in terms.items()}
+            assert out == expect, (spec, a, m)
 
 
 # --- rendering -------------------------------------------------------------------
