@@ -29,7 +29,6 @@ from .words import BElement, TensorElement, WordAlgebra
 from .complexes import (
     Chain,
     Cochain,
-    LeftModule,
     TupleBasis,
     basis_cochain,
     boundary_matrix,
@@ -37,9 +36,7 @@ from .complexes import (
     cochain_differential_matrix,
     face,
     face_set,
-    module_from_xset,
     project_to_chain,
-    trivial_module,
     tuple_basis,
 )
 from .linalg import (
@@ -88,7 +85,6 @@ __all__ = [
     "WordAlgebra",
     "Chain",
     "Cochain",
-    "LeftModule",
     "TupleBasis",
     "basis_cochain",
     "boundary_matrix",
@@ -96,9 +92,7 @@ __all__ = [
     "cochain_differential_matrix",
     "face",
     "face_set",
-    "module_from_xset",
     "project_to_chain",
-    "trivial_module",
     "tuple_basis",
     "ChainComplex",
     "HomologyGroup",

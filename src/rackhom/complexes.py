@@ -38,11 +38,13 @@ Every matrix, chain and cochain built here holds plain ints in every ring,
 reduced mod p over F_p; ``cochain_differential_matrix`` is the one coboundary
 builder.
 
-Coefficients: trivial (the one-point action) or the permutation module
-of a validated rack-set action.  Chains use the right action; cochains use
-the left action obtained by inverting each right translation, so the
-boundary that a cochain module transposes is built with the module's
-inverse permutations as its right action.
+Coefficients: trivial (``None``, the one-point action) or the permutation
+module of a validated rack-set, a ``racks.XSet``.  ``right_action`` turns
+either into the right-action table that ``_boundary`` reads, and refuses a
+set over another rack; ``boundary_matrix`` and
+``cochain_differential_matrix`` read that one table.  A chain's point moves
+by the right action ``XSet.right``; a cochain's value moves by its inverse
+``XSet.left``, which is what transposing the same boundary gives.
 """
 
 from __future__ import annotations
@@ -170,62 +172,19 @@ def coproduct_terms(t, q, rack: Rack):
 
 
 # ---------------------------------------------------------------------------
-# Coefficient modules
+# Coefficients
 
 
-class LeftModule(Frozen):
-    """A module whose rack generators act by basis permutations.
-
-    ``perms[x][i] = j`` means the generator ``x`` sends basis vector ``i``
-    to basis vector ``j``.  For the permutation module of a rack-set this
-    is the inverse of the right action, which is exactly what makes the
-    exchange relation hold on the left.
-    """
-
-    _fields = ("dim", "perms", "label")
-
-    def __init__(self, dim: int, perms: tuple[tuple[int, ...], ...], label: str = "module"):
-        object.__setattr__(self, "dim", dim)
-        object.__setattr__(self, "perms", perms)
-        object.__setattr__(self, "label", label)
-
-    def act_word_index(self, word, i):
-        # f(a_1 .. a_k m) = L(a_1)(... L(a_k) f(m)): apply the last letter first
-        for x in reversed(word):
-            i = self.perms[x][i]
-        return i
-
-    def inverse_perms(self):
-        out = []
-        for perm in self.perms:
-            inv = [0] * self.dim
-            for i, j in enumerate(perm):
-                inv[j] = i
-            out.append(tuple(inv))
-        return tuple(out)
-
-    def tensor(self, other: "LeftModule") -> "LeftModule":
-        dim = self.dim * other.dim
-        perms = tuple(
-            tuple(
-                self.perms[x][i] * other.dim + other.perms[x][j]
-                for i in range(self.dim)
-                for j in range(other.dim)
-            )
-            for x in range(len(self.perms))
-        )
-        return LeftModule(dim, perms, f"{self.label}(x){other.label}")
-
-
-def trivial_module(rack: Rack) -> LeftModule:
-    return LeftModule(1, tuple((0,) for _ in range(rack.size)), "trivial")
-
-
-def module_from_xset(xset: XSet) -> LeftModule:
-    """Left permutation module of a rack-set: generators act by the
-    inverses of the right translations."""
-    right = LeftModule(xset.size, tuple(zip(*xset.act)))
-    return LeftModule(xset.size, right.inverse_perms(), f"k[{xset.label}]")
+def right_action(rack: Rack, xset: XSet | None):
+    """The right-action table that ``_boundary`` reads for coefficients in
+    ``xset`` (``None`` means trivial coefficients, the one-point action):
+    ``right[x][y]`` is the point ``y`` moved by ``x``, and ``len(right[0])``
+    is the number of points.  Refuses a rack-set over another rack."""
+    if xset is None:
+        return ((0,),) * rack.size
+    if xset.over != rack:
+        raise CoefficientMismatch(f"rack-set {xset.label} is over a different rack")
+    return xset.right
 
 
 # ---------------------------------------------------------------------------
@@ -253,7 +212,7 @@ class Cochain(Record):
     __slots__ = _fields = ("degree", "ring", "values", "quandle", "module", "den")
 
     def __init__(self, degree: int, ring, values: list, quandle: bool = False,
-                 module: LeftModule | None = None, den: int = 1):
+                 module: XSet | None = None, den: int = 1):
         self.degree = degree
         self.ring = ring
         self.values = values
@@ -264,8 +223,8 @@ class Cochain(Record):
 
 def basis_cochain(rack: Rack, p: int, ring, t, j=0, quandle=False, module=None) -> Cochain:
     """Indicator cochain of a basis tuple (and module basis index)."""
+    mdim = len(right_action(rack, module)[0])
     basis = tuple_basis(rack, p, quandle)
-    mdim = module.dim if module else 1
     idx = basis.index.get(tuple(t))
     if idx is None or not 0 <= j < mdim:
         raise IndexOutOfRange(f"no basis cochain at tuple {tuple(t)}, module index {j}")
@@ -363,14 +322,11 @@ def boundary_matrix(rack: Rack, n: int, ring=ZZ, quandle: bool = False,
     move the point by the right action.  The quandle variant is the induced
     map on the non-degenerate basis (degenerate images are dropped).
     """
-    if xset is not None and xset.over != rack:
-        raise CoefficientMismatch("rack-set is over a different rack")
-    right = tuple(zip(*xset.act)) if xset else trivial_module(rack).perms
-    return _boundary(rack, n, ring, quandle, right, max_basis)
+    return _boundary(rack, n, ring, quandle, right_action(rack, xset), max_basis)
 
 
 def cochain_differential_matrix(rack: Rack, p: int, ring, quandle=False,
-                                module: LeftModule | None = None,
+                                module: XSet | None = None,
                                 max_basis: int = DEFAULT_MAX_BASIS) -> SparseMat:
     """Matrix of the degree-``p`` cochain differential C^p -> C^{p+1}:
     (-1)^{p+1} times the transpose of the degree-``p+1`` boundary.
@@ -378,11 +334,12 @@ def cochain_differential_matrix(rack: Rack, p: int, ring, quandle=False,
     On tuples this is
       (d*f)(t) = (-1)^p sum_i (-1)^{i+1} [ f(delete_i t)
                                            - x_i . f(conjugate-delete_i t) ]
-    where the action is trivial unless the cochains are module-valued.  The
-    leading (-1)^p is the dualization sign (see the module docstring).
+    where ``x_i .`` is the left action of ``module`` (trivial when it is
+    ``None``).  The leading (-1)^p is the dualization sign (see the module
+    docstring).
     """
-    right = (module or trivial_module(rack)).inverse_perms()
-    mat = _boundary(rack, p + 1, ring, quandle, right, max_basis).transpose()
+    mat = _boundary(rack, p + 1, ring, quandle, right_action(rack, module),
+                    max_basis).transpose()
     return mat.scaled(-1) if p % 2 == 0 else mat
 
 
@@ -427,8 +384,9 @@ def project_to_chain(u: BElement, ring=ZZ, xset: XSet | None = None,
     if degs and degree is not None and degs[0] != degree:
         raise MixedDegrees(f"element has degree {degs[0]}, expected {degree}")
     n = degs[0] if degs else (degree if degree is not None else 0)
+    right = right_action(rack, xset)
+    ydim = len(right[0])
     basis = tuple_basis(rack, n, quandle)
-    ydim = xset.size if xset is not None else 1
     if not 0 <= y < ydim:
         raise IndexOutOfRange(f"starting point {y} outside 0..{ydim - 1}")
     values = [0] * (len(basis) * ydim)
@@ -437,9 +395,8 @@ def project_to_chain(u: BElement, ring=ZZ, xset: XSet | None = None,
         if idx is None:
             continue  # degenerate tuple in the quandle variant
         yy = y
-        if xset is not None:
-            for a in prefix:
-                yy = xset.act[yy][a]
+        for a in prefix:
+            yy = right[a][yy]
         values[idx * ydim + yy] += c
     if ring.char:
         values = [v % ring.char for v in values]

@@ -30,9 +30,12 @@ homotopy (the engine's orientation is d h + h d = Delta - tau Delta) times
 (-1)^{p+q-1} compensating the dualization sign in the cochain
 differential; at p = q = 1 it reduces to the classical single minus sign.
 
-Coefficients may be trivial or permutation modules of rack-set actions; a
-product of module-valued cochains lands in the tensor module with the
-diagonal action, flattened row-major, so nested products compare strictly.
+Coefficients are trivial (``None``) or the permutation module of a
+rack-set, a ``racks.XSet``, whose left action ``XSet.left_word`` moves a
+value by a prefix word; a set over another rack is refused.  A product of
+module-valued cochains lands in ``XSet.tensor``, the product set with the
+diagonal action, flattened row-major, which the context builds once, so
+nested products compare strictly.
 
 Both products, the homotopy pairing and ``CupContext.differential``
 multiply the cochains' stored ints directly.  Over Q a result's ``den`` is
@@ -46,16 +49,15 @@ from __future__ import annotations
 from .complexes import (
     DEFAULT_MAX_BASIS,
     Cochain,
-    LeftModule,
     apply_coboundary,
     cochain_differential_matrix,
     coproduct_terms,
-    trivial_module,
+    right_action,
     tuple_basis,
 )
 from .errors import CoefficientMismatch, ContextMismatch, NotACocycle, NotAQuandle
 from .linalg import SparseMat, independent, kernel_basis, solve, solve_many
-from .racks import Rack
+from .racks import Rack, XSet, xset_singleton
 from .records import Record
 from .words import WordAlgebra
 
@@ -66,43 +68,39 @@ class CupContext(Record):
     the face stencils of the closed formula, and the coboundary matrices of
     :meth:`coboundary`.
 
-    ``module_f`` / ``module_g`` are the coefficient modules of the two
-    factors (``None`` means trivial coefficients); the product lands in
-    their tensor module unless both are trivial.  ``max_basis`` caps every
-    tuple basis the products build.  Equality reads every constructor
-    argument; the cached data is not compared, nor is the algebra shown.
+    ``module_f`` / ``module_g`` are the rack-sets of the two factors'
+    coefficients (``None`` means trivial coefficients); the product lands
+    in ``target``, their tensor product, unless both are trivial.
+    ``max_basis`` caps every tuple basis the products build.  Equality
+    reads the constructor arguments; the algebra and the cached data are
+    not compared.
     """
 
-    _fields = ("rack", "ring", "quandle", "module_f", "module_g", "max_basis", "algebra")
-    __slots__ = _fields + ("_bases", "_stencils", "_coboundaries")
+    _fields = ("rack", "ring", "quandle", "module_f", "module_g", "max_basis")
+    __slots__ = _fields + ("algebra", "target", "_bases", "_stencils", "_coboundaries")
 
     def __init__(self, rack: Rack, ring, quandle: bool = False,
-                 module_f: LeftModule | None = None, module_g: LeftModule | None = None,
-                 max_basis: int = DEFAULT_MAX_BASIS, algebra: WordAlgebra | None = None):
+                 module_f: XSet | None = None, module_g: XSet | None = None,
+                 max_basis: int = DEFAULT_MAX_BASIS):
         if quandle and not rack.is_quandle():
             raise NotAQuandle(f"{rack.label} is not a quandle")
+        for module in (module_f, module_g):
+            right_action(rack, module)  # refuses a rack-set over another rack
         self.rack = rack
         self.ring = ring
         self.quandle = quandle
         self.module_f = module_f
         self.module_g = module_g
         self.max_basis = max_basis
-        self.algebra = WordAlgebra(rack) if algebra is None else algebra
+        self.algebra = WordAlgebra(rack)
+        if module_f is None and module_g is None:
+            self.target = None
+        else:
+            one = xset_singleton(rack)
+            self.target = (module_f or one).tensor(module_g or one)
         self._bases = {}
         self._stencils = {}
         self._coboundaries = {}
-
-    def __repr__(self):
-        return (f"CupContext(rack={self.rack!r}, ring={self.ring!r}, quandle={self.quandle!r}, "
-                f"module_f={self.module_f!r}, module_g={self.module_g!r}, "
-                f"max_basis={self.max_basis!r})")
-
-    def target_module(self):
-        if self.module_f is None and self.module_g is None:
-            return None
-        mf = self.module_f or trivial_module(self.rack)
-        mg = self.module_g or trivial_module(self.rack)
-        return mf.tensor(mg)
 
     def basis(self, n):
         """The degree-``n`` tuple basis of the context's variant."""
@@ -118,7 +116,7 @@ class CupContext(Record):
         if f.module != self.module_f or g.module != self.module_g:
             raise ContextMismatch("cochain coefficients do not match context")
         for h in (f, g):
-            if len(h.values) != len(self.basis(h.degree)) * (h.module.dim if h.module else 1):
+            if len(h.values) != len(self.basis(h.degree)) * (h.module.size if h.module else 1):
                 raise CoefficientMismatch("cochain length does not match its basis")
 
     def stencil(self, p, q):
@@ -178,7 +176,7 @@ def _value(values, basis_index, tuple_, prefix, module, mdim):
     out = [0] * mdim
     for i, v in enumerate(vec):
         if v:
-            out[module.act_word_index(prefix, i)] = v
+            out[module.left_word(prefix, i)] = v
     return out
 
 
@@ -189,9 +187,9 @@ def cup(f: Cochain, g: Cochain, ctx: CupContext) -> Cochain:
     is ``f.den * g.den``."""
     ctx.check(f, g)
     ntargets, rows = ctx.stencil(f.degree, g.degree)
-    mf = f.module.dim if f.module else 1
-    mg = g.module.dim if g.module else 1
-    act = g.module.act_word_index if g.module else None
+    mf = f.module.size if f.module else 1
+    mg = g.module.size if g.module else 1
+    act = g.module.left_word if g.module else None
     gvals = g.values
     values = [0] * (ntargets * mf * mg)
     for k, va in enumerate(f.values):
@@ -216,7 +214,7 @@ def _product(f, g, ctx, n, values) -> Cochain:
     # over the product of the factors' denominators, reduced once over F_p
     if p := ctx.ring.char:
         values = [v % p for v in values]
-    return Cochain(n, ctx.ring, values, ctx.quandle, ctx.target_module(), f.den * g.den)
+    return Cochain(n, ctx.ring, values, ctx.quandle, ctx.target, f.den * g.den)
 
 
 def _pair_cochain(f, g, ctx, n, structure_map, sign):
@@ -227,8 +225,8 @@ def _pair_cochain(f, g, ctx, n, structure_map, sign):
     (-1)^{pq}, folded with ``sign`` into ``negative``."""
     p, q = f.degree, g.degree
     f_index, g_index = ctx.basis(p).index, ctx.basis(q).index
-    mf = f.module.dim if f.module else 1
-    mg = g.module.dim if g.module else 1
+    mf = f.module.size if f.module else 1
+    mg = g.module.size if g.module else 1
     fvals, gvals = f.values, g.values
     negative = bool((p * q) & 1) != (sign < 0)
     values = []

@@ -17,6 +17,7 @@ import itertools
 
 from .errors import (
     BijectivityViolation,
+    CoefficientMismatch,
     CompatibilityViolation,
     InvalidGroupTable,
     R1Violation,
@@ -62,7 +63,10 @@ class Rack(Frozen):
 
 
 class XSet(Frozen):
-    """A validated right action of a rack: ``act[y][x] == y * x``."""
+    """A validated right action of a rack, ``act[y][x] == y * x``: the one
+    coefficient type.  A chain's point moves by ``right``; a cochain's value
+    moves by its inverse ``left``, which makes the exchange relation hold on
+    the left.  Construct through :func:`validate_xset`."""
 
     _fields = ("size", "over", "act", "label")
 
@@ -72,6 +76,33 @@ class XSet(Frozen):
         object.__setattr__(self, "over", over)
         object.__setattr__(self, "act", act)
         object.__setattr__(self, "label", label)
+
+    @functools.cached_property
+    def right(self):
+        """``right[x][y] == y * x``; cached like ``Rack.right``."""
+        return tuple(zip(*self.act))
+
+    @functools.cached_property
+    def left(self):
+        """Each right translation inverted, ``left[x][y * x] == y``; cached."""
+        return tuple(tuple(sorted(range(self.size), key=col.__getitem__)) for col in self.right)
+
+    def left_word(self, word, y):
+        """``y`` moved by the left action of ``word``, its last letter first:
+        f(a_1 .. a_k m) = a_1 . (... a_k . f(m))."""
+        for x in reversed(word):
+            y = self.left[x][y]
+        return y
+
+    def tensor(self, other: "XSet") -> "XSet":
+        """The product set with the diagonal action, ``(i, j)`` flattened
+        row-major to ``i * other.size + j``.  A product of actions is an
+        action, so it is not validated again."""
+        if other.over != self.over:
+            raise CoefficientMismatch("rack-sets are over different racks")
+        m = other.size
+        act = tuple(tuple(a * m + b for a, b in zip(i, j)) for i in self.act for j in other.act)
+        return XSet(self.size * m, self.over, act, f"{self.label}(x){other.label}")
 
 
 class OrbitPartition(Frozen):

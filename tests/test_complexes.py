@@ -17,12 +17,11 @@ from rackhom.complexes import (
     coproduct_terms,
     face,
     face_set,
-    module_from_xset,
     project_to_chain,
-    trivial_module,
     tuple_basis,
 )
 from rackhom.errors import (
+    CoefficientMismatch,
     DimensionOverflow,
     IndexOutOfRange,
     MixedDegrees,
@@ -34,6 +33,7 @@ from rackhom.racks import (
     dihedral_rack,
     trivial_rack,
     validate_rack,
+    validate_xset,
     xset_self,
     xset_singleton,
 )
@@ -42,6 +42,8 @@ from rackhom.words import WordAlgebra
 
 R3 = dihedral_rack(3)
 R4 = dihedral_rack(4)
+C3 = cyclic_rack(3)
+S3 = builtin("conjugation:s3")
 
 
 def test_basis_roundtrip_and_order():
@@ -344,7 +346,7 @@ def test_project_examples():
         project_to_chain(W.eword((0,)) + W.eword((0, 1)), ZZ)
 
 
-SELF3 = module_from_xset(xset_self(R3))
+SELF3 = xset_self(R3)
 
 
 @pytest.mark.parametrize("t, j, module", [
@@ -368,11 +370,36 @@ def test_project_to_chain_refuses_bad_point(y, xset):
 
 
 def test_cochain_length_mismatch():
-    from rackhom.errors import CoefficientMismatch
-
     f = Cochain(1, QQ, [1] * 5)  # wrong length for a size-3 rack
     with pytest.raises(CoefficientMismatch):
         cochain_differential(f, R3)
+
+
+# the self-set of dihedral:4 is not a rack-set over dihedral:3 (it used to
+# give a 36 x 12 coboundary there) nor over dihedral:5 (a bare IndexError)
+FOREIGN = xset_self(R4)
+FOREIGN_RACKS = (R3, dihedral_rack(5))
+
+
+def test_boundary_builders_refuse_a_set_over_another_rack():
+    for rack in FOREIGN_RACKS:
+        with pytest.raises(CoefficientMismatch, match="different rack"):
+            cochain_differential_matrix(rack, 1, ZZ, module=FOREIGN)
+        with pytest.raises(CoefficientMismatch, match="different rack"):
+            boundary_matrix(rack, 2, ZZ, xset=FOREIGN)
+
+
+def test_basis_cochain_refuses_a_set_over_another_rack():
+    for rack in FOREIGN_RACKS:
+        with pytest.raises(CoefficientMismatch, match="different rack"):
+            basis_cochain(rack, 1, ZZ, (0,), module=FOREIGN)
+
+
+def test_project_to_chain_refuses_a_set_over_another_rack():
+    for rack in FOREIGN_RACKS:
+        W = WordAlgebra(rack)
+        with pytest.raises(CoefficientMismatch, match="different rack"):
+            project_to_chain(W.eword((0, 1)), ZZ, xset=FOREIGN)
 
 
 def test_cocycle_condition_in_degree_one():
@@ -419,12 +446,11 @@ def test_cochain_differential_matrix_agrees_with_function():
 
 
 def test_cochain_differential_matrix_with_module():
-    xs = xset_self(R3)
-    mod = module_from_xset(xs)
+    mod = xset_self(R3)
     mat = cochain_differential_matrix(R3, 1, QQ, module=mod)
     basis = tuple_basis(R3, 1)
     for j in range(mat.ncols):
-        t, k = basis.tuples[j // mod.dim], j % mod.dim
+        t, k = basis.tuples[j // mod.size], j % mod.size
         f = basis_cochain(R3, 1, QQ, t, j=k, module=mod)
         df = cochain_differential(f, R3)
         col = [0] * mat.nrows
@@ -438,15 +464,18 @@ def test_cochain_differential_matrix_with_module():
 
 def test_cochain_differential_is_signed_precomposition_with_d():
     # independent second definition: d*f = (-1)^p f o d, through the word
-    # engine; a group-like prefix acts on module values, and f vanishes on
-    # degenerate e-words in the quandle variant.  On R4, unlike R3,
-    # y <| x != x <| y, so the self-action case also pins its orientation.
+    # engine; a group-like prefix acts on module values by the left action,
+    # and f vanishes on degenerate e-words in the quandle variant.  Every
+    # translation of a dihedral rack is an involution, so there left and
+    # right actions agree; on cyclic:3 and conjugation:s3 they do not, so
+    # those self-sets pin the orientation.
     cases = [(R3, p, quandle, None) for quandle in (False, True) for p in range(4)]
-    cases += [(r, p, False, module_from_xset(xset_self(r))) for r in (R3, R4) for p in range(3)]
+    cases += [(r, p, False, xset_self(r)) for r in (R3, R4, C3) for p in range(3)]
+    cases += [(S3, p, False, xset_self(S3)) for p in range(2)]
     checks = 0
     for rack, p, quandle, module in cases:
         W = WordAlgebra(rack)
-        mdim = module.dim if module else 1
+        mdim = module.size if module else 1
         src = tuple_basis(rack, p, quandle)
         tgt = tuple_basis(rack, p + 1, quandle)
         d_of = [W.d(W.eword(u)).terms for u in tgt.tuples]
@@ -462,32 +491,48 @@ def test_cochain_differential_is_signed_precomposition_with_d():
                         if idx is None:
                             continue
                         for i in range(mdim):
-                            k = module.act_word_index(a, i) if module else i
+                            k = module.left_word(a, i) if module else i
                             expect[k] += sign * c * f.values[idx * mdim + i]
                     checks += 1
                     assert df[row * mdim : (row + 1) * mdim] == expect, (p, quandle, t, j, row)
-    assert checks == 2841 + 819 + 4368
+    assert checks == 2841 + 819 + 4368 + 819 + 1332
 
 
 def test_left_module_inverts_right_action():
-    xs = xset_self(R4)
-    mod = module_from_xset(xs)
-    for x in range(4):
-        for y in range(4):
-            assert mod.perms[x][xs.act[y][x]] == y
+    # a dihedral translation is an involution, so there left == right;
+    # cyclic:3 and conjugation:s3 tell the two orientations apart
+    for rack in (R4, C3, S3):
+        xs = xset_self(rack)
+        n = rack.size
+        for x in range(n):
+            for y in range(n):
+                assert xs.right[x][y] == xs.act[y][x]
+                assert xs.left[x][xs.act[y][x]] == y
+                assert xs.left_word((x,), xs.act[y][x]) == y
+        assert (xs.left != xs.right) == (rack is not R4)
+    # a word acts by its last letter first
+    xs = xset_self(C3)
+    assert [xs.left_word((0, 1), y) for y in range(3)] == [1, 2, 0]
+    assert xs.left_word((), 2) == 2
 
 
 def test_module_tensor_dimensions():
-    xs = xset_self(R3)
-    mod = module_from_xset(xs)
-    t = mod.tensor(trivial_module(R3))
-    assert t.dim == 3
-    tt = mod.tensor(mod)
-    assert tt.dim == 9
-    for x in range(3):
-        for i in range(3):
-            for j in range(3):
-                assert tt.perms[x][i * 3 + j] == mod.perms[x][i] * 3 + mod.perms[x][j]
+    for rack in (R3, C3, S3):
+        xs, one = xset_self(rack), xset_singleton(rack)
+        n = rack.size
+        t = xs.tensor(one)
+        assert (t.size, t.act) == (n, xs.act)
+        tt = xs.tensor(xs)
+        assert tt.size == n * n and tt.over is rack
+        for x in range(n):
+            for i in range(n):
+                for j in range(n):
+                    assert tt.right[x][i * n + j] == xs.right[x][i] * n + xs.right[x][j]
+                    assert tt.left[x][i * n + j] == xs.left[x][i] * n + xs.left[x][j]
+        # the product of actions is an action, as validation would find
+        assert validate_xset(rack, tt.act, tt.label) == tt
+    with pytest.raises(CoefficientMismatch):
+        xset_self(R3).tensor(xset_self(R4))
 
 
 def test_quandle_boundary_well_defined():

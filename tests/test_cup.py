@@ -19,7 +19,6 @@ from rackhom.complexes import (
     cochain_differential,
     cochain_differential_matrix,
     coproduct_terms,
-    module_from_xset,
     tuple_basis,
 )
 from rackhom.cup import (
@@ -408,7 +407,7 @@ def test_homotopy_cochain_rejects_non_cocycles():
 
 def _integer_cochain(rack, p, salt, module=None):
     """Integer values in -4..4, so that products over F_p wrap around."""
-    n = len(tuple_basis(rack, p)) * (module.dim if module else 1)
+    n = len(tuple_basis(rack, p)) * (module.size if module else 1)
     return Cochain(p, ZZ, [(5 * k + salt) % 9 - 4 for k in range(n)], module=module)
 
 
@@ -420,7 +419,7 @@ def _reduced(f, ring):
 @pytest.mark.parametrize("rack,module", [
     (R3, None),
     (builtin("cyclic:3"), None),
-    (R3, module_from_xset(xset_self(R3))),
+    (R3, xset_self(R3)),
 ], ids=["dihedral:3", "cyclic:3", "dihedral:3-self"])
 def test_cup_over_fp_is_integer_cup_mod_p(prime, rack, module):
     """Both product paths over F_p store residues, and they equal the same
@@ -692,9 +691,18 @@ def test_quandle_homotopy_cochain():
 # --- module coefficients ----------------------------------------------------------
 
 
+def test_context_refuses_a_set_over_another_rack():
+    # the self-set of dihedral:4 is not a rack-set over dihedral:3 or :5
+    foreign = xset_self(R4)
+    for rack in (R3, dihedral_rack(5)):
+        with pytest.raises(CoefficientMismatch, match="different rack"):
+            CupContext(rack, QQ, module_f=foreign)
+        with pytest.raises(CoefficientMismatch, match="different rack"):
+            CupContext(rack, QQ, module_g=foreign)
+
+
 def test_module_cup_singleton_degenerates_to_trivial():
-    xs = xset_singleton(R3)
-    mod = module_from_xset(xs)
+    mod = xset_singleton(R3)
     ctx_m = CupContext(R3, QQ, module_f=mod, module_g=mod)
     ctx_t = CupContext(R3, QQ)
     for tf in tuple_basis(R3, 1).tuples:
@@ -709,15 +717,14 @@ def test_module_cup_singleton_degenerates_to_trivial():
 def test_module_cup_associative_with_self_coefficients():
     """The composite with tensor-module targets is associative for Y = X:
     ((f.g).h and f.(g.h) land in the same flattened module and agree."""
-    xs = xset_self(R3)
-    N = module_from_xset(xs)
+    N = xset_self(R3)
     NN = N.tensor(N)
     ctx_fg = CupContext(R3, QQ, module_f=N, module_g=N)
     ctx_fg_h = CupContext(R3, QQ, module_f=NN, module_g=N)
     ctx_gh = CupContext(R3, QQ, module_f=N, module_g=N)
     ctx_f_gh = CupContext(R3, QQ, module_f=N, module_g=NN)
     b1 = tuple_basis(R3, 1)
-    picks = [(t, j) for t in b1.tuples for j in range(N.dim)][:5]
+    picks = [(t, j) for t in b1.tuples for j in range(N.size)][:5]
     for (tf, jf) in picks:
         f = basis_cochain(R3, 1, QQ, tf, j=jf, module=N)
         for (tg, jg) in picks:
@@ -732,11 +739,10 @@ def test_module_cup_associative_with_self_coefficients():
 
 
 def test_module_cup_matches_coproduct_path():
-    xs = xset_self(R3)
-    N = module_from_xset(xs)
+    N = xset_self(R3)
     ctx = CupContext(R3, QQ, module_f=N, module_g=N)
     b1 = tuple_basis(R3, 1)
-    for (tf, jf) in [(t, j) for t in b1.tuples for j in range(N.dim)]:
+    for (tf, jf) in [(t, j) for t in b1.tuples for j in range(N.size)]:
         f = basis_cochain(R3, 1, QQ, tf, j=jf, module=N)
         for (tg, jg) in [((0,), 1), ((2,), 0)]:
             g = basis_cochain(R3, 1, QQ, tg, j=jg, module=N)
@@ -746,7 +752,7 @@ def test_module_cup_matches_coproduct_path():
 def _dense_cochain(rack, p, ring, module, salt):
     """A cochain with a small nonzero-heavy pattern of values, so that one
     product exercises every term of the stencil."""
-    n = len(tuple_basis(rack, p)) * module.dim
+    n = len(tuple_basis(rack, p)) * module.size
     return Cochain(p, ring, [(7 * k + salt) % 5 - 2 for k in range(n)], module=module)
 
 
@@ -756,7 +762,7 @@ def test_module_cup_matches_coproduct_path_on_non_symmetric_tables(rack):
     there; on dihedral:4 and conjugation:s3 x <| y != y <| x for some pair."""
     assert any(rack.op(x, y) != rack.op(y, x)
                for x in range(rack.size) for y in range(rack.size))
-    N = module_from_xset(xset_self(rack))
+    N = xset_self(rack)
     ctx = CupContext(rack, QQ, module_f=N, module_g=N)
     for p, q in ((1, 1), (1, 2)):
         f = _dense_cochain(rack, p, QQ, N, 3)
@@ -775,8 +781,8 @@ def _fraction_cup(f, g, rack):
     p, q = f.degree, g.degree
     fvals, gvals = _rational(f), _rational(g)
     fb, gb = tuple_basis(rack, p, f.quandle), tuple_basis(rack, q, f.quandle)
-    mf = f.module.dim if f.module else 1
-    mg = g.module.dim if g.module else 1
+    mf = f.module.size if f.module else 1
+    mg = g.module.size if g.module else 1
     out = []
     for t in tuple_basis(rack, p + q, f.quandle).tuples:
         vec = [Fraction(0)] * (mf * mg)
@@ -785,7 +791,7 @@ def _fraction_cup(f, g, rack):
                 sign = eps * (-1) ** (p * q)
                 for a in range(mf):
                     for b in range(mg):
-                        k = g.module.act_word_index(prefix, b) if g.module else b
+                        k = g.module.left_word(prefix, b) if g.module else b
                         vec[a * mg + k] += (sign * fvals[fb.index[left] * mf + a]
                                             * gvals[gb.index[right] * mg + b])
         out += vec
@@ -808,8 +814,8 @@ def _fraction_homotopy(f, g, rack):
     p, q = f.degree, g.degree
     W = WordAlgebra(rack)
     fb, gb = tuple_basis(rack, p, f.quandle), tuple_basis(rack, q, f.quandle)
-    mf = f.module.dim if f.module else 1
-    mg = g.module.dim if g.module else 1
+    mf = f.module.size if f.module else 1
+    mg = g.module.size if g.module else 1
     scale = (-1) ** (p * q) * (-1) ** (p + q + 1)
 
     def value(h, basis, dim, monomial):
@@ -817,7 +823,7 @@ def _fraction_homotopy(f, g, rack):
         a, e = monomial
         vec = [Fraction(0)] * dim
         for i in range(dim):
-            k = h.module.act_word_index(a, i) if h.module else i
+            k = h.module.left_word(a, i) if h.module else i
             vec[k] = Fraction(h.values[basis.index[e] * dim + i], h.den)
         return vec
 
@@ -870,8 +876,8 @@ def test_q_products_match_fraction_reference_on_real_denominators(rack, data):
     with denominators 2, 3 and 7, against Fraction references; then the
     same products of integer cochains over Z and F_5 keep their scalar types."""
     quandle = rack.is_quandle() and data.draw(st.booleans(), "quandle")
-    module = module_from_xset(xset_self(rack)) if data.draw(st.booleans(), "module") else None
-    dim = module.dim if module else 1
+    module = xset_self(rack) if data.draw(st.booleans(), "module") else None
+    dim = module.size if module else 1
     fractions = st.builds(Fraction, st.integers(-6, 6), st.sampled_from(DENOMINATORS))
 
     def length(p):
@@ -920,7 +926,7 @@ def _check_homotopy_and_integer_rings(f, g, rack, ctx):
     identity; then cup, H and d* of the same cocycles cleared of their
     denominators, over Z and F_5, against the Q values scaled alike."""
     p, q = f.degree, g.degree
-    dim = f.module.dim if f.module else 1
+    dim = f.module.size if f.module else 1
     H = homotopy_cochain(f, g, ctx)
     assert _rational(H) == _fraction_homotopy(f, g, rack)
     _assert_scalars(H, QQ)
@@ -953,7 +959,7 @@ def test_homotopy_matches_fraction_reference(spec, quandle, with_module):
     on the permutation racks trivial:2 and cyclic:3, whose cochains commute
     exactly."""
     rack = builtin(spec)
-    module = module_from_xset(xset_self(rack)) if with_module else None
+    module = xset_self(rack) if with_module else None
     ctx = CupContext(rack, QQ, quandle, module, module)
     for p, q in ((1, 1), (1, 2), (2, 1)):
         cocycles = {}

@@ -1,17 +1,27 @@
-"""Mutants of the word engine's fast paths, applied by monkeypatch.
+"""Mutants of the library's fast paths and of its coefficient action,
+applied by monkeypatch.
 
-Each mutant is a plausible one-line slip in a fast path.  The test shows
-that a named ``verify`` suite and a named tier-1 test both catch it, so a
-future change that made either check blind would fail here; unmutated,
-the suites pass in ``test_acceptance`` and the tests in ``test_words``.
-A later fast path adds its own mutant to ``MUTANTS``.
+Each mutant is a plausible one-line slip.  The test shows that the named
+``verify`` suites and tier-1 tests all catch it, so a future change that
+made one of those checks blind would fail here; unmutated, the suites pass
+in ``test_acceptance`` and the tests in their own files.  A mutant that no
+``verify`` suite catches names none, and is left to its tier-1 tests.  A
+later fast path adds its own mutant to ``MUTANTS``.
 """
+
+import functools
 
 import pytest
 
+import test_complexes
+import test_cup
 import test_words
+from rackhom import complexes
+from rackhom.racks import XSet
 from rackhom.verify import ALL_SUITES
 from rackhom.words import WordAlgebra
+
+BOUNDARY = complexes._boundary
 
 
 def prefix_action_not_canonical(self, a_word, tensor_terms, coeff, out):
@@ -32,26 +42,49 @@ def mon_mul_without_conjugation(self, m1, m2):
     return self.canonical_a_word(a), e1 + e2
 
 
+def boundary_without_the_action(rack, n, ring, quandle, right, max_basis):
+    # every conjugating face keeps its coefficient point: the identity action
+    identity = (tuple(range(len(right[0]))),) * len(right)
+    return BOUNDARY(rack, n, ring, quandle, identity, max_basis)
+
+
+def left_word_by_the_right_action(self, word, y):
+    # a prefix moves a cochain value by the right action, not its inverse
+    for x in reversed(word):
+        y = self.right[x][y]
+    return y
+
+
 MUTANTS = {
     "prefix-action-skips-canonical-form": (
-        "_apply_prefix", prefix_action_not_canonical,
+        WordAlgebra, "_apply_prefix", prefix_action_not_canonical,
         ["words", "homotopy"], [test_words.test_homotopy_a_linear],
     ),
     "mon-mul-skips-conjugation": (
-        "mon_mul", mon_mul_without_conjugation,
+        WordAlgebra, "mon_mul", mon_mul_without_conjugation,
         ["words", "homotopy"], [test_words.test_mixed_relation],
+    ),
+    "boundary-ignores-the-coefficient-action": (
+        complexes, "_boundary", boundary_without_the_action,
+        [], [functools.partial(test_complexes.test_boundary_columns_pinned,
+                               "conjugation:s3", "self", False)],
+    ),
+    "prefix-acts-by-the-right-action": (
+        XSet, "left_word", left_word_by_the_right_action,
+        [], [test_complexes.test_cochain_differential_is_signed_precomposition_with_d,
+             functools.partial(test_cup.test_homotopy_matches_fraction_reference,
+                               "cyclic:3", False, True)],
     ),
 }
 
 
 @pytest.mark.parametrize("name", sorted(MUTANTS))
 def test_mutant_is_caught(name, monkeypatch):
-    attr, mutant, suites, tests = MUTANTS[name]
-    monkeypatch.setattr(WordAlgebra, attr, mutant)
+    owner, attr, mutant, suites, tests = MUTANTS[name]
+    monkeypatch.setattr(owner, attr, mutant)
     for suite in suites:
         result = ALL_SUITES[suite]()
         assert not result.passed, f"{name} passes the {suite} suite"
     for test in tests:
         with pytest.raises(AssertionError):
             test()
-

@@ -6,14 +6,14 @@ import inspect
 
 import pytest
 
-from rackhom.complexes import Chain, Cochain, LeftModule, TupleBasis
+from rackhom.complexes import Chain, Cochain, TupleBasis
 from rackhom.cup import CupContext, RingStructure
 from rackhom.linalg import HomologyGroup, SmithForm
 from rackhom.racks import OrbitPartition, Rack, XSet
 from rackhom.records import Frozen, Record
 from rackhom.verify import SuiteResult
 
-FROZEN = (Rack, XSet, OrbitPartition, TupleBasis, LeftModule, SmithForm, HomologyGroup)
+FROZEN = (Rack, XSet, OrbitPartition, TupleBasis, SmithForm, HomologyGroup)
 MUTABLE = (Chain, Cochain, CupContext, RingStructure, SuiteResult)
 
 

@@ -6,7 +6,7 @@ import pickle
 
 import pytest
 
-from rackhom.complexes import Chain, Cochain, LeftModule, tuple_basis
+from rackhom.complexes import Chain, Cochain, tuple_basis
 from rackhom.cup import CupContext, ring_structure
 from rackhom.errors import NotAQuandle
 from rackhom.linalg import HomologyGroup, SmithForm
@@ -15,7 +15,7 @@ from rackhom.rings import GF, QQ, ZZ
 from rackhom.verify import SuiteResult
 
 R3 = builtin("dihedral:3")
-TRIV = LeftModule(1, ((0,), (0,), (0,)), "trivial")
+ONE = xset_singleton(R3)
 
 
 # (make, field): make() builds a fresh, equal instance on each call
@@ -24,15 +24,14 @@ FROZEN = [
     (lambda: xset_singleton(R3), "act"),
     (lambda: orbits(R3), "rep"),
     (lambda: tuple_basis(R3, 2, True), "tuples"),
-    (lambda: LeftModule(1, ((0,), (0,), (0,)), "trivial"), "dim"),
     (lambda: SmithForm((1, 2)), "factors"),
     (lambda: HomologyGroup(1, 1), "betti"),
 ]
 
 
 @pytest.mark.parametrize("make, field", FROZEN,
-                         ids=["Rack", "XSet", "OrbitPartition", "TupleBasis", "LeftModule",
-                              "SmithForm", "HomologyGroup"])
+                         ids=["Rack", "XSet", "OrbitPartition", "TupleBasis", "SmithForm",
+                              "HomologyGroup"])
 def test_frozen_records_compare_hash_and_refuse_assignment(make, field):
     a, b = make(), make()
     assert a is not b and a == b and hash(a) == hash(b)
@@ -52,7 +51,7 @@ def test_frozen_records_differ_by_each_field():
     assert HomologyGroup(1, 1, (2,)) != HomologyGroup(1, 1)
     assert HomologyGroup(2, 1) != HomologyGroup(1, 1)
     assert SmithForm((1,)) != SmithForm((1, 2))
-    assert LeftModule(1, TRIV.perms) != TRIV
+    assert XSet(1, R3, ONE.act) != ONE
     assert tuple_basis(R3, 2) != tuple_basis(R3, 2, True)
     assert OrbitPartition((0, 0, 0), ((0, 1, 2),)) == orbits(R3)
 
@@ -61,6 +60,9 @@ def test_cached_fields_stay_outside_equality():
     a, b = builtin("dihedral:3"), builtin("dihedral:3")
     assert a.right == R3.right
     assert a == b and hash(a) == hash(b) and "right" in vars(a)
+    x, y = xset_singleton(a), xset_singleton(b)
+    assert (x.right, x.left) == (((0,),) * 3, ((0,),) * 3)
+    assert x == y and hash(x) == hash(y) and {"right", "left"} <= set(vars(x))
     s, t = tuple_basis(R3, 2), tuple_basis(R3, 2)
     assert s.index[(1, 2)] == 5
     assert s == t and hash(s) == hash(t)
@@ -69,7 +71,6 @@ def test_cached_fields_stay_outside_equality():
 def test_constructor_defaults():
     assert Rack(1, ((0,),)).label == "rack"
     assert XSet(1, R3, ((0, 0, 0),)).label == "xset"
-    assert LeftModule(1, TRIV.perms).label == "module"
     assert HomologyGroup(3, 0).torsion == ()
     chain = Chain(tuple_basis(R3, 1), ZZ, [1, 0, 0])
     assert chain.module_dim == 1
@@ -77,15 +78,15 @@ def test_constructor_defaults():
     assert (f.quandle, f.module, f.den) == (False, None, 1)
     ctx = CupContext(R3, ZZ)
     assert (ctx.quandle, ctx.module_f, ctx.module_g, ctx.max_basis) == (False, None, None, 200_000)
-    assert ctx.algebra.rack is R3
+    assert ctx.algebra.rack is R3 and ctx.target is None
     result = SuiteResult("s", True, 2)
     assert (result.witness, result.notes) == (None, [])
     assert SuiteResult("s", True, 2).notes is not result.notes
 
 
 def test_constructors_take_fields_in_order():
-    assert Cochain(2, GF(3), [0] * 9, True, TRIV, 1).module is TRIV
-    assert CupContext(R3, QQ, True, TRIV, None, 50).max_basis == 50
+    assert Cochain(2, GF(3), [0] * 9, True, ONE, 1).module is ONE
+    assert CupContext(R3, QQ, True, ONE, None, 50).max_basis == 50
     assert SuiteResult("s", False, 4, "w", ["n"]).witness == "w"
 
 
@@ -113,10 +114,13 @@ def test_context_refuses_a_rack_that_is_not_a_quandle():
     assert CupContext(builtin("cyclic:3"), ZZ).quandle is False
 
 
-def test_context_equality_reads_the_algebra():
+def test_context_equality_reads_the_constructor_arguments():
+    # each context builds its own algebra, which equality does not read
     ctx = CupContext(R3, ZZ)
-    assert ctx == CupContext(R3, ZZ, algebra=ctx.algebra)
-    assert ctx != CupContext(R3, ZZ)
+    other = CupContext(R3, ZZ)
+    assert ctx.algebra is not other.algebra and ctx == other
+    assert ctx != CupContext(R3, ZZ, module_g=ONE)
+    assert ctx != CupContext(R3, ZZ, max_basis=50)
 
 
 def test_suite_result_as_dict():
@@ -143,14 +147,13 @@ def test_record_reprs():
     assert repr(basis) == (
         "TupleBasis(rack=Rack(dihedral:3, size=3), degree=1, quandle=False, "
         "tuples=((0,), (1,), (2,)))")
-    assert repr(TRIV) == "LeftModule(dim=1, perms=((0,), (0,), (0,)), label='trivial')"
     assert repr(Chain(basis, ZZ, [1, 0, 0])) == (
         f"Chain(basis={basis!r}, ring=Z, values=[1, 0, 0], module_dim=1)")
     assert repr(Cochain(1, QQ, [1, 0, 2], den=3)) == (
         "Cochain(degree=1, ring=Q, values=[1, 0, 2], quandle=False, module=None, den=3)")
-    assert repr(CupContext(R3, GF(3), module_f=TRIV)) == (
+    assert repr(CupContext(R3, GF(3), module_f=ONE)) == (
         f"CupContext(rack=Rack(dihedral:3, size=3), ring=F3, quandle=False, "
-        f"module_f={TRIV!r}, module_g=None, max_basis=200000)")
+        f"module_f={ONE!r}, module_g=None, max_basis=200000)")
     assert repr(ring_structure(builtin("trivial:1"), GF(2), 1)) == (
         "RingStructure(rack_label='trivial:1', ring_name='F2', max_degree=1, quandle=False, "
         "dims={0: 1, 1: 1}, reps={0: [[1]], 1: [[1]]}, dens={0: 1, 1: 1}, "
