@@ -26,7 +26,7 @@ def survey(spec, max_degree):
     for quandle in variants:
         tag = "quandle complex" if quandle else "rack complex"
         complex_ = ChainComplex({
-            n: boundary_matrix(rack, n, ZZ, quandle)
+            n: boundary_matrix(rack, n, quandle=quandle)
             for n in range(1, max_degree + 2)
         }, ZZ)
         cells = [f"H_{n} = {complex_.homology(n).describe()}"

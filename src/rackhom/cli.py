@@ -32,8 +32,9 @@ from . import __version__
 from .complexes import DEFAULT_MAX_BASIS, boundary_matrix
 from .errors import ParseError, RackhomError, ResourceLimit
 from .linalg import ChainComplex
-from .racks import Rack, XSet, builtin, validate_rack, validate_xset, xset_self, xset_singleton
-from .rings import ZZ, ring_by_name
+from .racks import (MAX_RACK_SIZE, Rack, XSet, builtin, validate_rack, validate_xset,
+                    xset_self, xset_singleton)
+from .rings import ring_by_name
 from .cup import ring_structure
 from .verify import ALL_SUITES, run_suite
 
@@ -62,7 +63,8 @@ def _int_at_least(low):
 def parse_rack_text(text: str) -> Rack:
     """Parse the plain rack format: header ``rack n`` then n rows of n
     entries, row x column y holding x <| y.  Blank lines and ``#`` comments
-    are skipped; any other line after the n rows is refused."""
+    are skipped; any other line after the n rows is refused.  A header above
+    ``MAX_RACK_SIZE`` is refused before any row is read."""
     lines = text.splitlines()
     rows = []
     size = None
@@ -80,6 +82,8 @@ def parse_rack_text(text: str) -> Rack:
                 raise ParseError(f"bad size {parts[1]!r}", line=lineno) from None
             if size < 1:
                 raise ParseError("size must be >= 1", line=lineno)
+            if size > MAX_RACK_SIZE:
+                raise ResourceLimit(f"rack of size {size} exceeds the limit {MAX_RACK_SIZE}")
             continue
         if len(rows) == size:
             raise ParseError(f"unexpected line after the {size} rows", line=lineno)
@@ -226,7 +230,7 @@ def cmd_homology(args) -> int:
     timings = {} if args.timings else None
     t0 = time.perf_counter()
     complex_ = ChainComplex({
-        n: boundary_matrix(rack, n, ZZ, args.quandle, xs, max_basis=args.max_basis)
+        n: boundary_matrix(rack, n, quandle=args.quandle, xset=xs, max_basis=args.max_basis)
         for n in range(1, args.max_degree + 2)
     }, ring)
     if args.cohomology:

@@ -34,9 +34,10 @@ no rank and no invariant factor, so cohomology is read from the same
 reductions of the boundary matrices as homology
 (``linalg.ChainComplex.cohomology``).
 
-Every matrix, chain and cochain built here holds plain ints in every ring,
-reduced mod p over F_p; ``cochain_differential_matrix`` is the one coboundary
-builder.
+The matrix builders take no ring: a matrix holds the integers of the
+complex, which the reductions of :mod:`rackhom.linalg` read in any ring.
+A chain or cochain holds plain ints in its ring, reduced mod p over F_p;
+``cochain_differential_matrix`` is the one coboundary builder.
 
 Coefficients: trivial (``None``, the one-point action) or the permutation
 module of a validated rack-set, a ``racks.XSet``.  ``right_action`` turns
@@ -233,7 +234,7 @@ def basis_cochain(rack: Rack, p: int, ring, t, j=0, quandle=False, module=None) 
     return Cochain(p, ring, values, quandle, module)
 
 
-def _boundary(rack: Rack, n: int, ring, quandle: bool, right, max_basis: int) -> SparseMat:
+def _boundary(rack: Rack, n: int, quandle: bool, right, max_basis: int) -> SparseMat:
     """The degree-``n`` boundary with coefficients in a permutation module;
     ``right[x][y]`` is the point ``y`` moved by the right action of ``x``
     (trivial coefficients are the one-point action ``((0,),) * size``).
@@ -258,7 +259,6 @@ def _boundary(rack: Rack, n: int, ring, quandle: bool, right, max_basis: int) ->
     s = rack.size
     conj = rack.right
     dim = len(right[0])
-    char = ring.char
     row = None
     nrows = s ** (n - 1)  # the rack target; the cap on the larger source covers it
     if quandle:
@@ -307,14 +307,14 @@ def _boundary(rack: Rack, n: int, ring, quandle: bool, right, max_basis: int) ->
                 if r1 is not None:
                     r = r1 * dim + move[y]
                     col[r] = col.get(r, 0) - sign
-            cols.append({r: w for r, v in col.items() if (w := v % char if char else v)})
-    return SparseMat(nrows * dim, len(src) * dim, ring, cols)
+            cols.append({r: v for r, v in col.items() if v})
+    return SparseMat(nrows * dim, len(src) * dim, cols)
 
 
-def boundary_matrix(rack: Rack, n: int, ring=ZZ, quandle: bool = False,
+def boundary_matrix(rack: Rack, n: int, *, quandle: bool = False,
                     xset: XSet | None = None,
                     max_basis: int = DEFAULT_MAX_BASIS) -> SparseMat:
-    """Matrix of the degree-``n`` boundary on the chosen basis.
+    """Integer matrix of the degree-``n`` boundary on the chosen basis.
 
     Columns are indexed by the degree-``n`` basis, rows by degree ``n-1``.
     With rack-set coefficients the bases are (basis tuple, point) pairs
@@ -322,13 +322,13 @@ def boundary_matrix(rack: Rack, n: int, ring=ZZ, quandle: bool = False,
     move the point by the right action.  The quandle variant is the induced
     map on the non-degenerate basis (degenerate images are dropped).
     """
-    return _boundary(rack, n, ring, quandle, right_action(rack, xset), max_basis)
+    return _boundary(rack, n, quandle, right_action(rack, xset), max_basis)
 
 
-def cochain_differential_matrix(rack: Rack, p: int, ring, quandle=False,
+def cochain_differential_matrix(rack: Rack, p: int, *, quandle: bool = False,
                                 module: XSet | None = None,
                                 max_basis: int = DEFAULT_MAX_BASIS) -> SparseMat:
-    """Matrix of the degree-``p`` cochain differential C^p -> C^{p+1}:
+    """Integer matrix of the degree-``p`` cochain differential C^p -> C^{p+1}:
     (-1)^{p+1} times the transpose of the degree-``p+1`` boundary.
 
     On tuples this is
@@ -338,14 +338,14 @@ def cochain_differential_matrix(rack: Rack, p: int, ring, quandle=False,
     ``None``).  The leading (-1)^p is the dualization sign (see the module
     docstring).
     """
-    mat = _boundary(rack, p + 1, ring, quandle, right_action(rack, module),
-                    max_basis).transpose()
+    mat = _boundary(rack, p + 1, quandle, right_action(rack, module), max_basis).transpose()
     return mat.scaled(-1) if p % 2 == 0 else mat
 
 
 def apply_coboundary(mat: SparseMat, f: Cochain) -> Cochain:
     """``mat``, the :func:`cochain_differential_matrix` of ``f``'s degree,
-    ring, variant and module, applied to ``f``; the result keeps ``f.den``."""
+    variant and module, applied to ``f`` and reduced in ``f``'s ring; the
+    result keeps ``f.den``."""
     if len(f.values) != mat.ncols:
         raise CoefficientMismatch("cochain length does not match its basis")
     out = [0] * mat.nrows
@@ -362,7 +362,7 @@ def apply_coboundary(mat: SparseMat, f: Cochain) -> Cochain:
 def cochain_differential(f: Cochain, rack: Rack) -> Cochain:
     """The cochain differential applied to ``f``, through a matrix built for
     this call (``CupContext.differential`` keeps its matrices)."""
-    mat = cochain_differential_matrix(rack, f.degree, f.ring, f.quandle, f.module)
+    mat = cochain_differential_matrix(rack, f.degree, quandle=f.quandle, module=f.module)
     return apply_coboundary(mat, f)
 
 

@@ -146,13 +146,13 @@ class CupContext(Record):
         return self._stencils[key]
 
     def coboundary(self, p, module=None) -> SparseMat:
-        """The :func:`~rackhom.complexes.cochain_differential_matrix` of d*^p
-        (int entries) in the context's ring and variant, with coefficients in
-        ``module``; built once per degree and module."""
+        """The integer :func:`~rackhom.complexes.cochain_differential_matrix`
+        of d*^p in the context's variant, with coefficients in ``module``, to
+        be read in the context's ring; built once per degree and module."""
         key = (p, module)
         if key not in self._coboundaries:
             self._coboundaries[key] = cochain_differential_matrix(
-                self.rack, p, self.ring, self.quandle, module, self.max_basis)
+                self.rack, p, quandle=self.quandle, module=module, max_basis=self.max_basis)
         return self._coboundaries[key]
 
     def differential(self, f: Cochain) -> Cochain:
@@ -283,8 +283,8 @@ def is_coboundary(f: Cochain, rack: Rack) -> Cochain | None:
         raise ContextMismatch("coboundary solving requires a field")
     if f.degree == 0:
         return None
-    mat = cochain_differential_matrix(rack, f.degree - 1, ring, f.quandle, f.module)
-    x, den = solve(mat, f.values)
+    mat = cochain_differential_matrix(rack, f.degree - 1, quandle=f.quandle, module=f.module)
+    x, den = solve(mat, f.values, ring)
     if x is None:
         return None
     return Cochain(f.degree - 1, ring, x, f.quandle, f.module, den * f.den)
@@ -339,12 +339,12 @@ def ring_structure(rack: Rack, ring, max_degree: int, quandle: bool = False,
         raise ContextMismatch("ring structure requires field scalars")
     ctx = CupContext(rack, ring, quandle, max_basis=max_basis)
     # d*^{-1} is the zero map into C^0, which has the one empty tuple
-    dmat = {-1: SparseMat(1, 0, ring)}
+    dmat = {-1: SparseMat(1, 0)}
     for p in range(max_degree + 1):
         dmat[p] = ctx.coboundary(p)
     reps, dens = {}, {}
     for p in range(max_degree + 1):
-        cocycles, dens[p] = kernel_basis(dmat[p])
+        cocycles, dens[p] = kernel_basis(dmat[p], ring)
         reps[p] = independent(dmat[p - 1].cols, cocycles, ring)
     products: dict = {}
     if not ring.char:
@@ -363,8 +363,8 @@ def ring_structure(rack: Rack, ring, max_degree: int, quandle: bool = False,
             continue
         cols = [{i: v for i, v in enumerate(vec) if v} for vec in reps[n]]
         cols += dmat[n - 1].cols
-        red = SparseMat(dmat[n].ncols, len(cols), ring, cols)
-        solutions, den = solve_many(red, rhs)
+        red = SparseMat(dmat[n].ncols, len(cols), cols)
+        solutions, den = solve_many(red, rhs, ring)
         for (p, i, q, j), coords in zip(keys, solutions):
             if coords is None:
                 raise NotACocycle("product of cocycles failed to reduce; complex is inconsistent")

@@ -1,5 +1,7 @@
 """Exact sparse linear algebra: ranks, kernels, images, Smith normal form,
-and the homology of a chain complex.
+and the homology of a chain complex.  A ``SparseMat`` holds plain ints and
+no ring: each reduction takes the ring it works over, and over F_p reduces
+the entries mod p as it copies them.
 
 Rank and Smith normal form are one sparse pivot elimination in Markowitz
 order (shortest vector, then least shared pivot index), without
@@ -35,36 +37,29 @@ from math import gcd, lcm
 
 from .errors import NotAComplex, ResourceLimit, ShapeError
 from .records import Frozen
-from .rings import ZZ
+
+MAX_SMITH_ENTRIES = 4_000_000  # the Smith residual's cap, vectors times indices
 
 
 class SparseMat:
-    """Column-major sparse matrix of ints (residues over F_p), no zeros."""
+    """Column-major sparse matrix of plain ints, no zeros, and no ring."""
 
-    __slots__ = ("nrows", "ncols", "ring", "cols")
+    __slots__ = ("nrows", "ncols", "cols")
 
-    def __init__(self, nrows, ncols, ring, cols=None):
+    def __init__(self, nrows, ncols, cols=None):
         self.nrows = nrows
         self.ncols = ncols
-        self.ring = ring
         self.cols = cols if cols is not None else [{} for _ in range(ncols)]
 
     @classmethod
-    def zero(cls, nrows, ncols, ring):
-        return cls(nrows, ncols, ring)
+    def identity(cls, n):
+        return cls(n, n, [{i: 1} for i in range(n)])
 
     @classmethod
-    def identity(cls, n, ring):
-        m = cls(n, n, ring)
-        for i in range(n):
-            m.cols[i][i] = 1
-        return m
-
-    @classmethod
-    def from_dense(cls, rows, ring):
+    def from_dense(cls, rows):
         nrows = len(rows)
         ncols = len(rows[0]) if nrows else 0
-        m = cls(nrows, ncols, ring)
+        m = cls(nrows, ncols)
         for i, row in enumerate(rows):
             if len(row) != ncols:
                 raise ShapeError("ragged dense matrix")
@@ -73,15 +68,13 @@ class SparseMat:
         return m
 
     def add_at(self, r, c, v):
-        """Add the int ``v`` at ``(r, c)``, reduced mod p over F_p."""
+        """Add the int ``v`` at ``(r, c)``."""
         if not 0 <= r < self.nrows or not 0 <= c < self.ncols:
             raise ShapeError(f"entry ({r},{c}) outside {self.nrows}x{self.ncols}")
         if not isinstance(v, int):
             raise ShapeError(f"entry ({r},{c}) is {v!r}, not an int")
         col = self.cols[c]
         u = col.get(r, 0) + v
-        if self.ring.char:
-            u %= self.ring.char
         if u:
             col[r] = u
         else:
@@ -96,58 +89,43 @@ class SparseMat:
     def mul(self, other: "SparseMat") -> "SparseMat":
         if self.ncols != other.nrows:
             raise ShapeError("shape mismatch in matrix product")
-        p = self.ring.char
-        out = SparseMat(self.nrows, other.ncols, self.ring)
+        out = SparseMat(self.nrows, other.ncols)
         for j, col in enumerate(other.cols):
             acc: dict = {}
             for k, v in col.items():
                 for i, w in self.cols[k].items():
                     acc[i] = acc.get(i, 0) + w * v
-            if p:
-                out.cols[j] = {i: u for i, a in acc.items() if (u := a % p)}
-            else:
-                out.cols[j] = {i: a for i, a in acc.items() if a}
+            out.cols[j] = {i: a for i, a in acc.items() if a}
         return out
 
     def mul_is_zero(self, other: "SparseMat") -> bool:
         """Whether ``self.mul(other)`` is zero, contracted one column at a
-        time and reduced as ``mul`` reduces, up to the first nonzero column."""
+        time up to the first nonzero column."""
         if self.ncols != other.nrows:
             raise ShapeError("shape mismatch in matrix product")
-        p = self.ring.char
         for col in other.cols:
             acc: dict = {}
             for k, v in col.items():
                 for i, w in self.cols[k].items():
                     acc[i] = acc.get(i, 0) + w * v
-            if any(a % p for a in acc.values()) if p else any(acc.values()):
+            if any(acc.values()):
                 return False
         return True
 
     def transpose(self) -> "SparseMat":
-        out = SparseMat(self.ncols, self.nrows, self.ring)
+        out = SparseMat(self.ncols, self.nrows)
         for j, col in enumerate(self.cols):
             for i, v in col.items():
                 out.cols[i][j] = v
         return out
 
     def scaled(self, c) -> "SparseMat":
-        """The entries times ``c``, reduced as ``mul`` reduces (mod p over
-        F_p), so that int entries stay ints in every ring."""
-        p = self.ring.char
-        cols = [{i: u for i, v in col.items() if (u := v * c % p if p else v * c)}
-                for col in self.cols]
-        return SparseMat(self.nrows, self.ncols, self.ring, cols)
+        """The entries times the int ``c``."""
+        cols = [{i: u for i, v in col.items() if (u := v * c)} for col in self.cols]
+        return SparseMat(self.nrows, self.ncols, cols)
 
     def to_dense(self):
         rows = [[0] * self.ncols for _ in range(self.nrows)]
-        for j, col in enumerate(self.cols):
-            for i, v in col.items():
-                rows[i][j] = v
-        return rows
-
-    def rows_as_dicts(self):
-        rows = [dict() for _ in range(self.nrows)]
         for j, col in enumerate(self.cols):
             for i, v in col.items():
                 rows[i][j] = v
@@ -161,7 +139,7 @@ class SparseMat:
         )
 
     def __repr__(self):
-        return f"SparseMat({self.nrows}x{self.ncols} over {self.ring}, nnz={self.nnz()})"
+        return f"SparseMat({self.nrows}x{self.ncols}, nnz={self.nnz()})"
 
 
 # ---------------------------------------------------------------------------
@@ -239,6 +217,7 @@ def _rref(rows, ring):
     pivot_rows, den)``, pivots strictly increasing, each row fully reduced
     against the others and leading with ``den``: 1 over F_p, and over Q the
     lcm of the leading entries of the primitive rows."""
+    _require_field(ring)
     p = ring.char
     pivot_of = _echelon(rows, p)
     pivots = sorted(pivot_of)
@@ -365,47 +344,33 @@ def _column_vectors(mat: SparseMat, drop, p=0) -> dict:
             if (vec := {i: v for i, v in col.items() if i not in drop})}
 
 
-def _check_readable(mat: SparseMat, ring, what):
-    # residues mod p are no integers: a matrix over F_p is read only over F_p
-    if mat.ring.char and ring is not mat.ring:
-        raise ShapeError(f"{what} holds residues over {mat.ring} and cannot be read over {ring}")
+def rank(mat: SparseMat, ring, drop=frozenset(), pivots=None) -> int:
+    """Rank over the field ``ring`` by sparse elimination alone, of ``mat``
+    less the rows in ``drop``; the ids of the pivot columns that may clear
+    the next degree (see ``ChainComplex``) are appended to ``pivots`` if it
+    is a list.
 
-
-def rank(mat: SparseMat, ring=None, drop=frozenset(), pivots=None) -> int:
-    """Rank over the field ``ring`` (by default the matrix's own) by sparse
-    elimination alone, of ``mat`` less the rows in ``drop``; the ids of the
-    pivot columns that may clear the next degree (see ``ChainComplex``) are
-    appended to ``pivots`` if it is a list.
-
-    A matrix over Z or Q is read in any ring: its entries reduced mod p over
-    F_p, and as they are over Q; a matrix over F_p only over F_p.  Over F_p
-    every pivot counts and clears.  Over Q the rank is that over Z: the +-1
-    pass and Euclid's algorithm of :func:`smith_normal_form`, without its
-    cap on the residual.  Only the +-1 pivots clear, as over Z.
+    Over F_p the entries are reduced mod p as they are copied, and every
+    pivot counts and clears.  Over Q the rank is that over Z: the +-1 pass
+    and Euclid's algorithm of :func:`smith_normal_form`, without its cap on
+    the residual.  Only the +-1 pivots clear, as over Z.
     """
-    ring = mat.ring if ring is None else ring
     _require_field(ring)
-    _check_readable(mat, ring, "the matrix")
     p = ring.char
     vecs = _column_vectors(mat, drop, p)
-    if p:
-        units = _eliminate_pivots(vecs, p)
-    else:
-        units = _eliminate_pivots(vecs, 0, units_only=True)
+    units = _eliminate_pivots(vecs, p, units_only=True)  # over F_p every pivot is a unit
     if pivots is not None:
         pivots.extend(units)
     # over F_p no vector is left; over Q Euclid's algorithm reduces the rest
     return len(units) + len(_eliminate_pivots(vecs, 0))
 
 
-def kernel_basis(mat: SparseMat) -> tuple[list[list], int]:
-    """``(basis, den)``: a basis of the right kernel, one dense int vector
-    per free column, over the one denominator ``den`` (1 over F_p), and in
-    reduced echelon form with respect to the free columns."""
-    ring = mat.ring
-    _require_field(ring)
+def kernel_basis(mat: SparseMat, ring) -> tuple[list[list], int]:
+    """``(basis, den)``: a basis of the right kernel over ``ring``, one dense
+    int vector per free column, over the one denominator ``den`` (1 over
+    F_p), and in reduced echelon form with respect to the free columns."""
     p = ring.char
-    pivots, rows, den = _rref(mat.rows_as_dicts(), ring)
+    pivots, rows, den = _rref(mat.transpose().cols, ring)
     pivot_set = set(pivots)
     basis = {f: [0] * mat.ncols for f in range(mat.ncols) if f not in pivot_set}
     for f, v in basis.items():
@@ -417,35 +382,30 @@ def kernel_basis(mat: SparseMat) -> tuple[list[list], int]:
     return list(basis.values()), den
 
 
-def image_basis(mat: SparseMat) -> tuple[list[list], int]:
-    """``(basis, den)``: a basis of the column space as dense int vectors
-    over the one denominator ``den``, in reduced echelon form."""
-    ring = mat.ring
-    _require_field(ring)
+def image_basis(mat: SparseMat, ring) -> tuple[list[list], int]:
+    """``(basis, den)``: a basis of the column space over ``ring`` as dense
+    int vectors over the one denominator ``den``, in reduced echelon form."""
     _, rred, den = _rref(mat.cols, ring)
     return [[row.get(i, 0) for i in range(mat.nrows)] for row in rred], den
 
 
-def solve(mat: SparseMat, rhs) -> tuple[list | None, int]:
+def solve(mat: SparseMat, rhs, ring) -> tuple[list | None, int]:
     """``(x, den)``: one int solution ``x / den`` of ``mat . x = rhs`` over
-    a field, or None for ``x``; free variables are set to zero, so the
+    ``ring``, or None for ``x``; free variables are set to zero, so the
     witness is deterministic."""
-    xs, den = solve_many(mat, [rhs])
+    xs, den = solve_many(mat, [rhs], ring)
     return xs[0], den
 
 
-def solve_many(mat: SparseMat, rhs_list) -> tuple[list, int]:
-    """Solve ``mat . x = rhs`` for several int right-hand sides with a
-    single elimination: ``(solutions, den)``, int vectors over the one
-    denominator ``den``, None where the system is inconsistent."""
-    ring = mat.ring
-    _require_field(ring)
-    for rhs in rhs_list:
+def solve_many(mat: SparseMat, rhs_list, ring) -> tuple[list, int]:
+    """Solve ``mat . x = rhs`` over ``ring`` for several int right-hand sides
+    with a single elimination: ``(solutions, den)``, int vectors over the
+    one denominator ``den``, None where the system is inconsistent."""
+    n = mat.ncols
+    rows = mat.transpose().cols
+    for k, rhs in enumerate(rhs_list):
         if len(rhs) != mat.nrows:
             raise ShapeError(f"right-hand side has {len(rhs)} entries for {mat.nrows} rows")
-    n = mat.ncols
-    rows = mat.rows_as_dicts()
-    for k, rhs in enumerate(rhs_list):
         for i, v in enumerate(rhs):
             if v:
                 rows[i][n + k] = v
@@ -499,29 +459,25 @@ class SmithForm(Frozen):
         return tuple(d for d in self.factors if d > 1)
 
 
-def smith_normal_form(mat: SparseMat, max_entries: int = 4_000_000,
-                      drop=frozenset(), pivots=None) -> SmithForm:
+def smith_normal_form(mat: SparseMat, drop=frozenset(), pivots=None) -> SmithForm:
     """Invariant factors over Z of ``mat`` less the rows in ``drop``.
 
     The +-1 pivots go first, each a unimodular step with factor 1; their
     column ids are appended to ``pivots`` if it is a list.  Euclid's
     algorithm then reduces the residual, whose size (vectors times indices)
-    ``max_entries`` caps, and the exchange diag(a, b) ~ diag(gcd, lcm) puts
-    its pivots into chain order.  The cap is a resource guard, not a
-    correctness bound: Python ints do not overflow.  A matrix over Z or Q
-    is read as it is, as in :func:`rank`; one over F_p holds residues and
-    is refused.
+    ``MAX_SMITH_ENTRIES`` caps, and the exchange diag(a, b) ~ diag(gcd, lcm)
+    puts its pivots into chain order.  The cap is a resource guard, not a
+    correctness bound: Python ints do not overflow.
     """
-    _check_readable(mat, ZZ, "the matrix")
     vecs = _column_vectors(mat, drop)
     units = _eliminate_pivots(vecs, 0, units_only=True)
     if pivots is not None:
         pivots.extend(units)
     rows = len({i for vec in vecs.values() for i in vec})
-    if rows * len(vecs) > max_entries:
+    if rows * len(vecs) > MAX_SMITH_ENTRIES:
         raise ResourceLimit(f"Smith reduction on the {rows}x{len(vecs)} residual of a "
                             f"{mat.nrows}x{mat.ncols} matrix exceeds the cap of "
-                            f"{max_entries} entries")
+                            f"{MAX_SMITH_ENTRIES} entries")
     chain = [abs(v) for v in _eliminate_pivots(vecs, 0).values()]
     for i in range(len(chain)):
         for j in range(i + 1, len(chain)):
@@ -570,14 +526,12 @@ class HomologyGroup(Frozen):
 
 
 class ChainComplex:
-    """The boundary matrices of one chain complex over ``ring``, by degree.
+    """The integer boundary matrices of one chain complex, read over ``ring``.
 
-    ``differentials[n]`` is the matrix of ``d_n: C_n -> C_{n-1}``, over Z or
-    Q (every rack boundary has integer entries), or else over ``ring``,
-    since residues mod p are read only over F_p.  Shapes and d o d = 0 are checked once per
-    consecutive pair on construction, in the matrices' own ring (a zero
-    over Z is a zero over every ring), one product column at a time up to
-    the first nonzero one.  Each differential is reduced at most
+    ``differentials[n]`` is the matrix of ``d_n: C_n -> C_{n-1}``.  Shapes
+    and d o d = 0 are checked once per consecutive pair on construction,
+    over Z (a zero there is a zero in every ring), one product column at a
+    time up to the first nonzero one.  Each differential is reduced at most
     once (rank over a field, Smith form over Z) and the reduction is
     cached; homology and the cohomology of the dual complex are both read
     from it.
@@ -605,7 +559,6 @@ class ChainComplex:
         self.differentials = dict(differentials)
         self._reductions: dict[int, tuple] = {}
         for n, d in self.differentials.items():
-            _check_readable(d, ring, f"the differential at degree {n}")
             after = self.differentials.get(n - 1)
             if after is None:
                 continue
@@ -622,11 +575,10 @@ class ChainComplex:
             if n not in self.differentials:
                 raise ShapeError(f"no differential at degree {n}")
             d = self.differentials[n]
-            ring = self.ring
             drop = frozenset(self._reduce(n - 1)[2] if n - 1 in self.differentials else ())
             pivots: list[int] = []
-            if ring.is_field:
-                self._reductions[n] = (rank(d, ring, drop=drop, pivots=pivots), (), pivots)
+            if self.ring.is_field:
+                self._reductions[n] = (rank(d, self.ring, drop=drop, pivots=pivots), (), pivots)
             else:
                 snf = smith_normal_form(d, drop=drop, pivots=pivots)
                 self._reductions[n] = (snf.rank, snf.torsion(), pivots)

@@ -27,9 +27,9 @@ from .errors import (
 )
 from .records import Frozen
 
-# builtin tables are validated exhaustively, in O(n^3) (dihedral:500 takes
-# about 20 s), so larger builtin sizes are refused before a table is built
-MAX_BUILTIN_SIZE = 500
+# racks are validated exhaustively, in O(n^3) (dihedral:500 takes about
+# 20 s), so larger ones are refused before any check runs or table is built
+MAX_RACK_SIZE = 500
 
 
 class Rack(Frozen):
@@ -146,11 +146,14 @@ def validate_rack(table, label="rack") -> Rack:
     """Check R1 and R2 exhaustively and wrap the table.
 
     Raises ``R1Violation(y)`` with the first bad column, or
-    ``R2Violation(x, y, z)`` with the first bad triple.
+    ``R2Violation(x, y, z)`` with the first bad triple; a table with more
+    than ``MAX_RACK_SIZE`` rows raises ``ResourceLimit`` before any check.
 
     >>> validate_rack([[0, 2, 1], [2, 1, 0], [1, 0, 2]]).is_quandle()
     True
     """
+    if len(table) > MAX_RACK_SIZE:
+        raise ResourceLimit(f"rack of size {len(table)} exceeds the limit {MAX_RACK_SIZE}")
     n = _check_shape(table)
     for y in range(n):
         if len({table[x][y] for x in range(n)}) != n:
@@ -337,8 +340,8 @@ def builtin(spec: str) -> Rack:
             n = int(arg)
         except ValueError:
             raise ShapeError(f"builtin {spec!r}: size {arg!r} is not an integer") from None
-        if n > MAX_BUILTIN_SIZE:
-            raise ResourceLimit(f"builtin {spec!r}: size exceeds the limit {MAX_BUILTIN_SIZE}")
+        if n > MAX_RACK_SIZE:
+            raise ResourceLimit(f"builtin {spec!r}: size exceeds the limit {MAX_RACK_SIZE}")
         return sized[kind](n)
     if kind == "conjugation":
         if arg.lower() == "s3":

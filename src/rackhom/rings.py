@@ -1,16 +1,16 @@
 """Exact scalar rings: arbitrary-precision integers, rationals, prime fields.
 
 Every computation in this package is exact; there is no floating point
-anywhere.  Every stored scalar is a plain Python ``int`` in every ring, and
-callers compute with Python's own operators.  Over F_p it is a residue in
-``range(p)``, reduced by whoever stores it (with ``% char``): a sum or
-product of residues may be reduced once, where it is stored, and a zero
-test on a stored value is a truth test.  Over Q it is a numerator, and the
-vector that holds it carries one positive denominator (``Cochain.den``, or
-the ``den`` that kernels and solves return); a ``Fraction`` is made, and
-``fractions`` imported, only where a rational is reported.  No ring
-divides, since kernels, ranks and Smith forms reduce integer rows with the
-characteristic alone (see :mod:`rackhom.linalg`).
+anywhere.  Every stored scalar is a plain Python ``int``, and callers
+compute with Python's own operators.  A matrix holds integers and no ring:
+the reductions that read it take one (see :mod:`rackhom.linalg`).  In a
+chain or cochain over F_p a scalar is a residue in ``range(p)``, reduced
+by whoever stores it (with ``% char``), once, and a zero test on it is a
+truth test.  Over Q it is a numerator, and the vector that holds it
+carries one positive denominator (``Cochain.den``, or the ``den`` that
+kernels and solves return); a ``Fraction`` is made, and ``fractions``
+imported, only where a rational is reported.  No ring divides: kernels,
+ranks and Smith forms reduce integer rows with the characteristic alone.
 
 A ring is a record of its name, its characteristic and whether it is a
 field.  Rings are compared with ``is``: Z and Q are single instances, and

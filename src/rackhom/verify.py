@@ -170,7 +170,8 @@ def suite_squarezero():
             continue
         for quandle in [False, True] if rack.is_quandle() else [False]:
             for xs in (None, xset_self(rack), xset_singleton(rack)):
-                mats = {n: boundary_matrix(rack, n, ZZ, quandle, xs) for n in range(1, 5)}
+                mats = {n: boundary_matrix(rack, n, quandle=quandle, xset=xs)
+                        for n in range(1, 5)}
                 for n in range(2, 5):
                     yield mats[n - 1].mul(mats[n]).is_zero() or (
                         f"{spec} [{'quandle' if quandle else 'rack'},"
@@ -438,7 +439,7 @@ def suite_commutativity():
         ctx = CupContext(rack, ring)
         cocycles = {}
         for p in (1, 2):
-            vecs, den = kernel_basis(ctx.coboundary(p))
+            vecs, den = kernel_basis(ctx.coboundary(p), ring)
             cocycles[p] = [Cochain(p, ring, v, den=den) for v in vecs]
         for p in (1, 2):
             for q in (1, 2):
@@ -524,8 +525,8 @@ def suite_quandle():
         yield from _projection_identities(rack, spec)
         # induced boundary on the non-degenerate basis
         for deg in range(1, 5):
-            full = boundary_matrix(rack, deg, ZZ)
-            quot = boundary_matrix(rack, deg, ZZ, quandle=True)
+            full = boundary_matrix(rack, deg)
+            quot = boundary_matrix(rack, deg, quandle=True)
             src_full = tuple_basis(rack, deg)
             tgt_full = tuple_basis(rack, deg - 1)
             src_q = tuple_basis(rack, deg, True)
@@ -557,22 +558,22 @@ def suite_regression():
     dense-elimination and Smith-form oracle."""
     for m in (1, 2, 3, 4):
         rack = builtin(f"trivial:{m}")
-        complex_ = ChainComplex({n: boundary_matrix(rack, n, ZZ) for n in range(1, 6)}, ZZ)
+        complex_ = ChainComplex({n: boundary_matrix(rack, n) for n in range(1, 6)}, ZZ)
         for deg in (1, 2, 3, 4):
             h = complex_.homology(deg)
             yield (h.betti, h.torsion) == (m**deg, ()) or f"trivial:{m} H_{deg} = {h.describe()}"
     rack = builtin("dihedral:3")
-    complex_ = ChainComplex({n: boundary_matrix(rack, n, ZZ) for n in range(1, 5)}, QQ)
+    complex_ = ChainComplex({n: boundary_matrix(rack, n) for n in range(1, 5)}, QQ)
     for deg in (1, 2, 3):
         h = complex_.homology(deg)
         yield h.betti == 1 or f"dihedral:3 rack betti_{deg} = {h.betti}"
     for spec, expected in (("dihedral:3", 1), ("dihedral:4", 2), ("trivial:3", 3)):
         rack = builtin(spec)
-        dim_h1 = len(kernel_basis(cochain_differential_matrix(rack, 1, QQ))[0])
+        dim_h1 = len(kernel_basis(cochain_differential_matrix(rack, 1), QQ)[0])
         yield dim_h1 == expected or f"{spec}: dim H^1 = {dim_h1} != {expected}"
         yield len(orbits(rack)) == expected or f"{spec}: orbit count != {expected}"
     rack = builtin("dihedral:3")
-    h = ChainComplex({n: boundary_matrix(rack, n, ZZ, True) for n in (3, 4)}, ZZ).homology(3)
+    h = ChainComplex({n: boundary_matrix(rack, n, quandle=True) for n in (3, 4)}, ZZ).homology(3)
     yield (h.betti, h.torsion) == (0, (3,)) or f"quandle H_3(dihedral:3; Z) = {h.describe()}"
 
 

@@ -74,7 +74,7 @@ def test_criterion_02_boundary_squares_to_zero():
         for quandle in variants:
             for xs in (None, xset_self(rack), xset_singleton(rack)):
                 mats = {
-                    n: boundary_matrix(rack, n, ZZ, quandle, xs)
+                    n: boundary_matrix(rack, n, quandle=quandle, xset=xs)
                     for n in range(1, 5)
                 }
                 for n in range(2, 5):

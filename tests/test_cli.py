@@ -343,7 +343,30 @@ def test_builtin_huge_size_refused_before_building(capsys, monkeypatch):
     code, _, err = run(capsys, "homology", "--builtin", "dihedral:99999999999999999999")
     assert time.perf_counter() - t0 < 1
     assert code == EXIT_RESOURCE
-    assert f"exceeds the limit {racks.MAX_BUILTIN_SIZE}" in err
+    assert f"exceeds the limit {racks.MAX_RACK_SIZE}" in err
+
+
+def test_text_rack_above_the_size_limit_refused_before_its_rows(capsys, tmp_path):
+    # the row after the header is malformed: reading it would be exit 1
+    path = tmp_path / "big.txt"
+    path.write_text(f"# too big\nrack {racks.MAX_RACK_SIZE + 1}\nnot a row\n")
+    code, out, err = run(capsys, "homology", "--rack", str(path))
+    assert (code, out) == (EXIT_RESOURCE, "")
+    assert f"rack of size {racks.MAX_RACK_SIZE + 1} exceeds the limit {racks.MAX_RACK_SIZE}" in err
+
+
+def test_json_rack_above_the_size_limit_refused_before_validation(capsys, tmp_path,
+                                                                   monkeypatch):
+    def no_check(table):
+        raise AssertionError(f"a size-{len(table)} table was checked")
+
+    monkeypatch.setattr(racks, "_check_shape", no_check)
+    n = racks.MAX_RACK_SIZE + 1
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps({"size": n, "table": [[x] * n for x in range(n)]}))
+    code, out, err = run(capsys, "homology", "--rack", str(path))
+    assert (code, out) == (EXIT_RESOURCE, "")
+    assert f"rack of size {n} exceeds the limit {racks.MAX_RACK_SIZE}" in err
 
 
 @pytest.mark.parametrize("cap", ["-5", "0"])

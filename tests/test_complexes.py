@@ -37,7 +37,7 @@ from rackhom.racks import (
     xset_self,
     xset_singleton,
 )
-from rackhom.rings import GF, QQ, ZZ
+from rackhom.rings import QQ, ZZ
 from rackhom.words import WordAlgebra
 
 R3 = dihedral_rack(3)
@@ -194,12 +194,12 @@ def test_boundary_columns_pinned(spec, coefficients, quandle):
     xs = xset_self(rack) if coefficients == "self" else None
     h = hashlib.sha256()
     for n in range(1, 5):
-        mat = boundary_matrix(rack, n, ZZ, quandle, xs)
+        mat = boundary_matrix(rack, n, quandle=quandle, xset=xs)
         h.update(repr((mat.nrows, mat.ncols, [sorted(c.items()) for c in mat.cols])).encode())
     assert h.hexdigest()[:16] == BOUNDARY_DIGESTS[spec, coefficients, quandle]
 
 
-def _boundary_oracle(rack, n, ring, quandle, xs):
+def _boundary_oracle(rack, n, quandle, xs):
     # each face taken separately with ``face`` and looked up as a tuple,
     # entries summed in face order: the columns with their key order
     src, tgt = tuple_basis(rack, n, quandle), tuple_basis(rack, n - 1, quandle)
@@ -218,21 +218,19 @@ def _boundary_oracle(rack, n, ring, quandle, xs):
                     if r is not None:
                         r = r * dim + point
                         col[r] = col.get(r, 0) + entry
-            p = ring.char
-            cols.append([(r, u) for r, v in col.items() if (u := v % p if p else v)])
+            cols.append([(r, v) for r, v in col.items() if v])
     return len(tgt) * dim, len(src) * dim, cols
 
 
 @settings(max_examples=60, deadline=None)
-@given(small_racks(), st.integers(1, 4), st.sampled_from([ZZ, QQ, GF(2)]), st.booleans(),
-       st.booleans())
-def test_boundary_columns_match_faces_taken_one_by_one(rack, n, ring, quandle, self_coefficients):
+@given(small_racks(), st.integers(1, 4), st.booleans(), st.booleans())
+def test_boundary_columns_match_faces_taken_one_by_one(rack, n, quandle, self_coefficients):
     quandle = quandle and rack.is_quandle()
     xs = xset_self(rack) if self_coefficients else None
-    mat = boundary_matrix(rack, n, ring, quandle, xs)
+    mat = boundary_matrix(rack, n, quandle=quandle, xset=xs)
     assert (mat.nrows, mat.ncols, [list(c.items()) for c in mat.cols]) == \
-        _boundary_oracle(rack, n, ring, quandle, xs)
-    # plain ints in every ring, Q included (no Fractions)
+        _boundary_oracle(rack, n, quandle, xs)
+    # plain ints (no Fractions, no residues): the one matrix for every ring
     assert all(type(v) is int for col in mat.cols for v in col.values())
 
 
@@ -242,7 +240,7 @@ def test_boundary_memory_follows_the_basis():
     # with 3^10 instead of with the basis
     tracemalloc.start()
     try:
-        boundary_matrix(builtin("dihedral:3"), 10, GF(3), quandle=True)
+        boundary_matrix(builtin("dihedral:3"), 10, quandle=True)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -255,29 +253,40 @@ def test_rack_boundary_builds_only_its_source_basis(monkeypatch):
     calls = []
     basis = complexes.tuple_basis
     monkeypatch.setattr(complexes, "tuple_basis", lambda *a: calls.append(a[1]) or basis(*a))
-    mat = boundary_matrix(R3, 3, ZZ)
+    mat = boundary_matrix(R3, 3)
     assert calls == [3]
     assert (mat.nrows, mat.ncols) == (9, 27)
-    boundary_matrix(R3, 3, ZZ, quandle=True)
+    boundary_matrix(R3, 3, quandle=True)
     assert calls == [3, 3, 2]
 
 
 def test_boundary_matrix_example():
     # bd(x, y) = (x) - (x <| y); over the three-element dihedral, bd(0,1) = (0) - (2)
-    m = boundary_matrix(R3, 2, ZZ)
+    m = boundary_matrix(R3, 2)
     b2 = tuple_basis(R3, 2)
     assert m.cols[b2.index[(0, 1)]] == {0: 1, 2: -1}
     assert m.cols[b2.index[(0, 0)]] == {}  # 0 <| 0 = 0 cancels
 
 
+def test_builders_take_no_ring_and_keyword_flags():
+    # a ring passed where the old signature had one would bind ``quandle``
+    # (a Ring is truthy) and build the quandle complex; it is refused instead
+    with pytest.raises(TypeError):
+        boundary_matrix(R3, 2, ZZ)
+    with pytest.raises(TypeError):
+        cochain_differential_matrix(R3, 1, QQ)
+    with pytest.raises(TypeError):
+        boundary_matrix(R3, 2, True)
+
+
 def test_boundary_trivial_rack_zero():
     for n in (1, 2, 3, 4):
-        assert boundary_matrix(trivial_rack(3), n, ZZ).is_zero()
+        assert boundary_matrix(trivial_rack(3), n).is_zero()
 
 
 def test_boundary_degree_one_zero():
-    assert boundary_matrix(R3, 1, ZZ).is_zero()
-    assert boundary_matrix(cyclic_rack(4), 1, ZZ).is_zero()
+    assert boundary_matrix(R3, 1).is_zero()
+    assert boundary_matrix(cyclic_rack(4), 1).is_zero()
 
 
 def test_boundary_squares_to_zero_all_variants():
@@ -287,7 +296,7 @@ def test_boundary_squares_to_zero_all_variants():
         for quandle in variants:
             for xs in (None, xset_self(rack), xset_singleton(rack)):
                 mats = {
-                    n: boundary_matrix(rack, n, ZZ, quandle, xs)
+                    n: boundary_matrix(rack, n, quandle=quandle, xset=xs)
                     for n in range(1, top + 1)
                 }
                 for n in range(2, top + 1):
@@ -298,8 +307,8 @@ def test_singleton_coefficients_reproduce_trivial():
     for rack in (R3, R4):
         for n in (1, 2, 3):
             assert (
-                boundary_matrix(rack, n, ZZ, xset=xset_singleton(rack)).cols
-                == boundary_matrix(rack, n, ZZ).cols
+                boundary_matrix(rack, n, xset=xset_singleton(rack)).cols
+                == boundary_matrix(rack, n).cols
             )
 
 
@@ -307,7 +316,7 @@ def test_projection_sign_against_engine():
     """project(d(e_T)) is exactly minus the boundary column of T."""
     W = WordAlgebra(R3)
     for n in (1, 2, 3):
-        bd = boundary_matrix(R3, n, ZZ)
+        bd = boundary_matrix(R3, n)
         basis = tuple_basis(R3, n)
         for T in basis.tuples:
             ch = project_to_chain(W.d(W.eword(T)), ZZ, degree=n - 1)
@@ -323,7 +332,7 @@ def test_projection_with_module_coefficients():
     xs = xset_self(R3)
     W = WordAlgebra(R3)
     for n in (1, 2, 3):
-        bd = boundary_matrix(R3, n, ZZ, xset=xs)
+        bd = boundary_matrix(R3, n, xset=xs)
         basis = tuple_basis(R3, n)
         for T in basis.tuples:
             for y in range(xs.size):
@@ -384,9 +393,9 @@ FOREIGN_RACKS = (R3, dihedral_rack(5))
 def test_boundary_builders_refuse_a_set_over_another_rack():
     for rack in FOREIGN_RACKS:
         with pytest.raises(CoefficientMismatch, match="different rack"):
-            cochain_differential_matrix(rack, 1, ZZ, module=FOREIGN)
+            cochain_differential_matrix(rack, 1, module=FOREIGN)
         with pytest.raises(CoefficientMismatch, match="different rack"):
-            boundary_matrix(rack, 2, ZZ, xset=FOREIGN)
+            boundary_matrix(rack, 2, xset=FOREIGN)
 
 
 def test_basis_cochain_refuses_a_set_over_another_rack():
@@ -432,8 +441,7 @@ def test_dstar_squared_zero_random(values):
 def test_cochain_differential_matrix_agrees_with_function():
     for rack in (R3, R4):
         for p in (0, 1, 2):
-            mat = cochain_differential_matrix(rack, p, QQ)
-            assert mat.cols == cochain_differential_matrix(rack, p, ZZ).cols
+            mat = cochain_differential_matrix(rack, p)
             assert all(type(v) is int for col in mat.cols for v in col.values())
             basis = tuple_basis(rack, p)
             for j, t in enumerate(basis.tuples):
@@ -447,7 +455,7 @@ def test_cochain_differential_matrix_agrees_with_function():
 
 def test_cochain_differential_matrix_with_module():
     mod = xset_self(R3)
-    mat = cochain_differential_matrix(R3, 1, QQ, module=mod)
+    mat = cochain_differential_matrix(R3, 1, module=mod)
     basis = tuple_basis(R3, 1)
     for j in range(mat.ncols):
         t, k = basis.tuples[j // mod.size], j % mod.size
@@ -458,7 +466,7 @@ def test_cochain_differential_matrix_with_module():
             col[i] = v
         assert df.values == col
     # module-valued d* still squares to zero
-    m2 = cochain_differential_matrix(R3, 2, QQ, module=mod)
+    m2 = cochain_differential_matrix(R3, 2, module=mod)
     assert m2.mul(mat).is_zero()
 
 
@@ -540,7 +548,7 @@ def test_quandle_boundary_well_defined():
     so the quotient map is well defined degree by degree."""
     for rack in (R3, builtin("conjugation:s3")):
         for n in (2, 3, 4):
-            full = boundary_matrix(rack, n, ZZ)
+            full = boundary_matrix(rack, n)
             src = tuple_basis(rack, n)
             tgt = tuple_basis(rack, n - 1)
             tgt_q = tuple_basis(rack, n - 1, quandle=True)

@@ -277,17 +277,20 @@ def test_ring_structure_passes_its_cap_to_the_cup_context(monkeypatch):
 
 @pytest.mark.parametrize("ring", [QQ, GF(3)], ids=str)
 def test_ring_structure_reduces_integer_coboundaries(monkeypatch, ring):
-    entries = set()
+    # the coboundaries hold the same integers in every ring (-1 among them,
+    # no residue mod 3), and each kernel reads them over the ring it is given
+    seen = []
 
-    def spy(mat):
-        entries.update(type(v) for col in mat.cols for v in col.values())
-        if ring.char:
-            assert all(0 < v < ring.char for col in mat.cols for v in col.values())
-        return kernel_basis(mat)
+    def spy(mat, over):
+        assert over is ring
+        seen.append(mat)
+        return kernel_basis(mat, over)
 
     monkeypatch.setattr(importlib.import_module("rackhom.cup"), "kernel_basis", spy)
     assert ring_structure(R3, ring, 2).dims == {0: 1, 1: 1, 2: 1}
-    assert entries == {int}
+    assert seen == [cochain_differential_matrix(R3, p) for p in range(3)]
+    entries = [v for mat in seen for col in mat.cols for v in col.values()]
+    assert {type(v) for v in entries} == {int} and -1 in entries
 
 
 # --- graded commutativity ----------------------------------------------------
@@ -327,7 +330,7 @@ def test_homotopy_cochain_identity_exhaustive_degree_pairs():
     for rack in (R3, R4):
         ctx = CupContext(rack, QQ)
         cocycles = {
-            p: kernel_basis(cochain_differential_matrix(rack, p, QQ)) for p in (1, 2)
+            p: kernel_basis(cochain_differential_matrix(rack, p), QQ) for p in (1, 2)
         }
         for p, q in ((1, 1), (1, 2), (2, 1), (2, 2)):
             sign = -1 if (p * q) % 2 else 1
@@ -348,9 +351,9 @@ def test_context_builds_each_coboundary_once(monkeypatch):
     real = cup_module.cochain_differential_matrix
     built = []
 
-    def counting(rack, p, *args):
+    def counting(rack, p, **kwargs):
         built.append(p)
-        return real(rack, p, *args)
+        return real(rack, p, **kwargs)
 
     monkeypatch.setattr(cup_module, "cochain_differential_matrix", counting)
     ctx = CupContext(R3, QQ)
@@ -378,9 +381,9 @@ def test_commutativity_suite_builds_each_coboundary_once_per_context(monkeypatch
     real = cochain_differential_matrix
     calls = Counter()
 
-    def counting(rack, p, ring, *args, **kwargs):
-        calls[rack.label, p, ring.name] += 1
-        return real(rack, p, ring, *args, **kwargs)
+    def counting(rack, p, **kwargs):
+        calls[rack.label, p] += 1
+        return real(rack, p, **kwargs)
 
     for module in (complexes, importlib.import_module("rackhom.cup"), verify):
         monkeypatch.setattr(module, "cochain_differential_matrix", counting)
@@ -388,9 +391,9 @@ def test_commutativity_suite_builds_each_coboundary_once_per_context(monkeypatch
     expected = Counter()
     for label in ("dihedral:3", "dihedral:4"):
         for p in range(5):
-            expected[label, p, "Q"] += 1  # ring_structure's context
+            expected[label, p] += 1  # ring_structure's context
         for p in (1, 2, 3):
-            expected[label, p, "Q"] += 1  # the suite's: kernels, d*f, d*g and d*H
+            expected[label, p] += 1  # the suite's: kernels, d*f, d*g and d*H
     assert calls == expected
 
 
@@ -474,7 +477,7 @@ def test_is_coboundary_refuses_short_cochain():
 
 def test_commutator_of_cocycles_is_coboundary():
     ctx = CupContext(R4, QQ)
-    cocycles, den = kernel_basis(cochain_differential_matrix(R4, 1, QQ))
+    cocycles, den = kernel_basis(cochain_differential_matrix(R4, 1), QQ)
     f = Cochain(1, QQ, cocycles[0], den=den)
     g = Cochain(1, QQ, cocycles[1], den=den)
     comm = _over_q(2, [a + b for a, b in zip(_rational(cup(f, g, ctx)),
@@ -576,9 +579,9 @@ ORACLE_RACKS = [R3, R4, builtin("cyclic:4"), builtin("conjugation:s3")]
 
 def _betti_by_rank(rack, ring, quandle, max_degree):
     # d_0 is the zero map out of C_0, so that H^0 is read like every degree
-    ds = {0: SparseMat(0, 1, ring)}
+    ds = {0: SparseMat(0, 1)}
     for n in range(1, max_degree + 2):
-        ds[n] = boundary_matrix(rack, n, ring, quandle)
+        ds[n] = boundary_matrix(rack, n, quandle=quandle)
     cx = ChainComplex(ds, ring)
     return {p: cx.cohomology(p).betti for p in range(max_degree + 1)}
 
@@ -632,6 +635,14 @@ def test_ring_structure_products_reduce_to_coboundaries(rack, ring, quandle, max
      "1444b73c2b6b46ed196260abe28c0030170ea789e0a4232f8dc8c3008b645dd5"),
     (("--builtin", "conjugation:s3", "--ring", "Q", "--max-degree", "3"),
      "777bdb790786c22315fafbabe69e7fd0664bd68206c983fbaf1ee294b2e599bd"),
+    # F_p reports whose coboundaries are nonzero: their -1 entries are no
+    # residues until the reductions read them mod p
+    (("--builtin", "dihedral:4", "--ring", "Fp:2", "--max-degree", "4"),
+     "8563ec313bf009b1b5e612ba5c308dadd44970da53b57ea13cc99c4e645eab70"),
+    (("--builtin", "conjugation:s3", "--ring", "Fp:3", "--max-degree", "3"),
+     "02973a954658dabc32a024f9ddc9e5404961acd2df74584414922f6726971b15"),
+    (("--builtin", "dihedral:5", "--ring", "Fp:5", "--max-degree", "3", "--quandle"),
+     "4bf85ea02dab65bd462a146df42cabed71f8f99fab0b5a40f98ee7db06b8ad55"),
 ])
 def test_ring_json_digest_pinned(capsys, argv, digest):
     assert main(["ring", *argv, "--json"]) == 0
@@ -676,7 +687,7 @@ def test_quandle_cup_laws():
 
 def test_quandle_homotopy_cochain():
     ctx = CupContext(R3, QQ, quandle=True)
-    cocycles, den = kernel_basis(cochain_differential_matrix(R3, 2, QQ, quandle=True))
+    cocycles, den = kernel_basis(cochain_differential_matrix(R3, 2, quandle=True), QQ)
     consts = Cochain(1, QQ, [1] * 3, quandle=True)
     assert not any(cochain_differential(consts, R3).values)
     for gv in cocycles:
@@ -800,7 +811,7 @@ def _fraction_cup(f, g, rack):
 
 def _fraction_differential(f, rack):
     """d*f in Fraction arithmetic from ``cochain_differential_matrix``."""
-    mat = cochain_differential_matrix(rack, f.degree, QQ, f.quandle, f.module)
+    mat = cochain_differential_matrix(rack, f.degree, quandle=f.quandle, module=f.module)
     out = [Fraction(0)] * mat.nrows
     for v, col in zip(_rational(f), mat.cols):
         for i, c in col.items():
@@ -900,7 +911,8 @@ def test_q_products_match_fraction_reference_on_real_denominators(rack, data):
 
     def cocycle(p):
         # a combination of kernel vectors with fractional coefficients
-        kernel, den = kernel_basis(cochain_differential_matrix(rack, p, QQ, quandle, module))
+        kernel, den = kernel_basis(
+            cochain_differential_matrix(rack, p, quandle=quandle, module=module), QQ)
         values = [Fraction(0)] * length(p)
         for vec in kernel:
             c = data.draw(fractions)
@@ -964,7 +976,8 @@ def test_homotopy_matches_fraction_reference(spec, quandle, with_module):
     for p, q in ((1, 1), (1, 2), (2, 1)):
         cocycles = {}
         for d in {p, q}:
-            kernel, den = kernel_basis(cochain_differential_matrix(rack, d, QQ, quandle, module))
+            kernel, den = kernel_basis(
+                cochain_differential_matrix(rack, d, quandle=quandle, module=module), QQ)
             scaled = [[COCYCLE_SCALES[k % 4] * Fraction(v, den) for v in vec]
                       for k, vec in enumerate(kernel)]
             total = [sum(col, Fraction(0)) for col in zip(*scaled)] if scaled else []

@@ -42,10 +42,10 @@ def mon_mul_without_conjugation(self, m1, m2):
     return self.canonical_a_word(a), e1 + e2
 
 
-def boundary_without_the_action(rack, n, ring, quandle, right, max_basis):
+def boundary_without_the_action(rack, n, quandle, right, max_basis):
     # every conjugating face keeps its coefficient point: the identity action
     identity = (tuple(range(len(right[0]))),) * len(right)
-    return BOUNDARY(rack, n, ring, quandle, identity, max_basis)
+    return BOUNDARY(rack, n, quandle, identity, max_basis)
 
 
 def left_word_by_the_right_action(self, word, y):
