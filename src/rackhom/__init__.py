@@ -16,7 +16,6 @@ from .racks import (
     conjugation_rack,
     cyclic_rack,
     dihedral_rack,
-    inverse_op,
     orbits,
     trivial_rack,
     validate_rack,
@@ -27,7 +26,6 @@ from .racks import (
 from .rings import GF, QQ, ZZ, ring_by_name
 from .words import BElement, TensorElement, WordAlgebra
 from .complexes import (
-    Chain,
     Cochain,
     TupleBasis,
     basis_cochain,
@@ -69,7 +67,6 @@ __all__ = [
     "conjugation_rack",
     "cyclic_rack",
     "dihedral_rack",
-    "inverse_op",
     "orbits",
     "trivial_rack",
     "validate_rack",
@@ -83,7 +80,6 @@ __all__ = [
     "BElement",
     "TensorElement",
     "WordAlgebra",
-    "Chain",
     "Cochain",
     "TupleBasis",
     "basis_cochain",

@@ -36,8 +36,9 @@ reductions of the boundary matrices as homology
 
 The matrix builders take no ring: a matrix holds the integers of the
 complex, which the reductions of :mod:`rackhom.linalg` read in any ring.
-A chain or cochain holds plain ints in its ring, reduced mod p over F_p;
-``cochain_differential_matrix`` is the one coboundary builder.
+A cochain holds plain ints in its ring, reduced mod p over F_p;
+``cochain_differential_matrix`` is the one coboundary builder.  A chain
+is the list of ints that ``project_to_chain`` returns, over Z.
 
 Coefficients: trivial (``None``, the one-point action) or the permutation
 module of a validated rack-set, a ``racks.XSet``.  ``right_action`` turns
@@ -63,7 +64,6 @@ from .errors import (
 from .linalg import SparseMat
 from .racks import Rack, XSet
 from .records import Frozen, Record
-from .rings import ZZ
 
 DEFAULT_MAX_BASIS = 200_000
 
@@ -75,13 +75,9 @@ def no_adjacent_equal(t):
 class TupleBasis(Frozen):
     """Ordered basis of degree-``n`` chains (rack or quandle variant)."""
 
-    _fields = ("rack", "degree", "quandle", "tuples")
+    _fields = ("tuples",)
 
-    def __init__(self, rack: Rack, degree: int, quandle: bool,
-                 tuples: tuple[tuple[int, ...], ...]):
-        object.__setattr__(self, "rack", rack)
-        object.__setattr__(self, "degree", degree)
-        object.__setattr__(self, "quandle", quandle)
+    def __init__(self, tuples: tuple[tuple[int, ...], ...]):
         object.__setattr__(self, "tuples", tuples)
 
     def __len__(self):
@@ -117,7 +113,7 @@ def tuple_basis(rack: Rack, n: int, quandle: bool = False,
         tuples = tuple(tuples)
     else:
         tuples = tuple(itertools.product(range(rack.size), repeat=n))
-    return TupleBasis(rack, n, quandle, tuples)
+    return TupleBasis(tuples)
 
 
 def face(t, i, eps, rack: Rack):
@@ -192,23 +188,11 @@ def right_action(rack: Rack, xset: XSet | None):
 # Chains, cochains, boundary matrices
 
 
-class Chain(Record):
-    """Vector over a tuple basis; module-valued entries are flattened as
-    ``tuple_index * module_dim + module_index``."""
-
-    __slots__ = _fields = ("basis", "ring", "values", "module_dim")
-
-    def __init__(self, basis: TupleBasis, ring, values: list, module_dim: int = 1):
-        self.basis = basis
-        self.ring = ring
-        self.values = values
-        self.module_dim = module_dim
-
-
 class Cochain(Record):
-    """Cochain values flattened as in :class:`Chain`: the value at ``i`` is
-    ``values[i] / den``, an int over a positive ``den`` that is 1 unless the
-    ring is Q, and a residue over F_p."""
+    """Cochain values, flattened as ``tuple_index * |Y| + point`` with
+    rack-set coefficients: the value at ``i`` is ``values[i] / den``, an
+    int over a positive ``den`` that is 1 unless the ring is Q, and a
+    residue over F_p."""
 
     __slots__ = _fields = ("degree", "ring", "values", "quandle", "module", "den")
 
@@ -256,9 +240,12 @@ def _boundary(rack: Rack, n: int, quandle: bool, right, max_basis: int) -> Spars
     if n < 1:
         raise IndexOutOfRange("boundary defined for degree >= 1")
     src = tuple_basis(rack, n, quandle, max_basis)
+    dim = len(right[0])
+    if len(src) * dim > max_basis:
+        raise DimensionOverflow(f"degree-{n} boundary has {len(src) * dim} columns "
+                                f"({len(src)} tuples x {dim} points), over the cap {max_basis}")
     s = rack.size
     conj = rack.right
-    dim = len(right[0])
     row = None
     nrows = s ** (n - 1)  # the rack target; the cap on the larger source covers it
     if quandle:
@@ -321,6 +308,7 @@ def boundary_matrix(rack: Rack, n: int, *, quandle: bool = False,
     flattened as ``tuple_index * |Y| + point`` and the conjugating faces
     move the point by the right action.  The quandle variant is the induced
     map on the non-degenerate basis (degenerate images are dropped).
+    ``max_basis`` caps the columns: tuples times points.
     """
     return _boundary(rack, n, quandle, right_action(rack, xset), max_basis)
 
@@ -366,16 +354,16 @@ def cochain_differential(f: Cochain, rack: Rack) -> Cochain:
     return apply_coboundary(mat, f)
 
 
-def project_to_chain(u: BElement, ring=ZZ, xset: XSet | None = None,
-                     y: int = 0, quandle: bool = False,
-                     degree: int | None = None) -> Chain:
-    """Collapse a homogeneous element to a chain vector.
+def project_to_chain(u: BElement, *, xset: XSet | None = None, y: int = 0,
+                     quandle: bool = False, degree: int | None = None) -> list[int]:
+    """Collapse a homogeneous element to the integer vector of a chain.
 
     Each monomial ``a . e_word`` lands on the basis tuple of its e-word.
     With trivial coefficients the prefix acts trivially; with rack-set
     coefficients the starting point ``y`` is pushed through the prefix by
-    the right action, so the result lives in the (tuple, point) basis.
-    ``degree`` pins the target degree when ``u`` may be zero.
+    the right action, so the result lives in the (tuple, point) basis,
+    flattened as ``tuple_index * |Y| + point``.  ``degree`` pins the
+    target degree when ``u`` may be zero.
     """
     rack = u.algebra.rack
     degs = u.degrees()
@@ -398,6 +386,4 @@ def project_to_chain(u: BElement, ring=ZZ, xset: XSet | None = None,
         for a in prefix:
             yy = right[a][yy]
         values[idx * ydim + yy] += c
-    if ring.char:
-        values = [v % ring.char for v in values]
-    return Chain(basis, ring, values, ydim)
+    return values

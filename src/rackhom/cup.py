@@ -303,22 +303,13 @@ class RingStructure(Record):
     over Q; they are the unique solution modulo coboundaries.
     """
 
-    __slots__ = _fields = ("rack_label", "ring_name", "max_degree", "quandle", "dims", "reps",
-                           "dens", "products")
+    __slots__ = _fields = ("dims", "reps", "dens", "products")
 
-    def __init__(self, rack_label: str, ring_name: str, max_degree: int, quandle: bool,
-                 dims: dict, reps: dict, dens: dict, products: dict):
-        self.rack_label = rack_label
-        self.ring_name = ring_name
-        self.max_degree = max_degree
-        self.quandle = quandle
+    def __init__(self, dims: dict, reps: dict, dens: dict, products: dict):
         self.dims = dims
         self.reps = reps
         self.dens = dens
         self.products = products
-
-    def product(self, p, i, q, j):
-        return self.products[(p, i, q, j)]
 
 
 def ring_structure(rack: Rack, ring, max_degree: int, quandle: bool = False,
@@ -372,13 +363,4 @@ def ring_structure(rack: Rack, ring, max_degree: int, quandle: bool = False,
             if not ring.char:
                 coords = [Fraction(x * dens[n], den * dens[p] * dens[q]) for x in coords]
             products[(p, i, q, j)] = tuple(coords)
-    return RingStructure(
-        rack_label=rack.label,
-        ring_name=ring.name,
-        max_degree=max_degree,
-        quandle=quandle,
-        dims={p: len(reps[p]) for p in reps},
-        reps=reps,
-        dens=dens,
-        products=products,
-    )
+    return RingStructure({p: len(reps[p]) for p in reps}, reps, dens, products)

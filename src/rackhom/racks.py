@@ -55,6 +55,12 @@ class Rack(Frozen):
         the instance, outside equality and hashing."""
         return tuple(zip(*self.table))
 
+    @functools.cached_property
+    def left(self):
+        """Each right translation inverted, ``left[y][x <| y] == x``; cached
+        like ``right``."""
+        return tuple(tuple(sorted(range(self.size), key=col.__getitem__)) for col in self.right)
+
     def is_quandle(self):
         return all(self.table[x][x] == x for x in range(self.size))
 
@@ -82,10 +88,8 @@ class XSet(Frozen):
         """``right[x][y] == y * x``; cached like ``Rack.right``."""
         return tuple(zip(*self.act))
 
-    @functools.cached_property
-    def left(self):
-        """Each right translation inverted, ``left[x][y * x] == y``; cached."""
-        return tuple(tuple(sorted(range(self.size), key=col.__getitem__)) for col in self.right)
+    # each right translation inverted, ``left[x][y * x] == y``; cached
+    left = Rack.left
 
     def left_word(self, word, y):
         """``y`` moved by the left action of ``word``, its last letter first:
@@ -127,19 +131,22 @@ def _is_index(v, n):
     return isinstance(v, int) and not isinstance(v, bool) and 0 <= v < n
 
 
-def _check_shape(table):
-    n = len(table)
-    if n == 0:
-        raise ShapeError("empty table")
-    for row in table:
+def _check_shape(rows, width, what, error=ShapeError):
+    """Refuse anything but a nonempty list of ``width``-long rows whose
+    entries are integers in ``0..len(rows) - 1``: a rack, action or group
+    table (``what``).  Returns ``len(rows)``."""
+    m = len(rows)
+    if m == 0:
+        raise error(f"empty {what} table")
+    for row in rows:
         if not isinstance(row, (list, tuple)):
-            raise ShapeError(f"table row {row!r} is not a list")
-        if len(row) != n:
-            raise ShapeError(f"table is not square: row of length {len(row)} in size-{n} table")
+            raise error(f"{what} row {row!r} is not a list")
+        if len(row) != width:
+            raise error(f"{what} row of length {len(row)}, expected {width}")
         for v in row:
-            if not _is_index(v, n):
-                raise ShapeError(f"entry {v!r} is not an integer in 0..{n - 1}")
-    return n
+            if not _is_index(v, m):
+                raise error(f"{what} entry {v!r} is not an integer in 0..{m - 1}")
+    return m
 
 
 def validate_rack(table, label="rack") -> Rack:
@@ -154,7 +161,7 @@ def validate_rack(table, label="rack") -> Rack:
     """
     if len(table) > MAX_RACK_SIZE:
         raise ResourceLimit(f"rack of size {len(table)} exceeds the limit {MAX_RACK_SIZE}")
-    n = _check_shape(table)
+    n = _check_shape(table, len(table), "rack")
     for y in range(n):
         if len({table[x][y] for x in range(n)}) != n:
             raise R1Violation(y)
@@ -166,16 +173,6 @@ def validate_rack(table, label="rack") -> Rack:
                 if t[xy][z] != t[t[x][z]][t[y][z]]:
                     raise R2Violation(x, y, z)
     return Rack(n, tuple(tuple(row) for row in table), label)
-
-
-def inverse_op(rack: Rack) -> tuple[tuple[int, ...], ...]:
-    """Table of the inverse translations: ``inv[x <| y][y] == x``."""
-    n = rack.size
-    inv = [[0] * n for _ in range(n)]
-    for x in range(n):
-        for y in range(n):
-            inv[rack.table[x][y]][y] = x
-    return tuple(tuple(row) for row in inv)
 
 
 def orbits(rack: Rack) -> OrbitPartition:
@@ -215,17 +212,7 @@ def validate_xset(rack: Rack, act, label="xset") -> XSet:
     ``act[y][x]`` is ``y * x``; it must be a bijection in ``y`` for each
     ``x`` and satisfy ``(y*x)*x' == (y*x') * (x <| x')``.
     """
-    m = len(act)
-    if m == 0:
-        raise ShapeError("empty action table")
-    for row in act:
-        if not isinstance(row, (list, tuple)):
-            raise ShapeError(f"action row {row!r} is not a list")
-        if len(row) != rack.size:
-            raise ShapeError("action table width must equal rack size")
-        for v in row:
-            if not _is_index(v, m):
-                raise ShapeError(f"action entry {v!r} is not an integer in 0..{m - 1}")
+    m = _check_shape(act, rack.size, "action")
     for x in range(rack.size):
         if len({act[y][x] for y in range(m)}) != m:
             raise BijectivityViolation(x)
@@ -278,13 +265,7 @@ def cyclic_rack(n: int) -> Rack:
 
 def conjugation_rack(group_table, label="conjugation") -> Rack:
     """x <| y = y^-1 x y for a finite group given by its multiplication table."""
-    n = len(group_table)
-    for row in group_table:
-        if len(row) != n:
-            raise InvalidGroupTable("table is not square")
-        for v in row:
-            if not _is_index(v, n):
-                raise InvalidGroupTable(f"entry {v!r} is not an integer in 0..{n - 1}")
+    n = _check_shape(group_table, len(group_table), "group", InvalidGroupTable)
     mul = group_table
     identity = None
     for e in range(n):
@@ -346,5 +327,6 @@ def builtin(spec: str) -> Rack:
     if kind == "conjugation":
         if arg.lower() == "s3":
             return conjugation_rack(symmetric_group_table(3), label="conjugation:s3")
-        raise ShapeError(f"unknown conjugation group {arg!r} (use a group table file)")
+        raise ShapeError(f"unknown conjugation group {arg!r}: only s3 is built in "
+                         "(give other racks as a --rack table)")
     raise ShapeError(f"unknown builtin kind {kind!r}")

@@ -53,10 +53,14 @@ from .errors import (
     OrbitLimitExceeded,
     RackMismatch,
 )
-from .racks import Rack, inverse_op
+from .racks import Rack
 
 
 EMPTY = ((), ())  # the unit monomial
+
+# the most a-words that one exchange orbit may hold before the search for
+# its canonical form is refused (``OrbitLimitExceeded``)
+MAX_ORBIT = 10**6
 
 
 def _acc(acc, key, c):
@@ -180,10 +184,8 @@ class WordAlgebra:
     threads only ever repeats idempotent inserts.
     """
 
-    def __init__(self, rack: Rack, orbit_cap: int = 10**6):
+    def __init__(self, rack: Rack):
         self.rack = rack
-        self.orbit_cap = orbit_cap
-        self._inv = inverse_op(rack)
         self._canon: dict[tuple, tuple] = {}
         self._d_memo: dict[tuple, dict] = {}
         self._delta_memo: dict[tuple, dict] = {}
@@ -194,8 +196,9 @@ class WordAlgebra:
     def canonical_a_word(self, word):
         """Lexicographically minimal element of the exchange orbit of ``word``.
 
-        The adjacent move (a, b) -> (b, a <| b) and its inverse generate the
-        orbit; BFS explores it completely (capped) and memoizes every member.
+        The adjacent move (a, b) -> (b, a <| b) and its inverse, read from
+        ``Rack.left``, generate the orbit; BFS explores it completely (up to
+        ``MAX_ORBIT`` words) and memoizes every member.
         """
         word = tuple(word)
         if len(word) < 2:
@@ -204,19 +207,17 @@ class WordAlgebra:
         if word in memo:
             return memo[word]
         op = self.rack.table
-        inv = self._inv
+        left = self.rack.left
         seen = {word}
         frontier = [word]
         while frontier:
-            if len(seen) > self.orbit_cap:
-                raise OrbitLimitExceeded(
-                    f"orbit of {word} exceeds cap {self.orbit_cap}"
-                )
+            if len(seen) > MAX_ORBIT:
+                raise OrbitLimitExceeded(f"orbit of {word} exceeds cap {MAX_ORBIT}")
             nxt = []
             for w in frontier:
                 for i in range(len(w) - 1):
                     a, b = w[i], w[i + 1]
-                    for pair in ((b, op[a][b]), (inv[b][a], a)):
+                    for pair in ((b, op[a][b]), (left[a][b], a)):
                         v = w[:i] + pair + w[i + 2 :]
                         if v not in seen:
                             seen.add(v)

@@ -257,6 +257,16 @@ def test_exit_code_resource(capsys):
     assert "resource limit" in err
 
 
+def test_max_basis_counts_the_columns_of_a_rack_set(capsys, tmp_path):
+    # 3 tuples of degree 1 stay under the cap, 3 x 1000 columns do not
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps({"act": [[y] * 3 for y in range(1000)]}))
+    code, out, err = run(capsys, "homology", "--builtin", "dihedral:3", "--coefficients",
+                         str(path), "--max-degree", "2", "--max-basis", "30")
+    assert (code, out) == (EXIT_RESOURCE, "")
+    assert "3000 columns (3 tuples x 1000 points)" in err and "Traceback" not in err
+
+
 @pytest.mark.parametrize("content", ["[[0, 1, 2]]", '{"act": [0, 1, 2]}'])
 def test_coefficients_file_of_wrong_shape(capsys, tmp_path, content):
     path = tmp_path / "x.json"

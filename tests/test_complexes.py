@@ -27,6 +27,7 @@ from rackhom.errors import (
     MixedDegrees,
     NotAQuandle,
 )
+from rackhom.linalg import ChainComplex
 from rackhom.racks import (
     builtin,
     cyclic_rack,
@@ -81,6 +82,18 @@ def test_basis_index_is_built_on_first_read():
 def test_basis_cap():
     with pytest.raises(DimensionOverflow):
         tuple_basis(R4, 12, max_basis=1000)
+
+
+def test_basis_cap_counts_the_points_of_a_rack_set():
+    # 27 tuples of degree 3 stay under the cap; 27 x 1000 columns do not
+    big = validate_xset(R3, [[y] * 3 for y in range(1000)])
+    with pytest.raises(DimensionOverflow, match="27000 columns"):
+        boundary_matrix(R3, 3, xset=big, max_basis=30)
+    with pytest.raises(DimensionOverflow, match="9000 columns"):
+        cochain_differential_matrix(R3, 1, module=big, max_basis=30)
+    assert boundary_matrix(R3, 2, xset=xset_self(R3), max_basis=27).ncols == 27
+    with pytest.raises(DimensionOverflow):
+        boundary_matrix(R3, 2, xset=xset_self(R3), max_basis=26)
 
 
 def test_quandle_basis_cap_counts_the_real_basis():
@@ -197,6 +210,28 @@ def test_boundary_columns_pinned(spec, coefficients, quandle):
         mat = boundary_matrix(rack, n, quandle=quandle, xset=xs)
         h.update(repr((mat.nrows, mat.ncols, [sorted(c.items()) for c in mat.cols])).encode())
     assert h.hexdigest()[:16] == BOUNDARY_DIGESTS[spec, coefficients, quandle]
+
+
+# (rack, top degree n): at most a few thousand columns per matrix
+SHIFT_RACKS = [("dihedral:3", 3), ("dihedral:4", 3), ("cyclic:3", 3), ("conjugation:s3", 3),
+               ("trivial:2", 3), ("dihedral:5", 2), ("dihedral:6", 2), ("cyclic:4", 2)]
+
+
+@pytest.mark.parametrize("spec, top", SHIFT_RACKS)
+def test_self_coefficients_shift_the_degree(spec, top):
+    """H_n(X; Z[X]) = H_{n+1}(X; Z) on the rack complex, torsion included,
+    and the same for cohomology: a point of the self-set acts as one more
+    tuple entry, in front.  A second side for the coefficient action, read
+    off trivial coefficients.  It does not hold on the quandle complex."""
+    rack = builtin(spec)
+    xs = xset_self(rack)
+    with_set = ChainComplex({n: boundary_matrix(rack, n, xset=xs) for n in range(1, top + 2)}, ZZ)
+    trivial = ChainComplex({n: boundary_matrix(rack, n) for n in range(1, top + 3)}, ZZ)
+    for n in range(1, top + 1):
+        for group in ("homology", "cohomology"):
+            got = getattr(with_set, group)(n)
+            shifted = getattr(trivial, group)(n + 1)
+            assert (got.betti, got.torsion) == (shifted.betti, shifted.torsion), (group, n)
 
 
 def _boundary_oracle(rack, n, quandle, xs):
@@ -319,11 +354,11 @@ def test_projection_sign_against_engine():
         bd = boundary_matrix(R3, n)
         basis = tuple_basis(R3, n)
         for T in basis.tuples:
-            ch = project_to_chain(W.d(W.eword(T)), ZZ, degree=n - 1)
+            ch = project_to_chain(W.d(W.eword(T)), degree=n - 1)
             dense = [0] * bd.nrows
             for i, v in bd.cols[basis.index[T]].items():
                 dense[i] = -v
-            assert ch.values == dense
+            assert ch == dense
 
 
 def test_projection_with_module_coefficients():
@@ -336,23 +371,26 @@ def test_projection_with_module_coefficients():
         basis = tuple_basis(R3, n)
         for T in basis.tuples:
             for y in range(xs.size):
-                ch = project_to_chain(W.d(W.eword(T)), ZZ, xset=xs, y=y, degree=n - 1)
+                ch = project_to_chain(W.d(W.eword(T)), xset=xs, y=y, degree=n - 1)
                 dense = [0] * bd.nrows
                 for i, v in bd.cols[basis.index[T] * xs.size + y].items():
                     dense[i] = -v
-                assert ch.values == dense
+                assert ch == dense
 
 
 def test_project_examples():
     W = WordAlgebra(R3)
-    ch = project_to_chain(W.eword((0, 1)), ZZ)
+    ch = project_to_chain(W.eword((0, 1)))
     b2 = tuple_basis(R3, 2)
-    assert ch.values[b2.index[(0, 1)]] == 1 and sum(map(abs, ch.values)) == 1
+    assert ch[b2.index[(0, 1)]] == 1 and sum(map(abs, ch)) == 1
     # a group-like prefix acts trivially on trivial coefficients
     u = W.element({((2,), (0, 1)): 1})
-    assert project_to_chain(u, ZZ).values == ch.values
+    assert project_to_chain(u) == ch
     with pytest.raises(MixedDegrees):
-        project_to_chain(W.eword((0,)) + W.eword((0, 1)), ZZ)
+        project_to_chain(W.eword((0,)) + W.eword((0, 1)))
+    # the options are keyword-only: a ring in second place is refused
+    with pytest.raises(TypeError):
+        project_to_chain(u, ZZ)
 
 
 SELF3 = xset_self(R3)
@@ -375,7 +413,7 @@ def test_basis_cochain_refuses_bad_indices(t, j, module):
 def test_project_to_chain_refuses_bad_point(y, xset):
     W = WordAlgebra(R3)
     with pytest.raises(IndexOutOfRange):
-        project_to_chain(W.eword((0,)), ZZ, xset=xset, y=y)
+        project_to_chain(W.eword((0,)), xset=xset, y=y)
 
 
 def test_cochain_length_mismatch():
@@ -408,7 +446,7 @@ def test_project_to_chain_refuses_a_set_over_another_rack():
     for rack in FOREIGN_RACKS:
         W = WordAlgebra(rack)
         with pytest.raises(CoefficientMismatch, match="different rack"):
-            project_to_chain(W.eword((0, 1)), ZZ, xset=FOREIGN)
+            project_to_chain(W.eword((0, 1)), xset=FOREIGN)
 
 
 def test_cocycle_condition_in_degree_one():

@@ -17,7 +17,6 @@ from rackhom.racks import (
     conjugation_rack,
     cyclic_rack,
     dihedral_rack,
-    inverse_op,
     orbits,
     symmetric_group_table,
     trivial_rack,
@@ -97,6 +96,10 @@ def test_invalid_group_table():
     ]
     with pytest.raises(InvalidGroupTable):
         conjugation_rack(latin)
+    # the shape check of rack and action tables: a bad row is refused by name
+    for bad in ([[0, 1], 5], [], [[0, 1], [1]], [[0, 2], [1, 0]], [[0, True], [1, 0]]):
+        with pytest.raises(InvalidGroupTable):
+            conjugation_rack(bad)
 
 
 def test_symmetric_group_table_is_group():
@@ -110,16 +113,15 @@ def test_symmetric_group_table_is_group():
 
 def test_inverse_op():
     for rack in (trivial_rack(3), dihedral_rack(3), cyclic_rack(4), dihedral_rack(5)):
-        inv = inverse_op(rack)
         for x in range(rack.size):
             for y in range(rack.size):
-                assert inv[rack.op(x, y)][y] == x
-    # dihedral columns are self-inverse: inv[x][y] = (2y - x) mod 3
-    inv = inverse_op(dihedral_rack(3))
-    assert all(inv[x][y] == (2 * y - x) % 3 for x in range(3) for y in range(3))
+                assert rack.left[y][rack.right[y][x]] == x
+    # dihedral columns are self-inverse: left[y][x] = (2y - x) mod 3
+    left = dihedral_rack(3).left
+    assert all(left[y][x] == (2 * y - x) % 3 for x in range(3) for y in range(3))
     # cyclic shift inverts to the down-shift
-    inv = inverse_op(cyclic_rack(5))
-    assert all(inv[x][y] == (x - 1) % 5 for x in range(5) for y in range(5))
+    left = cyclic_rack(5).left
+    assert all(left[y][x] == (x - 1) % 5 for x in range(5) for y in range(5))
 
 
 def test_orbit_counts():
@@ -141,6 +143,8 @@ def test_builtin_specs():
     assert builtin("cyclic:4").size == 4
     with pytest.raises(ShapeError):
         builtin("nonsense:3")
+    with pytest.raises(ShapeError, match="only s3 is built in"):
+        builtin("conjugation:s4")
 
 
 def test_xset_self_and_singleton():

@@ -6,7 +6,7 @@ import inspect
 
 import pytest
 
-from rackhom.complexes import Chain, Cochain, TupleBasis
+from rackhom.complexes import Cochain, TupleBasis
 from rackhom.cup import CupContext, RingStructure
 from rackhom.linalg import HomologyGroup, SmithForm
 from rackhom.racks import OrbitPartition, Rack, XSet
@@ -14,7 +14,7 @@ from rackhom.records import Frozen, Record
 from rackhom.verify import SuiteResult
 
 FROZEN = (Rack, XSet, OrbitPartition, TupleBasis, SmithForm, HomologyGroup)
-MUTABLE = (Chain, Cochain, CupContext, RingStructure, SuiteResult)
+MUTABLE = (Cochain, CupContext, RingStructure, SuiteResult)
 
 
 @pytest.mark.parametrize("cls", FROZEN + MUTABLE, ids=lambda cls: cls.__name__)
