@@ -9,8 +9,9 @@ back-substitution, on integers.  Over F_p every nonzero residue is a
 pivot, so that elimination alone gives the rank.  In characteristic 0 the
 +-1 entries go first; those steps are unimodular, hence exact.  Euclid's
 algorithm on the residual (least-absolute-value pivots, the standard guard
-against coefficient explosion) then finishes: over Z the Smith form, under
-a cap on the residual's size, and over Q the rank, with no cap.
+against coefficient explosion) then finishes: over Z the Smith form, and
+over Q the rank.  No reduction has a size limit of its own: the basis cap
+of the matrix builders (``--max-basis``) bounds the columns they see.
 
 ``ChainComplex`` reduces each differential once and reads homology and
 cohomology from that reduction.  It clears across degrees: the pivot
@@ -35,10 +36,8 @@ from __future__ import annotations
 from heapq import heapify, heappop, heappush
 from math import gcd, lcm
 
-from .errors import NotAComplex, ResourceLimit, ShapeError
+from .errors import NotAComplex, ShapeError
 from .records import Frozen
-
-MAX_SMITH_ENTRIES = 4_000_000  # the Smith residual's cap, vectors times indices
 
 
 class SparseMat:
@@ -352,8 +351,8 @@ def rank(mat: SparseMat, ring, drop=frozenset(), pivots=None) -> int:
 
     Over F_p the entries are reduced mod p as they are copied, and every
     pivot counts and clears.  Over Q the rank is that over Z: the +-1 pass
-    and Euclid's algorithm of :func:`smith_normal_form`, without its cap on
-    the residual.  Only the +-1 pivots clear, as over Z.
+    and Euclid's algorithm of :func:`smith_normal_form`.  Only the +-1
+    pivots clear, as over Z.
     """
     _require_field(ring)
     p = ring.char
@@ -464,20 +463,14 @@ def smith_normal_form(mat: SparseMat, drop=frozenset(), pivots=None) -> SmithFor
 
     The +-1 pivots go first, each a unimodular step with factor 1; their
     column ids are appended to ``pivots`` if it is a list.  Euclid's
-    algorithm then reduces the residual, whose size (vectors times indices)
-    ``MAX_SMITH_ENTRIES`` caps, and the exchange diag(a, b) ~ diag(gcd, lcm)
-    puts its pivots into chain order.  The cap is a resource guard, not a
-    correctness bound: Python ints do not overflow.
+    algorithm then reduces the residual, as :func:`rank` does over Q, and
+    the exchange diag(a, b) ~ diag(gcd, lcm) puts its pivots into chain
+    order.
     """
     vecs = _column_vectors(mat, drop)
     units = _eliminate_pivots(vecs, 0, units_only=True)
     if pivots is not None:
         pivots.extend(units)
-    rows = len({i for vec in vecs.values() for i in vec})
-    if rows * len(vecs) > MAX_SMITH_ENTRIES:
-        raise ResourceLimit(f"Smith reduction on the {rows}x{len(vecs)} residual of a "
-                            f"{mat.nrows}x{mat.ncols} matrix exceeds the cap of "
-                            f"{MAX_SMITH_ENTRIES} entries")
     chain = [abs(v) for v in _eliminate_pivots(vecs, 0).values()]
     for i in range(len(chain)):
         for j in range(i + 1, len(chain)):

@@ -180,8 +180,8 @@ def test_verify_unknown_suite_message_unquoted(capsys):
 
 
 def test_homology_dihedral4_degree5_over_z(capsys):
-    # its 1024x4096 top boundary is past the Smith residual cap as a whole;
-    # only the residual after the unit pivots counts against it
+    # its 1024x4096 top boundary takes 732 unit pivots, then Euclid's
+    # algorithm on the residual finds the 66 pivots of the torsion, each 2
     code, out, _ = run(capsys, "homology", "--builtin", "dihedral:4",
                        "--ring", "Z", "--max-degree", "5", "--json")
     assert code == EXIT_OK

@@ -234,6 +234,31 @@ def test_self_coefficients_shift_the_degree(spec, top):
             assert (got.betti, got.torsion) == (shifted.betti, shifted.torsion), (group, n)
 
 
+# (rack, quandle variant, self-set coefficients, top degree n)
+DUAL_CASES = [("dihedral:3", False, False, 4), ("dihedral:4", False, False, 4),
+              ("dihedral:4", True, False, 4), ("dihedral:5", True, False, 3),
+              ("conjugation:s3", False, False, 3), ("conjugation:s3", True, False, 3),
+              ("dihedral:6", False, False, 3), ("trivial:2", False, False, 4),
+              ("cyclic:3", False, True, 3), ("dihedral:3", False, True, 3)]
+
+
+@pytest.mark.parametrize("spec, quandle, self_set, top", DUAL_CASES)
+def test_cohomology_matches_the_dual_complex(spec, quandle, self_set, top):
+    """Z-cohomology read from the boundary reductions equals the homology of
+    the cochain complex itself: the coboundary matrices at degrees -p, so
+    that homology(-n) is H^n, found by reducing the transposed matrices top
+    degree first, and with the torsion of the coboundary into degree n."""
+    rack = builtin(spec)
+    xs = xset_self(rack) if self_set else None
+    chains = ChainComplex({n: boundary_matrix(rack, n, quandle=quandle, xset=xs)
+                           for n in range(1, top + 2)}, ZZ)
+    cochains = ChainComplex({-p: cochain_differential_matrix(rack, p, quandle=quandle, module=xs)
+                             for p in range(top + 1)}, ZZ)
+    for n in range(1, top + 1):
+        got, dual = chains.cohomology(n), cochains.homology(-n)
+        assert (got.betti, got.torsion) == (dual.betti, dual.torsion), n
+
+
 def _boundary_oracle(rack, n, quandle, xs):
     # each face taken separately with ``face`` and looked up as a tuple,
     # entries summed in face order: the columns with their key order

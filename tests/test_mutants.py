@@ -11,6 +11,7 @@ later fast path adds its own mutant to ``MUTANTS``.
 
 import functools
 import importlib
+from math import gcd
 
 import pytest
 
@@ -18,9 +19,9 @@ import test_complexes
 import test_cup
 import test_linalg
 import test_words
-from rackhom import complexes
+from rackhom import complexes, linalg
 from rackhom.cup import CupContext
-from rackhom.linalg import ChainComplex, HomologyGroup
+from rackhom.linalg import ChainComplex, HomologyGroup, SmithForm
 from rackhom.racks import XSet
 from rackhom.verify import ALL_SUITES
 from rackhom.words import WordAlgebra
@@ -29,6 +30,11 @@ BOUNDARY = complexes._boundary
 CUP = importlib.import_module("rackhom.cup")  # the package's ``cup`` is the function
 PAIR = CUP._pair_cochain
 STENCIL = CupContext.stencil
+SNF = linalg.smith_normal_form
+RANK = linalg.rank
+# ``ChainComplex`` reads the reductions from ``linalg``, and ``test_linalg``
+# imports them by name, so a reduction mutant is patched in both
+REDUCTIONS = (linalg, test_linalg)
 
 
 def prefix_action_not_canonical(self, a_word, tensor_terms, coeff, out):
@@ -67,6 +73,46 @@ def cohomology_with_the_outgoing_torsion(self, n):
     return HomologyGroup(n, self._betti(n), self._reduce(n + 1)[1])
 
 
+def _euclid_pivots(mat, drop, p=0):
+    # the ids of the pivots that Euclid's algorithm takes after the +-1 pass
+    vecs = linalg._column_vectors(mat, drop, p)
+    linalg._eliminate_pivots(vecs, p, units_only=True)
+    return list(linalg._eliminate_pivots(vecs, 0))
+
+
+def smith_clearing_at_euclid_pivots(mat, drop=frozenset(), pivots=None):
+    # the Euclid pivots are appended to the clearing pivots too
+    snf = SNF(mat, drop, pivots)
+    if pivots is not None:
+        pivots.extend(_euclid_pivots(mat, drop))
+    return snf
+
+
+def rational_rank_clearing_at_euclid_pivots(mat, ring, drop=frozenset(), pivots=None):
+    # the same slip in the rank over Q (over F_p no Euclid pivot is left)
+    r = RANK(mat, ring, drop, pivots)
+    if pivots is not None:
+        pivots.extend(_euclid_pivots(mat, drop, ring.char))
+    return r
+
+
+def smith_exchange_without_the_lcm(mat, drop=frozenset(), pivots=None):
+    # diag(a, b) ~ diag(gcd, b): the exchange leaves b where lcm(a, b) belongs
+    vecs = linalg._column_vectors(mat, drop)
+    units = linalg._eliminate_pivots(vecs, 0, units_only=True)
+    if pivots is not None:
+        pivots.extend(units)
+    chain = [abs(v) for v in linalg._eliminate_pivots(vecs, 0).values()]
+    for i in range(len(chain)):
+        for j in range(i + 1, len(chain)):
+            a, b = chain[i], chain[j]
+            if b % a:
+                chain[i] = gcd(a, b)
+    factors = (1,) * len(units) + tuple(chain)
+    linalg._check_divisibility_chain(factors)
+    return SmithForm(factors)
+
+
 def stencil_without_the_global_sign(self, p, q):
     # the closed formula with eps(A) alone, its (-1)^{pq} dropped
     ntargets, rows = STENCIL(self, p, q)
@@ -83,38 +129,53 @@ def pairing_with_a_plus_sign(f, g, ctx, n, structure_map, sign):
 
 MUTANTS = {
     "prefix-action-skips-canonical-form": (
-        WordAlgebra, "_apply_prefix", prefix_action_not_canonical,
+        (WordAlgebra,), "_apply_prefix", prefix_action_not_canonical,
         ["words", "homotopy"], [test_words.test_homotopy_a_linear],
     ),
     "mon-mul-skips-conjugation": (
-        WordAlgebra, "mon_mul", mon_mul_without_conjugation,
+        (WordAlgebra,), "mon_mul", mon_mul_without_conjugation,
         ["words", "homotopy"], [test_words.test_mixed_relation],
     ),
     "boundary-ignores-the-coefficient-action": (
-        complexes, "_boundary", boundary_without_the_action,
+        (complexes,), "_boundary", boundary_without_the_action,
         [], [functools.partial(test_complexes.test_boundary_columns_pinned,
                                "conjugation:s3", "self", False),
              functools.partial(test_complexes.test_self_coefficients_shift_the_degree,
                                "dihedral:3", 3)],
     ),
     "prefix-acts-by-the-right-action": (
-        XSet, "left_word", left_word_by_the_right_action,
+        (XSet,), "left_word", left_word_by_the_right_action,
         [], [test_complexes.test_cochain_differential_is_signed_precomposition_with_d,
              functools.partial(test_cup.test_homotopy_matches_fraction_reference,
                                "cyclic:3", False, True)],
     ),
     "cohomology-reads-the-outgoing-torsion": (
-        ChainComplex, "cohomology", cohomology_with_the_outgoing_torsion,
+        (ChainComplex,), "cohomology", cohomology_with_the_outgoing_torsion,
         [], [test_linalg.test_chain_complex_matches_pairwise_homology,
-             test_linalg.test_clearing_over_z_takes_only_unit_pivots],
+             test_linalg.test_clearing_over_z_takes_only_unit_pivots,
+             functools.partial(test_complexes.test_cohomology_matches_the_dual_complex,
+                               "dihedral:4", False, False, 4)],
+    ),
+    "smith-clears-at-euclid-pivots": (
+        REDUCTIONS, "smith_normal_form", smith_clearing_at_euclid_pivots,
+        [], [test_linalg.test_clearing_over_z_takes_only_unit_pivots],
+    ),
+    "rational-rank-clears-at-euclid-pivots": (
+        REDUCTIONS, "rank", rational_rank_clearing_at_euclid_pivots,
+        [], [test_linalg.test_rational_rank_without_unit_clears_nothing],
+    ),
+    "smith-exchange-drops-the-lcm": (
+        REDUCTIONS, "smith_normal_form", smith_exchange_without_the_lcm,
+        [], [test_linalg.test_snf_diag_example,
+             test_linalg.test_snf_divisibility_chain_and_oracle_fixed_cases],
     ),
     "cup-stencil-drops-the-global-sign": (
-        CupContext, "stencil", stencil_without_the_global_sign,
+        (CupContext,), "stencil", stencil_without_the_global_sign,
         ["cup", "commutativity"], [test_cup.test_cup_1_1_closed_formula,
                                    test_cup.test_cup_equals_coproduct_path],
     ),
     "homotopy-sign-fixed-to-plus-one": (
-        CUP, "_pair_cochain", pairing_with_a_plus_sign,
+        (CUP,), "_pair_cochain", pairing_with_a_plus_sign,
         ["commutativity"], [test_cup.test_homotopy_cochain_identity_exhaustive_degree_pairs,
                             functools.partial(test_cup.test_homotopy_matches_fraction_reference,
                                               "dihedral:3", False, False)],
@@ -124,8 +185,9 @@ MUTANTS = {
 
 @pytest.mark.parametrize("name", sorted(MUTANTS))
 def test_mutant_is_caught(name, monkeypatch):
-    owner, attr, mutant, suites, tests = MUTANTS[name]
-    monkeypatch.setattr(owner, attr, mutant)
+    owners, attr, mutant, suites, tests = MUTANTS[name]
+    for owner in owners:
+        monkeypatch.setattr(owner, attr, mutant)
     for suite in suites:
         result = ALL_SUITES[suite]()
         assert not result.passed, f"{name} passes the {suite} suite"
