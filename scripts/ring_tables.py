@@ -3,7 +3,7 @@
 
 For each rack: the dimensions of H^p, the product table in the chosen
 representative bases, and a check line confirming graded commutativity of
-every listed product.
+every listed product.  Exits 1 if any product breaks graded commutativity.
 
 Usage: python scripts/ring_tables.py [--max-degree P] [--racks spec,spec,...]
 """
@@ -35,6 +35,7 @@ def show(spec, max_degree):
         if coords != tuple(sign * c for c in mirror):
             violations += 1
     print(f"  graded commutativity violations: {violations}")
+    return violations
 
 
 def main():
@@ -42,9 +43,8 @@ def main():
     ap.add_argument("--max-degree", type=int, default=3)
     ap.add_argument("--racks", default=DEFAULT_RACKS)
     args = ap.parse_args()
-    for spec in args.racks.split(","):
-        show(spec.strip(), args.max_degree)
-    return 0
+    violations = [show(spec.strip(), args.max_degree) for spec in args.racks.split(",")]
+    return 1 if any(violations) else 0
 
 
 if __name__ == "__main__":

@@ -11,7 +11,6 @@ __version__ = "0.1.0"
 from .racks import (
     Rack,
     XSet,
-    OrbitPartition,
     builtin,
     conjugation_rack,
     cyclic_rack,
@@ -30,7 +29,6 @@ from .complexes import (
     TupleBasis,
     basis_cochain,
     boundary_matrix,
-    cochain_differential,
     cochain_differential_matrix,
     face,
     face_set,
@@ -40,10 +38,7 @@ from .complexes import (
 from .linalg import (
     ChainComplex,
     HomologyGroup,
-    SmithForm,
     SparseMat,
-    homology,
-    image_basis,
     kernel_basis,
     rank,
     smith_normal_form,
@@ -62,7 +57,6 @@ from .cup import (
 __all__ = [
     "Rack",
     "XSet",
-    "OrbitPartition",
     "builtin",
     "conjugation_rack",
     "cyclic_rack",
@@ -84,7 +78,6 @@ __all__ = [
     "TupleBasis",
     "basis_cochain",
     "boundary_matrix",
-    "cochain_differential",
     "cochain_differential_matrix",
     "face",
     "face_set",
@@ -92,10 +85,7 @@ __all__ = [
     "tuple_basis",
     "ChainComplex",
     "HomologyGroup",
-    "SmithForm",
     "SparseMat",
-    "homology",
-    "image_basis",
     "kernel_basis",
     "rank",
     "smith_normal_form",

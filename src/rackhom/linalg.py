@@ -343,6 +343,18 @@ def _column_vectors(mat: SparseMat, drop, p=0) -> dict:
             if (vec := {i: v for i, v in col.items() if i not in drop})}
 
 
+def _column_pivots(mat: SparseMat, drop, p=0, pivots=None) -> tuple[dict, dict]:
+    """The column reduction under :func:`rank` and :func:`smith_normal_form`:
+    ``{id: pivot value}`` of the +-1 pass, whose ids are appended to
+    ``pivots`` if it is a list, and of Euclid's algorithm on what that pass
+    leaves.  Over F_p every pivot is a unit, so the second is empty."""
+    vecs = _column_vectors(mat, drop, p)
+    units = _eliminate_pivots(vecs, p, units_only=True)
+    if pivots is not None:
+        pivots.extend(units)
+    return units, _eliminate_pivots(vecs, 0)
+
+
 def rank(mat: SparseMat, ring, drop=frozenset(), pivots=None) -> int:
     """Rank over the field ``ring`` by sparse elimination alone, of ``mat``
     less the rows in ``drop``; the ids of the pivot columns that may clear
@@ -355,13 +367,8 @@ def rank(mat: SparseMat, ring, drop=frozenset(), pivots=None) -> int:
     pivots clear, as over Z.
     """
     _require_field(ring)
-    p = ring.char
-    vecs = _column_vectors(mat, drop, p)
-    units = _eliminate_pivots(vecs, p, units_only=True)  # over F_p every pivot is a unit
-    if pivots is not None:
-        pivots.extend(units)
-    # over F_p no vector is left; over Q Euclid's algorithm reduces the rest
-    return len(units) + len(_eliminate_pivots(vecs, 0))
+    units, euclid = _column_pivots(mat, drop, ring.char, pivots)
+    return len(units) + len(euclid)
 
 
 def kernel_basis(mat: SparseMat, ring) -> tuple[list[list], int]:
@@ -442,24 +449,9 @@ def independent(span, candidates, ring) -> list:
 # Smith normal form
 
 
-class SmithForm(Frozen):
-    """Invariant factors d_1 | d_2 | ... | d_r of an integer matrix."""
-
-    _fields = ("factors",)
-
-    def __init__(self, factors: tuple[int, ...]):
-        object.__setattr__(self, "factors", factors)
-
-    @property
-    def rank(self):
-        return len(self.factors)
-
-    def torsion(self):
-        return tuple(d for d in self.factors if d > 1)
-
-
-def smith_normal_form(mat: SparseMat, drop=frozenset(), pivots=None) -> SmithForm:
-    """Invariant factors over Z of ``mat`` less the rows in ``drop``.
+def smith_normal_form(mat: SparseMat, drop=frozenset(), pivots=None) -> tuple[int, ...]:
+    """Invariant factors d_1 | d_2 | ... | d_r over Z of ``mat`` less the
+    rows in ``drop``.
 
     The +-1 pivots go first, each a unimodular step with factor 1; their
     column ids are appended to ``pivots`` if it is a list.  Euclid's
@@ -467,11 +459,8 @@ def smith_normal_form(mat: SparseMat, drop=frozenset(), pivots=None) -> SmithFor
     the exchange diag(a, b) ~ diag(gcd, lcm) puts its pivots into chain
     order.
     """
-    vecs = _column_vectors(mat, drop)
-    units = _eliminate_pivots(vecs, 0, units_only=True)
-    if pivots is not None:
-        pivots.extend(units)
-    chain = [abs(v) for v in _eliminate_pivots(vecs, 0).values()]
+    units, euclid = _column_pivots(mat, drop, 0, pivots)
+    chain = [abs(v) for v in euclid.values()]
     for i in range(len(chain)):
         for j in range(i + 1, len(chain)):
             a, b = chain[i], chain[j]
@@ -479,7 +468,7 @@ def smith_normal_form(mat: SparseMat, drop=frozenset(), pivots=None) -> SmithFor
                 chain[i], chain[j] = gcd(a, b), lcm(a, b)
     factors = (1,) * len(units) + tuple(chain)
     _check_divisibility_chain(factors)
-    return SmithForm(factors)
+    return factors
 
 
 def _check_divisibility_chain(factors):
@@ -573,8 +562,9 @@ class ChainComplex:
             if self.ring.is_field:
                 self._reductions[n] = (rank(d, self.ring, drop=drop, pivots=pivots), (), pivots)
             else:
-                snf = smith_normal_form(d, drop=drop, pivots=pivots)
-                self._reductions[n] = (snf.rank, snf.torsion(), pivots)
+                factors = smith_normal_form(d, drop=drop, pivots=pivots)
+                torsion = tuple(f for f in factors if f > 1)
+                self._reductions[n] = (len(factors), torsion, pivots)
         return self._reductions[n]
 
     def _betti(self, n) -> int:

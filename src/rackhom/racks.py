@@ -109,23 +109,6 @@ class XSet(Frozen):
         return XSet(self.size * m, self.over, act, f"{self.label}(x){other.label}")
 
 
-class OrbitPartition(Frozen):
-    """Partition of a rack into orbits of ``x -> x <| y``.
-
-    ``rep[x]`` is the minimal element of the orbit of ``x``; ``blocks`` lists
-    each orbit as a sorted tuple, ordered by representative.
-    """
-
-    _fields = ("rep", "blocks")
-
-    def __init__(self, rep: tuple[int, ...], blocks: tuple[tuple[int, ...], ...]):
-        object.__setattr__(self, "rep", rep)
-        object.__setattr__(self, "blocks", blocks)
-
-    def __len__(self):
-        return len(self.blocks)
-
-
 def _is_index(v, n):
     # bool is a subclass of int, but a JSON true/false is not a table entry
     return isinstance(v, int) and not isinstance(v, bool) and 0 <= v < n
@@ -175,35 +158,24 @@ def validate_rack(table, label="rack") -> Rack:
     return Rack(n, tuple(tuple(row) for row in table), label)
 
 
-def orbits(rack: Rack) -> OrbitPartition:
-    """Orbit partition generated by ``x ~ x <| y``.
+def orbits(rack: Rack) -> tuple[tuple[int, ...], ...]:
+    """The orbits of ``x ~ x <| y``, each a sorted tuple, ordered by least
+    element.
 
     Forward moves suffice: right translations are bijections of a finite
     set, so inverse closure is automatic.
     """
-    n = rack.size
-    parent = list(range(n))
-
-    def find(a):
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    for x in range(n):
-        for y in range(n):
-            a, b = find(x), find(rack.table[x][y])
-            if a != b:
-                parent[max(a, b)] = min(a, b)
-    members: dict[int, list[int]] = {}
-    for x in range(n):
-        members.setdefault(find(x), []).append(x)
-    blocks = tuple(tuple(sorted(members[r])) for r in sorted(members))
-    rep = [0] * n
-    for block in blocks:
-        for x in block:
-            rep[x] = block[0]
-    return OrbitPartition(tuple(rep), blocks)
+    blocks, seen = [], set()
+    for x in range(rack.size):
+        if x in seen:
+            continue
+        block, frontier = {x}, {x}
+        while frontier:
+            frontier = {b for a in frontier for b in rack.table[a]} - block
+            block |= frontier
+        seen |= block
+        blocks.append(tuple(sorted(block)))
+    return tuple(blocks)
 
 
 def validate_xset(rack: Rack, act, label="xset") -> XSet:

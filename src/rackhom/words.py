@@ -291,10 +291,10 @@ class WordAlgebra:
 
     def gen(self, x):
         """The group-like generator of a rack element."""
-        return BElement(self, {((x,), ()): 1})
+        return BElement(self, {(self._in_range((x,)), ()): 1})
 
     def gen_e(self, x):
-        return BElement(self, {((), (x,)): 1})
+        return BElement(self, {((), self._in_range((x,))): 1})
 
     def element(self, terms):
         out = {}

@@ -339,19 +339,18 @@ def test_field_reductions_match_sympy_rref(ring, nr, nc, data):
 
 
 def test_snf_diag_example():
-    assert smith_normal_form(SparseMat.from_dense([[2, 0], [0, 3]])).factors == (1, 6)
+    assert smith_normal_form(SparseMat.from_dense([[2, 0], [0, 3]])) == (1, 6)
 
 
 def test_snf_zero_matrix():
-    s = smith_normal_form(SparseMat(4, 2))
-    assert s.factors == () and s.rank == 0
+    assert smith_normal_form(SparseMat(4, 2)) == ()
 
 
 def test_snf_and_rational_rank_of_a_large_residual():
     # 2*I has no unit pivot, so Euclid's algorithm reduces the whole
     # 2001x2001 matrix, over Z and over Q alike
     twice = SparseMat.identity(2001).scaled(2)
-    assert smith_normal_form(twice).factors == (2,) * 2001
+    assert smith_normal_form(twice) == (2,) * 2001
     assert rank(twice, QQ) == 2001
 
 
@@ -370,7 +369,7 @@ def test_snf_divisibility_chain_and_oracle_fixed_cases():
         [[2, 0], [0, 2], [2, 2]],
     ]
     for dense in cases:
-        ours = smith_normal_form(SparseMat.from_dense(dense)).factors
+        ours = smith_normal_form(SparseMat.from_dense(dense))
         assert ours == sympy_invariant_factors(dense)
         for a, b in zip(ours, ours[1:]):
             assert b % a == 0
@@ -386,7 +385,7 @@ def test_snf_matches_sympy_oracle(nr, nc, data):
     dense = [
         [data.draw(st.integers(-9, 9)) for _ in range(nc)] for _ in range(nr)
     ]
-    ours = smith_normal_form(SparseMat.from_dense(dense)).factors
+    ours = smith_normal_form(SparseMat.from_dense(dense))
     assert ours == sympy_invariant_factors(dense)
 
 
@@ -401,7 +400,7 @@ def sparse_dense(data, nr, nc):
 @given(st.integers(1, 8), st.integers(1, 8), st.data())
 def test_sparse_snf_matches_sympy_oracle(nr, nc, data):
     dense = sparse_dense(data, nr, nc)
-    ours = smith_normal_form(SparseMat.from_dense(dense)).factors
+    ours = smith_normal_form(SparseMat.from_dense(dense))
     assert ours == sympy_invariant_factors(dense)
 
 
@@ -416,7 +415,7 @@ def test_snf_residual_fixed_cases(dense, factors):
     # diagonal cases reach chain order only through the gcd/lcm exchange,
     # the one-row cases their single factor only through the modulo step
     assert sympy_invariant_factors(dense) == factors
-    assert smith_normal_form(SparseMat.from_dense(dense)).factors == factors
+    assert smith_normal_form(SparseMat.from_dense(dense)) == factors
 
 
 @settings(max_examples=150, deadline=None)
@@ -424,7 +423,7 @@ def test_snf_residual_fixed_cases(dense, factors):
 def test_residual_snf_matches_sympy_oracle(nr, nc, data):
     entry = st.sampled_from([0, 2, -2, 3, -3, 4, -4, 6, -6, 9, -9])
     dense = [[data.draw(entry) for _ in range(nc)] for _ in range(nr)]
-    ours = smith_normal_form(SparseMat.from_dense(dense)).factors
+    ours = smith_normal_form(SparseMat.from_dense(dense))
     assert ours == sympy_invariant_factors(dense)
 
 
@@ -466,7 +465,7 @@ def test_rational_rank_with_no_unit_entry():
 def test_rational_rank_counts_invariant_factors(n, data):
     dense = [[data.draw(st.integers(-6, 6)) for _ in range(n)] for _ in range(n)]
     m = SparseMat.from_dense(dense)
-    assert smith_normal_form(m).rank == rank(m, QQ)
+    assert len(smith_normal_form(m)) == rank(m, QQ)
 
 
 # --- homology assembly -----------------------------------------------------------
@@ -593,8 +592,8 @@ def test_cleared_reductions_match_standalone(n, data, quandle, self_coefficients
         elif ring.is_field:
             expected = (rank(d, ring), ())
         else:
-            snf = smith_normal_form(d)
-            expected = (snf.rank, snf.torsion())
+            factors = smith_normal_form(d)
+            expected = (len(factors), tuple(f for f in factors if f > 1))
         assert cx._reduce(k)[:2] == expected
 
 

@@ -21,7 +21,7 @@ import test_linalg
 import test_words
 from rackhom import complexes, linalg
 from rackhom.cup import CupContext
-from rackhom.linalg import ChainComplex, HomologyGroup, SmithForm
+from rackhom.linalg import ChainComplex, HomologyGroup
 from rackhom.racks import XSet
 from rackhom.verify import ALL_SUITES
 from rackhom.words import WordAlgebra
@@ -75,17 +75,15 @@ def cohomology_with_the_outgoing_torsion(self, n):
 
 def _euclid_pivots(mat, drop, p=0):
     # the ids of the pivots that Euclid's algorithm takes after the +-1 pass
-    vecs = linalg._column_vectors(mat, drop, p)
-    linalg._eliminate_pivots(vecs, p, units_only=True)
-    return list(linalg._eliminate_pivots(vecs, 0))
+    return list(linalg._column_pivots(mat, drop, p)[1])
 
 
 def smith_clearing_at_euclid_pivots(mat, drop=frozenset(), pivots=None):
     # the Euclid pivots are appended to the clearing pivots too
-    snf = SNF(mat, drop, pivots)
+    factors = SNF(mat, drop, pivots)
     if pivots is not None:
         pivots.extend(_euclid_pivots(mat, drop))
-    return snf
+    return factors
 
 
 def rational_rank_clearing_at_euclid_pivots(mat, ring, drop=frozenset(), pivots=None):
@@ -98,11 +96,8 @@ def rational_rank_clearing_at_euclid_pivots(mat, ring, drop=frozenset(), pivots=
 
 def smith_exchange_without_the_lcm(mat, drop=frozenset(), pivots=None):
     # diag(a, b) ~ diag(gcd, b): the exchange leaves b where lcm(a, b) belongs
-    vecs = linalg._column_vectors(mat, drop)
-    units = linalg._eliminate_pivots(vecs, 0, units_only=True)
-    if pivots is not None:
-        pivots.extend(units)
-    chain = [abs(v) for v in linalg._eliminate_pivots(vecs, 0).values()]
+    units, euclid = linalg._column_pivots(mat, drop, 0, pivots)
+    chain = [abs(v) for v in euclid.values()]
     for i in range(len(chain)):
         for j in range(i + 1, len(chain)):
             a, b = chain[i], chain[j]
@@ -110,7 +105,7 @@ def smith_exchange_without_the_lcm(mat, drop=frozenset(), pivots=None):
                 chain[i] = gcd(a, b)
     factors = (1,) * len(units) + tuple(chain)
     linalg._check_divisibility_chain(factors)
-    return SmithForm(factors)
+    return factors
 
 
 def stencil_without_the_global_sign(self, p, q):

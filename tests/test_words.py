@@ -119,8 +119,13 @@ def test_tensor_rack_mismatch():
     lambda W: W.monomial((), (0, -1)),
     lambda W: W.element({((0,), (3,)): 1}),
     lambda W: W.element({((-2,), ()): 1}),
+    lambda W: W.gen(3),
+    lambda W: W.gen(-1),
+    lambda W: W.gen_e(3),
+    lambda W: W.gen_e(-1),
 ], ids=["eword-negative", "eword-past-end", "monomial-prefix", "monomial-eword",
-        "element-pair", "element-monomial"])
+        "element-pair", "element-monomial", "gen-past-end", "gen-negative",
+        "gen_e-past-end", "gen_e-negative"])
 def test_letters_outside_the_rack_are_refused(make):
     with pytest.raises(IndexOutOfRange):
         make(W3)
