@@ -29,7 +29,7 @@ import sys
 import time
 
 from . import __version__
-from .complexes import DEFAULT_MAX_BASIS, boundary_matrix
+from .complexes import DEFAULT_MAX_BASIS, RackComplex, boundary_matrix
 from .errors import ParseError, RackhomError, ResourceLimit
 from .linalg import ChainComplex
 from .racks import (MAX_RACK_SIZE, Rack, XSet, builtin, validate_rack, validate_xset,
@@ -229,10 +229,14 @@ def cmd_homology(args) -> int:
     xs = _coefficients(args, rack)
     timings = {} if args.timings else None
     t0 = time.perf_counter()
-    complex_ = ChainComplex({
-        n: boundary_matrix(rack, n, quandle=args.quandle, xset=xs, max_basis=args.max_basis)
-        for n in range(1, args.max_degree + 2)
-    }, ring)
+    top = args.max_degree + 1
+    if args.quandle:
+        complex_ = ChainComplex({
+            n: boundary_matrix(rack, n, quandle=True, xset=xs, max_basis=args.max_basis)
+            for n in range(1, top + 1)
+        }, ring)
+    else:
+        complex_ = RackComplex(rack, ring, top, xs, args.max_basis)
     if args.cohomology:
         group, kind, label = complex_.cohomology, "cohomology", "H^{}"
     else:

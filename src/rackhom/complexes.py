@@ -47,6 +47,15 @@ set over another rack; ``boundary_matrix`` and
 ``cochain_differential_matrix`` read that one table.  A chain's point moves
 by the right action ``XSet.right``; a cochain's value moves by its inverse
 ``XSet.left``, which is what transposing the same boundary gives.
+
+``RackComplex`` reduces the rack complex one orbit block at a time.  With
+trivial coefficients d_n keeps the orbit O of x_1, and its block is
+-d_{n-1}(X; Z[O]); with rack-set coefficients d_n keeps the orbit of the
+coefficient point.  A one-point orbit's block is the trivial complex, one
+degree below with trivial coefficients, so it is read from the reduction
+already made; orbits isomorphic as rack-sets are reduced once.  The quandle
+complex is not split: its degeneracy test compares x_2 with x_1, which ties
+each block to x_1.
 """
 
 from __future__ import annotations
@@ -60,9 +69,10 @@ from .errors import (
     IndexOutOfRange,
     MixedDegrees,
     NotAQuandle,
+    ShapeError,
 )
-from .linalg import SparseMat
-from .racks import Rack, XSet
+from .linalg import ChainComplex, SparseMat, direct_sum
+from .racks import Rack, XSet, orbits
 from .records import Frozen, Record
 
 DEFAULT_MAX_BASIS = 200_000
@@ -97,12 +107,7 @@ def tuple_basis(rack: Rack, n: int, quandle: bool = False,
         raise IndexOutOfRange("degree must be >= 0")
     if quandle and not rack.is_quandle():
         raise NotAQuandle(f"{rack.label} is not a quandle")
-    # the quandle basis drops every tuple with an adjacent equal pair
-    count = rack.size * (rack.size - 1) ** (n - 1) if quandle and n else rack.size ** n
-    if count > max_basis:
-        raise DimensionOverflow(
-            f"basis of degree {n} over size-{rack.size} rack exceeds cap {max_basis}"
-        )
+    _check_cap(rack, n, quandle, 1, max_basis)
     if quandle and n:
         # extend one position at a time past the entries equal to the last:
         # lexicographic order, with no degenerate tuple ever made
@@ -114,6 +119,20 @@ def tuple_basis(rack: Rack, n: int, quandle: bool = False,
     else:
         tuples = tuple(itertools.product(range(rack.size), repeat=n))
     return TupleBasis(tuples)
+
+
+def _check_cap(rack: Rack, n: int, quandle: bool, dim: int, max_basis: int):
+    """Refuse a degree-``n`` basis over ``max_basis`` tuples, then its
+    columns with ``dim`` coefficient points over ``max_basis`` columns."""
+    # the quandle basis drops every tuple with an adjacent equal pair
+    count = rack.size * (rack.size - 1) ** (n - 1) if quandle and n else rack.size ** n
+    if count > max_basis:
+        raise DimensionOverflow(
+            f"basis of degree {n} over size-{rack.size} rack exceeds cap {max_basis}"
+        )
+    if count * dim > max_basis:
+        raise DimensionOverflow(f"degree-{n} boundary has {count * dim} columns "
+                                f"({count} tuples x {dim} points), over the cap {max_basis}")
 
 
 def face(t, i, eps, rack: Rack):
@@ -241,9 +260,7 @@ def _boundary(rack: Rack, n: int, quandle: bool, right, max_basis: int) -> Spars
         raise IndexOutOfRange("boundary defined for degree >= 1")
     src = tuple_basis(rack, n, quandle, max_basis)
     dim = len(right[0])
-    if len(src) * dim > max_basis:
-        raise DimensionOverflow(f"degree-{n} boundary has {len(src) * dim} columns "
-                                f"({len(src)} tuples x {dim} points), over the cap {max_basis}")
+    _check_cap(rack, n, quandle, dim, max_basis)
     s = rack.size
     conj = rack.right
     row = None
@@ -387,3 +404,130 @@ def project_to_chain(u: BElement, *, xset: XSet | None = None, y: int = 0,
             yy = right[a][yy]
         values[idx * ydim + yy] += c
     return values
+
+
+# ---------------------------------------------------------------------------
+# The rack complex, one orbit block at a time
+
+
+def _orbit_sets(rack: Rack, xset: XSet | None) -> list[XSet]:
+    """The orbits of ``xset``, or of the rack acting on itself by ``<|``
+    when it is None, each as a transitive rack-set on its points in
+    increasing order."""
+    table = rack.table if xset is None else xset.act
+    sets = []
+    for orbit in orbits(rack if xset is None else xset):
+        pos = {y: i for i, y in enumerate(orbit)}
+        act = tuple(tuple(pos[z] for z in table[y]) for y in orbit)
+        sets.append(XSet(len(orbit), rack, act, f"orbit of {orbit[0]}"))
+    return sets
+
+
+def _maps(a: XSet, b: XSet, image: int) -> bool:
+    """Whether ``0 -> image`` extends to a map of rack-sets from ``a``, which
+    is transitive, to ``b``: the images are forced along the action."""
+    phi = {0: image}
+    todo = [0]
+    while todo:
+        y = todo.pop()
+        for z, w in zip(a.act[y], b.act[phi[y]]):
+            if z not in phi:
+                phi[z] = w
+                todo.append(z)
+            elif phi[z] != w:
+                return False
+    return True
+
+
+def _isomorphic(a: XSet, b: XSet) -> bool:
+    """Whether two transitive rack-sets are isomorphic.  A map between them
+    is onto (its image is a union of orbits), so one of equal sizes is an
+    isomorphism; it is fixed by the image of one point, so each candidate
+    costs O(|a| |X|)."""
+    return a.size == b.size and any(_maps(a, b, image) for image in range(b.size))
+
+
+class RackComplex(ChainComplex):
+    """The rack complex C_*(X; Z[Y]) through degree ``top``, with trivial
+    coefficients when ``xset`` is None, reduced one orbit block at a time:
+    a ``ChainComplex`` whose ``reduction(n)`` sums those of its blocks.
+
+    Its boundaries are block-diagonal.  With trivial coefficients the first
+    face cancels, and every conjugating face replaces x_1 by x_1 <| x_i, so
+    d_n keeps the orbit O of x_1, and its block is -d_{n-1}(X; Z[O]) on Z[O],
+    O acting on itself by ``<|`` (x_1 becomes the coefficient point); d_1 is
+    0.  With rack-set coefficients every face keeps the orbit of the
+    coefficient point, so d_n is the sum of d_n(X; Z[Q]) over the orbits Q
+    of ``xset``.  Three rules make the blocks cheap:
+
+    - a one-point orbit is the trivial module, and its block the trivial
+      complex: with trivial coefficients that is d_{n-1}(X) itself, read
+      from the degree below, so that ``trivial:k`` builds no matrix;
+    - orbits that are isomorphic as rack-sets (:func:`_isomorphic`) give
+      the same complex, which is built and reduced once, as a
+      ``ChainComplex`` of :func:`boundary_matrix`, to the highest degree
+      that any of them needs;
+    - the blocks' ranks add up and their torsion goes into chain order by
+      ``linalg.direct_sum``.
+
+    A block is reduced in the order that :func:`boundary_matrix` builds,
+    the point varying fastest; in the whole complex x_1 varies slowest.
+    That changes no answer, but the eliminations break ties differently.
+    The columns of the whole complex, degrees 1..``top`` in order, are
+    refused over ``max_basis`` before any block is built, exactly as
+    :func:`boundary_matrix` refuses them.  The quandle complex is not split:
+    its degeneracy test compares x_2 with x_1, which ties each block to x_1,
+    so that its blocks are not complexes one degree below.
+    """
+
+    def __init__(self, rack: Rack, ring, top: int, xset: XSet | None = None,
+                 max_basis: int = DEFAULT_MAX_BASIS):
+        self.ring = ring
+        self._dim = len(right_action(rack, xset)[0])
+        for n in range(1, top + 1):
+            _check_cap(rack, n, False, self._dim, max_basis)
+        self.rack, self.top, self.max_basis = rack, top, max_basis
+        self._classes: list[list] = []  # [transitive set, top degree, its ChainComplex]
+        # the blocks in the same degree, one per orbit of the coefficients;
+        # None, a one-point orbit, is the trivial complex
+        self._blocks = [None] if xset is None else [self._class(q, top)
+                                                    for q in _orbit_sets(rack, xset)]
+        self._trivial = {1: (0, ())}
+        if None in self._blocks:
+            # the blocks of the trivial complex, one per rack orbit, a degree below
+            self._orbits = [self._class(o, top - 1) for o in _orbit_sets(rack, None)]
+
+    def _class(self, s: XSet, top: int):
+        """The class of rack-sets isomorphic to ``s``, now needed through
+        degree ``top``; None for a one-point set."""
+        if s.size == 1:
+            return None
+        for c in self._classes:
+            if _isomorphic(c[0], s):
+                c[1] = max(c[1], top)
+                return c
+        self._classes.append(c := [s, top, None])
+        return c
+
+    def _block(self, c, n) -> tuple:
+        """``(rank, torsion)`` of d_n on the class ``c``, or on the trivial
+        complex for None; a class's complex is built on first use."""
+        if c is None:
+            if n not in self._trivial:
+                self._trivial[n] = direct_sum([self._block(o, n - 1) for o in self._orbits])
+            return self._trivial[n]
+        s, top, complex_ = c
+        if complex_ is None:
+            complex_ = c[2] = ChainComplex({
+                m: boundary_matrix(self.rack, m, xset=s, max_basis=self.max_basis)
+                for m in range(1, top + 1)
+            }, self.ring)
+        return complex_.reduction(n)
+
+    def reduction(self, n) -> tuple[int, tuple[int, ...]]:
+        if not 1 <= n <= self.top:
+            raise ShapeError(f"no differential at degree {n}")
+        return direct_sum([self._block(c, n) for c in self._blocks])
+
+    def _chains(self, n) -> int:
+        return self.rack.size ** n * self._dim

@@ -9,9 +9,10 @@ back-substitution, on integers.  Over F_p every nonzero residue is a
 pivot, so that elimination alone gives the rank.  In characteristic 0 the
 +-1 entries go first; those steps are unimodular, hence exact.  Euclid's
 algorithm on the residual (least-absolute-value pivots, the standard guard
-against coefficient explosion) then finishes: over Z the Smith form, and
-over Q the rank.  No reduction has a size limit of its own: the basis cap
-of the matrix builders (``--max-basis``) bounds the columns they see.
+against coefficient explosion), taken as rows or as columns, whichever are
+fewer, then finishes: over Z the Smith form, and over Q the rank.  No
+reduction has a size limit of its own: the basis cap of the matrix
+builders (``--max-basis``) bounds the columns they see.
 
 ``ChainComplex`` reduces each differential once and reads homology and
 cohomology from that reduction.  It clears across degrees: the pivot
@@ -19,7 +20,11 @@ columns of ``d_n`` name rows of ``d_{n+1}`` that are combinations of the
 others (because d o d = 0, which it checks), and the reduction of
 ``d_{n+1}`` leaves them out.  Over F_p every pivot clears; over Z and Q
 only those of the +-1 pass, so that no invariant factor changes; see the
-class docstring.
+class docstring.  A complex whose boundaries are block-diagonal (the rack
+complex, split by orbits in ``complexes.RackComplex``) is reduced block by
+block: ``direct_sum`` adds the blocks' ranks and merges their torsion with
+``exchange``, the gcd/lcm exchange that ``smith_normal_form`` runs on its
+own pivots.
 
 Kernels, images, solves and span tests over a field share one forward
 reduction on integer rows (clear a row by the leading entries held, store
@@ -347,11 +352,19 @@ def _column_pivots(mat: SparseMat, drop, p=0, pivots=None) -> tuple[dict, dict]:
     """The column reduction under :func:`rank` and :func:`smith_normal_form`:
     ``{id: pivot value}`` of the +-1 pass, whose ids are appended to
     ``pivots`` if it is a list, and of Euclid's algorithm on what that pass
-    leaves.  Over F_p every pivot is a unit, so the second is empty."""
+    leaves, taken as rows when they are fewer than its columns: rank and
+    invariant factors do not change under transposition, and only the +-1
+    pivots clear.  Over F_p every pivot is a unit, so the second is empty."""
     vecs = _column_vectors(mat, drop, p)
     units = _eliminate_pivots(vecs, p, units_only=True)
     if pivots is not None:
         pivots.extend(units)
+    if len({i for vec in vecs.values() for i in vec}) < len(vecs):
+        rows: dict = {}
+        for k in list(vecs):  # each column freed as it is read
+            for i, v in vecs.pop(k).items():
+                rows.setdefault(i, {})[k] = v
+        vecs = rows
     return units, _eliminate_pivots(vecs, 0)
 
 
@@ -456,19 +469,34 @@ def smith_normal_form(mat: SparseMat, drop=frozenset(), pivots=None) -> tuple[in
     The +-1 pivots go first, each a unimodular step with factor 1; their
     column ids are appended to ``pivots`` if it is a list.  Euclid's
     algorithm then reduces the residual, as :func:`rank` does over Q, and
-    the exchange diag(a, b) ~ diag(gcd, lcm) puts its pivots into chain
-    order.
+    :func:`exchange` puts its pivots into chain order.
     """
     units, euclid = _column_pivots(mat, drop, 0, pivots)
-    chain = [abs(v) for v in euclid.values()]
+    factors = (1,) * len(units) + tuple(exchange([abs(v) for v in euclid.values()]))
+    _check_divisibility_chain(factors)
+    return factors
+
+
+def exchange(diagonal) -> list:
+    """The positive ints ``diagonal`` of a diagonal matrix put into chain
+    order, each dividing the next, by the exchange diag(a, b) ~ diag(gcd(a,
+    b), lcm(a, b)): the invariant factors of that matrix."""
+    chain = list(diagonal)
     for i in range(len(chain)):
         for j in range(i + 1, len(chain)):
             a, b = chain[i], chain[j]
             if b % a:
                 chain[i], chain[j] = gcd(a, b), lcm(a, b)
-    factors = (1,) * len(units) + tuple(chain)
-    _check_divisibility_chain(factors)
-    return factors
+    return chain
+
+
+def direct_sum(reductions) -> tuple[int, tuple[int, ...]]:
+    """``(rank, torsion)`` of a block-diagonal matrix from those of its
+    blocks: the ranks add up, and the torsion factors of all the blocks are
+    put into chain order by :func:`exchange`, so that Z/2 in one block and
+    Z/3 in another are Z/6."""
+    torsion = exchange([d for _, factors in reductions for d in factors])
+    return sum(r for r, _ in reductions), tuple(d for d in torsion if d > 1)
 
 
 def _check_divisibility_chain(factors):
@@ -567,9 +595,17 @@ class ChainComplex:
                 self._reductions[n] = (len(factors), torsion, pivots)
         return self._reductions[n]
 
+    def reduction(self, n) -> tuple[int, tuple[int, ...]]:
+        """``(rank, torsion factors)`` of ``d_n``, over Z the torsion being
+        its invariant factors above 1 (and () over a field)."""
+        return self._reduce(n)[:2]
+
+    def _chains(self, n) -> int:
+        return self.differentials[n].ncols  # dim C_n
+
     def _betti(self, n) -> int:
         # dim C_n - rank d_n - rank d_{n+1}; transposing keeps both ranks
-        return self.differentials[n].ncols - self._reduce(n)[0] - self._reduce(n + 1)[0]
+        return self._chains(n) - self.reduction(n)[0] - self.reduction(n + 1)[0]
 
     def homology(self, n) -> HomologyGroup:
         """Homology at degree ``n``.
@@ -579,7 +615,7 @@ class ChainComplex:
         kernel is a saturated (pure) submodule, so restricting to it does
         not change the invariant factors.
         """
-        return HomologyGroup(n, self._betti(n), self._reduce(n + 1)[1])
+        return HomologyGroup(n, self._betti(n), self.reduction(n + 1)[1])
 
     def cohomology(self, n) -> HomologyGroup:
         """Cohomology at degree ``n`` of the dual complex, whose coboundary
@@ -590,7 +626,7 @@ class ChainComplex:
         invariant factors of ``d_n``, and the same saturation argument as
         in :meth:`homology` applies.
         """
-        return HomologyGroup(n, self._betti(n), self._reduce(n)[1])
+        return HomologyGroup(n, self._betti(n), self.reduction(n)[1])
 
 
 def homology(boundary_in: SparseMat, boundary_out: SparseMat, ring,

@@ -158,20 +158,21 @@ def validate_rack(table, label="rack") -> Rack:
     return Rack(n, tuple(tuple(row) for row in table), label)
 
 
-def orbits(rack: Rack) -> tuple[tuple[int, ...], ...]:
-    """The orbits of ``x ~ x <| y``, each a sorted tuple, ordered by least
-    element.
+def orbits(rack: Rack | XSet) -> tuple[tuple[int, ...], ...]:
+    """The orbits of ``x ~ x <| y`` on a rack, or of ``y ~ y * x`` on a
+    rack-set, each a sorted tuple, ordered by least element.
 
     Forward moves suffice: right translations are bijections of a finite
     set, so inverse closure is automatic.
     """
+    table = rack.table if isinstance(rack, Rack) else rack.act
     blocks, seen = [], set()
     for x in range(rack.size):
         if x in seen:
             continue
         block, frontier = {x}, {x}
         while frontier:
-            frontier = {b for a in frontier for b in rack.table[a]} - block
+            frontier = {b for a in frontier for b in table[a]} - block
             block |= frontier
         seen |= block
         blocks.append(tuple(sorted(block)))

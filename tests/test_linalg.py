@@ -21,9 +21,12 @@ from rackhom.linalg import (
     HomologyGroup,
     SparseMat,
     _check_divisibility_chain,
+    _eliminate_pivots,
     _insert,
     _integer_row,
     _rref,
+    direct_sum,
+    exchange,
     homology,
     image_basis,
     in_span,
@@ -342,6 +345,30 @@ def test_snf_diag_example():
     assert smith_normal_form(SparseMat.from_dense([[2, 0], [0, 3]])) == (1, 6)
 
 
+def test_direct_sum_puts_block_torsion_into_chain_order():
+    # Z/2 in one block and Z/3 in another are Z/6 of the whole matrix
+    assert direct_sum([(1, (2,)), (1, (3,))]) == (2, (6,))
+    assert direct_sum([(3, (2, 4)), (0, ()), (2, (6,))]) == (5, (2, 2, 12))
+    assert direct_sum([]) == (0, ())
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.lists(st.lists(st.integers(-6, 6), min_size=2, max_size=2),
+                         min_size=1, max_size=3), min_size=1, max_size=3))
+def test_direct_sum_matches_the_block_diagonal_matrix(blocks):
+    whole = SparseMat(sum(len(b) for b in blocks), 2 * len(blocks))
+    row = 0
+    for k, block in enumerate(blocks):
+        for i, entries in enumerate(block):
+            for j, v in enumerate(entries):
+                whole.add_at(row + i, 2 * k + j, v)
+        row += len(block)
+    parts = [smith_normal_form(SparseMat.from_dense(b)) for b in blocks]
+    factors = smith_normal_form(whole)
+    assert direct_sum([(len(f), tuple(d for d in f if d > 1)) for f in parts]) == \
+        (len(factors), tuple(d for d in factors if d > 1))
+
+
 def test_snf_zero_matrix():
     assert smith_normal_form(SparseMat(4, 2)) == ()
 
@@ -387,6 +414,21 @@ def test_snf_matches_sympy_oracle(nr, nc, data):
     ]
     ours = smith_normal_form(SparseMat.from_dense(dense))
     assert ours == sympy_invariant_factors(dense)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 5), st.integers(1, 5), st.data())
+def test_euclid_gives_the_same_factors_on_rows_and_on_columns(nr, nc, data):
+    # the residual after the +-1 pass goes to Euclid's algorithm as rows when
+    # they are fewer: both orientations must give the same invariant factors
+    dense = [[data.draw(st.sampled_from([0, 0, 2, -2, 3, -4, 6, 9])) for _ in range(nc)]
+             for _ in range(nr)]
+    cols = {j: c for j in range(nc) if (c := {i: r[j] for i, r in enumerate(dense) if r[j]})}
+    rows = {i: c for i, r in enumerate(dense) if (c := {j: v for j, v in enumerate(r) if v})}
+    by_cols, by_rows = (exchange([abs(v) for v in _eliminate_pivots(vecs, 0).values()])
+                        for vecs in (cols, rows))
+    assert by_cols == by_rows
+    assert tuple(by_cols) == sympy_invariant_factors(dense)
 
 
 def sparse_dense(data, nr, nc):

@@ -15,6 +15,7 @@ from math import gcd
 
 import pytest
 
+import test_blocks
 import test_complexes
 import test_cup
 import test_linalg
@@ -27,6 +28,7 @@ from rackhom.verify import ALL_SUITES
 from rackhom.words import WordAlgebra
 
 BOUNDARY = complexes._boundary
+ORBIT_SETS = complexes._orbit_sets
 CUP = importlib.import_module("rackhom.cup")  # the package's ``cup`` is the function
 PAIR = CUP._pair_cochain
 STENCIL = CupContext.stencil
@@ -70,7 +72,7 @@ def left_word_by_the_right_action(self, word, y):
 
 def cohomology_with_the_outgoing_torsion(self, n):
     # the torsion of d_{n+1}, which belongs to H_n, not to H^n
-    return HomologyGroup(n, self._betti(n), self._reduce(n + 1)[1])
+    return HomologyGroup(n, self._betti(n), self.reduction(n + 1)[1])
 
 
 def _euclid_pivots(mat, drop, p=0):
@@ -94,18 +96,26 @@ def rational_rank_clearing_at_euclid_pivots(mat, ring, drop=frozenset(), pivots=
     return r
 
 
-def smith_exchange_without_the_lcm(mat, drop=frozenset(), pivots=None):
+def exchange_without_the_lcm(diagonal):
     # diag(a, b) ~ diag(gcd, b): the exchange leaves b where lcm(a, b) belongs
-    units, euclid = linalg._column_pivots(mat, drop, 0, pivots)
-    chain = [abs(v) for v in euclid.values()]
+    chain = list(diagonal)
     for i in range(len(chain)):
         for j in range(i + 1, len(chain)):
             a, b = chain[i], chain[j]
             if b % a:
                 chain[i] = gcd(a, b)
-    factors = (1,) * len(units) + tuple(chain)
-    linalg._check_divisibility_chain(factors)
-    return factors
+    return chain
+
+
+def orbit_sets_without_the_last(rack, xset):
+    # the last orbit's block left out of the sum
+    return ORBIT_SETS(rack, xset)[:-1]
+
+
+def direct_sum_without_the_exchange(reductions):
+    # the blocks' torsion factors concatenated in order, not exchanged
+    return (sum(r for r, _ in reductions),
+            tuple(sorted(d for _, factors in reductions for d in factors)))
 
 
 def stencil_without_the_global_sign(self, p, q):
@@ -160,9 +170,21 @@ MUTANTS = {
         [], [test_linalg.test_rational_rank_without_unit_clears_nothing],
     ),
     "smith-exchange-drops-the-lcm": (
-        REDUCTIONS, "smith_normal_form", smith_exchange_without_the_lcm,
+        (linalg,), "exchange", exchange_without_the_lcm,
         [], [test_linalg.test_snf_diag_example,
-             test_linalg.test_snf_divisibility_chain_and_oracle_fixed_cases],
+             test_linalg.test_snf_divisibility_chain_and_oracle_fixed_cases,
+             test_linalg.test_direct_sum_puts_block_torsion_into_chain_order],
+    ),
+    "a-block-dropped": (
+        (complexes,), "_orbit_sets", orbit_sets_without_the_last,
+        [], [functools.partial(test_blocks.test_blocks_match_the_whole_complex, "dihedral:6"),
+             functools.partial(
+                 test_blocks.test_rational_betti_numbers_are_powers_of_the_orbit_count,
+                 "conjugation:s3")],
+    ),
+    "block-torsion-concatenated-without-the-exchange": (
+        (complexes, test_linalg), "direct_sum", direct_sum_without_the_exchange,
+        [], [test_linalg.test_direct_sum_puts_block_torsion_into_chain_order],
     ),
     "cup-stencil-drops-the-global-sign": (
         (CupContext,), "stencil", stencil_without_the_global_sign,
