@@ -11,8 +11,7 @@ import argparse
 import sys
 import time
 
-from rackhom.complexes import RackComplex, boundary_matrix
-from rackhom.linalg import ChainComplex
+from rackhom.complexes import RackComplex
 from rackhom.racks import builtin, orbits
 from rackhom.rings import ZZ
 from rackhom.verify import BUILTIN_SPECS
@@ -24,15 +23,8 @@ def survey(spec, max_degree):
     print(f"\n{spec}: size {rack.size}, {kind}, {len(orbits(rack))} orbit(s)")
     variants = [False, True] if rack.is_quandle() else [False]
     for quandle in variants:
-        if quandle:
-            tag = "quandle complex"
-            complex_ = ChainComplex({
-                n: boundary_matrix(rack, n, quandle=True)
-                for n in range(1, max_degree + 2)
-            }, ZZ)
-        else:
-            tag = "rack complex"
-            complex_ = RackComplex(rack, ZZ, max_degree + 1)
+        tag = "quandle complex" if quandle else "rack complex"
+        complex_ = RackComplex(rack, ZZ, max_degree + 1, quandle=quandle)
         cells = [f"H_{n} = {complex_.homology(n).describe()}"
                  for n in range(1, max_degree + 1)]
         print(f"  {tag}: " + ",  ".join(cells))

@@ -29,9 +29,8 @@ import sys
 import time
 
 from . import __version__
-from .complexes import DEFAULT_MAX_BASIS, RackComplex, boundary_matrix
-from .errors import ParseError, RackhomError, ResourceLimit
-from .linalg import ChainComplex
+from .complexes import DEFAULT_MAX_BASIS, RackComplex
+from .errors import DimensionOverflow, ParseError, RackhomError, ResourceLimit
 from .racks import (MAX_RACK_SIZE, Rack, XSet, builtin, validate_rack, validate_xset,
                     xset_self, xset_singleton)
 from .rings import ring_by_name
@@ -227,16 +226,8 @@ def cmd_homology(args) -> int:
     rack, source = _load_rack(args)
     ring = ring_by_name(args.ring)
     xs = _coefficients(args, rack)
-    timings = {} if args.timings else None
     t0 = time.perf_counter()
-    top = args.max_degree + 1
-    if args.quandle:
-        complex_ = ChainComplex({
-            n: boundary_matrix(rack, n, quandle=True, xset=xs, max_basis=args.max_basis)
-            for n in range(1, top + 1)
-        }, ring)
-    else:
-        complex_ = RackComplex(rack, ring, top, xs, args.max_basis)
+    complex_ = RackComplex(rack, ring, args.max_degree + 1, xs, args.max_basis, args.quandle)
     if args.cohomology:
         group, kind, label = complex_.cohomology, "cohomology", "H^{}"
     else:
@@ -244,8 +235,7 @@ def cmd_homology(args) -> int:
     groups = [group(n) for n in range(1, args.max_degree + 1)]
     results = [{"kind": kind, "degree": h.degree, "betti": h.betti,
                 "torsion": list(h.torsion)} for h in groups]
-    if timings is not None:
-        timings["total_s"] = round(time.perf_counter() - t0, 6)
+    timings = {"total_s": round(time.perf_counter() - t0, 6)} if args.timings else None
     options = {
         "ring": args.ring,
         "max_degree": args.max_degree,
@@ -387,7 +377,8 @@ def main(argv=None) -> int:
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return EXIT_FAIL
     except ResourceLimit as err:
-        print(f"rackhom: resource limit: {err}", file=sys.stderr)
+        hint = "; --max-basis raises the cap" if isinstance(err, DimensionOverflow) else ""
+        print(f"rackhom: resource limit: {err}{hint}", file=sys.stderr)
         return EXIT_RESOURCE
     except (RackhomError, OSError) as err:
         # user errors only: anything else is a bug and ends in a traceback

@@ -48,14 +48,12 @@ set over another rack; ``boundary_matrix`` and
 by the right action ``XSet.right``; a cochain's value moves by its inverse
 ``XSet.left``, which is what transposing the same boundary gives.
 
-``RackComplex`` reduces the rack complex one orbit block at a time.  With
-trivial coefficients d_n keeps the orbit O of x_1, and its block is
--d_{n-1}(X; Z[O]); with rack-set coefficients d_n keeps the orbit of the
-coefficient point.  A one-point orbit's block is the trivial complex, one
-degree below with trivial coefficients, so it is read from the reduction
-already made; orbits isomorphic as rack-sets are reduced once.  The quandle
-complex is not split: its degeneracy test compares x_2 with x_1, which ties
-each block to x_1.
+``RackComplex`` reduces the rack or quandle complex one orbit block at a
+time: d_n keeps the orbit of a rack-set coefficient point.  With trivial
+coefficients the rack complex's d_n keeps the orbit O of x_1, its block
+being -d_{n-1}(X; Z[O]), so a one-point orbit is read from the degree
+below; the trivial quandle complex is reduced whole, at the same degree.
+Orbits isomorphic as rack-sets are reduced once.
 """
 
 from __future__ import annotations
@@ -121,11 +119,15 @@ def tuple_basis(rack: Rack, n: int, quandle: bool = False,
     return TupleBasis(tuples)
 
 
+def _tuples(rack: Rack, n: int, quandle: bool) -> int:
+    # the quandle basis drops every tuple with an adjacent equal pair
+    return rack.size * (rack.size - 1) ** (n - 1) if quandle and n else rack.size ** n
+
+
 def _check_cap(rack: Rack, n: int, quandle: bool, dim: int, max_basis: int):
     """Refuse a degree-``n`` basis over ``max_basis`` tuples, then its
     columns with ``dim`` coefficient points over ``max_basis`` columns."""
-    # the quandle basis drops every tuple with an adjacent equal pair
-    count = rack.size * (rack.size - 1) ** (n - 1) if quandle and n else rack.size ** n
+    count = _tuples(rack, n, quandle)
     if count > max_basis:
         raise DimensionOverflow(
             f"basis of degree {n} over size-{rack.size} rack exceeds cap {max_basis}"
@@ -448,21 +450,25 @@ def _isomorphic(a: XSet, b: XSet) -> bool:
 
 
 class RackComplex(ChainComplex):
-    """The rack complex C_*(X; Z[Y]) through degree ``top``, with trivial
-    coefficients when ``xset`` is None, reduced one orbit block at a time:
-    a ``ChainComplex`` whose ``reduction(n)`` sums those of its blocks.
+    """The rack complex C_*(X; Z[Y]) through degree ``top``, or its quandle
+    quotient when ``quandle``, with trivial coefficients when ``xset`` is
+    None, reduced one orbit block at a time: a ``ChainComplex`` whose
+    ``reduction(n)`` sums those of its blocks.
 
-    Its boundaries are block-diagonal.  With trivial coefficients the first
-    face cancels, and every conjugating face replaces x_1 by x_1 <| x_i, so
-    d_n keeps the orbit O of x_1, and its block is -d_{n-1}(X; Z[O]) on Z[O],
-    O acting on itself by ``<|`` (x_1 becomes the coefficient point); d_1 is
-    0.  With rack-set coefficients every face keeps the orbit of the
-    coefficient point, so d_n is the sum of d_n(X; Z[Q]) over the orbits Q
-    of ``xset``.  Three rules make the blocks cheap:
+    Its boundaries are block-diagonal.  With rack-set coefficients every
+    face keeps the orbit of the coefficient point, and the degeneracy test
+    reads only the tuple, so d_n is the sum of d_n(X; Z[Q]) over the orbits
+    Q of ``xset``.  With trivial coefficients the rack complex's first face
+    cancels, and every conjugating face replaces x_1 by x_1 <| x_i, so d_n
+    keeps the orbit O of x_1, and its block is -d_{n-1}(X; Z[O]) on Z[O], O
+    acting on itself by ``<|`` (x_1 becomes the coefficient point); d_1 is
+    0.  Three rules make the blocks cheap:
 
     - a one-point orbit is the trivial module, and its block the trivial
-      complex: with trivial coefficients that is d_{n-1}(X) itself, read
-      from the degree below, so that ``trivial:k`` builds no matrix;
+      complex: for the rack complex, d_{n-1}(X) read from the degree below,
+      so that ``trivial:k`` builds no matrix; for the quandle complex, whose
+      degeneracy test ties a block by x_1 to x_1, the whole complex at the
+      same degree, built and reduced once;
     - orbits that are isomorphic as rack-sets (:func:`_isomorphic`) give
       the same complex, which is built and reduced once, as a
       ``ChainComplex`` of :func:`boundary_matrix`, to the highest degree
@@ -473,28 +479,29 @@ class RackComplex(ChainComplex):
     A block is reduced in the order that :func:`boundary_matrix` builds,
     the point varying fastest; in the whole complex x_1 varies slowest.
     That changes no answer, but the eliminations break ties differently.
-    The columns of the whole complex, degrees 1..``top`` in order, are
-    refused over ``max_basis`` before any block is built, exactly as
-    :func:`boundary_matrix` refuses them.  The quandle complex is not split:
-    its degeneracy test compares x_2 with x_1, which ties each block to x_1,
-    so that its blocks are not complexes one degree below.
+    Before any block is built, a non-quandle is refused for the quandle
+    complex, then the whole complex's columns over ``max_basis``, degrees
+    1..``top`` in order, as :func:`boundary_matrix` refuses them.
     """
 
     def __init__(self, rack: Rack, ring, top: int, xset: XSet | None = None,
-                 max_basis: int = DEFAULT_MAX_BASIS):
+                 max_basis: int = DEFAULT_MAX_BASIS, quandle: bool = False):
         self.ring = ring
         self._dim = len(right_action(rack, xset)[0])
+        if quandle and not rack.is_quandle():
+            raise NotAQuandle(f"{rack.label} is not a quandle")
         for n in range(1, top + 1):
-            _check_cap(rack, n, False, self._dim, max_basis)
-        self.rack, self.top, self.max_basis = rack, top, max_basis
+            _check_cap(rack, n, quandle, self._dim, max_basis)
+        self.rack, self.top, self.max_basis, self.quandle = rack, top, max_basis, quandle
         self._classes: list[list] = []  # [transitive set, top degree, its ChainComplex]
-        # the blocks in the same degree, one per orbit of the coefficients;
-        # None, a one-point orbit, is the trivial complex
-        self._blocks = [None] if xset is None else [self._class(q, top)
-                                                    for q in _orbit_sets(rack, xset)]
+        # one block per orbit of the coefficients; a one-point orbit is the trivial
+        # complex, None for the rack complex and a class of its own for the quandle
+        one = [None, top, None] if quandle else None
+        self._blocks = [one] if xset is None else [self._class(q, top) or one
+                                                   for q in _orbit_sets(rack, xset)]
         self._trivial = {1: (0, ())}
         if None in self._blocks:
-            # the blocks of the trivial complex, one per rack orbit, a degree below
+            # the blocks of the trivial rack complex, one per rack orbit, a degree below
             self._orbits = [self._class(o, top - 1) for o in _orbit_sets(rack, None)]
 
     def _class(self, s: XSet, top: int):
@@ -511,7 +518,7 @@ class RackComplex(ChainComplex):
 
     def _block(self, c, n) -> tuple:
         """``(rank, torsion)`` of d_n on the class ``c``, or on the trivial
-        complex for None; a class's complex is built on first use."""
+        rack complex for None; a class's complex is built on first use."""
         if c is None:
             if n not in self._trivial:
                 self._trivial[n] = direct_sum([self._block(o, n - 1) for o in self._orbits])
@@ -519,7 +526,8 @@ class RackComplex(ChainComplex):
         s, top, complex_ = c
         if complex_ is None:
             complex_ = c[2] = ChainComplex({
-                m: boundary_matrix(self.rack, m, xset=s, max_basis=self.max_basis)
+                m: boundary_matrix(self.rack, m, quandle=self.quandle, xset=s,
+                                   max_basis=self.max_basis)
                 for m in range(1, top + 1)
             }, self.ring)
         return complex_.reduction(n)
@@ -530,4 +538,4 @@ class RackComplex(ChainComplex):
         return direct_sum([self._block(c, n) for c in self._blocks])
 
     def _chains(self, n) -> int:
-        return self.rack.size ** n * self._dim
+        return _tuples(self.rack, n, self.quandle) * self._dim

@@ -1,5 +1,6 @@
-"""The rack complex reduced one orbit block at a time (``RackComplex``),
-against the whole complex and against Etingof--Grana's Betti numbers."""
+"""The rack and quandle complexes reduced one orbit block at a time
+(``RackComplex``), against the whole complex and against Etingof--Grana's
+Betti numbers."""
 
 import pytest
 
@@ -12,25 +13,41 @@ from rackhom.rings import GF, QQ, ZZ
 from rackhom.verify import BUILTIN_SPECS
 
 RINGS = (ZZ, QQ, GF(2), GF(3), GF(5))
+QUANDLES = [spec for spec in BUILTIN_SPECS if builtin(spec).is_quandle()]
+
+
+def fixed_points_and_a_pair():
+    """A rack-set of dihedral:3 with orbits {0}, {1, 2} and {3}."""
+    return validate_xset(builtin("dihedral:3"), [[0, 0, 0], [2, 2, 2], [1, 1, 1], [3, 3, 3]])
 
 
 @pytest.mark.parametrize("spec", BUILTIN_SPECS)
-def test_blocks_match_the_whole_complex(spec):
+def test_blocks_match_the_whole_complex(spec, quandle=False):
     """Every builtin, over Z, Q, F_2, F_3 and F_5, homology and cohomology,
-    with trivial, self and singleton coefficients: the groups of the
-    blockwise complex are those of the whole ``ChainComplex``."""
+    with trivial, self and singleton coefficients (and on dihedral:3 a
+    rack-set with fixed points): the groups of the blockwise complex are
+    those of the whole ``ChainComplex``."""
     rack = builtin(spec)
     small = rack.size < 5
-    for xset, top in ((None, 4 + small), (xset_singleton(rack), 4 + small),
-                      (xset_self(rack), 3 + small)):
-        matrices = {n: boundary_matrix(rack, n, xset=xset) for n in range(1, top + 1)}
+    cases = [(None, 4 + small), (xset_singleton(rack), 4 + small), (xset_self(rack), 3 + small)]
+    if spec == "dihedral:3":
+        cases.append((fixed_points_and_a_pair(), 4))
+    for xset, top in cases:
+        matrices = {n: boundary_matrix(rack, n, quandle=quandle, xset=xset)
+                    for n in range(1, top + 1)}
         for ring in RINGS:
             whole = ChainComplex(matrices, ring)
-            blocks = RackComplex(rack, ring, top, xset)
+            blocks = RackComplex(rack, ring, top, xset, quandle=quandle)
             for n in range(1, top):
                 for group in ("homology", "cohomology"):
                     assert getattr(blocks, group)(n) == getattr(whole, group)(n), \
                         (xset and xset.label, ring.name, group, n)
+
+
+@pytest.mark.parametrize("spec", QUANDLES)
+def test_quandle_blocks_match_the_whole_complex(spec):
+    """The same on the quandle complex of every builtin quandle."""
+    test_blocks_match_the_whole_complex(spec, quandle=True)
 
 
 @pytest.mark.parametrize("spec", BUILTIN_SPECS)
@@ -95,30 +112,74 @@ def test_isomorphic_orbits_are_reduced_once(monkeypatch):
     assert built == [1, 2, 3]
 
 
+def test_isomorphic_orbits_of_the_quandle_complex_are_reduced_once(monkeypatch):
+    # with self coefficients the quandle complex splits by the orbit of the
+    # point, and dihedral:6's two orbits give one block per degree
+    d6 = builtin("dihedral:6")
+    built = []
+
+    def counted(rack, n, **kwargs):
+        built.append((n, kwargs["quandle"], kwargs["xset"].size))
+        return boundary_matrix(rack, n, **kwargs)
+
+    monkeypatch.setattr(complexes, "boundary_matrix", counted)
+    blocks = RackComplex(d6, ZZ, 4, xset_self(d6), quandle=True)
+    assert blocks.homology(3).describe() == "Z^4 + (Z/3)^8"
+    assert built == [(n, True, 3) for n in (1, 2, 3, 4)]
+
+
+def test_a_one_point_orbit_of_the_quandle_complex_is_the_whole_trivial_complex(monkeypatch):
+    # trivial:3's three fixed points share one trivial quandle complex, built
+    # once at the same degree, unlike the rack complex's degree below
+    built = []
+
+    def counted(rack, n, **kwargs):
+        built.append((n, kwargs["quandle"], kwargs["xset"]))
+        return boundary_matrix(rack, n, **kwargs)
+
+    monkeypatch.setattr(complexes, "boundary_matrix", counted)
+    t3 = trivial_rack(3)
+    blocks = RackComplex(t3, ZZ, 5, xset_self(t3), quandle=True)
+    assert [blocks.homology(n).betti for n in range(1, 5)] == [9, 18, 36, 72]
+    assert built == [(n, True, None) for n in range(1, 6)]
+
+
 def test_orbits_of_a_rack_set():
-    d3 = builtin("dihedral:3")
-    points = validate_xset(d3, [[0, 0, 0], [2, 2, 2], [1, 1, 1], [3, 3, 3]])
+    points = fixed_points_and_a_pair()
     assert orbits(points) == ((0,), (1, 2), (3,))
-    assert [o.act for o in _orbit_sets(d3, points)] == [((0, 0, 0),), ((1, 1, 1), (0, 0, 0)),
-                                                         ((0, 0, 0),)]
+    assert [o.act for o in _orbit_sets(points.over, points)] == [
+        ((0, 0, 0),), ((1, 1, 1), (0, 0, 0)), ((0, 0, 0),)]
+
+
+POINTS_1000 = validate_xset(builtin("dihedral:3"), [[y] * 3 for y in range(1000)])
+COLUMNS_1000 = r"degree-1 boundary has 3000 columns \(3 tuples x 1000 points\), over the cap 1000"
 
 
 @pytest.mark.parametrize("xset, top, message", [
     (None, 10, "basis of degree 7 over size-3 rack exceeds cap 1000"),
-    (validate_xset(builtin("dihedral:3"), [[y] * 3 for y in range(1000)]), 3,
-     r"degree-1 boundary has 3000 columns \(3 tuples x 1000 points\), over the cap 1000"),
+    (POINTS_1000, 3, COLUMNS_1000),
 ])
-def test_the_cap_counts_the_whole_complex_before_any_block(monkeypatch, xset, top, message):
+def test_the_cap_counts_the_whole_complex_before_any_block(monkeypatch, xset, top, message,
+                                                            quandle=False):
     # trivial:3 would need no matrix at all, and a rack-set of fixed points
     # only the trivial complex: the cap still refuses what boundary_matrix does
     rack = trivial_rack(3) if xset is None else xset.over
     monkeypatch.setattr(complexes, "_orbit_sets", None)
     with pytest.raises(DimensionOverflow, match=message):
-        RackComplex(rack, ZZ, top, xset, max_basis=1000)
+        RackComplex(rack, ZZ, top, xset, max_basis=1000, quandle=quandle)
     with pytest.raises(DimensionOverflow, match=message):
         for n in range(1, top + 1):
-            boundary_matrix(rack, n, xset=xset, max_basis=1000)
+            boundary_matrix(rack, n, quandle=quandle, xset=xset, max_basis=1000)
 
+
+@pytest.mark.parametrize("xset, top, message", [
+    (None, 10, "basis of degree 10 over size-3 rack exceeds cap 1000"),
+    (POINTS_1000, 3, COLUMNS_1000),
+])
+def test_the_quandle_cap_counts_the_whole_complex_before_any_block(monkeypatch, xset, top,
+                                                                    message):
+    test_the_cap_counts_the_whole_complex_before_any_block(monkeypatch, xset, top, message,
+                                                            quandle=True)
 
 def test_degrees_outside_the_complex_are_refused():
     blocks = RackComplex(trivial_rack(2), ZZ, 3)

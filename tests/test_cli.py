@@ -257,6 +257,24 @@ def test_exit_code_resource(capsys):
     assert "resource limit" in err
 
 
+def test_a_non_quandle_is_refused_before_the_cap(capsys):
+    # cyclic:3's quandle basis of degree 18 would exceed the default cap
+    code, out, err = run(capsys, "homology", "--builtin", "cyclic:3",
+                         "--quandle", "--max-degree", "20")
+    assert (code, out, err) == (EXIT_FAIL, "", "rackhom: error: cyclic:3 is not a quandle\n")
+
+
+@pytest.mark.parametrize("argv, limit", [
+    (("homology", "--max-degree", "12"), "basis of degree 12 over size-3 rack exceeds cap 200000"),
+    (("ring", "--max-degree", "2", "--max-basis", "8"),
+     "basis of degree 2 over size-3 rack exceeds cap 8"),
+])
+def test_the_basis_cap_message_names_the_flag(capsys, argv, limit):
+    code, out, err = run(capsys, *argv, "--builtin", "trivial:3")
+    assert (code, out) == (EXIT_RESOURCE, "")
+    assert err == f"rackhom: resource limit: {limit}; --max-basis raises the cap\n"
+
+
 def test_max_basis_counts_the_columns_of_a_rack_set(capsys, tmp_path):
     # 3 tuples of degree 1 stay under the cap, 3 x 1000 columns do not
     path = tmp_path / "big.json"
@@ -363,6 +381,7 @@ def test_text_rack_above_the_size_limit_refused_before_its_rows(capsys, tmp_path
     code, out, err = run(capsys, "homology", "--rack", str(path))
     assert (code, out) == (EXIT_RESOURCE, "")
     assert f"rack of size {racks.MAX_RACK_SIZE + 1} exceeds the limit {racks.MAX_RACK_SIZE}" in err
+    assert "--max-basis" not in err  # no basis cap is involved
 
 
 def test_json_rack_above_the_size_limit_refused_before_validation(capsys, tmp_path,

@@ -644,9 +644,15 @@ def test_cleared_reductions_match_standalone(n, data, quandle, self_coefficients
      "6018e7a939fb04b5c4382cdf6dce7b87524fe591e9398577f91bfd0e9d48e8e3"),
     (("--builtin", "dihedral:4", "--coefficients", "self"), "Z^32 + (Z/2)^66",
      "9455c92e5c1e6bc734c2d6d5ab978583a89818948f022a12626d8ccd7ca192b7"),
+    (("--builtin", "dihedral:4", "--quandle", "--coefficients", "self"), "Z^4 + (Z/2)^30",
+     "f44c5a6302690bd27aff9da9f45d6d602d4cef556254b94e7ad23733fbeb3aca"),
+    (("--builtin", "trivial:3", "--quandle", "--coefficients", "self"), "Z^72",
+     "5ebc65cc381d45d76279b3af029b45c621ded8f450d9129b257a960ad8cb5d08"),
 ])
 def test_integral_homology_report_pinned(capsys, argv, top, digest):
-    # both leave residuals after the +-1 pass, with pivots 3 and 9 or 2
+    # the first two leave residuals after the +-1 pass, with pivots 3 and 9
+    # or 2; the quandle complexes split by the orbit of the point, dihedral:4
+    # into two isomorphic orbits, trivial:3 into three one-point orbits
     assert main(["homology", *argv, "--ring", "Z", "--max-degree", "4", "--json"]) == 0
     out = capsys.readouterr().out
     h4 = json.loads(out)["results"][-1]

@@ -178,6 +178,7 @@ MUTANTS = {
     "a-block-dropped": (
         (complexes,), "_orbit_sets", orbit_sets_without_the_last,
         [], [functools.partial(test_blocks.test_blocks_match_the_whole_complex, "dihedral:6"),
+             functools.partial(test_blocks.test_quandle_blocks_match_the_whole_complex, "dihedral:6"),
              functools.partial(
                  test_blocks.test_rational_betti_numbers_are_powers_of_the_orbit_count,
                  "conjugation:s3")],
