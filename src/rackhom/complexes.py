@@ -4,20 +4,16 @@ Bases are tuples over the rack, enumerated in mixed-radix order with the
 last coordinate varying fastest; the quandle variant keeps exactly the
 tuples with no adjacent equal entries.  Degree 0 is one empty tuple.
 
-Faces are read from the rack's right-translation columns ``Rack.right``
-by ``face`` / ``face_set`` (one face, and a composite face, of a tuple)
-and ``coproduct_terms`` (the terms (delete A) (x) (conjugating-delete of
-the complement) of the closed coproduct formula, which the cup stencil and
-the word engine's ``coproduct_formula`` both read).  ``_boundary`` finds
-the two faces of each position by integer arithmetic on the tuple's
-mixed-radix code, and assembles
+Faces are read from one face table, ``_shifts``: per degree, the index of
+each tuple grown by one entry at its last position, and of each tuple moved
+by ``<| x``.  ``_boundary`` grows d_n from d_{n-1} by it, and
+``CupContext.stencil`` the closed formula's terms likewise:
 
-    bd(x_1..x_n) = sum_i (-1)^i [ delete_i - delete_i-with-conjugation ];
+    bd(x_1..x_n) = sum_i (-1)^i [ delete_i - delete_i-with-conjugation ].
 
-a pair of faces on the same row cancels but still takes its place in the
-column's key order (as a zero entry, dropped with the others at the end),
-so every column keeps the key order of its faces taken one by one.
-
+``face`` / ``face_set`` (one face, and a composite face, of a tuple) and
+``coproduct_terms`` (the closed coproduct formula's terms) take faces tuple
+by tuple: the word engine reads them, and tests check the table by them.
 The word engine's ``d`` keeps its own faces on purpose: the check
 ``project_to_chain(d(e_T)) == -bd(T)`` compares two independent codes.
 
@@ -94,8 +90,7 @@ class TupleBasis(Frozen):
     @functools.cached_property
     def index(self):
         """Position of each tuple; built on first read and cached on the
-        instance, outside equality and hashing (``_boundary`` reads codes,
-        not this)."""
+        instance, outside equality and hashing (the face table needs no index)."""
         return {t: i for i, t in enumerate(self.tuples)}
 
 
@@ -239,82 +234,69 @@ def basis_cochain(rack: Rack, p: int, ring, t, j=0, quandle=False, module=None) 
     return Cochain(p, ring, values, quandle, module)
 
 
+def _shifts(rack: Rack, n: int, quandle: bool):
+    """The face table: index maps on the :func:`tuple_basis` order of each
+    degree ``k < n``.  ``grow[k][i][x]`` is the index of tuple ``i`` +
+    ``(x,)``, None when it is degenerate; ``conj[k][i][x]`` that of tuple
+    ``i`` with each entry ``y`` moved to ``y <| x``, by the rule
+    (t + (y,)) <| x = (t <| x) + (y <| x)."""
+    s, right = rack.size, rack.right
+    grow, conj = [], [[(0,) * s]]
+    last = [None]  # the last entry of each tuple of the degree
+    for k in range(n):
+        count = itertools.count()
+        g = [tuple([None if quandle and x == end else next(count) for x in range(s)])
+             for end in last]
+        grow.append(g)
+        last = [x for end in last for x in range(s) if not (quandle and x == end)]
+        if k + 1 < n:
+            conj.append([tuple([g[c[x]][rx[y]] for x, rx in enumerate(right)])
+                         for row, c in zip(g, conj[k]) for y, j in enumerate(row)
+                         if j is not None])
+    return grow, conj
+
+
 def _boundary(rack: Rack, n: int, quandle: bool, right, max_basis: int) -> SparseMat:
     """The degree-``n`` boundary with coefficients in a permutation module;
     ``right[x][y]`` is the point ``y`` moved by the right action of ``x``
     (trivial coefficients are the one-point action ``((0,),) * size``).
 
-    Faces are found on mixed-radix codes, in the basis order (last
-    coordinate fastest, base ``s`` = the rack's size).  At position ``j``
-    of ``t``, let ``h`` be the code of ``t[:j]``, ``c = h * s + t[j]`` the
-    code of ``t[:j + 1]``, and ``p = s^(n - 1 - j)``.  The plain face has
-    the code ``code(t) - (c - h) * p``; the conjugating face, whose head is
-    ``t[:j]`` read through ``Rack.right[t[j]]`` with code ``m``, has
-    ``code(t) - (c - m) * p``.  These offsets depend on ``t[:j + 1]`` only,
-    so each tuple recomputes them from the first position where it differs
-    from the tuple before it.  A code is its own row in the rack variant;
-    the quandle variant reads rows from the codes of the target basis, and a
-    code missing there is a degenerate face, which is dropped.  A pair of
-    faces on the same row cancels but still takes its place in the key order
-    as a zero entry, so that every column keeps the key order of its faces
-    taken one by one (``_eliminate_pivots`` breaks ties by that order)."""
+    Grown from d_0 = 0 by the face table (:func:`_shifts`):
+
+        d_{k+1}(t + (x,)) = d_k(t) + (x,) + (-1)^{k+1} (t - t <| x),
+
+    the point moving by x on the last term, a row grown into a degenerate
+    tuple dropped.  Faces that cancel keep their row's place as a zero entry
+    up to degree ``n``, so every column keeps the key order of its faces
+    taken one by one, by which ``_eliminate_pivots`` breaks ties."""
     if n < 1:
         raise IndexOutOfRange("boundary defined for degree >= 1")
-    src = tuple_basis(rack, n, quandle, max_basis)
+    if quandle and not rack.is_quandle():
+        raise NotAQuandle(f"{rack.label} is not a quandle")
     dim = len(right[0])
     _check_cap(rack, n, quandle, dim, max_basis)
-    s = rack.size
-    conj = rack.right
-    row = None
-    nrows = s ** (n - 1)  # the rack target; the cap on the larger source covers it
-    if quandle:
-        tgt = tuple_basis(rack, n - 1, quandle, max_basis)
-        codes = {}
-        for i, u in enumerate(tgt.tuples):
-            c = 0
-            for x in u:
-                c = c * s + x
-            codes[c] = i
-        row = codes.get
-        nrows = len(tgt)
-    prefix = [0] * (n + 1)  # prefix[j] is the code of t[:j]
-    # per position: sign (-1)^(j+1), plain offset, action, conjugating offset
-    offsets = [None] * n
-    prev = (-1,) * n
-    cols = []
-    for t in src.tuples:
-        first = 0  # the first position where t differs from the tuple before it
-        while t[first] == prev[first]:
-            first += 1
-        prev = t
-        for j in range(first, n):
-            h, x = prefix[j], t[j]
-            by_x = conj[x]
-            m = 0
-            for y in t[:j]:
-                m = m * s + by_x[y]
-            prefix[j + 1] = c = h * s + x
-            p = s ** (n - 1 - j)
-            offsets[j] = [1 if j & 1 else -1, (c - h) * p, right[x], (c - m) * p]
-        c = prefix[n]
-        if row:
-            faces = [(sign, row(c - a), move, row(c - b)) for sign, a, move, b in offsets]
-        else:
-            faces = [(sign, c - a, move, c - b) for sign, a, move, b in offsets]
-        for y in range(dim):
-            col: dict = {}  # integer coefficients, (-1)^i per face
-            for sign, r0, move, r1 in faces:
-                if r0 is not None:
-                    r = r0 * dim + y
-                    if r0 == r1 and move[y] == y:
-                        col.setdefault(r, 0)
-                        continue
-                    col[r] = col.get(r, 0) + sign
-                if r1 is not None:
-                    r = r1 * dim + move[y]
-                    col[r] = col.get(r, 0) - sign
-            cols.append({r: v for r, v in col.items() if v})
-    return SparseMat(nrows * dim, len(src) * dim, cols)
+    grow, conj = _shifts(rack, n, quandle)
+    points = range(dim)
+    cols = [{}] * dim  # d_0 on the one empty tuple
+    for k in range(n):
+        sign = 1 if k & 1 else -1  # (-1)^(k+1)
+        # per x, the row of d_{k+1} that each row of d_k grows into
+        ups = [[None if g[x] is None else g[x] * dim + y for g in grow[k - 1] for y in points]
+               for x in range(rack.size)] if k else [()] * rack.size
+        grown = []
+        for i, (g, c) in enumerate(zip(grow[k], conj[k])):
+            base = i * dim
+            for x, up in enumerate(ups):
+                if g[x] is not None:
+                    for y in points:
+                        col = {u: v for r, v in cols[base + y].items() if (u := up[r]) is not None}
+                        a, b = base + y, c[x] * dim + right[x][y]
+                        col[a] = col.get(a, 0) + sign
+                        col[b] = col.get(b, 0) - sign
+                        grown.append(col if k + 1 < n else {r: v for r, v in col.items() if v})
+            cols[base : base + dim] = [None] * dim  # read for the last time
+        cols = grown
+    return SparseMat(len(grow[n - 1]) * dim, len(cols), cols)
 
 
 def boundary_matrix(rack: Rack, n: int, *, quandle: bool = False,

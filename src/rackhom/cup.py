@@ -7,7 +7,7 @@ Two independent computation paths are kept side by side:
       (f.g)(x_1..x_n) = (-1)^{pq} sum_{|A|=q} eps(A)
                         f(delete_A) g(conjugating-delete_{A^c})
   with eps(A) the unshuffle signature times (-1)^{|A||A^c|}, on a stencil
-  from ``complexes.coproduct_terms`` (which ``coproduct_formula`` reads too).
+  grown from the face table ``complexes._shifts`` that the boundary reads.
   The stencil is indexed by f's basis tuple, so a product reads only the
   rows of f's nonzero entries and skips a zero value of g before it
   multiplies: a sparse contraction;
@@ -49,9 +49,9 @@ from __future__ import annotations
 from .complexes import (
     DEFAULT_MAX_BASIS,
     Cochain,
+    _shifts,
     apply_coboundary,
     cochain_differential_matrix,
-    coproduct_terms,
     right_action,
     tuple_basis,
 )
@@ -123,26 +123,42 @@ class CupContext(Record):
         """The faces of the closed formula, built once per ``(p, q)``, as
         ``(number of degree-(p+q) tuples, rows)``.
 
-        Row ``li`` lists, for the degree-``p`` basis tuple ``li``, the terms
-        ``(target index, g index, prefix, negative)`` of
-        ``coproduct_terms(t, q)`` over the degree-``p+q`` tuples ``t`` whose
-        left factor is ``li`` and whose right factor is in the basis: g is
-        read on the right factor, whose prefix acts on g's value, and
-        ``negative`` carries eps(A) (-1)^{pq}.  Indexed by f, so that a
-        product reads only the rows of f's nonzero entries.
+        Row ``li`` lists the terms ``(target index, g index, prefix,
+        negative)`` of the degree-``p+q`` tuples t and size-``q`` sets A
+        whose left factor (t without A) is the degree-``p`` basis tuple
+        ``li`` and whose right factor, read by g, is in the basis; the prefix
+        acts on g's value, and ``negative`` is eps(A) (-1)^{pq}, the parity
+        of the inversions of A before its complement.
+
+        Grown at the last position by the face table ``complexes._shifts``:
+        in A, from ``stencil(p, q - 1)``, x appended to the right factor and
+        p more inversions; outside A, from ``stencil(p - 1, q)``, x appended
+        to the left factor, the right factor moved by ``<| x`` and the
+        prefix (x,) + prefix <| x.
         """
         key = (p, q)
         if key not in self._stencils:
-            f_idx, g_idx = self.basis(p).index, self.basis(q).index
-            targets = self.basis(p + q).tuples
-            global_neg = bool((p * q) & 1)
-            rows = [[] for _ in f_idx]
-            for t_idx, t in enumerate(targets):
-                for left, prefix, right, eps in coproduct_terms(t, q, self.rack):
-                    li, ri = f_idx.get(left), g_idx.get(right)
-                    if li is not None and ri is not None:
-                        rows[li].append((t_idx, ri, prefix, (eps < 0) != global_neg))
-            self._stencils[key] = (len(targets), rows)
+            n = p + q
+            ntargets = len(self.basis(n))  # refuses a basis over the cap first
+            grow, conj = _shifts(self.rack, n, self.quandle)
+            # stencil(0, 0) is the one term of the empty tuple
+            rows = [[] for _ in range(len(self.basis(p)))] if n else [[(0, 0, (), False)]]
+            if q:  # the last position in A
+                flip = bool(p & 1)
+                for li, row in enumerate(self.stencil(p, q - 1)[1]):
+                    for t, ri, prefix, negative in row:
+                        for tx, rx in zip(grow[n - 1][t], grow[q - 1][ri]):
+                            if tx is not None and rx is not None:
+                                rows[li].append((tx, rx, prefix, negative != flip))
+            if p:  # the last position outside A
+                right = self.rack.right
+                for li, row in enumerate(self.stencil(p - 1, q)[1]):
+                    for t, ri, prefix, negative in row:
+                        for x, (tx, lx) in enumerate(zip(grow[n - 1][t], grow[p - 1][li])):
+                            if tx is not None and lx is not None:
+                                moved = (x,) + tuple([right[x][a] for a in prefix])
+                                rows[lx].append((tx, conj[q][ri][x], moved, negative))
+            self._stencils[key] = (ntargets, rows)
         return self._stencils[key]
 
     def coboundary(self, p, module=None) -> SparseMat:

@@ -20,8 +20,8 @@ On top of the canonical form this module implements the structure maps:
   Delta(e[x]) = e[x] (x) x + 1 (x) e[x], with Koszul signs in the tensor
   product:  (a (x) b)(a' (x) b') = (-1)^{|b||a'|} aa' (x) bb'
 * ``coproduct_formula`` -- the closed sum over subsets with unshuffle signs
-  from ``complexes.coproduct_terms``, which the cup stencil reads too;
-  agrees with ``coproduct`` term by term (tested, not assumed)
+  from ``complexes.coproduct_terms`` (the cup stencil's reference, not its
+  source); agrees with ``coproduct`` term by term (tested, not assumed)
 * ``tensor_flip`` -- the signed flip  tau(a (x) b) = (-1)^{|a||b|} b (x) a
 * ``h``      -- the degree +1 homotopy with h(e[x]) = e[x] (x) e[x] and
   h(ab) = h(a)Delta(b) + (-1)^{|a|} (tau Delta)(a) h(b)

@@ -307,17 +307,25 @@ def test_boundary_memory_follows_the_basis():
     assert peak < 2_500_000
 
 
-def test_rack_boundary_builds_only_its_source_basis(monkeypatch):
-    # the rack variant's rows are the codes themselves; only the quandle
-    # variant reads the target basis (the row of each non-degenerate code)
+def test_boundary_builds_no_tuple_basis(monkeypatch):
+    # the rows and columns are read from the face table, in both variants
     calls = []
     basis = complexes.tuple_basis
     monkeypatch.setattr(complexes, "tuple_basis", lambda *a: calls.append(a[1]) or basis(*a))
     mat = boundary_matrix(R3, 3)
-    assert calls == [3]
     assert (mat.nrows, mat.ncols) == (9, 27)
-    boundary_matrix(R3, 3, quandle=True)
-    assert calls == [3, 3, 2]
+    mat = boundary_matrix(R3, 3, quandle=True)
+    assert (mat.nrows, mat.ncols) == (6, 12)
+    assert calls == []
+
+
+def test_quandle_boundaries_refuse_a_non_quandle():
+    # no basis is built on the way, so the builders refuse a non-quandle themselves
+    rack = builtin("cyclic:3")
+    with pytest.raises(NotAQuandle):
+        boundary_matrix(rack, 2, quandle=True)
+    with pytest.raises(NotAQuandle):
+        cochain_differential_matrix(rack, 1, quandle=True)
 
 
 def test_boundary_matrix_example():

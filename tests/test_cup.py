@@ -39,6 +39,7 @@ from rackhom.errors import (
 from rackhom.linalg import ChainComplex, SparseMat, kernel_basis
 from rackhom.racks import builtin, dihedral_rack, trivial_rack, xset_self, xset_singleton
 from rackhom.rings import GF, QQ, ZZ
+from rackhom.verify import BUILTIN_SPECS
 from rackhom.words import WordAlgebra
 
 R3 = dihedral_rack(3)
@@ -987,6 +988,29 @@ def test_homotopy_matches_fraction_reference(spec, quandle, with_module):
         for f in [zero] + cocycles[p]:
             for g in cocycles[q]:
                 _check_homotopy_and_integer_rings(f, g, rack, ctx)
+
+
+@pytest.mark.parametrize("spec", BUILTIN_SPECS)
+def test_stencil_rows_match_the_coproduct_terms(spec):
+    """Each stencil row, grown from the face table, holds the terms of the
+    closed formula that ``coproduct_terms`` enumerates tuple by tuple,
+    prefixes included, compared as multisets: the stencil's reference, as
+    ``face`` is the boundary's."""
+    rack = builtin(spec)
+    for quandle in (False, True) if rack.is_quandle() else (False,):
+        ctx = CupContext(rack, ZZ, quandle)
+        for p, q in [(p, n - p) for n in range(5) for p in range(n + 1)]:
+            f_index, g_index = (tuple_basis(rack, k, quandle).index for k in (p, q))
+            targets = tuple_basis(rack, p + q, quandle).tuples
+            expected = [Counter() for _ in f_index]
+            for t_idx, t in enumerate(targets):
+                for left, prefix, right, eps in coproduct_terms(t, q, rack):
+                    li, ri = f_index.get(left), g_index.get(right)
+                    if li is not None and ri is not None:
+                        expected[li][t_idx, ri, prefix, (eps < 0) != bool(p * q & 1)] += 1
+            ntargets, rows = ctx.stencil(p, q)
+            assert ntargets == len(targets)
+            assert [Counter(row) for row in rows] == expected, (quandle, p, q)
 
 
 class CountingInt(int):

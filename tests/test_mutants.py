@@ -118,13 +118,27 @@ def direct_sum_without_the_exchange(reductions):
             tuple(sorted(d for _, factors in reductions for d in factors)))
 
 
-def stencil_without_the_global_sign(self, p, q):
-    # the closed formula with eps(A) alone, its (-1)^{pq} dropped
-    ntargets, rows = STENCIL(self, p, q)
-    if p * q & 1:
-        rows = [[(t, g, prefix, not negative) for t, g, prefix, negative in row]
-                for row in rows]
-    return ntargets, rows
+def _stencil_mutant(slip):
+    # ``CupContext.stencil`` grows each stencil from those below it through
+    # ``self.stencil``, so the mutant builds them with the original in place,
+    # lest the slip compound at every level, and applies it to what it returns
+    def stencil(self, p, q):
+        CupContext.stencil = STENCIL
+        try:
+            ntargets, rows = STENCIL(self, p, q)
+        finally:
+            CupContext.stencil = stencil
+        return ntargets, [[slip(p, q, *term) for term in row] for row in rows]
+    return stencil
+
+
+# the closed formula with eps(A) alone, its (-1)^{pq} dropped
+stencil_without_the_global_sign = _stencil_mutant(
+    lambda p, q, t, g, prefix, negative: (t, g, prefix, negative != bool(p * q & 1)))
+# the sign kept when the last position joins A: every sign comes from those
+# steps, so every term is positive
+stencil_without_the_flip_in_a = _stencil_mutant(
+    lambda p, q, t, g, prefix, negative: (t, g, prefix, False))
 
 
 def pairing_with_a_plus_sign(f, g, ctx, n, structure_map, sign):
@@ -191,6 +205,13 @@ MUTANTS = {
         (CupContext,), "stencil", stencil_without_the_global_sign,
         ["cup", "commutativity"], [test_cup.test_cup_1_1_closed_formula,
                                    test_cup.test_cup_equals_coproduct_path],
+    ),
+    "cup-stencil-keeps-the-sign-when-the-last-position-joins-a": (
+        (CupContext,), "stencil", stencil_without_the_flip_in_a,
+        ["cup", "commutativity"],
+        [functools.partial(test_cup.test_module_cup_matches_coproduct_path_on_non_symmetric_tables,
+                           test_cup.R4),
+         functools.partial(test_cup.test_stencil_rows_match_the_coproduct_terms, "dihedral:3")],
     ),
     "homotopy-sign-fixed-to-plus-one": (
         (CUP,), "_pair_cochain", pairing_with_a_plus_sign,
