@@ -34,8 +34,8 @@ Coefficients are trivial (``None``) or the permutation module of a
 rack-set, a ``racks.XSet``, whose left action ``XSet.left_word`` moves a
 value by a prefix word; a set over another rack is refused.  A product of
 module-valued cochains lands in ``XSet.tensor``, the product set with the
-diagonal action, flattened row-major, which the context builds once, so
-nested products compare strictly.
+diagonal action, flattened row-major, built with the product from the
+factors' sets; its label names both, so nested products compare equal.
 
 Both products, the homotopy pairing and ``CupContext.differential``
 multiply the cochains' stored ints directly.  Over Q a result's ``den`` is
@@ -57,47 +57,33 @@ from .complexes import (
 )
 from .errors import CoefficientMismatch, ContextMismatch, NotACocycle, NotAQuandle
 from .linalg import SparseMat, independent, kernel_basis, solve, solve_many
-from .racks import Rack, XSet, xset_singleton
+from .racks import Rack, xset_singleton
 from .records import Record
 from .words import WordAlgebra
 
 
 class CupContext(Record):
-    """Shared data for cup-product computations over one rack, each built on
-    first use and owned by the instance: the word algebra, the tuple bases,
-    the face stencils of the closed formula, and the coboundary matrices of
-    :meth:`coboundary`.
-
-    ``module_f`` / ``module_g`` are the rack-sets of the two factors'
-    coefficients (``None`` means trivial coefficients); the product lands
-    in ``target``, their tensor product, unless both are trivial.
-    ``max_basis`` caps every tuple basis the products build.  Equality
-    reads the constructor arguments; the algebra and the cached data are
+    """Shared data for cup-product computations over one rack in one
+    variant, each built on first use and owned by the instance: the word
+    algebra, the tuple bases, the face stencils of the closed formula, and
+    the integer coboundary matrices of :meth:`coboundary`.  None of them
+    reads a ring or a coefficient set: a cochain carries its own, so one
+    context serves cochains over every ring with every pair of rack-sets.
+    ``max_basis`` caps every tuple basis and coboundary the context builds.
+    Equality reads the three fields; the algebra and the cached data are
     not compared.
     """
 
-    _fields = ("rack", "ring", "quandle", "module_f", "module_g", "max_basis")
-    __slots__ = _fields + ("algebra", "target", "_bases", "_stencils", "_coboundaries")
+    _fields = ("rack", "quandle", "max_basis")
+    __slots__ = _fields + ("algebra", "_bases", "_stencils", "_coboundaries")
 
-    def __init__(self, rack: Rack, ring, quandle: bool = False,
-                 module_f: XSet | None = None, module_g: XSet | None = None,
-                 max_basis: int = DEFAULT_MAX_BASIS):
+    def __init__(self, rack: Rack, *, quandle: bool = False, max_basis: int = DEFAULT_MAX_BASIS):
         if quandle and not rack.is_quandle():
             raise NotAQuandle(f"{rack.label} is not a quandle")
-        for module in (module_f, module_g):
-            right_action(rack, module)  # refuses a rack-set over another rack
         self.rack = rack
-        self.ring = ring
         self.quandle = quandle
-        self.module_f = module_f
-        self.module_g = module_g
         self.max_basis = max_basis
         self.algebra = WordAlgebra(rack)
-        if module_f is None and module_g is None:
-            self.target = None
-        else:
-            one = xset_singleton(rack)
-            self.target = (module_f or one).tensor(module_g or one)
         self._bases = {}
         self._stencils = {}
         self._coboundaries = {}
@@ -111,11 +97,11 @@ class CupContext(Record):
     def check(self, f: Cochain, g: Cochain):
         if f.quandle != self.quandle or g.quandle != self.quandle:
             raise ContextMismatch("cochain variant does not match context")
-        if f.ring is not self.ring or g.ring is not self.ring:
-            raise ContextMismatch("cochain ring does not match context")
-        if f.module != self.module_f or g.module != self.module_g:
-            raise ContextMismatch("cochain coefficients do not match context")
+        if f.ring is not g.ring:
+            raise ContextMismatch("the factors are over different rings")
         for h in (f, g):
+            if h.module is not None:
+                right_action(self.rack, h.module)  # refuses a set over another rack
             if len(h.values) != len(self.basis(h.degree)) * (h.module.size if h.module else 1):
                 raise CoefficientMismatch("cochain length does not match its basis")
 
@@ -164,7 +150,7 @@ class CupContext(Record):
     def coboundary(self, p, module=None) -> SparseMat:
         """The integer :func:`~rackhom.complexes.cochain_differential_matrix`
         of d*^p in the context's variant, with coefficients in ``module``, to
-        be read in the context's ring; built once per degree and module."""
+        be read in a cochain's ring; built once per degree and module."""
         key = (p, module)
         if key not in self._coboundaries:
             self._coboundaries[key] = cochain_differential_matrix(
@@ -172,11 +158,9 @@ class CupContext(Record):
         return self._coboundaries[key]
 
     def differential(self, f: Cochain) -> Cochain:
-        """The cochain differential of ``f``, through :meth:`coboundary`."""
+        """The cochain differential of ``f`` in its ring, through :meth:`coboundary`."""
         if f.quandle != self.quandle:
             raise ContextMismatch("cochain variant does not match context")
-        if f.ring is not self.ring:
-            raise ContextMismatch("cochain ring does not match context")
         return apply_coboundary(self.coboundary(f.degree, f.module), f)
 
 
@@ -227,10 +211,15 @@ def cup(f: Cochain, g: Cochain, ctx: CupContext) -> Cochain:
 
 
 def _product(f, g, ctx, n, values) -> Cochain:
-    # over the product of the factors' denominators, reduced once over F_p
-    if p := ctx.ring.char:
+    # over the product of the factors' denominators, reduced once over F_p,
+    # with values in the tensor of the factors' sets unless both are trivial
+    if p := f.ring.char:
         values = [v % p for v in values]
-    return Cochain(n, ctx.ring, values, ctx.quandle, ctx.target, f.den * g.den)
+    target = None
+    if f.module or g.module:
+        one = xset_singleton(ctx.rack)
+        target = (f.module or one).tensor(g.module or one)
+    return Cochain(n, f.ring, values, ctx.quandle, target, f.den * g.den)
 
 
 def _pair_cochain(f, g, ctx, n, structure_map, sign):
@@ -288,8 +277,10 @@ def homotopy_cochain(f: Cochain, g: Cochain, ctx: CupContext) -> Cochain:
     return _pair_cochain(f, g, ctx, n, ctx.algebra.h, -1 if n % 2 else 1)
 
 
-def is_coboundary(f: Cochain, rack: Rack) -> Cochain | None:
-    """Solve d*(h) = f over a field; returns a witness cochain or None.
+def is_coboundary(f: Cochain, ctx: CupContext) -> Cochain | None:
+    """Solve d*(h) = f over a field against ``ctx.coboundary`` of the degree
+    below, so the matrix is kept and capped by the context; returns a
+    witness cochain or None.
 
     In degree 0 nothing has a preimage (a degree-0 cochain is a coboundary
     only when it is zero, and then only vacuously), so the answer is None.
@@ -297,10 +288,11 @@ def is_coboundary(f: Cochain, rack: Rack) -> Cochain | None:
     ring = f.ring
     if not ring.is_field:
         raise ContextMismatch("coboundary solving requires a field")
+    if f.quandle != ctx.quandle:
+        raise ContextMismatch("cochain variant does not match context")
     if f.degree == 0:
         return None
-    mat = cochain_differential_matrix(rack, f.degree - 1, quandle=f.quandle, module=f.module)
-    x, den = solve(mat, f.values, ring)
+    x, den = solve(ctx.coboundary(f.degree - 1, f.module), f.values, ring)
     if x is None:
         return None
     return Cochain(f.degree - 1, ring, x, f.quandle, f.module, den * f.den)
@@ -344,7 +336,7 @@ def ring_structure(rack: Rack, ring, max_degree: int, quandle: bool = False,
     """
     if not ring.is_field:
         raise ContextMismatch("ring structure requires field scalars")
-    ctx = CupContext(rack, ring, quandle, max_basis=max_basis)
+    ctx = CupContext(rack, quandle=quandle, max_basis=max_basis)
     # d*^{-1} is the zero map into C^0, which has the one empty tuple
     dmat = {-1: SparseMat(1, 0)}
     for p in range(max_degree + 1):

@@ -90,21 +90,8 @@ class SparseMat:
     def is_zero(self):
         return all(not c for c in self.cols)
 
-    def mul(self, other: "SparseMat") -> "SparseMat":
-        if self.ncols != other.nrows:
-            raise ShapeError("shape mismatch in matrix product")
-        out = SparseMat(self.nrows, other.ncols)
-        for j, col in enumerate(other.cols):
-            acc: dict = {}
-            for k, v in col.items():
-                for i, w in self.cols[k].items():
-                    acc[i] = acc.get(i, 0) + w * v
-            out.cols[j] = {i: a for i, a in acc.items() if a}
-        return out
-
-    def mul_is_zero(self, other: "SparseMat") -> bool:
-        """Whether ``self.mul(other)`` is zero, contracted one column at a
-        time up to the first nonzero column."""
+    def _product_cols(self, other: "SparseMat"):
+        """The columns of ``self`` times ``other``, one at a time, zeros kept."""
         if self.ncols != other.nrows:
             raise ShapeError("shape mismatch in matrix product")
         for col in other.cols:
@@ -112,9 +99,16 @@ class SparseMat:
             for k, v in col.items():
                 for i, w in self.cols[k].items():
                     acc[i] = acc.get(i, 0) + w * v
-            if any(acc.values()):
-                return False
-        return True
+            yield acc
+
+    def mul(self, other: "SparseMat") -> "SparseMat":
+        cols = [{i: a for i, a in acc.items() if a} for acc in self._product_cols(other)]
+        return SparseMat(self.nrows, other.ncols, cols)
+
+    def mul_is_zero(self, other: "SparseMat") -> bool:
+        """Whether ``self.mul(other)`` is zero, contracted one column at a
+        time up to the first nonzero column."""
+        return not any(any(acc.values()) for acc in self._product_cols(other))
 
     def transpose(self) -> "SparseMat":
         out = SparseMat(self.ncols, self.nrows)

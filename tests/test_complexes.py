@@ -39,6 +39,7 @@ from rackhom.racks import (
     xset_singleton,
 )
 from rackhom.rings import QQ, ZZ
+from rackhom.verify import BUILTIN_SPECS
 from rackhom.words import WordAlgebra
 
 R3 = dihedral_rack(3)
@@ -305,6 +306,28 @@ def test_boundary_memory_follows_the_basis():
     finally:
         tracemalloc.stop()
     assert peak < 2_500_000
+
+
+@pytest.mark.parametrize("spec", BUILTIN_SPECS)
+def test_face_table_indexes_the_tuple_basis(spec):
+    """The face table that the boundary and the cup stencil read, against
+    :func:`tuple_basis` for the tuples of degree up to 4 in both variants:
+    ``grow[k][i][x]`` is the index of tuple i + (x,), None exactly when that
+    tuple is degenerate, and ``conj[k][i][x]`` that of tuple i with each
+    entry y moved to y <| x."""
+    rack = builtin(spec)
+    for quandle in (False, True) if rack.is_quandle() else (False,):
+        grow, conj = complexes._shifts(rack, 5, quandle)
+        for k in range(5):
+            basis, up = tuple_basis(rack, k, quandle), tuple_basis(rack, k + 1, quandle).index
+            assert len(grow[k]) == len(conj[k]) == len(basis), (quandle, k)
+            for i, t in enumerate(basis.tuples):
+                grown = [up.get(t + (x,)) for x in range(rack.size)]
+                assert grow[k][i] == tuple(grown), (quandle, t)
+                degenerate = [quandle and k > 0 and x == t[-1] for x in range(rack.size)]
+                assert [j is None for j in grown] == degenerate, (quandle, t)
+                moved = [tuple(rack.op(y, x) for y in t) for x in range(rack.size)]
+                assert conj[k][i] == tuple(basis.index[u] for u in moved), (quandle, t)
 
 
 def test_boundary_builds_no_tuple_basis(monkeypatch):

@@ -32,6 +32,7 @@ from rackhom.cup import (
 from rackhom.errors import (
     CoefficientMismatch,
     ContextMismatch,
+    DimensionOverflow,
     NotACocycle,
     ResourceLimit,
     ShapeError,
@@ -70,7 +71,7 @@ def _rational(h):
 
 def test_cup_1_1_closed_formula():
     """(f.g)(x,y) = -f(x) g(y) + f(y) g(x <| y)."""
-    ctx = CupContext(R3, ZZ)
+    ctx = CupContext(R3)
     b2 = tuple_basis(R3, 2)
     fs = all_basis_cochains(R3, 1)
     for f, g in itertools.product(fs, repeat=2):
@@ -116,7 +117,7 @@ def test_cup_trivial_rack_is_signed_shuffle():
             out.append(acc)
         return out
 
-    ctx = CupContext(T2, ZZ)
+    ctx = CupContext(T2)
     for p, q in ((1, 1), (1, 2), (2, 1), (2, 2)):
         for f in all_basis_cochains(T2, p):
             for g in all_basis_cochains(T2, q):
@@ -126,7 +127,7 @@ def test_cup_trivial_rack_is_signed_shuffle():
 def test_cup_2_2_six_term_expansion():
     """The six surviving subset terms in degree 4, with the signs forced by
     the Koszul coproduct (+ + - + + -)."""
-    ctx = CupContext(R3, ZZ)
+    ctx = CupContext(R3)
     op = R3.table
     b2 = tuple_basis(R3, 2)
     b4 = tuple_basis(R3, 4)
@@ -154,7 +155,7 @@ def test_cup_2_2_six_term_expansion():
 
 
 def test_cup_degree_zero_scales():
-    ctx = CupContext(R3, ZZ)
+    ctx = CupContext(R3)
     one = Cochain(0, ZZ, [2])
     g = basis_cochain(R3, 2, ZZ, (0, 1))
     fg = cup(one, g, ctx)
@@ -167,7 +168,7 @@ def test_cup_degree_zero_scales():
 
 
 def test_cup_bilinear():
-    ctx = CupContext(R3, QQ)
+    ctx = CupContext(R3)
     f1 = basis_cochain(R3, 1, QQ, (0,))
     f2 = basis_cochain(R3, 1, QQ, (2,))
     g = basis_cochain(R3, 1, QQ, (1,))
@@ -179,7 +180,7 @@ def test_cup_bilinear():
 
 
 def test_cup_associative_sample():
-    ctx = CupContext(R3, ZZ)
+    ctx = CupContext(R3)
     for p, q, r in ((1, 1, 1), (1, 2, 1), (2, 1, 1)):
         fs = all_basis_cochains(R3, p)[:2]
         gs = all_basis_cochains(R3, q)[:2]
@@ -189,7 +190,7 @@ def test_cup_associative_sample():
 
 
 def test_derivation_law_sample():
-    ctx = CupContext(R3, ZZ)
+    ctx = CupContext(R3)
     for p, q in ((1, 1), (1, 2), (2, 1)):
         for f in all_basis_cochains(R3, p):
             df = cochain_differential(f, R3)
@@ -203,7 +204,7 @@ def test_derivation_law_sample():
 
 
 def test_cup_equals_coproduct_path():
-    ctx = CupContext(R3, ZZ)
+    ctx = CupContext(R3)
     for p, q in ((1, 1), (1, 2), (2, 2), (1, 3)):
         for f in all_basis_cochains(R3, p):
             for g in all_basis_cochains(R3, q):
@@ -211,28 +212,38 @@ def test_cup_equals_coproduct_path():
 
 
 def test_wrong_degree_support_gives_zero():
-    ctx = CupContext(R3, ZZ)
+    ctx = CupContext(R3)
     f = Cochain(1, ZZ, [0, 0, 0])
     g = basis_cochain(R3, 1, ZZ, (1,))
     assert all(v == 0 for v in cup(f, g, ctx).values)
 
 
 def test_context_mismatch():
-    ctx = CupContext(R3, QQ)
-    f = basis_cochain(R3, 1, ZZ, (0,))
-    with pytest.raises(ContextMismatch):
-        cup(f, f, ctx)
-    ctxq = CupContext(R3, QQ, quandle=True)
-    g = basis_cochain(R3, 1, QQ, (0,))
-    with pytest.raises(ContextMismatch):
-        cup(g, g, ctxq)
+    # factors over different rings, and a cochain of the other variant
+    ctx, ctxq = CupContext(R3), CupContext(R3, quandle=True)
+    f, g = basis_cochain(R3, 1, ZZ, (0,)), basis_cochain(R3, 1, QQ, (0,))
+    for product in (cup, cup_via_coproduct, homotopy_cochain):
+        for args in ((f, g), (g, f), (f, _reduced(f, GF(2)))):
+            with pytest.raises(ContextMismatch, match="different rings"):
+                product(*args, ctx)
+        with pytest.raises(ContextMismatch, match="variant"):
+            product(g, g, ctxq)
+    assert ctx._coboundaries == {} and ctxq._coboundaries == {}
+
+
+def test_context_takes_its_options_by_keyword():
+    # a ring is truthy: read as ``quandle`` it would switch the variant
+    with pytest.raises(TypeError):
+        CupContext(R3, QQ)
+    with pytest.raises(TypeError):
+        CupContext(R3, True, 50)
 
 
 @pytest.mark.parametrize("values", [[1, 0, 0, 0], [1, 1]], ids=["long", "short"])
 @pytest.mark.parametrize("product", [cup, cup_via_coproduct])
 def test_products_refuse_a_cochain_of_the_wrong_length(product, values):
     # a 1-cochain on dihedral:3 has 3 values
-    ctx = CupContext(R3, ZZ)
+    ctx = CupContext(R3)
     f, g = Cochain(1, ZZ, values), basis_cochain(R3, 1, ZZ, (1,))
     for args in ((f, g), (g, f)):
         with pytest.raises(CoefficientMismatch, match="cochain length does not match its basis"):
@@ -247,7 +258,7 @@ def test_homotopy_refuses_a_cochain_of_the_wrong_length_before_any_coboundary(
 
     monkeypatch.setattr(importlib.import_module("rackhom.cup"), "cochain_differential_matrix",
                         unbuilt)
-    ctx = CupContext(R3, ZZ)
+    ctx = CupContext(R3)
     f, g = Cochain(1, ZZ, values), Cochain(1, ZZ, [1, 1, 1])
     for args in ((f, g), (g, f)):
         with pytest.raises(CoefficientMismatch, match="cochain length does not match its basis"):
@@ -256,7 +267,7 @@ def test_homotopy_refuses_a_cochain_of_the_wrong_length_before_any_coboundary(
 
 def test_context_cap_reaches_every_basis():
     # the 1 x 1 products read the degree-2 basis, 9 tuples over dihedral:3
-    ctx = CupContext(builtin("dihedral:3"), QQ, max_basis=8)
+    ctx = CupContext(builtin("dihedral:3"), max_basis=8)
     f = basis_cochain(R3, 1, QQ, (0,))
     for product in (cup, cup_via_coproduct):
         with pytest.raises(ResourceLimit, match="basis of degree 2 .* exceeds cap 8"):
@@ -300,7 +311,7 @@ def test_ring_structure_reduces_integer_coboundaries(monkeypatch, ring):
 def test_anticommutator_witness():
     """Indicator 1-cochains of 0 and 1: (f.g + g.f)(0,1) = -1, so the
     cochain-level product is not graded commutative on this quandle."""
-    ctx = CupContext(R3, ZZ)
+    ctx = CupContext(R3)
     f = basis_cochain(R3, 1, ZZ, (0,))
     g = basis_cochain(R3, 1, ZZ, (1,))
     b2 = tuple_basis(R3, 2)
@@ -309,7 +320,7 @@ def test_anticommutator_witness():
 
 
 def test_trivial_rack_graded_commutative_identically():
-    ctx = CupContext(T2, ZZ)
+    ctx = CupContext(T2)
     for p, q in ((1, 1), (1, 2), (2, 2)):
         sign = -1 if (p * q) % 2 else 1
         for f in all_basis_cochains(T2, p):
@@ -318,7 +329,7 @@ def test_trivial_rack_graded_commutative_identically():
 
 
 def test_homotopy_cochain_identity_on_r3_constants():
-    ctx = CupContext(R3, QQ)
+    ctx = CupContext(R3)
     f = Cochain(1, QQ, [1] * 3)
     fg = cup(f, f, ctx)
     assert not any(fg.values)  # -1 + 1 pointwise
@@ -329,7 +340,7 @@ def test_homotopy_cochain_identity_on_r3_constants():
 
 def test_homotopy_cochain_identity_exhaustive_degree_pairs():
     for rack in (R3, R4):
-        ctx = CupContext(rack, QQ)
+        ctx = CupContext(rack)
         cocycles = {
             p: kernel_basis(cochain_differential_matrix(rack, p), QQ) for p in (1, 2)
         }
@@ -357,7 +368,7 @@ def test_context_builds_each_coboundary_once(monkeypatch):
         return real(rack, p, **kwargs)
 
     monkeypatch.setattr(cup_module, "cochain_differential_matrix", counting)
-    ctx = CupContext(R3, QQ)
+    ctx = CupContext(R3)
     f = Cochain(1, QQ, [1] * 3)
     H = homotopy_cochain(f, f, ctx)  # d*f twice; H has degree 1 as well
     assert not any(ctx.differential(H).values)
@@ -367,13 +378,27 @@ def test_context_builds_each_coboundary_once(monkeypatch):
     assert built == [1, 2]
 
 
-def test_context_differential_refuses_another_ring_or_variant():
-    ctx = CupContext(R3, QQ)
-    with pytest.raises(ContextMismatch, match="ring"):
-        ctx.differential(basis_cochain(R3, 1, ZZ, (0,)))
+def test_context_differential_serves_every_ring_and_refuses_another_variant():
+    # one integer coboundary, read in each cochain's ring
+    ctx = CupContext(R3)
+    quandle = basis_cochain(R3, 1, QQ, (0,), quandle=True)
     with pytest.raises(ContextMismatch, match="variant"):
-        ctx.differential(basis_cochain(R3, 1, QQ, (0,), quandle=True))
+        ctx.differential(quandle)
+    with pytest.raises(ContextMismatch, match="variant"):
+        is_coboundary(quandle, ctx)
     assert ctx._coboundaries == {}
+    for ring in (ZZ, QQ, GF(2), GF(3)):
+        f = basis_cochain(R3, 1, ring, (0,))
+        assert ctx.differential(f) == cochain_differential(f, R3)
+    assert list(ctx._coboundaries) == [(1, None)]
+
+
+def test_is_coboundary_reads_the_context_cap():
+    # a 3-cochain solves against d*^2, read from the 27 tuples of degree 3
+    f = cochain_differential(_over_q(2, [Fraction(1, 2)] + [0] * 8), R3)
+    assert is_coboundary(f, CupContext(R3, max_basis=27)) is not None
+    with pytest.raises(DimensionOverflow, match="exceeds cap 26"):
+        is_coboundary(f, CupContext(R3, max_basis=26))
 
 
 def test_commutativity_suite_builds_each_coboundary_once_per_context(monkeypatch):
@@ -399,7 +424,7 @@ def test_commutativity_suite_builds_each_coboundary_once_per_context(monkeypatch
 
 
 def test_homotopy_cochain_rejects_non_cocycles():
-    ctx = CupContext(R3, QQ)
+    ctx = CupContext(R3)
     f = basis_cochain(R3, 1, QQ, (0,))
     assert any(cochain_differential(f, R3).values)
     with pytest.raises(NotACocycle):
@@ -429,13 +454,12 @@ def test_cup_over_fp_is_integer_cup_mod_p(prime, rack, module):
     """Both product paths over F_p store residues, and they equal the same
     path's integer product reduced mod p."""
     Fp = GF(prime)
-    zctx = CupContext(rack, ZZ, module_f=module, module_g=module)
-    fctx = CupContext(rack, Fp, module_f=module, module_g=module)
+    ctx = CupContext(rack)  # one context for both rings
     for p, q in ((1, 1), (1, 2), (2, 1)):
         f, g = _integer_cochain(rack, p, 1, module), _integer_cochain(rack, q, 4, module)
         for product in (cup, cup_via_coproduct):
-            expect = [v % prime for v in product(f, g, zctx).values]
-            values = product(_reduced(f, Fp), _reduced(g, Fp), fctx).values
+            expect = [v % prime for v in product(f, g, ctx).values]
+            values = product(_reduced(f, Fp), _reduced(g, Fp), ctx).values
             assert values == expect
             assert all(type(v) is int and v in range(prime) for v in values)
             assert any(values)
@@ -446,9 +470,10 @@ def test_homotopy_over_fp_is_integer_homotopy_mod_p(prime):
     # H(f, g) of two 1-cocycles lands in degree 1 with the sign -1
     Fp = GF(prime)
     for rack in (R3, builtin("cyclic:3")):
+        ctx = CupContext(rack)  # one context for both rings
         f, g = Cochain(1, ZZ, [7] * 3), Cochain(1, ZZ, [-1] * 3)
-        expect = [v % prime for v in homotopy_cochain(f, g, CupContext(rack, ZZ)).values]
-        values = homotopy_cochain(_reduced(f, Fp), _reduced(g, Fp), CupContext(rack, Fp)).values
+        expect = [v % prime for v in homotopy_cochain(f, g, ctx).values]
+        values = homotopy_cochain(_reduced(f, Fp), _reduced(g, Fp), ctx).values
         assert values == expect
         assert all(type(v) is int and v in range(prime) for v in values)
         assert any(values)
@@ -460,30 +485,30 @@ def test_homotopy_over_fp_is_integer_homotopy_mod_p(prime):
 def test_is_coboundary_constructed_member():
     f = _over_q(1, [Fraction(2, 3), -1, 5])
     df = cochain_differential(f, R3)
-    w = is_coboundary(df, R3)
+    w = is_coboundary(df, CupContext(R3))
     assert w is not None
     assert _rational(cochain_differential(w, R3)) == _rational(df)
 
 
 def test_is_coboundary_constant_is_not():
     c = Cochain(1, QQ, [1] * 3)
-    assert is_coboundary(c, R3) is None
+    assert is_coboundary(c, CupContext(R3)) is None
 
 
 def test_is_coboundary_refuses_short_cochain():
     # a 1-cochain on dihedral:3 has 3 values, not 1
     with pytest.raises(ShapeError):
-        is_coboundary(Cochain(1, QQ, [0]), builtin("dihedral:3"))
+        is_coboundary(Cochain(1, QQ, [0]), CupContext(builtin("dihedral:3")))
 
 
 def test_commutator_of_cocycles_is_coboundary():
-    ctx = CupContext(R4, QQ)
+    ctx = CupContext(R4)
     cocycles, den = kernel_basis(cochain_differential_matrix(R4, 1), QQ)
     f = Cochain(1, QQ, cocycles[0], den=den)
     g = Cochain(1, QQ, cocycles[1], den=den)
     comm = _over_q(2, [a + b for a, b in zip(_rational(cup(f, g, ctx)),
                                              _rational(cup(g, f, ctx)))])
-    w = is_coboundary(comm, R4)
+    w = is_coboundary(comm, ctx)
     assert w is not None
     assert _rational(cochain_differential(w, R4)) == _rational(comm)
 
@@ -555,7 +580,7 @@ def test_product_well_defined_modulo_coboundaries():
     applied to a degree-2 representative.
     """
     rs = ring_structure(R4, QQ, 2)
-    ctx = CupContext(R4, QQ)
+    ctx = CupContext(R4)
     f = Cochain(1, QQ, rs.reps[1][0], den=rs.dens[1])
     bump = cochain_differential(basis_cochain(R4, 1, QQ, (2,)), R4)
     assert any(bump.values)
@@ -565,7 +590,7 @@ def test_product_well_defined_modulo_coboundaries():
     p2 = cup(f, shifted, ctx)
     diff = _over_q(3, [a - b for a, b in zip(_rational(p2), _rational(p1))])
     assert any(diff.values)
-    assert is_coboundary(diff, R4) is not None
+    assert is_coboundary(diff, ctx) is not None
 
 
 # --- ring structure against independent computations -------------------------
@@ -608,7 +633,7 @@ def test_ring_structure_dims_match_boundary_ranks(rack, ring, quandle):
 def test_ring_structure_products_reduce_to_coboundaries(rack, ring, quandle, max_degree):
     """rep_i . rep_j - sum_k c_k rep_k is a coboundary for every product."""
     rs = ring_structure(rack, ring, max_degree, quandle)
-    ctx = CupContext(rack, ring, quandle)
+    ctx = CupContext(rack, quandle=quandle)
     assert rs.products
     for (p, i, q, j), coords in rs.products.items():
         f = Cochain(p, ring, rs.reps[p][i], quandle, den=rs.dens[p])
@@ -624,7 +649,7 @@ def test_ring_structure_products_reduce_to_coboundaries(rack, ring, quandle, max
         if p + q == 0:
             assert not any(rest.values)
         else:
-            assert is_coboundary(rest, rack) is not None
+            assert is_coboundary(rest, ctx) is not None
 
 
 @pytest.mark.parametrize("argv,digest", [
@@ -670,7 +695,7 @@ def test_ring_report_with_denominators_pinned(capsys):
 
 
 def test_quandle_cup_laws():
-    ctx = CupContext(R3, ZZ, quandle=True)
+    ctx = CupContext(R3, quandle=True)
     for p, q in ((1, 1), (1, 2), (2, 1)):
         fs = all_basis_cochains(R3, p, quandle=True)
         gs = all_basis_cochains(R3, q, quandle=True)
@@ -687,7 +712,7 @@ def test_quandle_cup_laws():
 
 
 def test_quandle_homotopy_cochain():
-    ctx = CupContext(R3, QQ, quandle=True)
+    ctx = CupContext(R3, quandle=True)
     cocycles, den = kernel_basis(cochain_differential_matrix(R3, 2, quandle=True), QQ)
     consts = Cochain(1, QQ, [1] * 3, quandle=True)
     assert not any(cochain_differential(consts, R3).values)
@@ -704,55 +729,60 @@ def test_quandle_homotopy_cochain():
 
 
 def test_context_refuses_a_set_over_another_rack():
-    # the self-set of dihedral:4 is not a rack-set over dihedral:3 or :5
+    # the self-set of dihedral:4 is not a rack-set over dihedral:3 or :5,
+    # though its 4 points make a cochain of the length a 1-cochain over
+    # dihedral:3 with 4 points would have
     foreign = xset_self(R4)
     for rack in (R3, dihedral_rack(5)):
+        ctx = CupContext(rack)
+        f = Cochain(1, QQ, [1] + [0] * (rack.size * 4 - 1), module=foreign)
+        g = basis_cochain(rack, 1, QQ, (0,))
+        for product in (cup, cup_via_coproduct):
+            for args in ((f, g), (g, f), (f, f)):
+                with pytest.raises(CoefficientMismatch, match="different rack"):
+                    product(*args, ctx)
         with pytest.raises(CoefficientMismatch, match="different rack"):
-            CupContext(rack, QQ, module_f=foreign)
-        with pytest.raises(CoefficientMismatch, match="different rack"):
-            CupContext(rack, QQ, module_g=foreign)
+            ctx.differential(f)
 
 
 def test_module_cup_singleton_degenerates_to_trivial():
     mod = xset_singleton(R3)
-    ctx_m = CupContext(R3, QQ, module_f=mod, module_g=mod)
-    ctx_t = CupContext(R3, QQ)
+    ctx = CupContext(R3)
     for tf in tuple_basis(R3, 1).tuples:
         f_m = basis_cochain(R3, 1, QQ, tf, module=mod)
         f_t = basis_cochain(R3, 1, QQ, tf)
         for tg in tuple_basis(R3, 1).tuples:
             g_m = basis_cochain(R3, 1, QQ, tg, module=mod)
             g_t = basis_cochain(R3, 1, QQ, tg)
-            assert cup(f_m, g_m, ctx_m).values == cup(f_t, g_t, ctx_t).values
+            assert cup(f_m, g_m, ctx).values == cup(f_t, g_t, ctx).values
 
 
 def test_module_cup_associative_with_self_coefficients():
     """The composite with tensor-module targets is associative for Y = X:
-    ((f.g).h and f.(g.h) land in the same flattened module and agree."""
+    ((f.g).h and f.(g.h) land in the same flattened module and agree.  One
+    context serves every pair of sets."""
     N = xset_self(R3)
     NN = N.tensor(N)
-    ctx_fg = CupContext(R3, QQ, module_f=N, module_g=N)
-    ctx_fg_h = CupContext(R3, QQ, module_f=NN, module_g=N)
-    ctx_gh = CupContext(R3, QQ, module_f=N, module_g=N)
-    ctx_f_gh = CupContext(R3, QQ, module_f=N, module_g=NN)
+    ctx = CupContext(R3)
     b1 = tuple_basis(R3, 1)
     picks = [(t, j) for t in b1.tuples for j in range(N.size)][:5]
     for (tf, jf) in picks:
         f = basis_cochain(R3, 1, QQ, tf, j=jf, module=N)
         for (tg, jg) in picks:
             g = basis_cochain(R3, 1, QQ, tg, j=jg, module=N)
-            fg = cup(f, g, ctx_fg)
+            fg = cup(f, g, ctx)
+            assert fg.module == NN
             for (th, jh) in picks:
                 h = basis_cochain(R3, 1, QQ, th, j=jh, module=N)
-                gh = cup(g, h, ctx_gh)
-                left = cup(fg, h, ctx_fg_h)
-                right = cup(f, gh, ctx_f_gh)
-                assert left.values == right.values
+                gh = cup(g, h, ctx)
+                left = cup(fg, h, ctx)
+                right = cup(f, gh, ctx)
+                assert left.values == right.values and left.module == right.module
 
 
 def test_module_cup_matches_coproduct_path():
     N = xset_self(R3)
-    ctx = CupContext(R3, QQ, module_f=N, module_g=N)
+    ctx = CupContext(R3)
     b1 = tuple_basis(R3, 1)
     for (tf, jf) in [(t, j) for t in b1.tuples for j in range(N.size)]:
         f = basis_cochain(R3, 1, QQ, tf, j=jf, module=N)
@@ -775,7 +805,7 @@ def test_module_cup_matches_coproduct_path_on_non_symmetric_tables(rack):
     assert any(rack.op(x, y) != rack.op(y, x)
                for x in range(rack.size) for y in range(rack.size))
     N = xset_self(rack)
-    ctx = CupContext(rack, QQ, module_f=N, module_g=N)
+    ctx = CupContext(rack)
     for p, q in ((1, 1), (1, 2)):
         f = _dense_cochain(rack, p, QQ, N, 3)
         g = _dense_cochain(rack, q, QQ, N, 1)
@@ -920,7 +950,7 @@ def test_q_products_match_fraction_reference_on_real_denominators(rack, data):
             values = [v + c * Fraction(w, den) for v, w in zip(values, vec)]
         return _over_q(p, values, quandle, module)
 
-    ctx = CupContext(rack, QQ, quandle, module, module)
+    ctx = CupContext(rack, quandle=quandle)
     for p, q in ((1, 1), (1, 2), (2, 1)):
         for f, g in ((dense(p), dense(q)), (single(p), dense(q)), (dense(p), single(q)),
                      (zero(p), dense(q)), (single(p), single(q))):
@@ -951,10 +981,9 @@ def _check_homotopy_and_integer_rings(f, g, rack, ctx):
     for ring in (ZZ, GF(5)):
         fz, gz = (Cochain(h.degree, ring, _cleared(h, den, ring), h.quandle, h.module)
                   for h in (f, g))
-        zctx = CupContext(rack, ring, f.quandle, f.module, g.module)
-        for got, expect in ((cup(fz, gz, zctx), _cleared(cup(f, g, ctx), den * den, ring)),
-                            (homotopy_cochain(fz, gz, zctx), _cleared(H, den * den, ring)),
-                            (zctx.differential(fz), _cleared(ctx.differential(f), den, ring))):
+        for got, expect in ((cup(fz, gz, ctx), _cleared(cup(f, g, ctx), den * den, ring)),
+                            (homotopy_cochain(fz, gz, ctx), _cleared(H, den * den, ring)),
+                            (ctx.differential(fz), _cleared(ctx.differential(f), den, ring))):
             assert got.values == expect
             _assert_scalars(got, ring)
 
@@ -973,7 +1002,7 @@ def test_homotopy_matches_fraction_reference(spec, quandle, with_module):
     exactly."""
     rack = builtin(spec)
     module = xset_self(rack) if with_module else None
-    ctx = CupContext(rack, QQ, quandle, module, module)
+    ctx = CupContext(rack, quandle=quandle)
     for p, q in ((1, 1), (1, 2), (2, 1)):
         cocycles = {}
         for d in {p, q}:
@@ -998,7 +1027,7 @@ def test_stencil_rows_match_the_coproduct_terms(spec):
     ``face`` is the boundary's."""
     rack = builtin(spec)
     for quandle in (False, True) if rack.is_quandle() else (False,):
-        ctx = CupContext(rack, ZZ, quandle)
+        ctx = CupContext(rack, quandle=quandle)
         for p, q in [(p, n - p) for n in range(5) for p in range(n + 1)]:
             f_index, g_index = (tuple_basis(rack, k, quandle).index for k in (p, q))
             targets = tuple_basis(rack, p + q, quandle).tuples
@@ -1034,7 +1063,7 @@ class CountingInt(int):
 def test_cup_reads_only_the_stencil_rows_of_nonzero_entries(p, q):
     """An indicator f costs one multiplication per term of its stencil row
     and one truth test per entry of f, not a walk of the whole stencil."""
-    ctx = CupContext(R3, ZZ)
+    ctx = CupContext(R3)
     _, rows = ctx.stencil(p, q)
     g = Cochain(q, ZZ, [CountingInt(1 + k % 3) for k in range(len(tuple_basis(R3, q)))])
     for li, t in enumerate(tuple_basis(R3, p).tuples):

@@ -11,7 +11,7 @@ from rackhom.cup import CupContext, ring_structure
 from rackhom.errors import NotAQuandle
 from rackhom.linalg import HomologyGroup
 from rackhom.racks import Rack, XSet, builtin, xset_singleton
-from rackhom.rings import GF, QQ, ZZ
+from rackhom.rings import GF, QQ
 from rackhom.verify import SuiteResult
 
 R3 = builtin("dihedral:3")
@@ -69,9 +69,9 @@ def test_constructor_defaults():
     assert HomologyGroup(3, 0).torsion == ()
     f = Cochain(1, QQ, [1, 0, 0])
     assert (f.quandle, f.module, f.den) == (False, None, 1)
-    ctx = CupContext(R3, ZZ)
-    assert (ctx.quandle, ctx.module_f, ctx.module_g, ctx.max_basis) == (False, None, None, 200_000)
-    assert ctx.algebra.rack is R3 and ctx.target is None
+    ctx = CupContext(R3)
+    assert (ctx.quandle, ctx.max_basis) == (False, 200_000)
+    assert ctx.algebra.rack is R3
     result = SuiteResult("s", True, 2)
     assert (result.witness, result.notes) == (None, [])
     assert SuiteResult("s", True, 2).notes is not result.notes
@@ -79,7 +79,7 @@ def test_constructor_defaults():
 
 def test_constructors_take_fields_in_order():
     assert Cochain(2, GF(3), [0] * 9, True, ONE, 1).module is ONE
-    assert CupContext(R3, QQ, True, ONE, None, 50).max_basis == 50
+    assert CupContext(R3, quandle=True, max_basis=50).max_basis == 50
     assert SuiteResult("s", False, 4, "w", ["n"]).witness == "w"
 
 
@@ -93,24 +93,26 @@ def test_mutable_records_compare_by_value_and_are_unhashable():
     f.den = 3
     assert f.den == 3
     assert copy.copy(f) == f and copy.copy(f).values is f.values
-    for record in (f, SuiteResult("s", True, 2), rs, CupContext(R3, ZZ)):
+    for record in (f, SuiteResult("s", True, 2), rs, CupContext(R3)):
         with pytest.raises(TypeError):
             hash(record)
 
 
 def test_context_refuses_a_rack_that_is_not_a_quandle():
     with pytest.raises(NotAQuandle, match="cyclic:3"):
-        CupContext(builtin("cyclic:3"), ZZ, quandle=True)
-    assert CupContext(builtin("cyclic:3"), ZZ).quandle is False
+        CupContext(builtin("cyclic:3"), quandle=True)
+    assert CupContext(builtin("cyclic:3")).quandle is False
 
 
 def test_context_equality_reads_the_constructor_arguments():
     # each context builds its own algebra, which equality does not read
-    ctx = CupContext(R3, ZZ)
-    other = CupContext(R3, ZZ)
+    ctx = CupContext(R3)
+    other = CupContext(R3)
     assert ctx.algebra is not other.algebra and ctx == other
-    assert ctx != CupContext(R3, ZZ, module_g=ONE)
-    assert ctx != CupContext(R3, ZZ, max_basis=50)
+    assert ctx._fields == ("rack", "quandle", "max_basis")
+    assert ctx != CupContext(R3, quandle=True)
+    assert ctx != CupContext(R3, max_basis=50)
+    assert ctx != CupContext(builtin("dihedral:4"))
 
 
 def test_suite_result_as_dict():
@@ -134,9 +136,8 @@ def test_record_reprs():
     assert repr(tuple_basis(R3, 1)) == "TupleBasis(tuples=((0,), (1,), (2,)))"
     assert repr(Cochain(1, QQ, [1, 0, 2], den=3)) == (
         "Cochain(degree=1, ring=Q, values=[1, 0, 2], quandle=False, module=None, den=3)")
-    assert repr(CupContext(R3, GF(3), module_f=ONE)) == (
-        f"CupContext(rack=Rack(dihedral:3, size=3), ring=F3, quandle=False, "
-        f"module_f={ONE!r}, module_g=None, max_basis=200000)")
+    assert repr(CupContext(R3, quandle=True)) == (
+        "CupContext(rack=Rack(dihedral:3, size=3), quandle=True, max_basis=200000)")
     assert repr(ring_structure(builtin("trivial:1"), GF(2), 1)) == (
         "RingStructure(dims={0: 1, 1: 1}, reps={0: [[1]], 1: [[1]]}, dens={0: 1, 1: 1}, "
         "products={(0, 0, 0, 0): (1,), (0, 0, 1, 0): (1,), (1, 0, 0, 0): (1,)})")
