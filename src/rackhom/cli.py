@@ -22,8 +22,6 @@ field exists so the schema is stable if sampled suites are ever added.
 from __future__ import annotations
 
 import argparse
-import hashlib
-import json
 import os
 import sys
 import time
@@ -125,6 +123,7 @@ def _decode(data: bytes) -> str:
 
 
 def _parse_json(text: str):
+    import json  # here, not at start-up: only a report or a JSON input needs it
     try:
         return json.loads(text)
     except json.JSONDecodeError as err:
@@ -201,6 +200,7 @@ def _scalar_json(v):
 
 def make_report(command, options, source: bytes, results=None, suites=None,
                 timings=None):
+    import hashlib  # here, not at start-up: it loads OpenSSL, about 2 MB of RSS
     return {
         "version": __version__,
         "input_sha": hashlib.sha256(source).hexdigest(),
@@ -216,6 +216,7 @@ def emit(report, as_json, human_lines):
     """Print the JSON report, or else the lines that ``human_lines()``
     yields: they are made only when printed."""
     if as_json:
+        import json
         print(json.dumps(report, sort_keys=True, separators=(",", ":")))
     else:
         for line in human_lines():

@@ -1,7 +1,7 @@
 """Exact sparse linear algebra: ranks, kernels, images, Smith normal form,
 and the homology of a chain complex.  A ``SparseMat`` holds plain ints and
-no ring: each reduction takes the ring it works over, and over F_p reduces
-the entries mod p as it copies them.
+no ring: each reduction takes the ring it works over, and ``rank`` and
+``smith_normal_form`` eliminate on the matrix's own columns (see ``rank``).
 
 Rank and Smith normal form are one sparse pivot elimination in Markowitz
 order (shortest vector, then least shared pivot index), without
@@ -46,7 +46,8 @@ from .records import Frozen
 
 
 class SparseMat:
-    """Column-major sparse matrix of plain ints, no zeros, and no ring."""
+    """Column-major sparse matrix of plain ints, no zeros, and no ring; its
+    ``cols`` are None once a reduction has taken it over (see ``rank``)."""
 
     __slots__ = ("nrows", "ncols", "cols")
 
@@ -333,13 +334,20 @@ def _weight(vec):
 
 def _column_vectors(mat: SparseMat, drop, p=0) -> dict:
     # rank and invariant factors are invariant under transposition, so the
-    # eliminations work on copies of the stored columns, less the rows in
-    # ``drop``, and with the entries reduced mod ``p`` unless it is 0
-    if p:
-        return {j: vec for j, col in enumerate(mat.cols)
-                if (vec := {i: u for i, v in col.items() if i not in drop and (u := v % p)})}
-    return {j: vec for j, col in enumerate(mat.cols)
-            if (vec := {i: v for i, v in col.items() if i not in drop})}
+    # eliminations work on the stored columns themselves, taken from ``mat``:
+    # the rows in ``drop`` are deleted and, unless ``p`` is 0, the entries
+    # reduced mod ``p`` in place, so that the surviving keys keep the order
+    # by which ``_eliminate_pivots`` breaks its ties
+    cols, mat.cols = mat.cols, None
+    if drop or p:
+        for col in cols:
+            for i, v in list(col.items()):
+                u = v % p if p else v
+                if u and i not in drop:
+                    col[i] = u
+                else:
+                    del col[i]
+    return {j: col for j, col in enumerate(cols) if col}
 
 
 def _column_pivots(mat: SparseMat, drop, p=0, pivots=None) -> tuple[dict, dict]:
@@ -366,12 +374,14 @@ def rank(mat: SparseMat, ring, drop=frozenset(), pivots=None) -> int:
     """Rank over the field ``ring`` by sparse elimination alone, of ``mat``
     less the rows in ``drop``; the ids of the pivot columns that may clear
     the next degree (see ``ChainComplex``) are appended to ``pivots`` if it
-    is a list.
+    is a list.  It takes ``mat`` over: the elimination runs on its column
+    dicts, and ``mat`` keeps only its shape (``cols`` is None, so that
+    reading an entry raises instead of reading as zero).
 
-    Over F_p the entries are reduced mod p as they are copied, and every
-    pivot counts and clears.  Over Q the rank is that over Z: the +-1 pass
-    and Euclid's algorithm of :func:`smith_normal_form`.  Only the +-1
-    pivots clear, as over Z.
+    Over F_p the entries are reduced mod p in place, and every pivot
+    counts and clears.  Over Q the rank is that over Z: the +-1 pass and
+    Euclid's algorithm of :func:`smith_normal_form`.  Only the +-1 pivots
+    clear, as over Z.
     """
     _require_field(ring)
     units, euclid = _column_pivots(mat, drop, ring.char, pivots)
@@ -458,7 +468,7 @@ def independent(span, candidates, ring) -> list:
 
 def smith_normal_form(mat: SparseMat, drop=frozenset(), pivots=None) -> tuple[int, ...]:
     """Invariant factors d_1 | d_2 | ... | d_r over Z of ``mat`` less the
-    rows in ``drop``.
+    rows in ``drop``.  It takes ``mat`` over, as :func:`rank` does.
 
     The +-1 pivots go first, each a unimodular step with factor 1; their
     column ids are appended to ``pivots`` if it is a list.  Euclid's
@@ -538,7 +548,8 @@ class ChainComplex:
     time up to the first nonzero one.  Each differential is reduced at most
     once (rank over a field, Smith form over Z) and the reduction is
     cached; homology and the cohomology of the dual complex are both read
-    from it.
+    from it.  The complex takes its matrices over and releases each one
+    once reduced: no caller may read a matrix after handing it in.
 
     Reductions clear across degrees (the *twist* of persistent homology,
     Chen--Kerber 2011): ``d_n`` is reduced first, and the rows of
@@ -560,7 +571,8 @@ class ChainComplex:
 
     def __init__(self, differentials: dict, ring):
         self.ring = ring
-        self.differentials = dict(differentials)
+        self.differentials = dict(differentials)  # each popped when reduced
+        self._dims = {n: d.ncols for n, d in self.differentials.items()}  # dim C_n
         self._reductions: dict[int, tuple] = {}
         for n, d in self.differentials.items():
             after = self.differentials.get(n - 1)
@@ -576,10 +588,10 @@ class ChainComplex:
         """``(rank, torsion factors, clearing pivots)`` of ``d_n``, the last
         being the columns J whose rows ``d_{n+1}`` leaves out."""
         if n not in self._reductions:
-            if n not in self.differentials:
+            if n not in self._dims:
                 raise ShapeError(f"no differential at degree {n}")
-            d = self.differentials[n]
-            drop = frozenset(self._reduce(n - 1)[2] if n - 1 in self.differentials else ())
+            drop = frozenset(self._reduce(n - 1)[2] if n - 1 in self._dims else ())
+            d = self.differentials.pop(n)
             pivots: list[int] = []
             if self.ring.is_field:
                 self._reductions[n] = (rank(d, self.ring, drop=drop, pivots=pivots), (), pivots)
@@ -595,7 +607,7 @@ class ChainComplex:
         return self._reduce(n)[:2]
 
     def _chains(self, n) -> int:
-        return self.differentials[n].ncols  # dim C_n
+        return self._dims[n]
 
     def _betti(self, n) -> int:
         # dim C_n - rank d_n - rank d_{n+1}; transposing keeps both ranks
@@ -626,5 +638,6 @@ class ChainComplex:
 def homology(boundary_in: SparseMat, boundary_out: SparseMat, ring,
              degree: int = -1) -> HomologyGroup:
     """Homology at ``C_n`` given ``boundary_in`` = d_{n+1} and
-    ``boundary_out`` = d_n: the two-differential case of ``ChainComplex``."""
+    ``boundary_out`` = d_n: the two-differential case of ``ChainComplex``,
+    which takes both matrices over."""
     return ChainComplex({degree: boundary_out, degree + 1: boundary_in}, ring).homology(degree)

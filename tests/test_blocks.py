@@ -11,6 +11,7 @@ from rackhom.linalg import ChainComplex
 from rackhom.racks import builtin, orbits, trivial_rack, validate_xset, xset_self, xset_singleton
 from rackhom.rings import GF, QQ, ZZ
 from rackhom.verify import BUILTIN_SPECS
+from test_linalg import fresh_all
 
 RINGS = (ZZ, QQ, GF(2), GF(3), GF(5))
 QUANDLES = [spec for spec in BUILTIN_SPECS if builtin(spec).is_quandle()]
@@ -36,7 +37,7 @@ def test_blocks_match_the_whole_complex(spec, quandle=False):
         matrices = {n: boundary_matrix(rack, n, quandle=quandle, xset=xset)
                     for n in range(1, top + 1)}
         for ring in RINGS:
-            whole = ChainComplex(matrices, ring)
+            whole = ChainComplex(fresh_all(matrices), ring)
             blocks = RackComplex(rack, ring, top, xset, quandle=quandle)
             for n in range(1, top):
                 for group in ("homology", "cohomology"):
@@ -163,6 +164,31 @@ def test_a_one_point_orbit_of_the_quandle_complex_is_the_whole_trivial_complex(m
     blocks = RackComplex(t3, ZZ, 5, xset_self(t3), quandle=True)
     assert [blocks.homology(n).betti for n in range(1, 5)] == [9, 18, 36, 72]
     assert built == [(n, True, None) for n in range(1, 6)]
+
+
+@pytest.mark.parametrize("spec", ["dihedral:4", "conjugation:s3"])
+def test_a_read_rack_complex_holds_no_matrix(monkeypatch, spec):
+    # every degree read, in both variants, with trivial and self
+    # coefficients: each block matrix was taken over by its reduction, and
+    # no class complex still holds one
+    built = []
+
+    def kept(rack, n, **kwargs):
+        built.append(m := boundary_matrix(rack, n, **kwargs))
+        return m
+
+    monkeypatch.setattr(complexes, "boundary_matrix", kept)
+    rack = builtin(spec)
+    top = 4 if rack.size < 5 else 3
+    for quandle in (False, True):
+        for xset in (None, xset_self(rack)):
+            for ring in (ZZ, GF(3)):
+                blocks = RackComplex(rack, ring, top, xset, quandle=quandle)
+                for n in range(1, top):
+                    blocks.homology(n), blocks.cohomology(n)
+                classes = [c[2] for c in (*blocks._blocks, *blocks._classes) if c]
+                assert classes and not any(cx.differentials for cx in classes)
+    assert built and all(m.cols is None for m in built)
 
 
 def test_orbits_of_a_rack_set():

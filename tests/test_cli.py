@@ -226,13 +226,14 @@ def test_closed_stdout_ends_quietly():
 
 def test_startup_imports_no_generated_code():
     # dataclasses pulls in inspect, ast and dis, and each record body execs
-    # generated source; fractions is needed only by a Q report; typing and
-    # pathlib (with urllib.parse and ipaddress) are needed by nothing.  -S
-    # keeps the imports of site-packages .pth files out of the baseline.
+    # generated source; fractions is needed only by a Q report, hashlib (with
+    # OpenSSL) and json only by a report or a JSON input; typing and pathlib
+    # (with urllib.parse and ipaddress) are needed by nothing.  -S keeps the
+    # imports of site-packages .pth files out of the baseline.
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    code = ("import argparse, hashlib, json, sys\n"
+    code = ("import argparse, sys\n"
             "before = set(sys.modules)\n"
             "import rackhom.cli\n"
             "print(' '.join(sorted(set(sys.modules) - before)))\n")
@@ -240,7 +241,8 @@ def test_startup_imports_no_generated_code():
                           env=env, timeout=60, check=True)
     new = set(proc.stdout.split())
     assert "rackhom.cli" in new
-    assert not new & {"dataclasses", "inspect", "fractions", "typing", "pathlib"}
+    assert not new & {"dataclasses", "inspect", "fractions", "typing", "pathlib",
+                      "hashlib", "_hashlib", "json"}
 
 
 def test_exit_code_validation(capsys):

@@ -37,11 +37,21 @@ from rackhom.linalg import (
     solve,
     solve_many,
 )
-from rackhom.racks import dihedral_rack, trivial_rack, validate_rack, xset_self
-from rackhom.rings import GF, QQ, ZZ
+from rackhom.racks import builtin, dihedral_rack, trivial_rack, validate_rack, xset_self
+from rackhom.rings import GF, QQ, ZZ, ring_by_name
 
 R3 = dihedral_rack(3)
 R4 = dihedral_rack(4)
+
+
+def fresh(mat):
+    """A copy of ``mat`` for one more reduction: ``rank``, ``smith_normal_form``
+    and ``ChainComplex`` take the matrices they reduce over."""
+    return SparseMat(mat.nrows, mat.ncols, [dict(col) for col in mat.cols])
+
+
+def fresh_all(mats):
+    return {n: fresh(m) for n, m in mats.items()}
 
 
 def rational(vecs, den):
@@ -73,7 +83,7 @@ def test_rank_of_boundary():
     # columns u_x - u_{x <| y} over one orbit span the zero-sum subspace,
     # over Q and over every F_p: the one integer matrix is read in each
     d2 = boundary_matrix(R3, 2)
-    assert rank(d2, QQ) == rank(d2, GF(3)) == rank(d2, GF(5)) == 2
+    assert rank(fresh(d2), QQ) == rank(fresh(d2), GF(3)) == rank(d2, GF(5)) == 2
 
 
 def test_field_ops_require_field():
@@ -193,7 +203,7 @@ def test_independent_dense_and_dict_inputs_agree():
 def test_elimination_over_prime_field():
     F3 = GF(3)
     m = SparseMat.from_dense([[1, 2], [2, 1]])
-    assert rank(m, F3) == 1  # second row = 2 * first mod 3
+    assert rank(fresh(m), F3) == 1  # second row = 2 * first mod 3
     assert len(kernel_basis(m, F3)[0]) == 1
 
 
@@ -369,6 +379,57 @@ def test_direct_sum_matches_the_block_diagonal_matrix(blocks):
         (len(factors), tuple(d for d in factors if d > 1))
 
 
+@pytest.mark.parametrize("reduce", [
+    lambda m: rank(m, QQ), lambda m: rank(m, GF(3)), smith_normal_form,
+    lambda m: smith_normal_form(m, drop=frozenset({0, 1})),
+], ids=["rank-Q", "rank-F3", "smith", "smith-drop"])
+def test_a_reduction_takes_its_matrix_over(reduce):
+    # the elimination runs on the matrix's own columns: afterwards the
+    # matrix keeps its shape, and reading its entries raises rather than
+    # reading as a zero matrix (which would pass a d o d check vacuously)
+    m = boundary_matrix(R4, 3)
+    reduce(m)
+    assert (m.nrows, m.ncols, m.cols) == (16, 64, None)
+    with pytest.raises(TypeError):
+        SparseMat(1, 16).mul_is_zero(m)
+    with pytest.raises(TypeError):
+        m.mul_is_zero(SparseMat.identity(64))
+    with pytest.raises(TypeError):
+        m.to_dense()
+
+
+# the ids that smith_normal_form (over Z) and rank (over F_5) append to
+# ``pivots`` for d_2..d_5, as (count, sha256 of their repr), in the order
+# the +-1 pass takes them
+PINNED_PIVOTS = {
+    ("dihedral:4", False, "Z"): {
+        2: (2, "2532a3f9cc1e9e7131fdc59e95650402be9b39c32c4aa96103727ab6d1c5db08"),
+        3: (8, "7a2ffcd736681447e152a27c0719473b3c88fa29fc84faa455a7f41296073e31"),
+        4: (40, "d4a7a350a64a323da52f1ce7da0bb170734a8b22a84134b956a19fcc9a8f71bd"),
+        5: (172, "5f727533d5f2c36e98e28da808cb1a75cdf214236860cc654a0da303ca481579"),
+    },
+    ("dihedral:5", True, "Fp:5"): {
+        2: (4, "02b6deebe10f247a39a1f40c6e045af149df9c96491adce129613e8b30480780"),
+        3: (16, "c8da252f7973f8fd2f4b2d716665a14f942e3ae3bf2f8b2044c84e773562f0b2"),
+        4: (63, "6fbbcf4480badec58df4971d38a2d6859da21393c9852f7a2800a3a17c051708"),
+        5: (255, "0ca07ba4a019251eca11d8c1d7a38db3ffe6edd974e05d9b3f13f517d0e89179"),
+    },
+}
+
+
+@pytest.mark.parametrize("spec, quandle, ring", sorted(PINNED_PIVOTS))
+def test_the_elimination_choices_are_pinned(spec, quandle, ring):
+    """The Markowitz tie-breaks read each column's key order, so filtering a
+    column in place must keep every key where it is, or these pins move.  A
+    change of tie-break rewrites them on purpose."""
+    rack = builtin(spec)
+    cx = ChainComplex({n: boundary_matrix(rack, n, quandle=quandle) for n in range(1, 6)},
+                      ring_by_name(ring))
+    for n, pin in PINNED_PIVOTS[spec, quandle, ring].items():
+        pivots = cx._reduce(n)[2]
+        assert (len(pivots), hashlib.sha256(repr(pivots).encode()).hexdigest()) == pin, n
+
+
 def test_snf_zero_matrix():
     assert smith_normal_form(SparseMat(4, 2)) == ()
 
@@ -377,7 +438,7 @@ def test_snf_and_rational_rank_of_a_large_residual():
     # 2*I has no unit pivot, so Euclid's algorithm reduces the whole
     # 2001x2001 matrix, over Z and over Q alike
     twice = SparseMat.identity(2001).scaled(2)
-    assert smith_normal_form(twice) == (2,) * 2001
+    assert smith_normal_form(fresh(twice)) == (2,) * 2001
     assert rank(twice, QQ) == 2001
 
 
@@ -507,7 +568,7 @@ def test_rational_rank_with_no_unit_entry():
 def test_rational_rank_counts_invariant_factors(n, data):
     dense = [[data.draw(st.integers(-6, 6)) for _ in range(n)] for _ in range(n)]
     m = SparseMat.from_dense(dense)
-    assert len(smith_normal_form(m)) == rank(m, QQ)
+    assert len(smith_normal_form(fresh(m))) == rank(m, QQ)
 
 
 # --- homology assembly -----------------------------------------------------------
@@ -526,10 +587,24 @@ def test_chain_complex_matches_pairwise_homology():
         mats = {n: boundary_matrix(R3, n, quandle=quandle) for n in range(1, 6)}
         dmats = {p: cochain_differential_matrix(R3, p, quandle=quandle) for p in range(5)}
         for ring in (ZZ, QQ, GF(3)):
-            cx = ChainComplex(mats, ring)
+            cx = ChainComplex(fresh_all(mats), ring)
             for n in (1, 2, 3, 4):
-                assert cx.homology(n) == homology(mats[n + 1], mats[n], ring, n)
-                assert cx.cohomology(n) == homology(dmats[n - 1], dmats[n], ring, n)
+                assert cx.homology(n) == homology(fresh(mats[n + 1]), fresh(mats[n]), ring, n)
+                assert cx.cohomology(n) == homology(fresh(dmats[n - 1]), fresh(dmats[n]), ring, n)
+
+
+@pytest.mark.parametrize("ring", [ZZ, QQ, GF(2)], ids=lambda ring: ring.name)
+def test_a_read_chain_complex_holds_no_matrix(ring):
+    # every degree read: each differential was taken over by its reduction
+    # and released by the complex, which keeps only the dimensions
+    mats = {n: boundary_matrix(R4, n) for n in range(1, 5)}
+    cx = ChainComplex(mats, ring)
+    for n in (1, 2, 3):
+        cx.homology(n), cx.cohomology(n)
+    assert not cx.differentials
+    assert [(m.nrows, m.ncols, m.cols) for m in mats.values()] == [
+        (4 ** (n - 1), 4 ** n, None) for n in mats]
+    assert [cx._chains(n) for n in mats] == [4, 16, 64, 256]
 
 
 def test_chain_complex_rejects_non_complex():
@@ -569,7 +644,7 @@ def test_rational_matrices_give_the_integral_groups():
     # groups, and read over Q their betti numbers
     for rack in (R3, dihedral_rack(4)):
         mats = {n: boundary_matrix(rack, n) for n in (1, 2, 3, 4)}
-        groups = {ring: ChainComplex(mats, ring) for ring in (ZZ, QQ)}
+        groups = {ring: ChainComplex(fresh_all(mats), ring) for ring in (ZZ, QQ)}
         for n in (1, 2, 3):
             for kind in ("homology", "cohomology"):
                 integral = getattr(groups[ZZ], kind)(n)
@@ -590,11 +665,11 @@ def test_clearing_over_z_takes_only_unit_pivots():
 def test_rational_complex_with_fractional_entries():
     # d_1 = [1/2 1/3] as its integer multiple [3 2], whose entries have no
     # unit: Euclid's algorithm, not the +-1 pass, finds its rank
-    d1 = SparseMat.from_dense([[3, 2]])
-    d2 = SparseMat.from_dense([[2], [-3]])
-    cx = ChainComplex({1: d1, 2: d2}, QQ)
-    for n, d in ((1, d1), (2, d2)):
-        expected = DomainMatrix.from_list_sympy(d.nrows, d.ncols, d.to_dense()).rank()
+    dense = {1: [[3, 2]], 2: [[2], [-3]]}
+    cx = ChainComplex({n: SparseMat.from_dense(rows) for n, rows in dense.items()}, QQ)
+    for n, rows in dense.items():
+        d = SparseMat.from_dense(rows)
+        expected = DomainMatrix.from_list_sympy(d.nrows, d.ncols, rows).rank()
         assert cx._reduce(n)[0] == expected == 1
         assert d.ncols - len(kernel_basis(d, QQ)[0]) == expected
     assert cx.homology(1).betti == 0
@@ -626,7 +701,7 @@ def test_cleared_reductions_match_standalone(n, data, quandle, self_coefficients
     dim = n if self_coefficients else 1
     top = max(d for d in (2, 3, 4) if n ** d * dim <= 1500)
     mats = {k: boundary_matrix(rack, k, quandle=quandle, xset=xs) for k in range(1, top + 1)}
-    cx = ChainComplex(mats, ring)
+    cx = ChainComplex(fresh_all(mats), ring)
     for k, d in mats.items():
         if ring is QQ:
             # not rank(d, QQ), which runs the same integer elimination
@@ -707,7 +782,7 @@ def test_homology_against_sympy_oracle():
     for quandle in (False, True):
         mats = {n: boundary_matrix(R3, n, quandle=quandle) for n in range(1, 5)}
         for n in (1, 2, 3):
-            ours = homology(mats[n + 1], mats[n], ZZ, n)
+            ours = homology(fresh(mats[n + 1]), fresh(mats[n]), ZZ, n)
             m_out = sympy.Matrix(mats[n].to_dense())
             m_in = sympy.Matrix(mats[n + 1].to_dense())
             betti = mats[n].ncols - m_out.rank() - m_in.rank()
@@ -724,8 +799,8 @@ def test_sign_shifted_complex_same_homology():
         flipped_in = plain_in.scaled(-1)
         flipped_out = plain_out.scaled(-1)
         for ring in (ZZ, QQ, GF(3)):
-            a = homology(plain_in, plain_out, ring, n)
-            b = homology(flipped_in, flipped_out, ring, n)
+            a = homology(fresh(plain_in), fresh(plain_out), ring, n)
+            b = homology(fresh(flipped_in), fresh(flipped_out), ring, n)
             assert (a.betti, a.torsion) == (b.betti, b.torsion)
 
 
@@ -738,11 +813,11 @@ def test_universal_coefficients_consistency():
     integral = {}
     mats = {n: boundary_matrix(R3, n, quandle=True) for n in range(1, 6)}
     for n in (1, 2, 3, 4):
-        integral[n] = homology(mats[n + 1], mats[n], ZZ, n)
+        integral[n] = homology(fresh(mats[n + 1]), fresh(mats[n]), ZZ, n)
     integral[0] = HomologyGroup(0, 1, ())  # C_0 = Z, zero boundaries
     dmats = {n: cochain_differential_matrix(R3, n, quandle=True) for n in range(5)}
     for n in (1, 2, 3, 4):
-        hn = homology(dmats[n - 1], dmats[n], Fp, n)
+        hn = homology(fresh(dmats[n - 1]), fresh(dmats[n]), Fp, n)
         t_n = sum(1 for d in integral[n].torsion if d % p == 0)
         t_prev = sum(1 for d in integral[n - 1].torsion if d % p == 0)
         assert hn.betti == integral[n].betti + t_n + t_prev

@@ -76,23 +76,26 @@ def cohomology_with_the_outgoing_torsion(self, n):
 
 
 def _euclid_pivots(mat, drop, p=0):
-    # the ids of the pivots that Euclid's algorithm takes after the +-1 pass
-    return list(linalg._column_pivots(mat, drop, p)[1])
+    # the ids of the pivots that Euclid's algorithm takes after the +-1 pass,
+    # on a copy: the reduction takes ``mat`` over
+    return list(linalg._column_pivots(test_linalg.fresh(mat), drop, p)[1])
 
 
 def smith_clearing_at_euclid_pivots(mat, drop=frozenset(), pivots=None):
     # the Euclid pivots are appended to the clearing pivots too
+    euclid = _euclid_pivots(mat, drop)
     factors = SNF(mat, drop, pivots)
     if pivots is not None:
-        pivots.extend(_euclid_pivots(mat, drop))
+        pivots.extend(euclid)
     return factors
 
 
 def rational_rank_clearing_at_euclid_pivots(mat, ring, drop=frozenset(), pivots=None):
     # the same slip in the rank over Q (over F_p no Euclid pivot is left)
+    euclid = _euclid_pivots(mat, drop, ring.char)
     r = RANK(mat, ring, drop, pivots)
     if pivots is not None:
-        pivots.extend(_euclid_pivots(mat, drop, ring.char))
+        pivots.extend(euclid)
     return r
 
 
