@@ -30,8 +30,6 @@ from .complexes import (
     basis_cochain,
     boundary_matrix,
     cochain_differential_matrix,
-    face,
-    face_set,
     project_to_chain,
     tuple_basis,
 )
@@ -79,8 +77,6 @@ __all__ = [
     "basis_cochain",
     "boundary_matrix",
     "cochain_differential_matrix",
-    "face",
-    "face_set",
     "project_to_chain",
     "tuple_basis",
     "ChainComplex",

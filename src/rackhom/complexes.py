@@ -11,11 +11,11 @@ by ``<| x``.  ``_boundary`` grows d_n from d_{n-1} by it, and
 
     bd(x_1..x_n) = sum_i (-1)^i [ delete_i - delete_i-with-conjugation ].
 
-``face`` / ``face_set`` (one face, and a composite face, of a tuple) and
-``coproduct_terms`` (the closed coproduct formula's terms) take faces tuple
-by tuple: the word engine reads them, and tests check the table by them.
-The word engine's ``d`` keeps its own faces on purpose: the check
-``project_to_chain(d(e_T)) == -bd(T)`` compares two independent codes.
+This is the one face code of the matrix side.  The word engine keeps the
+other, its face maps on monomials (``WordAlgebra.face_monomial``), on
+purpose: the check ``project_to_chain(d(e_T)) == -bd(T)`` compares two
+independent codes, and the ``coproduct`` suite compares the cup's stencil
+with the word engine's coproduct.
 
 Everything else derives from that matrix.  The cochain differential is
 
@@ -72,10 +72,6 @@ from .records import Frozen, Record
 DEFAULT_MAX_BASIS = 200_000
 
 
-def no_adjacent_equal(t):
-    return all(a != b for a, b in zip(t, t[1:]))
-
-
 class TupleBasis(Frozen):
     """Ordered basis of degree-``n`` chains (rack or quandle variant)."""
 
@@ -130,58 +126,6 @@ def _check_cap(rack: Rack, n: int, quandle: bool, dim: int, max_basis: int):
     if count * dim > max_basis:
         raise DimensionOverflow(f"degree-{n} boundary has {count * dim} columns "
                                 f"({count} tuples x {dim} points), over the cap {max_basis}")
-
-
-def face(t, i, eps, rack: Rack):
-    """Face map on a bare tuple: returns ``(prefix, smaller_tuple)``.
-
-    ``eps=0`` deletes position ``i`` (1-based) and has no prefix; ``eps=1``
-    deletes it, replaces every earlier entry ``x_j`` by ``x_j <| x_i``, and
-    reports the deleted entry as the acting prefix (used when coefficients
-    carry an action).
-    """
-    n = len(t)
-    if not 1 <= i <= n:
-        raise IndexOutOfRange(f"face index {i} for degree {n}")
-    j = i - 1
-    if eps == 0:
-        return None, t[:j] + t[j + 1 :]
-    x = t[j]
-    col = rack.right[x]
-    return x, tuple([col[y] for y in t[:j]]) + t[j + 1 :]
-
-
-def face_set(t, indices, eps, rack: Rack):
-    """Composite face over an index set, largest index first.
-
-    Returns ``(prefix_word, tuple)`` where the prefix word lists the acting
-    elements in order of application (empty for ``eps=0``).
-    """
-    prefix = []
-    for i in sorted(indices, reverse=True):
-        p, t = face(t, i, eps, rack)
-        if p is not None:
-            prefix.append(p)
-    return tuple(prefix), t
-
-
-def coproduct_terms(t, q, rack: Rack):
-    """The closed coproduct formula on ``t``, right factors of degree ``q``:
-    ``(left, prefix, right, eps)`` per size-``q`` subset ``A`` of 1..n, in
-    lexicographic order.  ``left`` deletes ``A``; ``prefix, right`` is the
-    conjugating face over the complement (:func:`face_set`); ``eps`` is the
-    unshuffle signature of ``A`` before its complement times (-1)^{q(n-q)}.
-    """
-    n = len(t)
-    positions = range(1, n + 1)
-    # the k-th a in A (from 0) lies above a - 1 - k complement positions,
-    # so the unshuffle has sum(A) - q (q + 1) / 2 inversions
-    shift = q * (q + 1) // 2 + q * (n - q)
-    for A in itertools.combinations(positions, q):
-        comp = [i for i in positions if i not in A]
-        prefix, right = face_set(t, comp, 1, rack)
-        eps = -1 if (sum(A) - shift) & 1 else 1
-        yield tuple([t[i - 1] for i in comp]), prefix, right, eps
 
 
 # ---------------------------------------------------------------------------

@@ -46,6 +46,8 @@ only for the product coordinates it reports.
 
 from __future__ import annotations
 
+from math import comb
+
 from .complexes import (
     DEFAULT_MAX_BASIS,
     Cochain,
@@ -55,7 +57,13 @@ from .complexes import (
     right_action,
     tuple_basis,
 )
-from .errors import CoefficientMismatch, ContextMismatch, NotACocycle, NotAQuandle
+from .errors import (
+    CoefficientMismatch,
+    ContextMismatch,
+    DimensionOverflow,
+    NotACocycle,
+    NotAQuandle,
+)
 from .linalg import SparseMat, independent, kernel_basis, solve, solve_many
 from .racks import Rack, xset_singleton
 from .records import Record
@@ -69,7 +77,8 @@ class CupContext(Record):
     the integer coboundary matrices of :meth:`coboundary`.  None of them
     reads a ring or a coefficient set: a cochain carries its own, so one
     context serves cochains over every ring with every pair of rack-sets.
-    ``max_basis`` caps every tuple basis and coboundary the context builds.
+    ``max_basis`` caps every tuple basis, coboundary and stencil the context
+    builds.
     Equality reads the three fields; the algebra and the cached data are
     not compared.
     """
@@ -121,11 +130,20 @@ class CupContext(Record):
         p more inversions; outside A, from ``stencil(p - 1, q)``, x appended
         to the left factor, the right factor moved by ``<| x`` and the
         prefix (x,) + prefix <| x.
+
+        A stencil of more than ``max_basis`` terms is refused before it
+        grows: ntargets x C(p + q, q) terms, exact for the rack complex and
+        a bound for the quandle one.
         """
         key = (p, q)
         if key not in self._stencils:
             n = p + q
             ntargets = len(self.basis(n))  # refuses a basis over the cap first
+            subsets = comb(n, q)
+            if ntargets * subsets > self.max_basis:
+                raise DimensionOverflow(
+                    f"cup stencil of degrees ({p}, {q}) has {ntargets * subsets} terms "
+                    f"({ntargets} tuples x {subsets} subsets), over the cap {self.max_basis}")
             grow, conj = _shifts(self.rack, n, self.quandle)
             # stencil(0, 0) is the one term of the empty tuple
             rows = [[] for _ in range(len(self.basis(p)))] if n else [[(0, 0, (), False)]]

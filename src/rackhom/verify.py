@@ -231,14 +231,26 @@ def suite_word_identities():
 
 @_suite("coproduct")
 def suite_coproduct():
-    """Closed subset-sum formula == multiplicative coproduct, term by term,
-    on every e-word of length <= 4."""
+    """The closed formula that ``cup`` runs == the multiplicative coproduct,
+    term by term, on every e-word of length <= 4: the terms of the cup
+    stencils (p, q), p + q = n, summed per target tuple, each the tensor
+    (delete A) (x) (prefix . conjugating-delete A^c) with eps(A) = -1
+    exactly when ``negative`` differs from the parity of pq."""
     for spec in ("dihedral:3", "dihedral:4"):
-        rack = builtin(spec)
-        W = WordAlgebra(rack)
-        for ne in range(5):
-            for e in itertools.product(range(rack.size), repeat=ne):
-                yield W.coproduct_formula(e) == W.coproduct(W.eword(e)) or (
+        ctx = CupContext(builtin(spec))
+        W = ctx.algebra
+        for n in range(5):
+            sums = [{} for _ in ctx.basis(n).tuples]
+            for p in range(n + 1):
+                q = n - p
+                odd = bool(p * q & 1)
+                rights = ctx.basis(q).tuples
+                for left, row in zip(ctx.basis(p).tuples, ctx.stencil(p, q)[1]):
+                    for t, ri, prefix, negative in row:
+                        key = (((), left), (W.canonical_a_word(prefix), rights[ri]))
+                        _acc(sums[t], key, -1 if negative != odd else 1)
+            for e, terms in zip(ctx.basis(n).tuples, sums):
+                yield W.tensor(terms) == W.coproduct(W.eword(e)) or (
                     f"{spec}: formula != coproduct on {e}"
                 )
 

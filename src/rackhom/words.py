@@ -18,10 +18,11 @@ On top of the canonical form this module implements the structure maps:
 * ``d``      -- the degree -1 super-derivation with d(e[x]) = 1 - x, d(x) = 0
 * ``coproduct`` -- multiplicative, Delta(x) = x (x) x and
   Delta(e[x]) = e[x] (x) x + 1 (x) e[x], with Koszul signs in the tensor
-  product:  (a (x) b)(a' (x) b') = (-1)^{|b||a'|} aa' (x) bb'
-* ``coproduct_formula`` -- the closed sum over subsets with unshuffle signs
-  from ``complexes.coproduct_terms`` (the cup stencil's reference, not its
-  source); agrees with ``coproduct`` term by term (tested, not assumed)
+  product:  (a (x) b)(a' (x) b') = (-1)^{|b||a'|} aa' (x) bb'; the
+  ``coproduct`` suite checks it against the closed formula that the cup
+  product runs, its stencils
+* ``face_monomial`` / ``face_set`` -- the face maps on e-positions, which
+  ``d`` reads and the ``faces`` suite checks
 * ``tensor_flip`` -- the signed flip  tau(a (x) b) = (-1)^{|a||b|} b (x) a
 * ``h``      -- the degree +1 homotopy with h(e[x]) = e[x] (x) e[x] and
   h(ab) = h(a)Delta(b) + (-1)^{|a|} (tau Delta)(a) h(b)
@@ -34,8 +35,10 @@ e[x] (x) (1-x), which expands to (Delta - tau Delta)(e[x]).
 A monomial is a plain pair ``(a, e)`` of tuples of rack elements: the
 canonical a-word, then the e-word.  The ``terms`` of an element of B map
 such pairs to coefficients; those of B (x) B map pairs of them.  Group
-letters conjugate e-letters through ``Rack.right``; ``d`` keeps its own
-faces, independent of ``complexes.face`` (see that module).  Elements of B
+letters conjugate e-letters through ``Rack.right``.  This module reads
+nothing of the matrix side: ``d`` takes its faces from ``face_monomial``,
+independent of the face table that the boundary grows from, so that
+``project_to_chain(d(e_T)) == -bd(T)`` compares two codes.  Elements of B
 and of B (x) B share one arithmetic base class.
 
 Coefficients are exact (int by default, Fraction accepted); there is no
@@ -46,7 +49,6 @@ from __future__ import annotations
 
 import sys
 
-from .complexes import coproduct_terms, face, face_set, no_adjacent_equal
 from .errors import (
     IndexOutOfRange,
     NotAQuandle,
@@ -61,6 +63,10 @@ EMPTY = ((), ())  # the unit monomial
 # the most a-words that one exchange orbit may hold before the search for
 # its canonical form is refused (``OrbitLimitExceeded``)
 MAX_ORBIT = 10**6
+
+
+def no_adjacent_equal(t):
+    return all(a != b for a, b in zip(t, t[1:]))
 
 
 def _acc(acc, key, c):
@@ -243,13 +249,13 @@ class WordAlgebra:
         """Canonicalize a mixed word of ("g", x) / ("e", x) letters.
 
         Group letters move left past e-letters, conjugating them; the
-        rewrites are sign-free, so the returned sign is always +1 (the slot
-        exists for uniformity with the tensor routines).
+        rewrites are sign-free, so the result is one monomial.  Letter by
+        letter, it is the reference that the fast product is tested against.
 
         >>> from rackhom.racks import dihedral_rack
         >>> W = WordAlgebra(dihedral_rack(3))
         >>> W.canonicalize([("g", 0), ("e", 1), ("g", 2), ("e", 0)])
-        (1, ((0, 2), (0, 0)))
+        ((0, 2), (0, 0))
         """
         op = self.rack.table
         a_word = []
@@ -264,7 +270,7 @@ class WordAlgebra:
                 e_word.append(x)
             else:
                 raise ValueError(f"unknown letter kind {kind!r}")
-        return 1, (self.canonical_a_word(tuple(a_word)), tuple(e_word))
+        return self.canonical_a_word(tuple(a_word)), tuple(e_word)
 
     def mon_mul(self, m1: tuple, m2: tuple) -> tuple:
         """Product of canonical monomials (again a single monomial)."""
@@ -330,13 +336,11 @@ class WordAlgebra:
         if t is not None:
             return t
         t = {}
-        a, e = m
-        right = self.rack.right
-        for i, x in enumerate(e):
-            s = 1 if i % 2 == 0 else -1
-            _acc(t, (a, e[:i] + e[i + 1 :]), s)
-            conj = tuple(map(right[x].__getitem__, e[:i]))
-            _acc(t, (self.canonical_a_word(a + (x,)), conj + e[i + 1 :]), -s)
+        face = self.face_monomial
+        for i in range(1, len(m[1]) + 1):
+            s = -1 if i % 2 == 0 else 1
+            _acc(t, face(m, i, 0), s)
+            _acc(t, face(m, i, 1), -s)
         memo[m] = t
         return t
 
@@ -425,20 +429,24 @@ class WordAlgebra:
                     del out[k]
         return TensorElement._of(self, out)
 
-    # -- closed coproduct formula ---------------------------------------------
+    # -- face maps ------------------------------------------------------------
 
     def face_monomial(self, m: tuple, i: int, eps: int) -> tuple:
-        """Face map on e-positions, promoted to canonical monomials.
+        """Face map on e-positions, on canonical monomials.
 
         ``eps=0`` deletes e-position ``i`` (1-based); ``eps=1`` deletes it,
         conjugates every e-letter to its left by the deleted letter, and
         appends the deleted letter to the group-like prefix.
         """
         a, e = m
-        x, e = face(e, i, eps, self.rack)
-        if x is None:
-            return a, e
-        return self.canonical_a_word(a + (x,)), e
+        if not 1 <= i <= len(e):
+            raise IndexOutOfRange(f"face index {i} for degree {len(e)}")
+        j = i - 1
+        if eps == 0:
+            return a, e[:j] + e[i:]
+        x = e[j]
+        conj = tuple(map(self.rack.right[x].__getitem__, e[:j]))
+        return self.canonical_a_word(a + (x,)), conj + e[i:]
 
     def face_set(self, m: tuple, indices, eps: int) -> tuple:
         """Composite face over an index set, largest index first.
@@ -447,22 +455,9 @@ class WordAlgebra:
         satisfy the cube-set exchange identities); largest-first keeps the
         original indices valid.
         """
-        prefix, e = face_set(m[1], indices, eps, self.rack)
-        return self.canonical_a_word(m[0] + prefix), e
-
-    def coproduct_formula(self, e: tuple[int, ...]) -> TensorElement:
-        """Closed form of the coproduct of the pure e-word ``e``.
-
-        Sums ``complexes.coproduct_terms`` over every size of ``A``: the term
-        for ``A`` is (delete A) (x) (delete-and-conjugate the complement),
-        weighted by the unshuffle signature of ``A`` times (-1)^{|A| |A^c|}.
-        """
-        out = {}
-        canon = self.canonical_a_word
-        for q in range(len(e) + 1):
-            for left, prefix, right, eps in coproduct_terms(e, q, self.rack):
-                _acc(out, (((), left), (canon(prefix), right)), eps)
-        return TensorElement._of(self, out)
+        for i in sorted(indices, reverse=True):
+            m = self.face_monomial(m, i, eps)
+        return m
 
     # -- homotopy ---------------------------------------------------------------
 

@@ -13,9 +13,8 @@ import pytest
 
 from rackhom import verify
 from rackhom.cli import main
-from rackhom import words
-from rackhom.complexes import boundary_matrix, coproduct_terms
-from rackhom.cup import cup
+from rackhom.complexes import boundary_matrix
+from rackhom.cup import CupContext, cup
 from rackhom.linalg import SparseMat
 from rackhom.racks import builtin, xset_self, xset_singleton
 from rackhom.verify import (
@@ -32,6 +31,7 @@ from rackhom.verify import (
     suite_word_identities,
 )
 from rackhom.words import WordAlgebra
+from test_mutants import _stencil_mutant
 
 # the passing check count of every suite, as the benchmark pins it
 REFERENCES = Path(__file__).resolve().parents[1] / "perfbench" / "references.json"
@@ -167,7 +167,9 @@ FAILURES = [
      "trivial:1 [rack,trivial]: d_1 d_2 != 0", 1),
     (suite_word_identities, WordAlgebra, "d", lambda self, u: u,
      "trivial:3: d^2 != 0 on 1", 1),
-    (suite_coproduct, WordAlgebra, "coproduct_formula", lambda self, e: self.tensor({}),
+    # every sign of the cup stencils flipped: the empty word's 1 (x) 1 already
+    (suite_coproduct, CupContext, "stencil",
+     _stencil_mutant(lambda p, q, t, g, prefix, negative: (t, g, prefix, not negative)),
      "dihedral:3: formula != coproduct on ()", 1),
     # the 13 group-like monomials of trivial:3 pass: Delta - tau Delta vanishes on them
     (suite_homotopy, WordAlgebra, "h", lambda self, u: self.tensor({}),
@@ -201,18 +203,15 @@ def test_broken_component_fails_its_suite(monkeypatch, suite, target, attr,
 
 
 def test_flipped_coproduct_sign_fails_the_coproduct_suite(monkeypatch):
-    """The word engine's closed formula reads ``coproduct_terms`` and is
-    checked against the multiplicative coproduct, so one wrong sign in the
-    enumeration fails the ``coproduct`` suite.  (The cup stencil grows from
-    the face table instead; ``coproduct_terms`` is its reference in
-    ``test_cup``, and a sign slip in it is a mutant in ``test_mutants``.)"""
+    """The ``coproduct`` suite sums the stencils that ``cup`` runs and
+    compares them with the multiplicative coproduct, so one wrong sign in one
+    stencil term fails it: here the term of the target e[0] in the stencil
+    (0, 1), whose subset is A = {1}."""
 
-    def flipped(t, q, rack):
-        # the term of A = {1} among the subsets of size 1 changes sign
-        for k, (left, prefix, right, eps) in enumerate(coproduct_terms(t, q, rack)):
-            yield left, prefix, right, -eps if (q, k) == (1, 0) else eps
+    def flip(p, q, t, g, prefix, negative):
+        return t, g, prefix, negative != ((p, q, t) == (0, 1, 0))
 
-    monkeypatch.setattr(words, "coproduct_terms", flipped)
+    monkeypatch.setattr(CupContext, "stencil", _stencil_mutant(flip))
     result = suite_coproduct()
     assert (result.passed, result.witness, result.checks) == (
         False, "dihedral:3: formula != coproduct on (0,)", 2)

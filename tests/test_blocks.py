@@ -1,6 +1,9 @@
 """The rack and quandle complexes reduced one orbit block at a time
 (``RackComplex``), against the whole complex and against Etingof--Grana's
-Betti numbers."""
+Betti numbers, on the builtins and on every rack of order <= 4."""
+
+import functools
+import itertools
 
 import pytest
 
@@ -8,7 +11,15 @@ from rackhom import complexes
 from rackhom.complexes import RackComplex, _isomorphic, _orbit_sets, boundary_matrix
 from rackhom.errors import DimensionOverflow, ShapeError
 from rackhom.linalg import ChainComplex
-from rackhom.racks import builtin, orbits, trivial_rack, validate_xset, xset_self, xset_singleton
+from rackhom.racks import (
+    builtin,
+    orbits,
+    trivial_rack,
+    validate_rack,
+    validate_xset,
+    xset_self,
+    xset_singleton,
+)
 from rackhom.rings import GF, QQ, ZZ
 from rackhom.verify import BUILTIN_SPECS
 from test_linalg import fresh_all
@@ -49,6 +60,87 @@ def test_blocks_match_the_whole_complex(spec, quandle=False):
 def test_quandle_blocks_match_the_whole_complex(spec):
     """The same on the quandle complex of every builtin quandle."""
     test_blocks_match_the_whole_complex(spec, quandle=True)
+
+
+# --- every rack of order <= 4 ------------------------------------------------
+
+
+def least_relabelling(table):
+    """The least of the tables pi(x) <| pi(y) = pi(x <| y) over every
+    relabelling pi, rows compared in order: one table per isomorphism class."""
+    n = len(table)
+    best = None
+    for pi in itertools.permutations(range(n)):
+        relabelled = [[0] * n for _ in range(n)]
+        for x in range(n):
+            for y in range(n):
+                relabelled[pi[x]][pi[y]] = pi[table[x][y]]
+        best = min(best or relabelled, relabelled)
+    return tuple(map(tuple, best))
+
+
+@functools.cache
+def racks_of_order(n):
+    """Every rack on 0..n-1 up to isomorphism, by its least relabelled table,
+    in increasing order of that table.  Backtracks over the right
+    translations s_y(x) = x <| y, a permutation each, keeping R2,
+    s_z s_y = s_{s_z(y)} s_z, on every triple y, z, s_z(y) once all three are
+    assigned."""
+    perms = list(itertools.permutations(range(n)))
+    s = [None] * n
+    found = set()
+
+    def extend(k):
+        if k == n:
+            found.add(least_relabelling([[s[y][x] for y in range(n)] for x in range(n)]))
+            return
+        for perm in perms:
+            s[k] = perm
+            if all(s[z][s[y][x]] == s[w][s[z][x]]
+                   for y in range(k + 1) for z in range(k + 1)
+                   if (w := s[z][y]) <= k and k in (y, z, w) for x in range(n)):
+                extend(k + 1)
+        s[k] = None
+
+    extend(0)
+    return [validate_rack(table, f"rack {n}.{i}") for i, table in enumerate(sorted(found))]
+
+
+def test_the_racks_of_order_at_most_4():
+    """1, 2, 6 and 19 racks up to isomorphism, 1, 1, 3 and 7 of them quandles;
+    each builtin of order <= 4 is one of them."""
+    corpus = [racks_of_order(n) for n in range(1, 5)]
+    assert [len(racks) for racks in corpus] == [1, 2, 6, 19]
+    assert [sum(r.is_quandle() for r in racks) for racks in corpus] == [1, 1, 3, 7]
+    tables = {r.table for racks in corpus for r in racks}
+    assert len(tables) == 28 and all(least_relabelling(t) == t for t in tables)
+    for spec in BUILTIN_SPECS:
+        rack = builtin(spec)
+        if rack.size <= 4:
+            assert least_relabelling(rack.table) in tables, spec
+
+
+@pytest.mark.parametrize("order", range(1, 5))
+def test_blocks_match_the_whole_complex_on_every_small_rack(order):
+    """Over Z, in both variants, through degree 3, homology and cohomology."""
+    for rack in racks_of_order(order):
+        for quandle in (False, True) if rack.is_quandle() else (False,):
+            whole = ChainComplex({n: boundary_matrix(rack, n, quandle=quandle)
+                                  for n in range(1, 5)}, ZZ)
+            blocks = RackComplex(rack, ZZ, 4, quandle=quandle)
+            for n in range(1, 4):
+                for group in ("homology", "cohomology"):
+                    assert getattr(blocks, group)(n) == getattr(whole, group)(n), \
+                        (rack.table, quandle, group, n)
+
+
+@pytest.mark.parametrize("order", range(1, 5))
+def test_rational_betti_numbers_of_every_small_rack(order):
+    """Etingof--Grana's b_n = |Orb(X)|^n over Q, through degree 4."""
+    for rack in racks_of_order(order):
+        blocks = RackComplex(rack, QQ, 5)
+        for n in range(1, 5):
+            assert blocks.homology(n).betti == len(orbits(rack)) ** n, (rack.table, n)
 
 
 @pytest.mark.parametrize("spec", BUILTIN_SPECS)

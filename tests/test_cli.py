@@ -267,12 +267,17 @@ def test_a_non_quandle_is_refused_before_the_cap(capsys):
 
 
 @pytest.mark.parametrize("argv, limit", [
-    (("homology", "--max-degree", "12"), "basis of degree 12 over size-3 rack exceeds cap 200000"),
-    (("ring", "--max-degree", "2", "--max-basis", "8"),
+    (("homology", "--builtin", "trivial:3", "--max-degree", "12"),
+     "basis of degree 12 over size-3 rack exceeds cap 200000"),
+    (("ring", "--builtin", "trivial:3", "--max-degree", "2", "--max-basis", "8"),
      "basis of degree 2 over size-3 rack exceeds cap 8"),
+    # trivial:1 has one tuple per degree, so no basis reaches the cap; the
+    # stencil (5, 7) of its degree-12 products has C(12, 7) = 792 terms
+    (("ring", "--builtin", "trivial:1", "--max-degree", "12", "--max-basis", "500"),
+     "cup stencil of degrees (5, 7) has 792 terms (1 tuples x 792 subsets), over the cap 500"),
 ])
 def test_the_basis_cap_message_names_the_flag(capsys, argv, limit):
-    code, out, err = run(capsys, *argv, "--builtin", "trivial:3")
+    code, out, err = run(capsys, *argv)
     assert (code, out) == (EXIT_RESOURCE, "")
     assert err == f"rackhom: resource limit: {limit}; --max-basis raises the cap\n"
 

@@ -9,7 +9,7 @@ from math import lcm
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from test_complexes import small_racks
+from test_complexes import _coproduct_terms_oracle, small_racks
 
 from rackhom.cli import main
 from rackhom.complexes import (
@@ -18,7 +18,6 @@ from rackhom.complexes import (
     boundary_matrix,
     cochain_differential,
     cochain_differential_matrix,
-    coproduct_terms,
     tuple_basis,
 )
 from rackhom.cup import (
@@ -272,6 +271,30 @@ def test_context_cap_reaches_every_basis():
     for product in (cup, cup_via_coproduct):
         with pytest.raises(ResourceLimit, match="basis of degree 2 .* exceeds cap 8"):
             product(f, f, ctx)
+
+
+def test_a_stencil_over_the_cap_is_refused_before_it_grows():
+    """The cap counts each stencil's terms, ntargets x C(p + q, q), not the
+    tuples of its basis (trivial:1 has one per degree) and not the terms of
+    every stencil the context holds."""
+    ctx = CupContext(T1, max_basis=500)
+    assert len(ctx.stencil(4, 8)[1][0]) == 495  # C(12, 8)
+    held = sum(len(row) for _, rows in ctx._stencils.values() for row in rows)
+    assert held > 500
+    message = (r"cup stencil of degrees \(5, 7\) has 792 terms "
+               r"\(1 tuples x 792 subsets\), over the cap 500")
+    f, g = (Cochain(k, QQ, [1]) for k in (5, 7))
+    for call in (lambda: ctx.stencil(5, 7), lambda: cup(f, g, ctx)):
+        with pytest.raises(DimensionOverflow, match=message):
+            call()
+    # refused before the stencils below it were built
+    assert (5, 6) not in ctx._stencils and (5, 7) not in ctx._stencils
+    # the quandle complex's count is a bound: dihedral:3's stencil (1, 2) has
+    # 12 x 3 = 36 by the count, and fewer terms
+    quandle = CupContext(R3, quandle=True, max_basis=36)
+    assert sum(map(len, quandle.stencil(1, 2)[1])) < 36
+    with pytest.raises(DimensionOverflow, match="has 36 terms"):
+        CupContext(R3, quandle=True, max_basis=35).stencil(1, 2)
 
 
 def test_ring_structure_passes_its_cap_to_the_cup_context(monkeypatch):
@@ -818,8 +841,9 @@ def test_module_cup_matches_coproduct_path_on_non_symmetric_tables(rack):
 
 
 def _fraction_cup(f, g, rack):
-    """The closed formula in Fraction arithmetic, straight from
-    ``coproduct_terms``: a reference for :func:`cup` on any coefficients."""
+    """The closed formula in Fraction arithmetic, straight from its
+    definition (``_coproduct_terms_oracle``): a reference for :func:`cup` on
+    any coefficients."""
     p, q = f.degree, g.degree
     fvals, gvals = _rational(f), _rational(g)
     fb, gb = tuple_basis(rack, p, f.quandle), tuple_basis(rack, q, f.quandle)
@@ -828,7 +852,7 @@ def _fraction_cup(f, g, rack):
     out = []
     for t in tuple_basis(rack, p + q, f.quandle).tuples:
         vec = [Fraction(0)] * (mf * mg)
-        for left, prefix, right, eps in coproduct_terms(t, q, rack):
+        for left, prefix, right, eps in _coproduct_terms_oracle(t, q, rack):
             if left in fb.index and right in gb.index:
                 sign = eps * (-1) ** (p * q)
                 for a in range(mf):
@@ -1022,9 +1046,9 @@ def test_homotopy_matches_fraction_reference(spec, quandle, with_module):
 @pytest.mark.parametrize("spec", BUILTIN_SPECS)
 def test_stencil_rows_match_the_coproduct_terms(spec):
     """Each stencil row, grown from the face table, holds the terms of the
-    closed formula that ``coproduct_terms`` enumerates tuple by tuple,
-    prefixes included, compared as multisets: the stencil's reference, as
-    ``face`` is the boundary's."""
+    closed formula taken tuple by tuple from its definition
+    (``_coproduct_terms_oracle``), prefixes included, compared as multisets:
+    the stencil's reference, as the word engine's faces are the boundary's."""
     rack = builtin(spec)
     for quandle in (False, True) if rack.is_quandle() else (False,):
         ctx = CupContext(rack, quandle=quandle)
@@ -1033,7 +1057,7 @@ def test_stencil_rows_match_the_coproduct_terms(spec):
             targets = tuple_basis(rack, p + q, quandle).tuples
             expected = [Counter() for _ in f_index]
             for t_idx, t in enumerate(targets):
-                for left, prefix, right, eps in coproduct_terms(t, q, rack):
+                for left, prefix, right, eps in _coproduct_terms_oracle(t, q, rack):
                     li, ri = f_index.get(left), g_index.get(right)
                     if li is not None and ri is not None:
                         expected[li][t_idx, ri, prefix, (eps < 0) != bool(p * q & 1)] += 1

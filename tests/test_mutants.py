@@ -163,7 +163,9 @@ MUTANTS = {
         [], [functools.partial(test_complexes.test_boundary_columns_pinned,
                                "conjugation:s3", "self", False),
              functools.partial(test_complexes.test_self_coefficients_shift_the_degree,
-                               "dihedral:3", 3)],
+                               "dihedral:3", 3),
+             functools.partial(test_blocks.test_blocks_match_the_whole_complex_on_every_small_rack,
+                               4)],
     ),
     "prefix-acts-by-the-right-action": (
         (XSet,), "left_word", left_word_by_the_right_action,
@@ -206,12 +208,12 @@ MUTANTS = {
     ),
     "cup-stencil-drops-the-global-sign": (
         (CupContext,), "stencil", stencil_without_the_global_sign,
-        ["cup", "commutativity"], [test_cup.test_cup_1_1_closed_formula,
-                                   test_cup.test_cup_equals_coproduct_path],
+        ["cup", "commutativity", "coproduct"],
+        [test_cup.test_cup_1_1_closed_formula, test_cup.test_cup_equals_coproduct_path],
     ),
     "cup-stencil-keeps-the-sign-when-the-last-position-joins-a": (
         (CupContext,), "stencil", stencil_without_the_flip_in_a,
-        ["cup", "commutativity"],
+        ["cup", "commutativity", "coproduct"],
         [functools.partial(test_cup.test_module_cup_matches_coproduct_path_on_non_symmetric_tables,
                            test_cup.R4),
          functools.partial(test_cup.test_stencil_rows_match_the_coproduct_terms, "dihedral:3")],
