@@ -302,8 +302,10 @@ def cmd_ring(args) -> int:
 
 def cmd_verify(args) -> int:
     t0 = time.perf_counter()
-    suites = run_suite(args.suite)
-    timings = {"total_s": round(time.perf_counter() - t0, 6)} if args.timings else None
+    seconds = {}
+    suites = run_suite(args.suite, seconds)
+    timings = {"total_s": round(time.perf_counter() - t0, 6),
+               "suites": seconds} if args.timings else None
     report = make_report(
         "verify", {"suite": args.suite}, f"verify:{args.suite}".encode(),
         suites=[s.as_dict() for s in suites], timings=timings,
@@ -360,7 +362,8 @@ def build_parser() -> _Parser:
     p_ver.add_argument("--suite", default="all",
                        help="one of: " + ", ".join(ALL_SUITES) + ", or all")
     p_ver.add_argument("--json", action="store_true")
-    p_ver.add_argument("--timings", action="store_true")
+    p_ver.add_argument("--timings", action="store_true",
+                       help="include wall-clock timings, in total and per suite")
     p_ver.set_defaults(func=cmd_verify)
     return parser
 

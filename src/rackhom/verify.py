@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import time
 
 from .complexes import (
     Cochain,
@@ -180,14 +181,16 @@ def suite_squarezero():
 
 
 def _word_identities(spec):
-    # one rack's checks; its algebra, memos and elements are freed when
-    # they end, before the next rack's algebra is built
+    """One rack's checks.  Each operand is computed once, before the checks
+    that read it: d(u) for d^2 and the coderivation, u and Delta(u) of each
+    prefixed factor for multiplicativity.  All is freed with the algebra."""
     rack = builtin(spec)
     W = WordAlgebra(rack)
     n = rack.size
     for u in _monomials(W, rack, 3, 2):
-        yield not W.d(W.d(u)) or f"{spec}: d^2 != 0 on {u!r}"
-        yield W.tensor_d(W.coproduct(u)) == W.coproduct(W.d(u)) or (
+        du = W.d(u)
+        yield not W.d(du) or f"{spec}: d^2 != 0 on {u!r}"
+        yield W.tensor_d(W.coproduct(u)) == W.coproduct(du) or (
             f"{spec}: coderivation fails on {u!r}"
         )
     # coderivation on pure e-words of length 4
@@ -202,16 +205,17 @@ def _word_identities(spec):
     prefix_pairs += [((x,), ()) for x in range(n)]
     prefix_pairs += [((), (x,)) for x in range(n)]
     prefix_pairs += [((x,), (y,)) for x in range(n) for y in range(n)]
+    factors = {(a, e): (u, W.coproduct(u)) for a in [()] + [(x,) for x in range(n)]
+               for e in ewords for u in [W.element({(a, e): 1})]}
     for e1 in ewords:
         for e2 in ewords:
             if len(e1) + len(e2) > 4:
                 continue
             for a1, a2 in prefix_pairs:
-                u = W.element({(a1, e1): 1})
-                v = W.element({(a2, e2): 1})
-                yield W.coproduct(u * v) == W.tensor_multiply(
-                    W.coproduct(u), W.coproduct(v)
-                ) or f"{spec}: Delta not multiplicative on {u!r} * {v!r}"
+                (u, cop_u), (v, cop_v) = factors[a1, e1], factors[a2, e2]
+                yield W.coproduct(u * v) == W.tensor_multiply(cop_u, cop_v) or (
+                    f"{spec}: Delta not multiplicative on {u!r} * {v!r}"
+                )
     # coassociativity on e-words <= 3 and a prefixed layer
     for ne in range(4):
         for e in itertools.product(range(n), repeat=ne):
@@ -256,23 +260,23 @@ def suite_coproduct():
 
 
 def _homotopy_identities(spec):
-    # one rack's checks, scoped like _word_identities
+    """One rack's checks, scoped like ``_word_identities``; the splitting
+    rule reads each e-word, its h, Delta and tau Delta from one table."""
     rack = builtin(spec)
     W = WordAlgebra(rack)
     n = rack.size
     op = rack.table
     for u in _monomials(W, rack, 3, 2):
         yield not W.homotopy_defect(u) or f"{spec}: homotopy identity fails on {u!r}"
-    for ne in range(5):
-        for e in itertools.product(range(n), repeat=ne):
-            for k in range(ne + 1):
-                ua, ub = W.eword(e[:k]), W.eword(e[k:])
-                sign = -1 if k % 2 else 1
-                lhs = W.h(ua * ub)
-                rhs = W.tensor_multiply(W.h(ua), W.coproduct(ub)) + sign * W.tensor_multiply(
-                    W.tensor_flip(W.coproduct(ua)), W.h(ub)
-                )
-                yield lhs == rhs or f"{spec}: splitting rule fails on {e} at {k}"
+    words = {e: (u, W.h(u), W.coproduct(u), W.tensor_flip(W.coproduct(u)))
+             for ne in range(5) for e in itertools.product(range(n), repeat=ne)
+             for u in [W.eword(e)]}
+    for e in words:
+        for k in range(len(e) + 1):
+            (ua, ha, _, flip_a), (ub, hb, cop_b, _) = words[e[:k]], words[e[k:]]
+            lhs = W.h(ua * ub)
+            rhs = W.tensor_multiply(ha, cop_b) + (-1) ** k * W.tensor_multiply(flip_a, hb)
+            yield lhs == rhs or f"{spec}: splitting rule fails on {e} at {k}"
     for x in range(n):
         for y in range(n):
             got = W.h(W.eword((x, y)))
@@ -301,12 +305,20 @@ def suite_homotopy():
 
 @_suite("faces")
 def suite_faces():
-    """Cube-set exchange identities up to length 5 and order-independence
-    of composite faces."""
+    """Cube-set exchange identities up to length 5, their second faces read
+    from one table per rack, and order-independence of composite faces."""
     for spec in ("dihedral:3", "dihedral:4", "cyclic:4"):
         rack = builtin(spec)
         W = WordAlgebra(rack)
         size = rack.size
+        second = {}
+
+        def face(m, i, eps):
+            f = second.get((m, i, eps))
+            if f is None:
+                f = second[m, i, eps] = W.face_monomial(m, i, eps)
+            return f
+
         for n in range(2, 6):
             for t in itertools.product(range(size), repeat=n):
                 m = ((), t)
@@ -316,8 +328,8 @@ def suite_faces():
                     for i in range(1, j):
                         for eps in (0, 1):
                             for eta in (0, 1):
-                                lhs = W.face_monomial(first[j, eta], i, eps)
-                                rhs = W.face_monomial(first[i, eps], j - 1, eta)
+                                lhs = face(first[j, eta], i, eps)
+                                rhs = face(first[i, eps], j - 1, eta)
                                 yield lhs == rhs or (
                                     f"{spec}: exchange fails at {t} i={i} j={j} "
                                     f"eps={eps} eta={eta}"
@@ -589,10 +601,15 @@ def suite_regression():
     yield (h.betti, h.torsion) == (0, (3,)) or f"quandle H_3(dihedral:3; Z) = {h.describe()}"
 
 
-def run_suite(spec: str):
-    """Run one suite by name, or every suite for ``all``."""
-    if spec == "all":
-        return [suite() for suite in ALL_SUITES.values()]
-    if spec not in ALL_SUITES:
+def run_suite(spec: str, seconds=None):
+    """Run one suite by name, or every suite for ``all``, each through
+    ``ALL_SUITES``; a dict ``seconds`` receives each suite's wall-clock time."""
+    if spec != "all" and spec not in ALL_SUITES:
         raise InvalidSpec(f"unknown suite {spec!r}; choose from {', '.join(ALL_SUITES)} or all")
-    return [ALL_SUITES[spec]()]
+    results = []
+    for name in ALL_SUITES if spec == "all" else [spec]:
+        t0 = time.perf_counter()
+        results.append(ALL_SUITES[name]())
+        if seconds is not None:
+            seconds[name] = round(time.perf_counter() - t0, 6)
+    return results

@@ -47,6 +47,7 @@ floating point, and an element combines only with its own kind.
 
 from __future__ import annotations
 
+import operator
 import sys
 
 from .errors import (
@@ -66,7 +67,7 @@ MAX_ORBIT = 10**6
 
 
 def no_adjacent_equal(t):
-    return all(a != b for a, b in zip(t, t[1:]))
+    return all(map(operator.ne, t, t[1:]))
 
 
 def _acc(acc, key, c):
@@ -445,8 +446,9 @@ class WordAlgebra:
         if eps == 0:
             return a, e[:j] + e[i:]
         x = e[j]
-        conj = tuple(map(self.rack.right[x].__getitem__, e[:j]))
-        return self.canonical_a_word(a + (x,)), conj + e[i:]
+        right = self.rack.right[x]
+        conj = tuple([right[t] for t in e[:j]])
+        return self.canonical_a_word(a + (x,)) if a else (x,), conj + e[i:]
 
     def face_set(self, m: tuple, indices, eps: int) -> tuple:
         """Composite face over an index set, largest index first.
@@ -491,9 +493,13 @@ class WordAlgebra:
 
     def homotopy_defect(self, u: BElement) -> TensorElement:
         """(d o h + h o d - coproduct + flipped coproduct)(u); zero on all of B."""
-        lhs = self.tensor_d(self.h(u)) + self.h(self.d(u))
-        delta = self.coproduct(u)
-        return lhs - delta + self.tensor_flip(delta)
+        out = self.tensor_d(self.h(u)).terms  # a fresh result's own dict
+        for k, c in self.h(self.d(u)).terms.items():
+            _acc(out, k, c)
+        for (l, r), c in self.coproduct(u).terms.items():
+            _acc(out, (l, r), -c)
+            _acc(out, (r, l), -c if len(l[1]) & len(r[1]) & 1 else c)
+        return TensorElement._of(self, out)
 
     # -- quandle quotient ---------------------------------------------------------
 

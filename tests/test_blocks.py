@@ -120,6 +120,14 @@ def test_the_racks_of_order_at_most_4():
             assert least_relabelling(rack.table) in tables, spec
 
 
+def test_the_racks_of_order_5():
+    """74 racks up to isomorphism, 22 of them quandles, as the enumerator
+    counts them; dihedral:5 is one of them."""
+    racks = racks_of_order(5)
+    assert (len(racks), sum(r.is_quandle() for r in racks)) == (74, 22)
+    assert least_relabelling(builtin("dihedral:5").table) in {r.table for r in racks}
+
+
 @pytest.mark.parametrize("order", range(1, 5))
 def test_blocks_match_the_whole_complex_on_every_small_rack(order):
     """Over Z, in both variants, through degree 3, homology and cohomology."""

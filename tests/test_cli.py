@@ -19,7 +19,7 @@ from rackhom.cli import (
     parse_rack_text,
     parse_xset_file,
 )
-from rackhom import cli, racks
+from rackhom import cli, racks, verify
 from rackhom.errors import ParseError, R1Violation
 from rackhom.racks import dihedral_rack
 from rackhom.rings import MAX_PRIME
@@ -553,6 +553,23 @@ def test_timings_opt_in(capsys):
                        "--max-degree", "2", "--json", "--timings")
     report = json.loads(out)
     assert report["timings"] is not None and "total_s" in report["timings"]
+
+
+def test_verify_timings_report_each_suite(capsys, monkeypatch):
+    """Each suite is timed as it runs through ``ALL_SUITES``, in order; a
+    report without ``--timings`` has none."""
+    called = []
+
+    def fake(name):
+        return lambda: called.append(name) or verify.SuiteResult(name, True, 1)
+
+    monkeypatch.setattr(verify, "ALL_SUITES", {"b": fake("b"), "a": fake("a")})
+    code, out, _ = run(capsys, "verify", "--json", "--timings")
+    timings = json.loads(out)["timings"]
+    assert (code, called, list(timings)) == (EXIT_OK, ["b", "a"], ["suites", "total_s"])
+    assert set(timings["suites"]) == {"a", "b"}
+    code, out, _ = run(capsys, "verify", "--suite", "a", "--json")
+    assert (called[2:], json.loads(out)["timings"]) == (["a"], None)
 
 
 def test_crlf_rack_file_digest_is_of_its_bytes(capsys, tmp_path):
