@@ -200,10 +200,16 @@ def _scalar_json(v):
 
 def make_report(command, options, source: bytes, results=None, suites=None,
                 timings=None):
-    import hashlib  # here, not at start-up: it loads OpenSSL, about 2 MB of RSS
+    try:  # CPython's own sha256, here, not at start-up; hashlib loads OpenSSL
+        from _sha2 import sha256  # Python 3.12+
+    except ImportError:
+        try:
+            from _sha256 import sha256
+        except ImportError:
+            from hashlib import sha256
     return {
         "version": __version__,
-        "input_sha": hashlib.sha256(source).hexdigest(),
+        "input_sha": sha256(source).hexdigest(),
         "command": {"name": command, "options": options},
         "results": results or [],
         "suites": suites or [],

@@ -105,14 +105,19 @@ def _monomials(W, rack, max_e, max_prefix):
                     yield W.element({(a, e): 1})
 
 
-def coassociativity_defect(W: WordAlgebra, u):
+def coassociativity_defect(W: WordAlgebra, u, deltas: dict):
     """(Delta (x) 1) Delta(u) minus (1 (x) Delta) Delta(u) as a dict of
-    monomial triples; Delta is even, so no Koszul signs appear."""
+    monomial triples; Delta is even, so no Koszul signs appear.  ``deltas``,
+    a dict from monomials to the terms of their Delta, is read and filled
+    for each factor, so that calls sharing it build each factor's once."""
     out: dict = {}
     for (l, r), c in W.coproduct(u).terms.items():
-        for (a, b), c2 in W.coproduct(W.element({l: 1})).terms.items():
+        for m in (l, r):
+            if m not in deltas:
+                deltas[m] = W.coproduct(W.element({m: 1})).terms
+        for (a, b), c2 in deltas[l].items():
             _acc(out, (a, b, r), c * c2)
-        for (a, b), c2 in W.coproduct(W.element({r: 1})).terms.items():
+        for (a, b), c2 in deltas[r].items():
             _acc(out, (l, a, b), -c * c2)
     return out
 
@@ -183,7 +188,8 @@ def suite_squarezero():
 def _word_identities(spec):
     """One rack's checks.  Each operand is computed once, before the checks
     that read it: d(u) for d^2 and the coderivation, u and Delta(u) of each
-    prefixed factor for multiplicativity.  All is freed with the algebra."""
+    prefixed factor for multiplicativity, and Delta of each factor of the
+    coassociativity checks on first use.  All is freed with the algebra."""
     rack = builtin(spec)
     W = WordAlgebra(rack)
     n = rack.size
@@ -217,11 +223,12 @@ def _word_identities(spec):
                     f"{spec}: Delta not multiplicative on {u!r} * {v!r}"
                 )
     # coassociativity on e-words <= 3 and a prefixed layer
+    deltas = {}
     for ne in range(4):
         for e in itertools.product(range(n), repeat=ne):
             for a in [(), (0,)]:
                 u = W.element({(a, e): 1})
-                yield not coassociativity_defect(W, u) or (
+                yield not coassociativity_defect(W, u, deltas) or (
                     f"{spec}: coassociativity fails on {u!r}"
                 )
 
@@ -305,31 +312,30 @@ def suite_homotopy():
 
 @_suite("faces")
 def suite_faces():
-    """Cube-set exchange identities up to length 5, their second faces read
-    from one table per rack, and order-independence of composite faces."""
+    """Cube-set exchange identities up to length 5, the faces of each first
+    face read from one table per rack, and order-independence of composite
+    faces."""
     for spec in ("dihedral:3", "dihedral:4", "cyclic:4"):
         rack = builtin(spec)
         W = WordAlgebra(rack)
         size = rack.size
-        second = {}
+        table = {}  # first-face monomial -> all of its faces
 
-        def face(m, i, eps):
-            f = second.get((m, i, eps))
-            if f is None:
-                f = second[m, i, eps] = W.face_monomial(m, i, eps)
-            return f
+        def faces(m):
+            return {(k, eps): W.face_monomial(m, k, eps)
+                    for k in range(1, len(m[1]) + 1) for eps in (0, 1)}
 
         for n in range(2, 6):
             for t in itertools.product(range(size), repeat=n):
-                m = ((), t)
-                first = {(k, eps): W.face_monomial(m, k, eps)
-                         for k in range(1, n + 1) for eps in (0, 1)}
+                first = faces(((), t))
+                second = {key: table.get(f) or table.setdefault(f, faces(f))
+                          for key, f in first.items()}
                 for j in range(2, n + 1):
                     for i in range(1, j):
                         for eps in (0, 1):
                             for eta in (0, 1):
-                                lhs = face(first[j, eta], i, eps)
-                                rhs = face(first[i, eps], j - 1, eta)
+                                lhs = second[j, eta][i, eps]
+                                rhs = second[i, eps][j - 1, eta]
                                 yield lhs == rhs or (
                                     f"{spec}: exchange fails at {t} i={i} j={j} "
                                     f"eps={eps} eta={eta}"

@@ -183,8 +183,9 @@ class WordAlgebra:
     """All structure maps of the bialgebra of a fixed rack.
 
     A single instance owns every memo, none of them global: the
-    canonicalization memo, the table of ``d`` on monomials, and the
-    coproduct and homotopy tables of pure e-words.  A ``CupContext`` or a
+    canonicalization memo, the conjugation table ``_conj[y]`` (e-word to
+    its conjugate by the letter y), the table of ``d`` on monomials, and
+    the coproduct and homotopy tables of pure e-words.  A ``CupContext`` or a
     verify suite builds one instance per rack, so the memos live as long
     as it does.  Memo values are read, never handed out: every result is a
     fresh element.  They are pure values, so sharing an instance across
@@ -194,6 +195,7 @@ class WordAlgebra:
     def __init__(self, rack: Rack):
         self.rack = rack
         self._canon: dict[tuple, tuple] = {}
+        self._conj: list[dict] = [{} for _ in range(rack.size)]
         self._d_memo: dict[tuple, dict] = {}
         self._delta_memo: dict[tuple, dict] = {}
         self._h_memo: dict[tuple, dict] = {}
@@ -280,13 +282,18 @@ class WordAlgebra:
         if not a2:  # a1 is canonical already
             return a1, e1 + e2
         if e1:
-            right = self.rack.right
-            for y in a2:
-                e1 = tuple(map(right[y].__getitem__, e1))
+            conj = self._conj
+            for y in a2:  # e1 is not empty, so a table hit is truthy
+                e1 = conj[y].get(e1) or self._conjugate(e1, y)
         elif not a1:
             return m2
         a = a1 + a2  # not empty, so a memo hit is truthy
         return self._canon.get(a) or self.canonical_a_word(a), e1 + e2
+
+    def _conjugate(self, e, y):
+        # e <| y letter by letter (t -> t <| y), on a miss of the table _conj[y]
+        c = self._conj[y][e] = tuple(map(self.rack.right[y].__getitem__, e))
+        return c
 
     # -- element constructors ------------------------------------------------
 
@@ -445,10 +452,9 @@ class WordAlgebra:
         j = i - 1
         if eps == 0:
             return a, e[:j] + e[i:]
-        x = e[j]
-        right = self.rack.right[x]
-        conj = tuple([right[t] for t in e[:j]])
-        return self.canonical_a_word(a + (x,)) if a else (x,), conj + e[i:]
+        x, head = e[j], e[:j]
+        return (self.canonical_a_word(a + (x,)) if a else (x,),
+                (self._conj[x].get(head) or self._conjugate(head, x)) + e[i:])
 
     def face_set(self, m: tuple, indices, eps: int) -> tuple:
         """Composite face over an index set, largest index first.

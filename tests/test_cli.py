@@ -587,6 +587,29 @@ def test_crlf_rack_file_digest_is_of_its_bytes(capsys, tmp_path):
     assert report["results"] == json.loads(out_lf)["results"]
 
 
+def test_report_digest_is_sha256_without_openssl(capsys, tmp_path):
+    """``input_sha`` is the sha256 of the builtin spec or of the file's
+    bytes, from CPython's own sha256 module: a report job loads neither
+    hashlib nor ``_hashlib`` (OpenSSL)."""
+    path = tmp_path / "r.txt"
+    path.write_bytes(R3_TEXT.encode())
+    for source, data in ((["--builtin", "dihedral:3"], b"builtin:dihedral:3"),
+                         (["--rack", str(path)], R3_TEXT.encode())):
+        code, out, _ = run(capsys, "homology", *source, "--max-degree", "1", "--json")
+        assert (code, json.loads(out)["input_sha"]) == (EXIT_OK, hashlib.sha256(data).hexdigest())
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    code = ("import sys\n"
+            "from rackhom.cli import main\n"
+            "main(['homology', '--builtin', 'dihedral:3', '--max-degree', '1', '--json'])\n"
+            "print(*sorted({'hashlib', '_hashlib'} & set(sys.modules)), file=sys.stderr)\n")
+    proc = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True,
+                          env=env, timeout=60, check=True)
+    assert json.loads(proc.stdout)["input_sha"] == hashlib.sha256(b"builtin:dihedral:3").hexdigest()
+    assert proc.stderr == "\n"
+
+
 def test_rack_file_read_once(capsys, tmp_path, monkeypatch):
     path = tmp_path / "bad"
     path.write_bytes(b"rack 3\r\n0 2 1\r\n\xc3\n")

@@ -37,6 +37,7 @@ RANK = linalg.rank
 # ``ChainComplex`` reads the reductions from ``linalg``, and ``test_linalg``
 # imports them by name, so a reduction mutant is patched in both
 REDUCTIONS = (linalg, test_linalg)
+INIT = WordAlgebra.__init__
 
 
 def prefix_action_not_canonical(self, a_word, tensor_terms, coeff, out):
@@ -55,6 +56,12 @@ def mon_mul_without_conjugation(self, m1, m2):
     (a1, e1), (a2, e2) = m1, m2
     a = a1 + a2
     return self.canonical_a_word(a), e1 + e2
+
+
+def one_conjugation_table_for_every_letter(self, rack):
+    # the conjugation table keyed by the e-word alone, shared across letters
+    INIT(self, rack)
+    self._conj = [{}] * rack.size
 
 
 def boundary_without_the_action(rack, n, quandle, right, max_basis):
@@ -157,6 +164,12 @@ MUTANTS = {
     "mon-mul-skips-conjugation": (
         (WordAlgebra,), "mon_mul", mon_mul_without_conjugation,
         ["words", "homotopy"], [test_words.test_mixed_relation],
+    ),
+    "conjugation-table-ignores-the-letter": (
+        (WordAlgebra,), "__init__", one_conjugation_table_for_every_letter,
+        ["words", "homotopy", "faces", "coproduct", "quandle"],
+        [functools.partial(test_words.test_conjugation_table_matches_the_letter_by_letter_references,
+                           "dihedral:3")],
     ),
     "boundary-ignores-the-coefficient-action": (
         (complexes,), "_boundary", boundary_without_the_action,

@@ -242,6 +242,40 @@ def test_mon_mul_fast_paths_match_canonicalize():
             assert W.mon_mul(m1, m2) == W.canonicalize(letters(m1) + letters(m2))
 
 
+def face_reference(W, m, i, eps):
+    """The face from the letters of ``m``: e-position i deleted, or for
+    eps = 1 replaced by its group letter, which ``canonicalize`` moves left
+    past the e-letters before it."""
+    word = letters(m)
+    k = len(m[0]) + i - 1
+    return W.canonicalize(word[:k] + [("g", word[k][1])] * eps + word[k + 1 :])
+
+
+@pytest.mark.parametrize("spec", ["dihedral:3", "cyclic:3"])
+def test_conjugation_table_matches_the_letter_by_letter_references(spec):
+    """``mon_mul`` and ``face_monomial`` read the conjugation table; on a
+    fresh algebra and again once the table is full, they agree with the
+    references, which conjugate letter by letter and fill no table."""
+    W = WordAlgebra(builtin(spec))
+    n = W.rack.size
+    words = [w for k in range(3) for w in itertools.product(range(n), repeat=k)]
+    monos = [W.monomial(a, e) for a in words for e in words]
+    faced = [W.monomial(a, e) for a in words[: n + 1] for k in range(1, 5)
+             for e in itertools.product(range(n), repeat=k)]
+    products = {(m1, m2): W.canonicalize(letters(m1) + letters(m2))
+                for m1 in monos for m2 in monos}
+    faces = {(m, i, eps): face_reference(W, m, i, eps)
+             for m in faced for i in range(1, len(m[1]) + 1) for eps in (0, 1)}
+    assert not any(W._conj)
+    sizes = None
+    for _ in range(2):
+        assert {k: W.mon_mul(*k) for k in products} == products
+        assert {k: W.face_monomial(*k) for k in faces} == faces
+        assert sizes in (None, [len(t) for t in W._conj])
+        sizes = [len(t) for t in W._conj]
+    assert all(sizes)
+
+
 # --- coproduct --------------------------------------------------------------
 
 
@@ -299,8 +333,8 @@ def test_closed_formula_equals_multiplicative_len3():
 
 def test_coassociativity_includes_prefixes():
     for e in itertools.product(range(3), repeat=3):
-        assert not coassociativity_defect(W3, W3.eword(e))
-        assert not coassociativity_defect(W3, W3.element({((1,), e): 1}))
+        assert not coassociativity_defect(W3, W3.eword(e), {})
+        assert not coassociativity_defect(W3, W3.element({((1,), e): 1}), {})
 
 
 # --- tensor operations -------------------------------------------------------
