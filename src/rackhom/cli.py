@@ -114,9 +114,9 @@ def _read(path: str) -> bytes:
 
 
 def _decode(data: bytes) -> str:
-    """UTF-8 text with its newlines translated as a read in text mode would."""
+    """UTF-8 text less a byte-order mark, newlines translated as in text mode."""
     try:
-        text = data.decode("utf-8")
+        text = data.decode("utf-8-sig")
     except UnicodeDecodeError as err:
         raise ParseError(f"not UTF-8 text ({err.reason})") from None
     return text.replace("\r\n", "\n").replace("\r", "\n")

@@ -73,10 +73,11 @@ from .words import WordAlgebra
 class CupContext(Record):
     """Shared data for cup-product computations over one rack in one
     variant, each built on first use and owned by the instance: the word
-    algebra, the tuple bases, the face stencils of the closed formula, and
-    the integer coboundary matrices of :meth:`coboundary`.  None of them
-    reads a ring or a coefficient set: a cochain carries its own, so one
-    context serves cochains over every ring with every pair of rack-sets.
+    algebra, the tuple bases, the face stencils of the closed formula, the
+    pairing tables of the coproduct path and the homotopy, and the integer
+    coboundary matrices of :meth:`coboundary`.  None of them reads a ring or
+    a coefficient set: a cochain carries its own, so one context serves
+    cochains over every ring with every pair of rack-sets.
     ``max_basis`` caps every tuple basis, coboundary and stencil the context
     builds.
     Equality reads the three fields; the algebra and the cached data are
@@ -84,7 +85,7 @@ class CupContext(Record):
     """
 
     _fields = ("rack", "quandle", "max_basis")
-    __slots__ = _fields + ("algebra", "_bases", "_stencils", "_coboundaries")
+    __slots__ = _fields + ("algebra", "_bases", "_stencils", "_pairings", "_coboundaries")
 
     def __init__(self, rack: Rack, *, quandle: bool = False, max_basis: int = DEFAULT_MAX_BASIS):
         if quandle and not rack.is_quandle():
@@ -95,6 +96,7 @@ class CupContext(Record):
         self.algebra = WordAlgebra(rack)
         self._bases = {}
         self._stencils = {}
+        self._pairings = {}
         self._coboundaries = {}
 
     def basis(self, n):
@@ -165,6 +167,22 @@ class CupContext(Record):
             self._stencils[key] = (ntargets, rows)
         return self._stencils[key]
 
+    def pairing(self, structure_map, n, p, q):
+        """The bidegree-``(p, q)`` terms of ``structure_map(e_t)``, a row per
+        degree-``n`` basis tuple t, for a word-engine map into B (x) B such as
+        ``algebra.coproduct``; built once per map and degrees.  A row lists
+        ``(f index, f prefix, g index, g prefix, coeff)`` of the terms whose
+        e-words are basis tuples: a filter of the map's memo, no larger."""
+        key = (structure_map, n, p, q)
+        if key not in self._pairings:
+            f_index, g_index = self.basis(p).index, self.basis(q).index
+            self._pairings[key] = [  # stored whole: a refused basis leaves no table
+                [(f_index[fe], fa, g_index[ge], ga, c)
+                 for ((fa, fe), (ga, ge)), c in structure_map(self.algebra.eword(t)).terms.items()
+                 if fe in f_index and ge in g_index]
+                for t in self.basis(n).tuples]
+        return self._pairings[key]
+
     def coboundary(self, p, module=None) -> SparseMat:
         """The integer :func:`~rackhom.complexes.cochain_differential_matrix`
         of d*^p in the context's variant, with coefficients in ``module``, to
@@ -182,12 +200,9 @@ class CupContext(Record):
         return apply_coboundary(self.coboundary(f.degree, f.module), f)
 
 
-def _value(values, basis_index, tuple_, prefix, module, mdim):
-    """Evaluate a cochain's values on ``prefix . e_tuple`` as a dense module
-    vector (length 1 for trivial coefficients); None means the value is zero."""
-    idx = basis_index.get(tuple_)
-    if idx is None:
-        return None
+def _value(values, idx, prefix, module, mdim):
+    """A cochain's value on ``prefix . e_t``, t its basis tuple ``idx``, as
+    a dense module vector (length 1 for trivial coefficients)."""
     vec = values[idx * mdim : (idx + 1) * mdim]
     if module is None or not prefix:
         return vec
@@ -243,27 +258,25 @@ def _product(f, g, ctx, n, values) -> Cochain:
 def _pair_cochain(f, g, ctx, n, structure_map, sign):
     """The degree-n cochain t -> sign * (f (x) g)(structure_map(e_t)), for a
     word-engine map into B (x) B such as ``W.coproduct`` or ``W.h``, on the
-    stored ints.  Only terms of bidegree (p, q) survive the pairing,
-    and on them the evaluation sign (-1)^{|g||left|} is the constant
-    (-1)^{pq}, folded with ``sign`` into ``negative``."""
+    stored ints.  Only the terms of bidegree (p, q), the context's
+    ``pairing`` table, survive, and on them the evaluation sign
+    (-1)^{|g||left|} is the constant (-1)^{pq}, folded with ``sign`` into
+    ``negative``."""
     p, q = f.degree, g.degree
-    f_index, g_index = ctx.basis(p).index, ctx.basis(q).index
     mf = f.module.size if f.module else 1
     mg = g.module.size if g.module else 1
     fvals, gvals = f.values, g.values
     negative = bool((p * q) & 1) != (sign < 0)
     values = []
-    for t in ctx.basis(n).tuples:
+    for row in ctx.pairing(structure_map, n, p, q):
+        if mf * mg == 1:  # one value each, which no prefix moves
+            v = sum([c * fvals[fi] * gvals[gi] for fi, _, gi, _, c in row])
+            values.append(-v if negative else v)
+            continue
         out = [0] * (mf * mg)
-        for ((fa, fe), (ga, ge)), c in structure_map(ctx.algebra.eword(t)).terms.items():
-            if len(fe) != p or len(ge) != q:
-                continue
-            fv = _value(fvals, f_index, fe, fa, f.module, mf)
-            if fv is None:
-                continue
-            gv = _value(gvals, g_index, ge, ga, g.module, mg)
-            if gv is None:
-                continue
+        for fi, fa, gi, ga, c in row:
+            fv = _value(fvals, fi, fa, f.module, mf)
+            gv = _value(gvals, gi, ga, g.module, mg)
             coeff = -c if negative else c
             for a in range(mf):
                 va = fv[a]

@@ -275,9 +275,9 @@ def _homotopy_identities(spec):
     op = rack.table
     for u in _monomials(W, rack, 3, 2):
         yield not W.homotopy_defect(u) or f"{spec}: homotopy identity fails on {u!r}"
-    words = {e: (u, W.h(u), W.coproduct(u), W.tensor_flip(W.coproduct(u)))
+    words = {e: (u, W.h(u), cop, W.tensor_flip(cop))
              for ne in range(5) for e in itertools.product(range(n), repeat=ne)
-             for u in [W.eword(e)]}
+             for u in [W.eword(e)] for cop in [W.coproduct(u)]}
     for e in words:
         for k in range(len(e) + 1):
             (ua, ha, _, flip_a), (ub, hb, cop_b, _) = words[e[:k]], words[e[k:]]
@@ -314,45 +314,46 @@ def suite_homotopy():
 def suite_faces():
     """Cube-set exchange identities up to length 5, the faces of each first
     face read from one table per rack, and order-independence of composite
-    faces."""
+    faces.
+
+    A monomial's faces are a list, face (k, eps) at index 2k - 2 + eps, and
+    the exchange checks read index pairs laid out once per length.  The
+    increasing-order composite over a subset of 1..4 extends that over the
+    subset without its largest index: one face per subset."""
+    # d_i^eps d_j^eta = d_{j-1}^eta d_i^eps for i < j <= n as list positions,
+    # then the witness's (i, j, eps, eta)
+    exchanges = {n: [(2 * j - 2 + eta, 2 * i - 2 + eps, 2 * j - 4 + eta, i, j, eps, eta)
+                     for j in range(2, n + 1) for i in range(1, j)
+                     for eps in (0, 1) for eta in (0, 1)] for n in range(2, 6)}
+    subsets = [[i + 1 for i in range(4) if bits >> i & 1] for bits in range(1 << 4)]
     for spec in ("dihedral:3", "dihedral:4", "cyclic:4"):
         rack = builtin(spec)
         W = WordAlgebra(rack)
         size = rack.size
         table = {}  # first-face monomial -> all of its faces
+        face = W.face_monomial
 
         def faces(m):
-            return {(k, eps): W.face_monomial(m, k, eps)
-                    for k in range(1, len(m[1]) + 1) for eps in (0, 1)}
+            return [face(m, k, eps) for k in range(1, len(m[1]) + 1) for eps in (0, 1)]
 
         for n in range(2, 6):
             for t in itertools.product(range(size), repeat=n):
-                first = faces(((), t))
-                second = {key: table.get(f) or table.setdefault(f, faces(f))
-                          for key, f in first.items()}
-                for j in range(2, n + 1):
-                    for i in range(1, j):
-                        for eps in (0, 1):
-                            for eta in (0, 1):
-                                lhs = second[j, eta][i, eps]
-                                rhs = second[i, eps][j - 1, eta]
-                                yield lhs == rhs or (
-                                    f"{spec}: exchange fails at {t} i={i} j={j} "
-                                    f"eps={eps} eta={eta}"
-                                )
+                second = [table.get(f) or table.setdefault(f, faces(f)) for f in faces(((), t))]
+                for jk, ik, jk_low, i, j, eps, eta in exchanges[n]:
+                    yield second[jk][ik] == second[ik][jk_low] or (
+                        f"{spec}: exchange fails at {t} i={i} j={j} eps={eps} eta={eta}"
+                    )
         # order-independence of composite faces over subsets of 1..4
         for t in itertools.product(range(size), repeat=4):
             m = ((), t)
-            for bits in range(1 << 4):
-                idx = [i + 1 for i in range(4) if bits >> i & 1]
+            chains = ([m], [m])  # per eps, by subset bits: faced in increasing order
+            for eps, chain in enumerate(chains):
+                for bits in range(1, 1 << 4):  # the rest deleted, last moved len(rest) left
+                    *rest, last = subsets[bits]
+                    chain.append(face(chain[bits ^ 1 << last - 1], last - len(rest), eps))
+            for bits, idx in enumerate(subsets):
                 for eps in (0, 1):
-                    desc = W.face_set(m, idx, eps)
-                    cur = m
-                    shift = 0
-                    for i in idx:  # increasing order with index shifts
-                        cur = W.face_monomial(cur, i - shift, eps)
-                        shift += 1
-                    yield desc == cur or (
+                    yield W.face_set(m, idx, eps) == chains[eps][bits] or (
                         f"{spec}: composite face order-dependent at {t} A={idx} eps={eps}"
                     )
 

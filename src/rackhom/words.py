@@ -452,8 +452,10 @@ class WordAlgebra:
         j = i - 1
         if eps == 0:
             return a, e[:j] + e[i:]
-        x, head = e[j], e[:j]
-        return (self.canonical_a_word(a + (x,)) if a else (x,),
+        if eps != 1:
+            raise IndexOutOfRange(f"face sign {eps} is not 0 or 1")
+        x, head = e[j], e[:j]  # a + (x,) is not empty, so a memo hit is truthy
+        return (self._canon.get(a + (x,)) or self.canonical_a_word(a + (x,)) if a else (x,),
                 (self._conj[x].get(head) or self._conjugate(head, x)) + e[i:])
 
     def face_set(self, m: tuple, indices, eps: int) -> tuple:
@@ -461,10 +463,13 @@ class WordAlgebra:
 
         The value does not depend on the application order (the face maps
         satisfy the cube-set exchange identities); largest-first keeps the
-        original indices valid.
+        original indices valid.  A repeated index is refused.
         """
+        last = None
         for i in sorted(indices, reverse=True):
-            m = self.face_monomial(m, i, eps)
+            if i == last:
+                raise IndexOutOfRange(f"face index {i} repeated")
+            m, last = self.face_monomial(m, i, eps), i
         return m
 
     # -- homotopy ---------------------------------------------------------------

@@ -587,6 +587,39 @@ def test_crlf_rack_file_digest_is_of_its_bytes(capsys, tmp_path):
     assert report["results"] == json.loads(out_lf)["results"]
 
 
+BOM = "\ufeff".encode()  # the UTF-8 byte-order mark, EF BB BF
+
+
+@pytest.mark.parametrize("shape", ["text", "json"])
+def test_rack_file_with_a_byte_order_mark(capsys, tmp_path, shape):
+    """A rack file saved with a UTF-8 byte-order mark reads as without it;
+    ``input_sha`` digests the file's bytes, the mark included."""
+    body = R3_TEXT if shape == "text" else json.dumps(
+        {"table": [list(row) for row in dihedral_rack(3).table]})
+    data = BOM + body.encode()
+    path = tmp_path / "r"
+    path.write_bytes(data)
+    code, out, err = run(capsys, "homology", "--rack", str(path), "--json")
+    assert (code, err) == (EXIT_OK, "")
+    report = json.loads(out)
+    assert report["input_sha"] == hashlib.sha256(data).hexdigest()
+    _, plain, _ = run(capsys, "homology", "--builtin", "dihedral:3", "--json")
+    assert report["results"] == json.loads(plain)["results"]
+
+
+def test_rack_set_file_with_a_byte_order_mark(capsys, tmp_path):
+    rack = dihedral_rack(3)
+    body = json.dumps({"act": [list(row) for row in rack.table]}).encode()
+    plain, marked = tmp_path / "x.json", tmp_path / "bom.json"
+    plain.write_bytes(body)
+    marked.write_bytes(BOM + body)
+    assert parse_xset_file(str(marked), rack).act == parse_xset_file(str(plain), rack).act
+    outputs = [run(capsys, "homology", "--builtin", "dihedral:3", "--max-degree", "2",
+                   "--coefficients", str(path)) for path in (plain, marked)]
+    assert outputs[0][0] == EXIT_OK
+    assert outputs[1] == outputs[0]
+
+
 def test_report_digest_is_sha256_without_openssl(capsys, tmp_path):
     """``input_sha`` is the sha256 of the builtin spec or of the file's
     bytes, from CPython's own sha256 module: a report job loads neither

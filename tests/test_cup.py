@@ -837,6 +837,51 @@ def test_module_cup_matches_coproduct_path_on_non_symmetric_tables(rack):
         assert fg.values == cup_via_coproduct(f, g, ctx).values
 
 
+@pytest.mark.parametrize("with_module", [False, True], ids=["trivial", "module"])
+def test_pairing_tables_give_what_a_fresh_context_gives(with_module):
+    """``cup_via_coproduct`` and ``homotopy_cochain`` read the context's
+    pairing tables, each built on first use: on dihedral:3, every (p, q)
+    with p + q <= 4 gives the same cochains from one context, before and
+    after its table is built, as from a fresh context."""
+    module = xset_self(R3) if with_module else None
+    ctx = CupContext(R3)
+    dim = module.size if module else 1
+    dense, cocycles = {}, {}
+    for p in range(5):
+        n = len(ctx.basis(p)) * dim
+        dense[p] = [Cochain(p, ZZ, [(7 * k + salt) % 5 - 2 for k in range(n)], module=module)
+                    for salt in (1, 3)]
+        kernel, _ = kernel_basis(ctx.coboundary(p, module), QQ)
+        cocycles[p] = [Cochain(p, ZZ, vec, module=module) for vec in kernel[:2]]
+        cocycles[p] += [Cochain(p, ZZ, [sum(col) for col in zip(*kernel)], module=module)]
+    nonzero = 0
+    for p in range(5):
+        for q in range(5 - p):
+            for product, factors in ((cup_via_coproduct, dense), (homotopy_cochain, cocycles)):
+                if product is homotopy_cochain and p + q == 0:
+                    continue
+                for f in factors[p]:
+                    for g in factors[q]:
+                        first = product(f, g, ctx)
+                        tables = dict(ctx._pairings)
+                        again = product(f, g, ctx)
+                        assert ctx._pairings == tables
+                        fresh = product(f, g, CupContext(R3))
+                        assert first == again == fresh
+                        nonzero += any(first.values)
+    assert len(ctx._pairings) == 15 + 14 and nonzero > 90
+
+
+def test_a_pairing_table_over_the_cap_is_refused_every_time():
+    # the factors' bases (9 tuples each) fit the cap; the target's 81 do not
+    ctx = CupContext(R3, max_basis=30)
+    f = Cochain(2, ZZ, [1] * 9)
+    for _ in range(2):
+        with pytest.raises(DimensionOverflow):
+            cup_via_coproduct(f, f, ctx)
+    assert not ctx._pairings
+
+
 # --- Q cochains as ints over one denominator, and the f-indexed stencil ----------
 
 

@@ -276,6 +276,24 @@ def test_conjugation_table_matches_the_letter_by_letter_references(spec):
     assert all(sizes)
 
 
+def test_face_sign_outside_zero_and_one_is_refused():
+    m = ((), (0, 1, 2))
+    assert W3.face_monomial(m, 2, 1) == ((1,), (R3.op(0, 1), 2))
+    for eps in (2, 7, -1):
+        with pytest.raises(IndexOutOfRange, match=f"^face sign {eps} is not 0 or 1$"):
+            W3.face_monomial(m, 2, eps)
+        with pytest.raises(IndexOutOfRange, match=f"^face sign {eps} is not 0 or 1$"):
+            W3.face_set(m, [1, 3], eps)
+
+
+@pytest.mark.parametrize("indices, repeated", [([3, 3], 3), ([1, 2, 1], 1), ((2, 3, 2, 3), 3)])
+def test_face_set_refuses_a_repeated_index(indices, repeated):
+    m = W3.monomial((1,), (0, 1, 2))
+    with pytest.raises(IndexOutOfRange, match=f"^face index {repeated} repeated$"):
+        W3.face_set(m, indices, 1)
+    assert W3.face_set(m, [3, 1], 0) == W3.face_set(m, [1, 3], 0) == ((1,), (1,))
+
+
 # --- coproduct --------------------------------------------------------------
 
 
