@@ -269,10 +269,6 @@ def _pair_cochain(f, g, ctx, n, structure_map, sign):
     negative = bool((p * q) & 1) != (sign < 0)
     values = []
     for row in ctx.pairing(structure_map, n, p, q):
-        if mf * mg == 1:  # one value each, which no prefix moves
-            v = sum([c * fvals[fi] * gvals[gi] for fi, _, gi, _, c in row])
-            values.append(-v if negative else v)
-            continue
         out = [0] * (mf * mg)
         for fi, fa, gi, ga, c in row:
             fv = _value(fvals, fi, fa, f.module, mf)

@@ -463,8 +463,11 @@ class WordAlgebra:
 
         The value does not depend on the application order (the face maps
         satisfy the cube-set exchange identities); largest-first keeps the
-        original indices valid.  A repeated index is refused.
+        original indices valid.  A repeated index, and a sign other than 0
+        or 1, are refused.
         """
+        if eps != 0 and eps != 1:
+            raise IndexOutOfRange(f"face sign {eps} is not 0 or 1")
         last = None
         for i in sorted(indices, reverse=True):
             if i == last:

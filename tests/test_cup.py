@@ -869,7 +869,7 @@ def test_pairing_tables_give_what_a_fresh_context_gives(with_module):
                         fresh = product(f, g, CupContext(R3))
                         assert first == again == fresh
                         nonzero += any(first.values)
-    assert len(ctx._pairings) == 15 + 14 and nonzero > 90
+    assert nonzero > 90
 
 
 def test_a_pairing_table_over_the_cap_is_refused_every_time():

@@ -284,6 +284,8 @@ def test_face_sign_outside_zero_and_one_is_refused():
             W3.face_monomial(m, 2, eps)
         with pytest.raises(IndexOutOfRange, match=f"^face sign {eps} is not 0 or 1$"):
             W3.face_set(m, [1, 3], eps)
+        with pytest.raises(IndexOutOfRange, match=f"^face sign {eps} is not 0 or 1$"):
+            W3.face_set(m, [], eps)
 
 
 @pytest.mark.parametrize("indices, repeated", [([3, 3], 3), ([1, 2, 1], 1), ((2, 3, 2, 3), 3)])
