@@ -261,7 +261,7 @@ def suite_coproduct():
                         key = (((), left), (W.canonical_a_word(prefix), rights[ri]))
                         _acc(sums[t], key, -1 if negative != odd else 1)
             for e, terms in zip(ctx.basis(n).tuples, sums):
-                yield W.tensor(terms) == W.coproduct(W.eword(e)) or (
+                yield terms == W.coproduct(W.eword(e)).terms or (
                     f"{spec}: formula != coproduct on {e}"
                 )
 

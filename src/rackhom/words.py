@@ -33,11 +33,12 @@ single letter, (dh + hd)(e[x]) = d(e[x] (x) e[x]) = (1-x) (x) e[x] -
 e[x] (x) (1-x), which expands to (Delta - tau Delta)(e[x]).
 
 A monomial is a plain pair ``(a, e)`` of tuples of rack elements: the
-canonical a-word, then the e-word.  The ``terms`` of an element of B map
-such pairs to coefficients; those of B (x) B map pairs of them.  Group
-letters conjugate e-letters through ``Rack.right``.  This module reads
-nothing of the matrix side: ``d`` takes its faces from ``face_monomial``,
-independent of the face table that the boundary grows from, so that
+canonical a-word, then the e-word.  An algebra gives each monomial it
+meets an int id; its elements key their terms by ids (pairs in B (x) B),
+and their ``terms`` by monomials, built when read.  Group letters
+conjugate e-letters through ``Rack.right``.  This module reads nothing of
+the matrix side: ``d`` takes its faces from ``face_monomial``, independent
+of the face table that the boundary grows from, so that
 ``project_to_chain(d(e_T)) == -bd(T)`` compares two codes.  Elements of B
 and of B (x) B share one arithmetic base class.
 
@@ -49,6 +50,7 @@ from __future__ import annotations
 
 import operator
 import sys
+from collections import defaultdict
 
 from .errors import (
     IndexOutOfRange,
@@ -59,7 +61,7 @@ from .errors import (
 from .racks import Rack
 
 
-EMPTY = ((), ())  # the unit monomial
+EMPTY = ((), ())  # the unit monomial, id 0 in every algebra
 
 # the most a-words that one exchange orbit may hold before the search for
 # its canonical form is refused (``OrbitLimitExceeded``)
@@ -78,14 +80,9 @@ def _acc(acc, key, c):
         del acc[key]
 
 
-def _flip_raw(t):
-    """The signed flip on a raw {(left, right): coeff} dict."""
-    out = {}
-    for (l, r), c in t.items():
-        if len(l[1]) & 1 and len(r[1]) & 1:
-            c = -c
-        _acc(out, (r, l), c)
-    return out
+def _flip(t, odd):
+    # the signed flip on {(left id, right id): coeff}; odd[id] is the e-word's parity
+    return {(r, l): -c if odd[l] & odd[r] else c for (l, r), c in t.items()}
 
 
 def _sort_key(term):
@@ -100,56 +97,49 @@ def _scalar(c):
 
 class _Element:
     """The arithmetic of elements of B and of B (x) B; a subclass supplies
-    ``_product``.  Elements over different racks do not combine."""
+    ``_rekey``.  ``_t`` holds the nonzero terms by id.
+    Elements over one rack combine, over different racks they do not."""
 
-    __slots__ = ("algebra", "terms")
+    __slots__ = ("algebra", "_t")
 
-    def __init__(self, algebra, terms):
-        self.algebra = algebra
-        self.terms = {k: c for k, c in terms.items() if c}
+    def __init__(self, algebra, t):
+        self.algebra, self._t = algebra, t
 
-    @classmethod
-    def _of(cls, algebra, terms):
-        # ``terms`` as given, unfiltered: accumulation never leaves a zero
-        u = object.__new__(cls)
-        u.algebra, u.terms = algebra, terms
-        return u
-
-    def _check(self, other):
-        if self.algebra.rack != other.algebra.rack:
-            raise RackMismatch("elements over different racks")
+    @property
+    def terms(self):  # keyed by monomials, a fresh dict
+        return self._rekey(self.algebra._mons.__getitem__)
 
     def __add__(self, other):
         if type(other) is not type(self):
             return NotImplemented
-        self._check(other)
-        out = dict(self.terms)
-        for k, c in other.terms.items():
+        out = dict(self._t)
+        for k, c in self.algebra._own(other).items():
             _acc(out, k, c)
-        return self._of(self.algebra, out)
+        return type(self)(self.algebra, out)
 
     def __sub__(self, other):
         return self + (-other)
 
     def __neg__(self):
-        return self._of(self.algebra, {k: -c for k, c in self.terms.items()})
+        return type(self)(self.algebra, {k: -c for k, c in self._t.items()})
 
     def __mul__(self, other):
-        if type(other) is type(self):
-            self._check(other)
-            return self._product(other)
+        if type(other) is type(self):  # the algebra's product of B or of B (x) B
+            W = self.algebra
+            return (W.multiply if type(self) is BElement else W.tensor_multiply)(self, other)
         if not _scalar(other):
             return NotImplemented
-        return type(self)(self.algebra, {k: c * other for k, c in self.terms.items()})
+        return type(self)(self.algebra, {k: c * other for k, c in self._t.items()} if other else {})
 
     __rmul__ = __mul__
 
-    def __eq__(self, other):
+    def __eq__(self, other):  # by ids within one algebra, by monomials across two
         return isinstance(other, type(self)) and (
-            (self.algebra.rack, self.terms) == (other.algebra.rack, other.terms))
+            self._t == other._t if self.algebra is other.algebra else
+            self.algebra.rack == other.algebra.rack and self.terms == other.terms)
 
     def __bool__(self):
-        return bool(self.terms)
+        return bool(self._t)
 
     def __repr__(self):
         return self.algebra.format_element(self)
@@ -160,14 +150,14 @@ class BElement(_Element):
 
     __slots__ = ()
 
-    def _product(self, other):
-        return self.algebra.multiply(self, other)
+    def _rekey(self, f):
+        return {f(i): c for i, c in self._t.items()}
 
     def __hash__(self):
         return hash(frozenset(self.terms.items()))
 
     def degrees(self):
-        return sorted({len(e) for _, e in self.terms})
+        return sorted({len(self.algebra._mons[i][1]) for i in self._t})
 
 
 class TensorElement(_Element):
@@ -175,30 +165,40 @@ class TensorElement(_Element):
 
     __slots__ = ()
 
-    def _product(self, other):
-        return self.algebra.tensor_multiply(self, other)
+    def _rekey(self, f):
+        return {(f(l), f(r)): c for (l, r), c in self._t.items()}
 
 
 class WordAlgebra:
     """All structure maps of the bialgebra of a fixed rack.
 
     A single instance owns every memo, none of them global: the
-    canonicalization memo, the conjugation table ``_conj[y]`` (e-word to
-    its conjugate by the letter y), the table of ``d`` on monomials, and
-    the coproduct and homotopy tables of pure e-words.  A ``CupContext`` or a
-    verify suite builds one instance per rack, so the memos live as long
-    as it does.  Memo values are read, never handed out: every result is a
-    fresh element.  They are pure values, so sharing an instance across
-    threads only ever repeats idempotent inserts.
+    canonicalization memo; the conjugation table ``_conj[y]`` (e-word to its
+    conjugate by the letter y); the monomial ids (``_mons`` id to monomial,
+    ``_ids`` back, ``_odd`` each id's e-word parity, ``_flat`` whether it has
+    no adjacent equal e-letters); the product table ``_prod[i][j]``, the id
+    of the product of ids i and j, filled through ``mon_mul``; ``_split``,
+    each id's prefix and e-word ids; and by id the tables of ``d`` on
+    monomials and of the coproduct and homotopy of pure e-words.  A
+    ``CupContext`` or a verify suite builds one instance per rack, so the
+    memos live as long as it does.  Memo values are read, never handed out:
+    every result is a fresh element.  Ids are given without a lock, so an
+    instance belongs to one thread.
     """
 
     def __init__(self, rack: Rack):
         self.rack = rack
         self._canon: dict[tuple, tuple] = {}
         self._conj: list[dict] = [{} for _ in range(rack.size)]
-        self._d_memo: dict[tuple, dict] = {}
-        self._delta_memo: dict[tuple, dict] = {}
-        self._h_memo: dict[tuple, dict] = {}
+        self._mons: list[tuple] = [EMPTY]
+        self._ids: dict[tuple, int] = {EMPTY: 0}
+        self._odd: list[int] = [0]
+        self._flat: list[bool] = []
+        self._prod: defaultdict[int, dict] = defaultdict(dict)
+        self._split: dict[int, tuple] = {}
+        self._d_memo: dict[int, dict] = {}
+        self._delta_memo: dict[int, dict] = {}
+        self._h_memo: dict[int, dict] = {}
 
     # -- canonical forms ----------------------------------------------------
 
@@ -295,61 +295,91 @@ class WordAlgebra:
         c = self._conj[y][e] = tuple(map(self.rack.right[y].__getitem__, e))
         return c
 
-    # -- element constructors ------------------------------------------------
+    # -- monomial ids and element constructors ------------------------------
+
+    def _id(self, m):
+        """The id of the canonical monomial ``m``, given on first sight."""
+        i = self._ids.get(m)
+        if i is None:
+            i = self._ids[m] = len(self._mons)
+            self._mons.append(m)
+            self._odd.append(len(m[1]) & 1)
+        return i
+
+    def _checked_id(self, m):
+        # the id of (a, e), canonicalized and range-checked unless it has one
+        i = self._ids.get(m)
+        return self._id(self.monomial(*m)) if i is None else i
+
+    def _mul(self, i, j):
+        # the product table's entry (i, j), filled through ``mon_mul`` on a miss
+        row = self._prod[i]
+        k = row.get(j)
+        if k is None:
+            k = row[j] = self._id(self.mon_mul(self._mons[i], self._mons[j]))
+        return k
+
+    def _own(self, x):
+        """The terms of the element ``x`` keyed by this algebra's ids."""
+        if x.algebra is self:
+            return x._t
+        if x.algebra.rack != self.rack:
+            raise RackMismatch("elements over different racks")
+        return x._rekey(lambda i: self._id(x.algebra._mons[i]))
 
     def zero(self):
         return BElement(self, {})
 
     def one(self):
-        return BElement(self, {EMPTY: 1})
+        return BElement(self, {0: 1})
 
     def gen(self, x):
         """The group-like generator of a rack element."""
-        return BElement(self, {(self._in_range((x,)), ()): 1})
+        return BElement(self, {self._id((self._in_range((x,)), ())): 1})
 
     def gen_e(self, x):
-        return BElement(self, {((), self._in_range((x,))): 1})
+        return self.eword((x,))
 
     def element(self, terms):
         out = {}
         for m, c in terms.items():
-            _acc(out, self.monomial(*m), c)
+            _acc(out, self._checked_id(m), c)
         return BElement(self, out)
 
     def eword(self, e_word):
-        return BElement._of(self, {((), self._in_range(tuple(e_word))): 1})
+        return BElement(self, {self._id(((), self._in_range(tuple(e_word)))): 1})
 
     def tensor(self, terms):
-        return TensorElement(self, dict(terms))
+        out = {}
+        for (l, r), c in terms.items():
+            _acc(out, (self._checked_id(l), self._checked_id(r)), c)
+        return TensorElement(self, out)
 
     # -- algebra / coalgebra maps --------------------------------------------
 
     def multiply(self, u: BElement, v: BElement) -> BElement:
-        u._check(v)
         out = {}
         get = out.get
-        mon_mul = self.mon_mul
-        for m1, c1 in u.terms.items():
-            for m2, c2 in v.terms.items():
-                k = mon_mul(m1, m2)
+        prod, mul, t2 = self._prod, self._mul, self._own(v)
+        for i, c1 in self._own(u).items():
+            row = prod[i]
+            for j, c2 in t2.items():
+                k = row[j] if j in row else mul(i, j)
                 out[k] = c = get(k, 0) + c1 * c2
                 if not c:
                     del out[k]
-        return BElement._of(self, out)
+        return BElement(self, out)
 
-    def _d_mono(self, m):
-        # d of one monomial as {monomial: coeff}, from the table; read only
-        memo = self._d_memo
-        t = memo.get(m)
-        if t is not None:
-            return t
-        t = {}
-        face = self.face_monomial
-        for i in range(1, len(m[1]) + 1):
-            s = -1 if i % 2 == 0 else 1
-            _acc(t, face(m, i, 0), s)
-            _acc(t, face(m, i, 1), -s)
-        memo[m] = t
+    def _d_mono(self, i):
+        # d of monomial i as {id: coeff}, from the table; read only
+        t = self._d_memo.get(i)
+        if t is None:
+            t, m, face, intern = {}, self._mons[i], self.face_monomial, self._id
+            for k in range(1, len(m[1]) + 1):
+                s = -1 if k % 2 == 0 else 1
+                _acc(t, intern(face(m, k, 0)), s)
+                _acc(t, intern(face(m, k, 1)), -s)
+            self._d_memo[i] = t
         return t
 
     def d(self, u: BElement) -> BElement:
@@ -357,85 +387,95 @@ class WordAlgebra:
         out = {}
         get = out.get
         d_mono = self._d_mono
-        for m, c in u.terms.items():
-            for k, dc in d_mono(m).items():
+        for i, c in self._own(u).items():
+            for k, dc in d_mono(i).items():
                 out[k] = v = get(k, 0) + c * dc
                 if not v:
                     del out[k]
-        return BElement._of(self, out)
+        return BElement(self, out)
 
-    def _delta_eword(self, e):
-        memo = self._delta_memo
-        t = memo.get(e)
-        if t is not None:
-            return t
-        if not e:
-            t = {(EMPTY, EMPTY): 1}
-        else:
-            x = e[-1]
-            gen = {(((), (x,)), ((x,), ())): 1, (EMPTY, ((), (x,))): 1}
-            t = self._tensor_mul_raw(self._delta_eword(e[:-1]), gen)
-        memo[e] = t
+    def _delta_eword(self, i):
+        # the coproduct of the pure e-word with id i, from the table; read only
+        t = self._delta_memo.get(i)
+        if t is None:
+            e, intern = self._mons[i][1], self._id
+            t = {(0, 0): 1}
+            if e:  # Delta(e[:-1]) (e[x] (x) x + 1 (x) e[x]), x the last letter
+                ex = intern(((), e[-1:]))
+                gen = {(ex, intern((e[-1:], ()))): 1, (0, ex): 1}
+                t = self._tensor_mul(self._delta_eword(intern(((), e[:-1]))), gen)
+            self._delta_memo[i] = t
         return t
 
-    def _apply_prefix(self, a_word, tensor_terms, coeff, out):
-        # diagonal action of a group-like prefix: a.(u (x) v) = au (x) av,
-        # where a.(b, e) is (canonical ab, e), and (a, e) when b is empty
+    def _apply_prefix(self, pa, tensor_terms, coeff, out):
+        # diagonal action of the group-like prefix pa: a.(u (x) v) = au (x) av
         get = out.get
-        canon, canonical = self._canon, self.canonical_a_word
+        row, mul = self._prod[pa], self._mul
         for k, tc in tensor_terms.items():
-            if a_word:
-                (la, le), (ra, re) = k
-                la = canon.get(a_word + la) or canonical(a_word + la) if la else a_word
-                ra = canon.get(a_word + ra) or canonical(a_word + ra) if ra else a_word
-                k = ((la, le), (ra, re))
+            if pa:
+                l, r = k
+                try:
+                    k = row[l], row[r]
+                except KeyError:
+                    k = mul(pa, l), mul(pa, r)
             out[k] = c = get(k, 0) + coeff * tc
             if not c:
                 del out[k]
 
-    def coproduct(self, u: BElement) -> TensorElement:
-        out = {}
-        for (a, e), c in u.terms.items():
-            self._apply_prefix(a, self._delta_eword(e), c, out)
-        return TensorElement._of(self, out)
+    def _prefixed(self, eword_map, u):
+        # eword_map of each term's e-word id, moved by the term's prefix
+        out, split = {}, self._split
+        for i, c in self._own(u).items():
+            s = split.get(i)
+            if s is None:  # the ids of the prefix (a, ()) and the e-word ((), e)
+                a, e = self._mons[i]
+                s = split[i] = self._id((a, ())), self._id(((), e))
+            self._apply_prefix(s[0], eword_map(s[1]), c, out)
+        return TensorElement(self, out)
 
-    def _tensor_mul_raw(self, t1, t2):
+    def coproduct(self, u: BElement) -> TensorElement:
+        return self._prefixed(self._delta_eword, u)
+
+    def _tensor_mul(self, t1, t2):
         out = {}
         get = out.get
-        mon_mul = self.mon_mul
+        prod, mul, odd = self._prod, self._mul, self._odd
         for (l1, r1), c1 in t1.items():
-            odd = len(r1[1]) & 1
+            row_l, row_r, odd_r = prod[l1], prod[r1], odd[r1]
             for (l2, r2), c2 in t2.items():
-                k = (mon_mul(l1, l2), mon_mul(r1, r2))
-                out[k] = c = get(k, 0) + (-c1 * c2 if odd and len(l2[1]) & 1 else c1 * c2)
+                try:
+                    k = row_l[l2], row_r[r2]
+                except KeyError:
+                    k = mul(l1, l2), mul(r1, r2)
+                out[k] = c = get(k, 0) + (-c1 * c2 if odd_r & odd[l2] else c1 * c2)
                 if not c:
                     del out[k]
         return out
 
     def tensor_multiply(self, t1: TensorElement, t2: TensorElement) -> TensorElement:
-        return TensorElement._of(self, self._tensor_mul_raw(t1.terms, t2.terms))
+        return TensorElement(self, self._tensor_mul(self._own(t1), self._own(t2)))
 
     def tensor_flip(self, t: TensorElement) -> TensorElement:
-        return TensorElement._of(self, _flip_raw(t.terms))
+        return TensorElement(self, _flip(self._own(t), self._odd))
 
     def tensor_d(self, t: TensorElement) -> TensorElement:
         """d (x) 1 + 1 (x) d with the Koszul sign on the second summand."""
         out = {}
         get = out.get
-        d_mono = self._d_mono
-        for (l, r), c in t.terms.items():
+        d_mono, odd = self._d_mono, self._odd
+        for (l, r), c in self._own(t).items():
             for lm, lc in d_mono(l).items():
                 k = (lm, r)
                 out[k] = v = get(k, 0) + c * lc
                 if not v:
                     del out[k]
-            s = -c if len(l[1]) & 1 else c
+            s = -c if odd[l] else c
             for rm, rc in d_mono(r).items():
                 k = (l, rm)
                 out[k] = v = get(k, 0) + s * rc
                 if not v:
                     del out[k]
-        return TensorElement._of(self, out)
+        return TensorElement(self, out)
 
     # -- face maps ------------------------------------------------------------
 
@@ -477,45 +517,48 @@ class WordAlgebra:
 
     # -- homotopy ---------------------------------------------------------------
 
-    def _h_eword(self, e):
-        memo = self._h_memo
-        t = memo.get(e)
-        if t is not None:
-            return t
-        if not e:
-            t = {}
-        elif len(e) == 1:
-            t = {(((), e), ((), e)): 1}
-        else:
-            head, rest = e[:1], e[1:]
-            first = self._tensor_mul_raw(self._h_eword(head), self._delta_eword(rest))
-            second = self._tensor_mul_raw(_flip_raw(self._delta_eword(head)), self._h_eword(rest))
-            t = dict(first)
-            for k, c in second.items():
-                _acc(t, k, -c)
-        memo[e] = t
+    def _h_eword(self, i):
+        # the homotopy of the pure e-word with id i, from the table; read only
+        t = self._h_memo.get(i)
+        if t is None:
+            e = self._mons[i][1]
+            t = {(i, i): 1} if e else {}
+            if len(e) > 1:
+                head, rest = self._id(((), e[:1])), self._id(((), e[1:]))
+                t = self._tensor_mul(self._h_eword(head), self._delta_eword(rest))
+                flipped = _flip(self._delta_eword(head), self._odd)
+                for k, c in self._tensor_mul(flipped, self._h_eword(rest)).items():
+                    _acc(t, k, -c)
+            self._h_memo[i] = t
         return t
 
     def h(self, u: BElement) -> TensorElement:
         """Degree +1 homotopy: h(e[x]) = e[x] (x) e[x], extended by
         h(ab) = h(a) Delta(b) + (-1)^{|a|} (tau Delta)(a) h(b) and by the
         diagonal action on group-like prefixes."""
-        out = {}
-        for (a, e), c in u.terms.items():
-            self._apply_prefix(a, self._h_eword(e), c, out)
-        return TensorElement._of(self, out)
+        return self._prefixed(self._h_eword, u)
 
     def homotopy_defect(self, u: BElement) -> TensorElement:
         """(d o h + h o d - coproduct + flipped coproduct)(u); zero on all of B."""
-        out = self.tensor_d(self.h(u)).terms  # a fresh result's own dict
-        for k, c in self.h(self.d(u)).terms.items():
+        out = self.tensor_d(self.h(u))._t  # a fresh result's own dict
+        for k, c in self.h(self.d(u))._t.items():
             _acc(out, k, c)
-        for (l, r), c in self.coproduct(u).terms.items():
-            _acc(out, (l, r), -c)
-            _acc(out, (r, l), -c if len(l[1]) & len(r[1]) & 1 else c)
-        return TensorElement._of(self, out)
+        delta = self.coproduct(u)._t
+        for k, c in delta.items():
+            _acc(out, k, -c)
+        for k, c in _flip(delta, self._odd).items():
+            _acc(out, k, c)
+        return TensorElement(self, out)
 
     # -- quandle quotient ---------------------------------------------------------
+
+    def _square_free(self):
+        # per id, whether its e-word has no adjacent equal pair, up to the last id
+        if not self.rack.is_quandle():
+            raise NotAQuandle(f"{self.rack.label} is not a quandle")
+        flat = self._flat
+        flat += [no_adjacent_equal(e) for _, e in self._mons[len(flat):]]
+        return flat
 
     def quandle_project(self, u: BElement) -> BElement:
         """Quotient by the ideal of squares of e-letters.
@@ -524,15 +567,12 @@ class WordAlgebra:
         has an adjacent equal pair (group letters pass an adjacent pair
         without separating it), so projection just deletes those monomials.
         """
-        if not self.rack.is_quandle():
-            raise NotAQuandle(f"{self.rack.label} is not a quandle")
-        return BElement._of(self, {m: c for m, c in u.terms.items() if no_adjacent_equal(m[1])})
+        t, keep = self._own(u), self._square_free()  # in this order: _own may give ids
+        return BElement(self, {i: c for i, c in t.items() if keep[i]})
 
     def quandle_project_tensor(self, t: TensorElement) -> TensorElement:
-        if not self.rack.is_quandle():
-            raise NotAQuandle(f"{self.rack.label} is not a quandle")
-        return TensorElement._of(self, {(l, r): c for (l, r), c in t.terms.items()
-                                        if no_adjacent_equal(l[1]) and no_adjacent_equal(r[1])})
+        t, keep = self._own(t), self._square_free()
+        return TensorElement(self, {(l, r): c for (l, r), c in t.items() if keep[l] and keep[r]})
 
     # -- rendering ----------------------------------------------------------------
 
@@ -546,7 +586,7 @@ class WordAlgebra:
     def format_element(self, u) -> str:
         """An element of B or of B (x) B as text, its terms in degree order;
         the factors of a term of B (x) B are joined by ``(x)``."""
-        if not u.terms:
+        if not u:
             return "0"
         terms = u.terms.items()
         if isinstance(u, BElement):  # a term of B is keyed by one monomial

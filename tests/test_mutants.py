@@ -20,7 +20,7 @@ import test_complexes
 import test_cup
 import test_linalg
 import test_words
-from rackhom import complexes, linalg
+from rackhom import complexes, linalg, words
 from rackhom.cup import CupContext
 from rackhom.linalg import ChainComplex, HomologyGroup
 from rackhom.racks import XSet
@@ -40,15 +40,13 @@ REDUCTIONS = (linalg, test_linalg)
 INIT = WordAlgebra.__init__
 
 
-def prefix_action_not_canonical(self, a_word, tensor_terms, coeff, out):
-    # the diagonal prefix action, with a_word + l[0] left as concatenated
-    for ((la, le), (ra, re)), tc in tensor_terms.items():
-        k = ((a_word + la, le), (a_word + ra, re))
-        c = out.get(k, 0) + coeff * tc
-        if c:
-            out[k] = c
-        else:
-            del out[k]
+def prefix_action_not_canonical(self, pa, tensor_terms, coeff, out):
+    # the diagonal prefix action on ids, with the prefix's a-word and each
+    # factor's left as concatenated, not read from the product table
+    a, mons = self._mons[pa][0], self._mons
+    for (l, r), tc in tensor_terms.items():
+        k = tuple(self._id((a + mons[i][0], mons[i][1])) for i in (l, r))
+        words._acc(out, k, coeff * tc)
 
 
 def mon_mul_without_conjugation(self, m1, m2):
@@ -56,6 +54,11 @@ def mon_mul_without_conjugation(self, m1, m2):
     (a1, e1), (a2, e2) = m1, m2
     a = a1 + a2
     return self.canonical_a_word(a), e1 + e2
+
+
+def flip_without_the_koszul_sign(t, odd):
+    # the flip of B (x) B on ids, every coefficient kept as if no factor were odd
+    return {(r, l): c for (l, r), c in t.items()}
 
 
 def one_conjugation_table_for_every_letter(self, rack):
@@ -171,6 +174,12 @@ MUTANTS = {
         [functools.partial(test_words.test_conjugation_table_matches_the_letter_by_letter_references,
                            "dihedral:3")],
     ),
+    "flip-drops-the-koszul-sign": (
+        (words,), "_flip", flip_without_the_koszul_sign,
+        ["homotopy"],
+        [test_words.test_flip_signs,
+         functools.partial(test_words.test_id_tables_match_the_tuple_references, "dihedral:3")],
+    ),
     "boundary-ignores-the-coefficient-action": (
         (complexes,), "_boundary", boundary_without_the_action,
         [], [functools.partial(test_complexes.test_boundary_columns_pinned,
@@ -243,6 +252,9 @@ MUTANTS = {
 @pytest.mark.parametrize("name", sorted(MUTANTS))
 def test_mutant_is_caught(name, monkeypatch):
     owners, attr, mutant, suites, tests = MUTANTS[name]
+    # the word-engine tests share the algebra W3, whose tables would keep
+    # what the mutant computed: they read a fresh one while it is in place
+    monkeypatch.setattr(test_words, "W3", WordAlgebra(test_words.R3))
     for owner in owners:
         monkeypatch.setattr(owner, attr, mutant)
     for suite in suites:

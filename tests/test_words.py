@@ -123,9 +123,11 @@ def test_tensor_rack_mismatch():
     lambda W: W.gen(-1),
     lambda W: W.gen_e(3),
     lambda W: W.gen_e(-1),
+    lambda W: W.tensor({(((7,), ()), EMPTY): 1}),
+    lambda W: W.tensor({(EMPTY, ((), (0, 3))): 1}),
 ], ids=["eword-negative", "eword-past-end", "monomial-prefix", "monomial-eword",
         "element-pair", "element-monomial", "gen-past-end", "gen-negative",
-        "gen_e-past-end", "gen_e-negative"])
+        "gen_e-past-end", "gen_e-negative", "tensor-left", "tensor-right"])
 def test_letters_outside_the_rack_are_refused(make):
     with pytest.raises(IndexOutOfRange):
         make(W3)
@@ -584,6 +586,8 @@ def _letter_by_letter(W, a, m):
 
 @pytest.mark.parametrize("spec", ["trivial:3", "dihedral:3", "cyclic:3", "dihedral:4"])
 def test_prefix_action_matches_letter_by_letter_product(spec):
+    """The prefix action on ids reads the product table; it agrees with
+    the tuple product taken one prefix letter at a time."""
     W = WordAlgebra(builtin(spec))
     n = W.rack.size
     a_words = sorted({W.canonical_a_word(a) for k in range(4)
@@ -593,10 +597,122 @@ def test_prefix_action_matches_letter_by_letter_product(spec):
         for m in monos:
             terms = {(m, EMPTY): 1, (EMPTY, m): -1} if m != EMPTY else {(m, m): 1}
             out = {}
-            W._apply_prefix(a, terms, 3, out)
+            W._apply_prefix(W._id((a, ())), {(W._id(l), W._id(r)): c
+                                              for (l, r), c in terms.items()}, 3, out)
             expect = {(_letter_by_letter(W, a, l), _letter_by_letter(W, a, r)): 3 * c
                       for (l, r), c in terms.items()}
-            assert out == expect, (spec, a, m)
+            assert {(W._mons[l], W._mons[r]): c for (l, r), c in out.items()} == expect, (
+                spec, a, m)
+
+
+def tensor_product_reference(W, t1, t2):
+    """(l1 (x) r1)(l2 (x) r2) = (-1)^{|r1||l2|} l1 l2 (x) r1 r2 on tuple
+    terms, each product canonicalized from its letters."""
+    out = {}
+    for (l1, r1), c1 in t1.items():
+        for (l2, r2), c2 in t2.items():
+            key = (W.canonicalize(letters(l1) + letters(l2)),
+                   W.canonicalize(letters(r1) + letters(r2)))
+            sign = -1 if len(r1[1]) % 2 and len(l2[1]) % 2 else 1
+            out[key] = out.get(key, 0) + sign * c1 * c2
+    return {k: v for k, v in out.items() if v}
+
+
+def flip_reference(terms):
+    return {(r, l): -c if len(l[1]) % 2 and len(r[1]) % 2 else c for (l, r), c in terms.items()}
+
+
+def coproduct_reference(W, e):
+    # Delta(e[x1] ... e[xk]), one letter's e[x] (x) x + 1 (x) e[x] at a time
+    out = {(EMPTY, EMPTY): 1}
+    for x in e:
+        ex = ((), (x,))
+        out = tensor_product_reference(W, out, {(ex, ((x,), ())): 1, (EMPTY, ex): 1})
+    return out
+
+
+def h_reference(W, e):
+    # h(e[x] b) = h(e[x]) Delta(b) - (tau Delta)(e[x]) h(b), h(e[x]) = e[x] (x) e[x]
+    if len(e) < 2:
+        return {(((), e), ((), e)): 1} if e else {}
+    out = tensor_product_reference(W, h_reference(W, e[:1]), coproduct_reference(W, e[1:]))
+    flipped = flip_reference(coproduct_reference(W, e[:1]))
+    for k, c in tensor_product_reference(W, flipped, h_reference(W, e[1:])).items():
+        out[k] = out.get(k, 0) - c
+    return {k: v for k, v in out.items() if v}
+
+
+def _table_sizes(W):
+    return (len(W._mons), len(W._ids), len(W._odd), sum(map(len, W._prod.values())),
+            len(W._split), len(W._d_memo), len(W._delta_memo), len(W._h_memo))
+
+
+@pytest.mark.parametrize("spec", ["dihedral:3", "cyclic:3"])
+def test_id_tables_match_the_tuple_references(spec):
+    """``multiply``, ``coproduct``, ``h``, ``tensor_d`` and ``tensor_flip``
+    read the id tables; on a fresh algebra and again once the tables are
+    full, they agree with references on tuples that canonicalize letter by
+    letter and fill no id table, and the second pass adds no entry."""
+    W = WordAlgebra(builtin(spec))
+    n = W.rack.size
+    short = [w for k in range(3) for w in itertools.product(range(n), repeat=k)]
+    monos = [W.monomial(a, e) for a in short[: n + 1] for e in short]
+    products = {(m1, m2): {W.canonicalize(letters(m1) + letters(m2)): 1}
+                for m1 in monos for m2 in monos}
+    maps = {}
+    for m in monos:
+        a, e = m
+        delta, h = ({(_letter_by_letter(W, a, l), _letter_by_letter(W, a, r)): c
+                     for (l, r), c in t.items()}
+                    for t in (coproduct_reference(W, e), h_reference(W, e)))
+        tensor_d = {}
+        for (l, r), c in delta.items():
+            for lm, lc in d_reference(W, {l: 1}).items():
+                tensor_d[lm, r] = tensor_d.get((lm, r), 0) + c * lc
+            for rm, rc in d_reference(W, {r: 1}).items():
+                tensor_d[l, rm] = tensor_d.get((l, rm), 0) + (-c if len(l[1]) % 2 else c) * rc
+        maps[m] = (delta, h, {k: v for k, v in tensor_d.items() if v}, flip_reference(h))
+    assert _table_sizes(W) == (1, 1, 1, 0, 0, 0, 0, 0)
+    sizes = None
+    for _ in range(2):
+        assert {k: W.multiply(W.element({k[0]: 1}), W.element({k[1]: 1})).terms
+                for k in products} == products
+        for m in monos:
+            u = W.element({m: 1})
+            delta, h = W.coproduct(u), W.h(u)
+            got = (delta.terms, h.terms, W.tensor_d(delta).terms, W.tensor_flip(h).terms)
+            assert got == maps[m], (spec, m)
+        assert sizes in (None, _table_sizes(W))
+        sizes = _table_sizes(W)
+
+
+def test_elements_of_two_algebras_over_one_rack_combine_by_monomials():
+    """Two algebras give ids in the order they meet monomials, so the same id
+    names different monomials in each; equality, sums, products and the maps
+    read an element of the other algebra by its monomials."""
+    W1, W2 = WordAlgebra(R3), WordAlgebra(R3)
+    m1, m2 = ((), (0,)), ((1,), (2,))
+    u1, v1 = W1.element({m1: 1}), W1.element({m2: 1})
+    v2, u2 = W2.element({m2: 1}), W2.element({m1: 1})
+    assert u1._t == v2._t and u1._t != u2._t  # the ids differ: m1 is W2's second
+    assert u1 == u2 and v1 == v2 and u1 != v2 and v2 != u1
+    assert W1.element({m1: 1, m2: 2}) == W2.element({m1: 1, m2: 2})
+    assert (u1 + v2).terms == (v2 + u1).terms == {m1: 1, m2: 1}
+    assert not (u1 - u2) and not (u2 - u1)
+    assert (u1 * v2).terms == {W1.canonicalize(letters(m1) + letters(m2)): 1}
+    assert W1.d(v2) == W2.d(v2) and W1.coproduct(v2) == W2.coproduct(v2)
+    assert W1.h(v2) == W2.h(v2) and W1.h(v2).terms == W2.h(v1).terms
+    assert W1.h(u1) + W2.h(u2) == 2 * W1.h(u1)
+    assert W1.tensor_multiply(W1.coproduct(u1), W2.coproduct(v2)) == W2.coproduct(u2 * v2)
+
+
+def test_tensor_factors_are_canonicalized():
+    # (1, 2) ~ (0, 1) on dihedral:3: as a tensor factor it is the monomial's
+    # canonical a-word, and two spellings of one factor add up
+    W = WordAlgebra(R3)
+    assert W.tensor({(((1, 2), ()), EMPTY): 1}) == W.tensor({(W.monomial((1, 2), ()), EMPTY): 1})
+    assert W.tensor({(EMPTY, ((1, 2), (0,))): 1, (EMPTY, ((0, 1), (0,))): 1}).terms == {
+        (EMPTY, ((0, 1), (0,))): 2}
 
 
 # --- rendering -------------------------------------------------------------------
