@@ -193,11 +193,6 @@ def _coefficients(args, rack) -> XSet | None:
     return parse_xset_file(spec, rack)
 
 
-def _scalar_json(v):
-    # residues over F_p are ints; a rational over Q is reported as "a/b"
-    return v if isinstance(v, int) else str(v)
-
-
 def make_report(command, options, source: bytes, results=None, suites=None,
                 timings=None):
     try:  # CPython's own sha256, here, not at start-up; hashlib loads OpenSSL
@@ -282,8 +277,8 @@ def cmd_ring(args) -> int:
                  for vec in rs.reps[p]]
         for p in sorted(rs.reps)
     }
-    products = {
-        f"{p},{i},{q},{j}": [_scalar_json(c) for c in coords]
+    products = {  # residues over F_p are ints; a rational over Q is reported as "a/b"
+        f"{p},{i},{q},{j}": list(coords) if ring.char else [str(c) for c in coords]
         for (p, i, q, j), coords in sorted(rs.products.items())
     }
     results = [{"dims": dims, "representatives": reps, "products": products}]

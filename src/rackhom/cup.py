@@ -351,51 +351,48 @@ def ring_structure(rack: Rack, ring, max_degree: int, quandle: bool = False,
                    max_basis: int = DEFAULT_MAX_BASIS) -> RingStructure:
     """Cohomology ring with trivial coefficients up to ``max_degree``.
 
-    Three eliminations per degree p: the reduced echelon kernel basis of
-    d*^p (the cocycles); one forward pass keeping the cocycles outside the
-    span of the columns of d*^{p-1} and of those kept before them (the
-    representatives of H^p); one solve of every product landing in degree
-    p against [representatives | columns of d*^{p-1}].  The representatives
-    are independent modulo coboundaries, so the representative part of a
-    solution is unique: the coordinates of the class.  Deterministic given
-    the basis order.  A coordinate ``x`` of a solution over ``den`` is the
-    rational ``x * dens[n] / (den * dens[p] * dens[q])``.
+    One pass over the degrees n = 0..max_degree, three eliminations each:
+    the reduced echelon kernel basis of d*^n (the cocycles); one forward
+    pass keeping the cocycles outside the span of the columns of d*^{n-1},
+    the one earlier matrix the pass reads, and of those kept before them
+    (the representatives of H^n); one solve of every product landing in
+    degree n against [representatives | columns of d*^{n-1}].  The
+    representatives are independent modulo coboundaries, so the
+    representative part of a solution is unique: the coordinates of the
+    class.  Deterministic given the basis order.  A coordinate ``x`` of a
+    solution over ``den`` is the rational
+    ``x * dens[n] / (den * dens[p] * dens[q])``.  A cap on a basis or a
+    stencil stops the job at the first degree that reaches it.
     """
     if not ring.is_field:
         raise ContextMismatch("ring structure requires field scalars")
     ctx = CupContext(rack, quandle=quandle, max_basis=max_basis)
-    # d*^{-1} is the zero map into C^0, which has the one empty tuple
-    dmat = {-1: SparseMat(1, 0)}
-    for p in range(max_degree + 1):
-        dmat[p] = ctx.coboundary(p)
-    reps, dens = {}, {}
-    for p in range(max_degree + 1):
-        cocycles, dens[p] = kernel_basis(dmat[p], ring)
-        reps[p] = independent(dmat[p - 1].cols, cocycles, ring)
-    products: dict = {}
     if not ring.char:
         # imported here: the Q coordinates are the only rationals a ring makes
         from fractions import Fraction
+    # d*^{-1} is the zero map into C^0, which has the one empty tuple
+    below = SparseMat(1, 0)
+    reps, dens, classes, products = {}, {}, {}, {}
     for n in range(max_degree + 1):
+        d = ctx.coboundary(n)
+        cocycles, dens[n] = kernel_basis(d, ring)
+        reps[n] = independent(below.cols, cocycles, ring)
+        classes[n] = [Cochain(n, ring, v, quandle, den=dens[n]) for v in reps[n]]
         keys, rhs = [], []
         for p in range(n + 1):
-            q = n - p
-            for i, fv in enumerate(reps[p]):
-                fc = Cochain(p, ring, fv, quandle, den=dens[p])
-                for j, gv in enumerate(reps[q]):
-                    keys.append((p, i, q, j))
-                    rhs.append(cup(fc, Cochain(q, ring, gv, quandle, den=dens[q]), ctx).values)
-        if not keys:
-            continue
-        cols = [{i: v for i, v in enumerate(vec) if v} for vec in reps[n]]
-        cols += dmat[n - 1].cols
-        red = SparseMat(dmat[n].ncols, len(cols), cols)
-        solutions, den = solve_many(red, rhs, ring)
-        for (p, i, q, j), coords in zip(keys, solutions):
-            if coords is None:
-                raise NotACocycle("product of cocycles failed to reduce; complex is inconsistent")
-            coords = coords[: len(reps[n])]
-            if not ring.char:
-                coords = [Fraction(x * dens[n], den * dens[p] * dens[q]) for x in coords]
-            products[(p, i, q, j)] = tuple(coords)
+            for i, f in enumerate(classes[p]):
+                for j, g in enumerate(classes[n - p]):
+                    keys.append((p, i, n - p, j))
+                    rhs.append(cup(f, g, ctx).values)
+        if keys:
+            cols = [{i: v for i, v in enumerate(vec) if v} for vec in reps[n]] + below.cols
+            solutions, den = solve_many(SparseMat(d.ncols, len(cols), cols), rhs, ring)
+            for (p, i, q, j), coords in zip(keys, solutions):
+                if coords is None:
+                    raise NotACocycle("product of cocycles failed to reduce; complex is inconsistent")
+                coords = coords[: len(reps[n])]
+                if not ring.char:
+                    coords = [Fraction(x * dens[n], den * dens[p] * dens[q]) for x in coords]
+                products[(p, i, q, j)] = tuple(coords)
+        below = d
     return RingStructure({p: len(reps[p]) for p in reps}, reps, dens, products)

@@ -328,6 +328,22 @@ def test_ring_structure_reduces_integer_coboundaries(monkeypatch, ring):
     assert {type(v) for v in entries} == {int} and -1 in entries
 
 
+def test_ring_structure_stops_at_the_first_degree_over_the_cap(monkeypatch):
+    # trivial:1 has one tuple per degree, so no basis reaches the default cap;
+    # the stencil (8, 13) of its degree-21 products, C(21, 13) = 203490
+    # terms, is the first thing over it, and no coboundary above degree 21
+    # may be built before it is refused
+    real = CupContext.coboundary
+
+    def bounded(self, p, module=None):
+        assert p <= 21, f"d*^{p} built before the products of degree 21"
+        return real(self, p, module)
+
+    monkeypatch.setattr(CupContext, "coboundary", bounded)
+    with pytest.raises(DimensionOverflow, match=r"cup stencil of degrees \(8, 13\) has 203490 terms"):
+        ring_structure(T1, QQ, 10_000)
+
+
 # --- graded commutativity ----------------------------------------------------
 
 
