@@ -215,8 +215,6 @@ def _word_identities(spec):
                for e in ewords for u in [W.element({(a, e): 1})]}
     for e1 in ewords:
         for e2 in ewords:
-            if len(e1) + len(e2) > 4:
-                continue
             for a1, a2 in prefix_pairs:
                 (u, cop_u), (v, cop_v) = factors[a1, e1], factors[a2, e2]
                 yield W.coproduct(u * v) == W.tensor_multiply(cop_u, cop_v) or (

@@ -439,6 +439,22 @@ def test_bad_ring_is_a_validation_error(capsys, spec, message):
     assert err == f"rackhom: error: {message}\n"
 
 
+@pytest.mark.parametrize("argv, content, message", [
+    ("ring --builtin trivial:1 --ring Z", "", "ring structure needs a field: Q or Fp:p"),
+    ("homology --rack {path}", "rack 2\n0 x\n1 1\n", "bad entry 'x' (line 2, column 2)"),
+    ("homology --rack {path}", '{"size": 3, "table": [[0, 0], [1, 1]]}',
+     "JSON 'size' disagrees with table height"),
+    ("homology --builtin trivial:0", "", "size must be >= 1"),
+    ("homology --builtin dihedral:0", "", "size must be >= 1"),
+    ("homology --builtin cyclic:0", "", "size must be >= 1"),
+], ids=["ring-over-Z", "text-entry", "json-size", "trivial:0", "dihedral:0", "cyclic:0"])
+def test_refused_with_exit_1(capsys, tmp_path, argv, content, message):
+    path = tmp_path / "input"
+    path.write_text(content)
+    code, out, err = run(capsys, *argv.format(path=path).split())
+    assert (code, out, err) == (EXIT_FAIL, "", f"rackhom: error: {message}\n")
+
+
 def test_empty_builtin_spec_names_the_kind(capsys):
     code, _, err = run(capsys, "homology", "--builtin", "")
     assert code == EXIT_FAIL

@@ -2,7 +2,6 @@
 dense oracle (different codebase, different algorithms)."""
 
 import hashlib
-import json
 from fractions import Fraction
 from math import gcd, lcm
 
@@ -12,8 +11,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from sympy.matrices.normalforms import smith_normal_form as sympy_snf
 from sympy.polys.matrices import DomainMatrix
+import test_reports
 
-from rackhom.cli import main
 from rackhom.complexes import boundary_matrix, cochain_differential_matrix
 from rackhom.errors import NotAComplex, ShapeError
 from rackhom.linalg import (
@@ -714,43 +713,20 @@ def test_cleared_reductions_match_standalone(n, data, quandle, self_coefficients
         assert cx._reduce(k)[:2] == expected
 
 
-@pytest.mark.parametrize("argv,top,digest", [
-    (("--builtin", "conjugation:s3"), "Z^81 + (Z/3)^22 + (Z/9)^6",
-     "6018e7a939fb04b5c4382cdf6dce7b87524fe591e9398577f91bfd0e9d48e8e3"),
-    (("--builtin", "dihedral:4", "--coefficients", "self"), "Z^32 + (Z/2)^66",
-     "9455c92e5c1e6bc734c2d6d5ab978583a89818948f022a12626d8ccd7ca192b7"),
-    (("--builtin", "dihedral:4", "--quandle", "--coefficients", "self"), "Z^4 + (Z/2)^30",
-     "f44c5a6302690bd27aff9da9f45d6d602d4cef556254b94e7ad23733fbeb3aca"),
-    (("--builtin", "trivial:3", "--quandle", "--coefficients", "self"), "Z^72",
-     "5ebc65cc381d45d76279b3af029b45c621ded8f450d9129b257a960ad8cb5d08"),
-])
-def test_integral_homology_report_pinned(capsys, argv, top, digest):
-    # the first two leave residuals after the +-1 pass, with pivots 3 and 9
-    # or 2; the quandle complexes split by the orbit of the point, dihedral:4
-    # into two isomorphic orbits, trivial:3 into three one-point orbits
-    assert main(["homology", *argv, "--ring", "Z", "--max-degree", "4", "--json"]) == 0
-    out = capsys.readouterr().out
-    h4 = json.loads(out)["results"][-1]
-    assert HomologyGroup(4, h4["betti"], tuple(h4["torsion"])).describe() == top
-    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
-
-
-def test_dihedral5_quandle_degree5_across_backends(capsys):
-    """Z report pinned; Q betti numbers equal the Z ones, and F_5
-    dimensions follow by the universal coefficient theorem."""
+def test_dihedral5_quandle_degree5_across_backends():
+    """Z report pinned, less its version; Q betti numbers equal the Z ones,
+    and F_5 dimensions follow by the universal coefficient theorem."""
     def results(ring):
-        argv = ["homology", "--builtin", "dihedral:5", "--ring", ring,
-                "--max-degree", "5", "--quandle", "--json"]
-        assert main(argv) == 0
-        out = capsys.readouterr().out
-        return out, json.loads(out)["results"]
+        return test_reports.report_of(
+            f"homology --builtin dihedral:5 --ring {ring} --max-degree 5 --quandle")
 
-    out, integral = results("Z")
-    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == (
-        "8bc872259ff23c57f2c223e2af57577fb57eca3f2607c33e54bbd756a4f827c7")
-    assert [h["betti"] for h in results("Q")[1]] == [h["betti"] for h in integral]
+    report = results("Z")
+    assert test_reports.digest(report) == (
+        "c47a391051ad5e174d31d93f5e56eae685023b6c560264f00678b85d641c4e22")
+    integral = report["results"]
+    assert [h["betti"] for h in results("Q")["results"]] == [h["betti"] for h in integral]
     fives = [0] + [sum(1 for d in h["torsion"] if d % 5 == 0) for h in integral]  # H_0 is free
-    assert [h["betti"] for h in results("Fp:5")[1]] == [
+    assert [h["betti"] for h in results("Fp:5")["results"]] == [
         h["betti"] + fives[n] + fives[n - 1] for n, h in enumerate(integral, 1)]
 
 

@@ -6,7 +6,8 @@ Each mutant is a plausible one-line slip.  The test shows that the named
 made one of those checks blind would fail here; unmutated, the suites pass
 in ``test_acceptance`` and the tests in their own files.  A mutant that no
 ``verify`` suite catches names none, and is left to its tier-1 tests.  A
-later fast path adds its own mutant to ``MUTANTS``.
+mutant that changes a printed answer names a row of ``test_reports`` that
+it fails.  A later fast path adds its own mutant to ``MUTANTS``.
 """
 
 import functools
@@ -19,6 +20,7 @@ import test_blocks
 import test_complexes
 import test_cup
 import test_linalg
+import test_reports
 import test_words
 from rackhom import complexes, linalg, words
 from rackhom.cup import CupContext
@@ -38,6 +40,14 @@ RANK = linalg.rank
 # imports them by name, so a reduction mutant is patched in both
 REDUCTIONS = (linalg, test_linalg)
 INIT = WordAlgebra.__init__
+D3_Z = "homology --builtin dihedral:3 --ring Z --max-degree 4"
+D3_SELF_COHOMOLOGY = ("homology --builtin dihedral:3 --ring Z --max-degree 4"
+                      " --cohomology --coefficients self")
+
+
+def row(job):
+    # the pinned report of a CLI job
+    return functools.partial(test_reports.test_report, job)
 
 
 def prefix_action_not_canonical(self, pa, tensor_terms, coeff, out):
@@ -187,7 +197,8 @@ MUTANTS = {
              functools.partial(test_complexes.test_self_coefficients_shift_the_degree,
                                "dihedral:3", 3),
              functools.partial(test_blocks.test_blocks_match_the_whole_complex_on_every_small_rack,
-                               4)],
+                               4),
+             row(D3_SELF_COHOMOLOGY)],
     ),
     "prefix-acts-by-the-right-action": (
         (XSet,), "left_word", left_word_by_the_right_action,
@@ -200,21 +211,24 @@ MUTANTS = {
         [], [test_linalg.test_chain_complex_matches_pairwise_homology,
              test_linalg.test_clearing_over_z_takes_only_unit_pivots,
              functools.partial(test_complexes.test_cohomology_matches_the_dual_complex,
-                               "dihedral:4", False, False, 4)],
+                               "dihedral:4", False, False, 4),
+             row(D3_SELF_COHOMOLOGY)],
     ),
     "smith-clears-at-euclid-pivots": (
         REDUCTIONS, "smith_normal_form", smith_clearing_at_euclid_pivots,
-        [], [test_linalg.test_clearing_over_z_takes_only_unit_pivots],
+        [], [test_linalg.test_clearing_over_z_takes_only_unit_pivots, row(D3_Z)],
     ),
     "rational-rank-clears-at-euclid-pivots": (
         REDUCTIONS, "rank", rational_rank_clearing_at_euclid_pivots,
-        [], [test_linalg.test_rational_rank_without_unit_clears_nothing],
+        [], [test_linalg.test_rational_rank_without_unit_clears_nothing,
+             row("homology --builtin dihedral:4 --ring Q --max-degree 4")],
     ),
     "smith-exchange-drops-the-lcm": (
         (linalg,), "exchange", exchange_without_the_lcm,
         [], [test_linalg.test_snf_diag_example,
              test_linalg.test_snf_divisibility_chain_and_oracle_fixed_cases,
-             test_linalg.test_direct_sum_puts_block_torsion_into_chain_order],
+             test_linalg.test_direct_sum_puts_block_torsion_into_chain_order,
+             row("homology --builtin conjugation:s3 --ring Z --max-degree 4")],
     ),
     "a-block-dropped": (
         (complexes,), "_orbit_sets", orbit_sets_without_the_last,
@@ -222,7 +236,8 @@ MUTANTS = {
              functools.partial(test_blocks.test_quandle_blocks_match_the_whole_complex, "dihedral:6"),
              functools.partial(
                  test_blocks.test_rational_betti_numbers_are_powers_of_the_orbit_count,
-                 "conjugation:s3")],
+                 "conjugation:s3"),
+             row(D3_Z)],
     ),
     "block-torsion-concatenated-without-the-exchange": (
         (complexes, test_linalg), "direct_sum", direct_sum_without_the_exchange,
@@ -231,14 +246,16 @@ MUTANTS = {
     "cup-stencil-drops-the-global-sign": (
         (CupContext,), "stencil", stencil_without_the_global_sign,
         ["cup", "commutativity", "coproduct"],
-        [test_cup.test_cup_1_1_closed_formula, test_cup.test_cup_equals_coproduct_path],
+        [test_cup.test_cup_1_1_closed_formula, test_cup.test_cup_equals_coproduct_path,
+         row("ring --builtin trivial:2 --ring Q --max-degree 3")],
     ),
     "cup-stencil-keeps-the-sign-when-the-last-position-joins-a": (
         (CupContext,), "stencil", stencil_without_the_flip_in_a,
         ["cup", "commutativity", "coproduct"],
         [functools.partial(test_cup.test_module_cup_matches_coproduct_path_on_non_symmetric_tables,
                            test_cup.R4),
-         functools.partial(test_cup.test_stencil_rows_match_the_coproduct_terms, "dihedral:3")],
+         functools.partial(test_cup.test_stencil_rows_match_the_coproduct_terms, "dihedral:3"),
+         row("ring --builtin trivial:1 --ring Q --max-degree 3")],
     ),
     "homotopy-sign-fixed-to-plus-one": (
         (CUP,), "_pair_cochain", pairing_with_a_plus_sign,

@@ -86,6 +86,8 @@ def test_conjugation_s3():
 def test_invalid_group_table():
     with pytest.raises(InvalidGroupTable):
         conjugation_rack([[0, 1], [1, 1]])  # no inverse for 1
+    with pytest.raises(InvalidGroupTable, match="no two-sided identity"):
+        conjugation_rack([[0, 0], [0, 0]])
     # associativity failure: a Latin square that is not a group
     latin = [
         [0, 1, 2, 3, 4],
